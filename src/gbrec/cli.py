@@ -160,6 +160,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    if args.k < 1:
+        print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
+        return 2
     split, social, _stats = load_split_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     emb = _embeddings_from_checkpoint(ckpt, split, social)

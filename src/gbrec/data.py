@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import CSR
+
 log = logging.getLogger(__name__)
 
 DEFAULT_EVAL_NEGATIVES = 999
@@ -52,47 +54,28 @@ class BehaviorLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def successful(self) -> list[int]:
-        return [i for i, r in enumerate(self.records) if r.success]
 
-    @property
-    def failed(self) -> list[int]:
-        return [i for i, r in enumerate(self.records) if not r.success]
+class SocialGraph(CSR):
+    """Symmetric friendship graph over the dense user id space; its own transpose."""
 
-
-@dataclass
-class SocialGraph:
-    """Symmetric friendship graph over the dense user id space, stored as CSR."""
-
-    num_users: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    def __init__(self, num_users: int, indptr: np.ndarray, indices: np.ndarray):
+        super().__init__(num_users, num_users, indptr, indices)
 
     @classmethod
     def from_edges(cls, num_users: int, pairs: np.ndarray) -> "SocialGraph":
-        """Build from an (E, 2) array of undirected pairs; symmetrizes and dedups."""
-        if pairs.size == 0:
-            indptr = np.zeros(num_users + 1, dtype=np.int64)
-            return cls(num_users, indptr, np.empty(0, dtype=np.int64))
+        """Build from an (E, 2) array of undirected pairs; symmetrizes, dedups, drops self-loops."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         both = np.concatenate([pairs, pairs[:, ::-1]], axis=0)
-        both = np.unique(both, axis=0)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        indptr = np.zeros(num_users + 1, dtype=np.int64)
-        np.add.at(indptr, both[:, 0] + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(num_users, indptr, both[:, 1].astype(np.int64))
-
-    def friends(self, u: int) -> np.ndarray:
-        if not (0 <= u < self.num_users):
-            raise IndexError(f"user {u} out of range [0, {self.num_users})")
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+        g = CSR.from_edges(num_users, num_users, both[:, 0], both[:, 1])
+        return cls(num_users, g.indptr, g.indices)
 
     @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+    def T(self) -> "SocialGraph":
+        return self
+
+    def friends(self, u: int) -> np.ndarray:
+        return self.neighbors(u)
 
     @property
     def num_edges(self) -> int:
@@ -101,7 +84,7 @@ class SocialGraph:
 
     def undirected_pairs(self) -> np.ndarray:
         """Canonical (a < b) pair list, sorted; used for serialization."""
-        rows = np.repeat(np.arange(self.num_users, dtype=np.int64), self.degrees)
+        rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees)
         mask = rows < self.indices
         return np.stack([rows[mask], self.indices[mask]], axis=1)
 

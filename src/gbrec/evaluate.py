@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BehaviorRecord, DatasetSplit
+from .data import BehaviorRecord
 
 ScoreItemsFn = Callable[[int, np.ndarray], np.ndarray]
 
@@ -30,13 +30,6 @@ def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
     greater = int(np.sum(negative_scores > test_score))
     equal = int(np.sum(negative_scores == test_score))
     return greater + equal
-
-
-def rank_test_item(score_items: ScoreItemsFn, split: DatasetSplit, user: int) -> int:
-    record = split.test[user]
-    negatives = split.eval_negatives[user]
-    scores = score_items(user, np.concatenate([[record.item], negatives]))
-    return rank_from_scores(float(scores[0]), scores[1:])
 
 
 @dataclass
@@ -50,10 +43,13 @@ class MetricReport:
     def __post_init__(self):
         ks = sorted(self.ks)
         for a, b in zip(ks, ks[1:]):
-            assert self.recall[a] <= self.recall[b] + 1e-12, "recall must grow with K"
-            assert self.ndcg[a] <= self.ndcg[b] + 1e-12, "ndcg must grow with K"
+            if self.recall[a] > self.recall[b] + 1e-12:
+                raise ValueError(f"recall must grow with K: recall@{a} > recall@{b}")
+            if self.ndcg[a] > self.ndcg[b] + 1e-12:
+                raise ValueError(f"ndcg must grow with K: ndcg@{a} > ndcg@{b}")
         for k in ks:
-            assert self.ndcg[k] <= self.recall[k] + 1e-12, "per-user ndcg <= recall"
+            if self.ndcg[k] > self.recall[k] + 1e-12:
+                raise ValueError(f"ndcg@{k} exceeds recall@{k}")
 
     def to_dict(self) -> dict:
         return {

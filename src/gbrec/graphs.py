@@ -1,87 +1,35 @@
 """Directed heterogeneous graphs built from a training behavior log.
 
-Three edge sets, each kept in CSR form for both traversal directions:
+Three graphs, each a ``kernels.CSR`` with users as rows:
 
-* launch graph   -- initiator <-> item edges, one per record;
-* join graph     -- participant <-> item edges;
-* share graph    -- directed initiator -> participant edges, where the
-                    outgoing side answers "who did this user share to" and
-                    the incoming side "who shared to this user".
+* launch graph   -- user -> item edges, one per (initiator, item) pair;
+* join graph     -- user -> item edges, one per (participant, item) pair;
+* share graph    -- directed initiator -> participant edges, answering "who
+                    did this user share to".
 
-Repeated interactions collapse to simple edges. Graphs must be built from
-training records only; held-out records leak evaluation targets.
+The other direction of each graph -- an item's launchers or joiners, and
+"who shared to this user" -- is that graph's transpose ``.T``. Repeated
+interactions collapse to simple edges. Graphs must be built from training
+records only; held-out records leak evaluation targets.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import BehaviorLog
-
-
-@dataclass
-class CSRAdjacency:
-    """Neighbor lists for one direction of one graph."""
-
-    num_rows: int
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @classmethod
-    def from_edges(cls, num_rows: int, rows: np.ndarray, cols: np.ndarray) -> "CSRAdjacency":
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        if rows.size == 0:
-            return cls(num_rows, indptr, np.empty(0, dtype=np.int64))
-        edges = np.unique(np.stack([rows, cols], axis=1), axis=0)
-        np.add.at(indptr, edges[:, 0] + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(num_rows, indptr, edges[:, 1].astype(np.int64))
-
-    def neighbors(self, v: int) -> np.ndarray:
-        if not (0 <= v < self.num_rows):
-            raise IndexError(f"vertex {v} out of range [0, {self.num_rows})")
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    @property
-    def num_edges(self) -> int:
-        return self.indices.shape[0]
+from .kernels import CSR
 
 
 @dataclass
 class HeteroGraphBundle:
     num_users: int
     num_items: int
-    launch_user_items: CSRAdjacency  # rows: users,  neighbors: items they initiated for
-    launch_item_users: CSRAdjacency  # rows: items,  neighbors: initiators
-    join_user_items: CSRAdjacency    # rows: users,  neighbors: items they joined
-    join_item_users: CSRAdjacency    # rows: items,  neighbors: joiners
-    share_out: CSRAdjacency          # rows: users,  neighbors: users they shared to
-    share_in: CSRAdjacency           # rows: users,  neighbors: users who shared to them
-
-    GRAPH_TAGS = ("launch_user", "launch_item", "join_user", "join_item", "share_out", "share_in")
-
-    def adjacency(self, tag: str) -> CSRAdjacency:
-        mapping = {
-            "launch_user": self.launch_user_items,
-            "launch_item": self.launch_item_users,
-            "join_user": self.join_user_items,
-            "join_item": self.join_item_users,
-            "share_out": self.share_out,
-            "share_in": self.share_in,
-        }
-        if tag not in mapping:
-            raise KeyError(f"unknown graph tag {tag!r}; valid: {self.GRAPH_TAGS}")
-        return mapping[tag]
-
-    def neighbors(self, tag: str, vertex: int) -> np.ndarray:
-        return self.adjacency(tag).neighbors(vertex)
+    launch: CSR  # users -> items they initiated for
+    join: CSR    # users -> items they joined
+    share: CSR   # users -> users they shared to
 
 
 def build_graphs(train: BehaviorLog, failed_participant_edges: bool = True) -> HeteroGraphBundle:
@@ -115,21 +63,7 @@ def build_graphs(train: BehaviorLog, failed_participant_edges: bool = True) -> H
     return HeteroGraphBundle(
         num_users=P,
         num_items=Q,
-        launch_user_items=CSRAdjacency.from_edges(P, lu, li),
-        launch_item_users=CSRAdjacency.from_edges(Q, li, lu),
-        join_user_items=CSRAdjacency.from_edges(P, ju, ji),
-        join_item_users=CSRAdjacency.from_edges(Q, ji, ju),
-        share_out=CSRAdjacency.from_edges(P, src, dst),
-        share_in=CSRAdjacency.from_edges(P, dst, src),
+        launch=CSR.from_edges(P, Q, lu, li),
+        join=CSR.from_edges(P, Q, ju, ji),
+        share=CSR.from_edges(P, P, src, dst),
     )
-
-
-def dump_edges(bundle: HeteroGraphBundle, outdir: str) -> None:
-    """Debug dump: one edge-list text file per graph/direction."""
-    os.makedirs(outdir, exist_ok=True)
-    for tag in bundle.GRAPH_TAGS:
-        adj = bundle.adjacency(tag)
-        with open(os.path.join(outdir, f"{tag}.txt"), "w", encoding="utf-8") as fh:
-            for v in range(adj.num_rows):
-                for w in adj.neighbors(v):
-                    fh.write(f"{v}\t{w}\n")

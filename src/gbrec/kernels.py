@@ -1,15 +1,20 @@
-"""CSR segment reductions used by graph propagation and scoring.
+"""The graph type and the segment reductions that propagation runs on.
 
-Two interchangeable backends:
+``CSR`` is the one graph type: a directed graph in compressed sparse row
+form with its neighbour mean and that mean's adjoint. Its transpose is built
+from it on first use, so a graph and its reverse can never disagree.
+
+The reductions come in two interchangeable backends:
 
 * ``numba`` -- jit-compiled loops, parallel over destination rows. Default
   whenever numba imports.
 * ``numpy`` -- pure-numpy fallback built on ``np.add.at``.
 
 Select explicitly with the environment variable ``GBREC_BACKEND=numba|numpy``
-(read once at import time). Both backends accumulate in float64 and round to
-the input dtype once at the end, so results agree across backends to the last
-bit in the common case.
+(read once at import time). In both backends ``segment_sum`` and
+``segment_mean`` accumulate in float64 and round to the input dtype once at
+the end, so results agree across backends to the last bit in the common case;
+``scatter_add_rows`` accumulates in the output array's dtype.
 
 Per-row reductions iterate neighbors in CSR order regardless of thread count,
 so numba parallelism does not change results. ``scatter_add_rows`` is the one
@@ -19,6 +24,7 @@ inherently sequential kernel (duplicate destinations) and is never threaded.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -140,16 +146,78 @@ def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None
         _scatter_add_rows_np(out, idx, rows)
 
 
-def inverse_counts(indptr: np.ndarray) -> np.ndarray:
-    """1/degree per CSR row as float64, 0.0 for empty rows."""
-    counts = np.diff(indptr)
-    inv = np.zeros(counts.shape[0], dtype=np.float64)
-    nz = counts > 0
-    inv[nz] = 1.0 / counts[nz]
-    return inv
-
-
 # registry used by the benchmark and the backend-equivalence tests
 IMPLS = {"numpy": {"segment_sum": _segment_sum_np, "scatter_add_rows": _scatter_add_rows_np}}
 if HAVE_NUMBA:
     IMPLS["numba"] = {"segment_sum": _segment_sum_nb, "scatter_add_rows": _scatter_add_rows_nb}
+
+
+# ---------------------------------------------------------------------------
+# the graph type
+
+
+class CSR:
+    """A directed graph from ``num_rows`` row vertices to ``num_cols`` column
+    vertices: row ``r``'s neighbours are ``indices[indptr[r]:indptr[r+1]]``,
+    sorted and without repeats.
+    """
+
+    def __init__(self, num_rows: int, num_cols: int, indptr: np.ndarray, indices: np.ndarray):
+        self.num_rows = num_rows
+        self.num_cols = num_cols
+        self.indptr = indptr
+        self.indices = indices
+        self._transpose: CSR | None = None
+
+    @classmethod
+    def from_edges(cls, num_rows: int, num_cols: int, rows: np.ndarray, cols: np.ndarray) -> "CSR":
+        """Build from parallel edge arrays; repeated edges collapse to one."""
+        edges = np.unique(np.stack([rows, cols], axis=1), axis=0)
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.add.at(indptr, edges[:, 0] + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        return cls(num_rows, num_cols, indptr, edges[:, 1].astype(np.int64))
+
+    def neighbors(self, v: int) -> np.ndarray:
+        if not (0 <= v < self.num_rows):
+            raise IndexError(f"vertex {v} out of range [0, {self.num_rows})")
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    @property
+    def num_edges(self) -> int:
+        return self.indices.shape[0]
+
+    @property
+    def T(self) -> "CSR":
+        """The reverse graph: row ``c`` lists the rows that have ``c`` as a neighbour."""
+        if self._transpose is None:
+            rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees)
+            self._transpose = CSR.from_edges(self.num_cols, self.num_rows, self.indices, rows)
+            self._transpose._transpose = self
+        return self._transpose
+
+    @cached_property
+    def inv_degrees(self) -> np.ndarray:
+        """1/degree per row as float64, 0.0 for empty rows."""
+        counts = self.degrees
+        inv = np.zeros(counts.shape[0], dtype=np.float64)
+        nz = counts > 0
+        inv[nz] = 1.0 / counts[nz]
+        return inv
+
+    def mean(self, src: np.ndarray) -> np.ndarray:
+        """Per-row mean of the neighbours' ``src`` rows; empty rows give zero."""
+        return segment_mean(self.indptr, self.indices, src)
+
+    def mean_adjoint(self, d: np.ndarray, dtype) -> np.ndarray:
+        """Adjoint of ``mean``: maps d(loss)/d(mean) to d(loss)/d(src).
+
+        Each row's adjoint is split evenly over its neighbours (rounded to
+        ``dtype``) and summed per neighbour over the transpose.
+        """
+        scaled = (d * self.inv_degrees[:, None]).astype(dtype)
+        return segment_sum(self.T.indptr, self.T.indices, scaled)

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .data import BehaviorRecord, SocialGraph
 from .model import EmbeddingSet, Hyperparams, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
 
@@ -179,40 +178,42 @@ def l2_value(tensors: dict[str, np.ndarray], coeff: float) -> float:
     return coeff * float(sum(np.sum(t.astype(np.float64) ** 2) for t in tensors.values()))
 
 
-def social_residual(user_emb: np.ndarray, social: SocialGraph) -> np.ndarray:
-    """Per-user gap to the friend-mean embedding; zero rows for friendless users."""
-    fm = kernels.segment_mean(social.indptr, social.indices, user_emb)
-    r = (user_emb - fm).astype(np.float64)
+def social_residual(user_emb: np.ndarray, social: SocialGraph, coeff: float) -> np.ndarray | None:
+    """Per-user gap to the friend-mean embedding; zero rows for friendless users.
+
+    None when the penalty is off (``coeff`` 0). Computed once per batch and
+    shared by the penalty's value and gradient.
+    """
+    if coeff == 0.0:
+        return None
+    r = (user_emb - social.mean(user_emb)).astype(np.float64)
     r[social.degrees == 0] = 0.0
     return r
 
 
-def social_value(user_emb: np.ndarray, social: SocialGraph, coeff: float) -> float:
-    if coeff == 0.0:
-        return 0.0
-    r = social_residual(user_emb, social)
-    return coeff * float(np.sum(r * r))
+def social_value(resid: np.ndarray | None, coeff: float) -> float:
+    return 0.0 if resid is None else coeff * float(np.sum(resid * resid))
 
 
 def regularizer_grads(
     tensors: dict[str, np.ndarray],
     social: SocialGraph,
+    resid: np.ndarray | None,
     hp: Hyperparams,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Add d(l2 + social)/d(params) for every trainable tensor present."""
+    """Add d(l2 + social)/d(params) for every trainable tensor present.
+
+    ``resid`` is the batch's ``social_residual``.
+    """
     if hp.l2_coeff != 0.0:
         for name, t in tensors.items():
             if name in grads:
                 grads[name] += (2.0 * hp.l2_coeff) * t
-    if hp.social_reg_coeff != 0.0 and "user_emb" in grads:
-        user_emb = tensors["user_emb"]
-        r = social_residual(user_emb, social)
-        dtype = user_emb.dtype
-        grads["user_emb"] += (2.0 * hp.social_reg_coeff * r).astype(dtype)
-        inv = kernels.inverse_counts(social.indptr)
-        scaled = ((-2.0 * hp.social_reg_coeff) * r * inv[:, None]).astype(dtype)
-        grads["user_emb"] += kernels.segment_sum(social.indptr, social.indices, scaled)
+    if resid is not None and "user_emb" in grads:
+        dtype = tensors["user_emb"].dtype
+        grads["user_emb"] += (2.0 * hp.social_reg_coeff * resid).astype(dtype)
+        grads["user_emb"] += social.mean_adjoint((-2.0 * hp.social_reg_coeff) * resid, dtype)
 
 
 def breakdown_from_terms(
@@ -220,15 +221,16 @@ def breakdown_from_terms(
     y_hi: np.ndarray,
     y_lo: np.ndarray,
     tensors: dict[str, np.ndarray],
-    social: SocialGraph,
+    resid: np.ndarray | None,
     hp: Hyperparams,
 ) -> LossBreakdown:
+    """Loss values of a scored batch; ``resid`` is its ``social_residual``."""
     per_term = terms.weight * softplus(y_lo - y_hi)
     return LossBreakdown(
         loss_pos=float(per_term[terms.pos].sum()),
         loss_neg=float(per_term[~terms.pos].sum()),
         l2_term=l2_value(tensors, hp.l2_coeff),
-        social_term=social_value(tensors["user_emb"], social, hp.social_reg_coeff),
+        social_term=social_value(resid, hp.social_reg_coeff),
     )
 
 
@@ -243,7 +245,8 @@ def total_loss(
     """Batch objective: ranking terms plus both regularizers."""
     terms = build_terms(records, negatives, social, hp.beta)
     y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
-    return breakdown_from_terms(terms, y_hi, y_lo, tensors, social, hp)
+    resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
+    return breakdown_from_terms(terms, y_hi, y_lo, tensors, resid, hp)
 
 
 def loss_terms_backward(

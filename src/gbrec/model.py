@@ -31,6 +31,7 @@ import numpy as np
 from . import kernels
 from .data import SocialGraph
 from .graphs import HeteroGraphBundle
+from .kernels import CSR
 
 ACTIVATIONS = ("leaky_relu", "identity", "tanh")
 MODEL_TYPES = ("gbgcn", "gbmf", "mf")
@@ -108,23 +109,28 @@ class Hyperparams:
         return cls(**kwargs)
 
 
-# six cross-view branches: (name, target slot, source slot, forward csr, reverse csr, weight suffix)
+# six cross-view branches: (name, target slot, source slot, bundle graph,
+# whether the branch runs over that graph's transpose, weight suffix)
 class BranchSpec(NamedTuple):
     name: str
     target: str
     source: str
-    fwd_tag: str
-    rev_tag: str
+    graph: str
+    transposed: bool
     suffix: str
+
+    def csr(self, bundle: HeteroGraphBundle) -> CSR:
+        g = getattr(bundle, self.graph)
+        return g.T if self.transposed else g
 
 
 BRANCHES = (
-    BranchSpec("launched_items_to_user", "user_launch", "item_launch", "launch_user", "launch_item", "item_to_user_launch"),
-    BranchSpec("shared_to_users_to_user", "user_launch", "user_join", "share_out", "share_in", "user_join_to_launch"),
-    BranchSpec("launchers_to_item", "item_launch", "user_launch", "launch_item", "launch_user", "user_to_item_launch"),
-    BranchSpec("joined_items_to_user", "user_join", "item_join", "join_user", "join_item", "item_to_user_join"),
-    BranchSpec("sharers_to_user", "user_join", "user_launch", "share_in", "share_out", "user_launch_to_join"),
-    BranchSpec("joiners_to_item", "item_join", "user_join", "join_item", "join_user", "user_to_item_join"),
+    BranchSpec("launched_items_to_user", "user_launch", "item_launch", "launch", False, "item_to_user_launch"),
+    BranchSpec("shared_to_users_to_user", "user_launch", "user_join", "share", False, "user_join_to_launch"),
+    BranchSpec("launchers_to_item", "item_launch", "user_launch", "launch", True, "user_to_item_launch"),
+    BranchSpec("joined_items_to_user", "user_join", "item_join", "join", False, "item_to_user_join"),
+    BranchSpec("sharers_to_user", "user_join", "user_launch", "share", True, "user_launch_to_join"),
+    BranchSpec("joiners_to_item", "item_join", "user_join", "join", True, "user_to_item_join"),
 )
 
 
@@ -207,10 +213,6 @@ def init_params(
     return ModelParams(**kwargs)
 
 
-def zero_grads(params: ModelParams, names: tuple[str, ...] = TENSOR_FIELDS) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(getattr(params, name)) for name in names}
-
-
 # ---------------------------------------------------------------------------
 # activations
 
@@ -239,14 +241,11 @@ def activate_grad(z: np.ndarray, out: np.ndarray, kind: str, slope: float) -> np
 # forward
 
 
-def _mean(adj, src: np.ndarray) -> np.ndarray:
-    return kernels.segment_mean(adj.indptr, adj.indices, src)
-
-
 def propagate_in_view(
-    user_adj, item_adj, user_emb: np.ndarray, item_emb: np.ndarray, num_layers: int
+    graph: CSR, user_emb: np.ndarray, item_emb: np.ndarray, num_layers: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Neighbor-mean smoothing; layer l is built from both sides' layer l-1.
+    """Neighbor-mean smoothing over a user -> item graph (items read ``graph.T``);
+    layer l is built from both sides' layer l-1.
 
     Entities with no neighbors in the view stay at the zero vector from
     layer 1 onward. Layer 0 is the raw embedding.
@@ -255,8 +254,8 @@ def propagate_in_view(
     item_layers = [item_emb]
     for _ in range(num_layers):
         u_prev, i_prev = user_layers[-1], item_layers[-1]
-        user_layers.append(_mean(user_adj, i_prev))
-        item_layers.append(_mean(item_adj, u_prev))
+        user_layers.append(graph.mean(i_prev))
+        item_layers.append(graph.T.mean(u_prev))
     return user_layers, item_layers
 
 
@@ -296,8 +295,8 @@ def propagate_cross_view(
     }
     branches: dict[str, BranchState] = {}
     for spec in BRANCHES:
-        adj = bundle.adjacency(spec.fwd_tag)
-        a = _mean(adj, view0.get(spec.source))
+        adj = spec.csr(bundle)
+        a = adj.mean(view0.get(spec.source))
         z = a @ getattr(params, "w_" + spec.suffix) + getattr(params, "b_" + spec.suffix)
         s = activate(z, hp.activation, hp.activation_slope)
         mask = adj.degrees > 0
@@ -404,13 +403,13 @@ def score_pairs_backward(
     """Accumulate d(loss)/d(blocks) for composite-scored (user, item) pairs."""
     wl = emb._coef[users].astype(np.float64) * dy
     wj = emb.alpha * dy
-    for bi_idx in range(len(emb.user_launch)):
-        bu, bi = emb.user_launch[bi_idx], emb.item_launch[bi_idx]
-        kernels.scatter_add_rows(adj.d_user_launch[bi_idx], users, wl[:, None] * bi[items])
-        kernels.scatter_add_rows(adj.d_item_launch[bi_idx], items, wl[:, None] * bu[users])
-        fm, bj = emb.friend_mean[bi_idx], emb.item_join[bi_idx]
-        kernels.scatter_add_rows(adj.d_friend_mean[bi_idx], users, wj[:, None] * bj[items])
-        kernels.scatter_add_rows(adj.d_item_join[bi_idx], items, wj[:, None] * fm[users])
+    for bu, bi, d_bu, d_bi in zip(emb.user_launch, emb.item_launch, adj.d_user_launch, adj.d_item_launch):
+        kernels.scatter_add_rows(d_bu, users, wl[:, None] * bi[items])
+        kernels.scatter_add_rows(d_bi, items, wl[:, None] * bu[users])
+    # friend-mean blocks exist only where the friend term has weight
+    for fm, bj, d_fm, d_bj in zip(emb.friend_mean, emb.item_join, adj.d_friend_mean, adj.d_item_join):
+        kernels.scatter_add_rows(d_fm, users, wj[:, None] * bj[items])
+        kernels.scatter_add_rows(d_bj, items, wj[:, None] * fm[users])
 
 
 def score_pairs_join_view_backward(
@@ -442,12 +441,8 @@ def forward(
     bundle: HeteroGraphBundle, social: SocialGraph, params: ModelParams, hp: Hyperparams
 ) -> ForwardState:
     """Full propagation pass producing scoreable final embeddings."""
-    lu, li = propagate_in_view(
-        bundle.launch_user_items, bundle.launch_item_users, params.user_emb, params.item_emb, hp.num_layers
-    )
-    ju, ji = propagate_in_view(
-        bundle.join_user_items, bundle.join_item_users, params.user_emb, params.item_emb, hp.num_layers
-    )
+    lu, li = propagate_in_view(bundle.launch, params.user_emb, params.item_emb, hp.num_layers)
+    ju, ji = propagate_in_view(bundle.join, params.user_emb, params.item_emb, hp.num_layers)
     view0 = Views(concat_layers(lu), concat_layers(li), concat_layers(ju), concat_layers(ji))
     view1, branches = propagate_cross_view(bundle, view0, params, hp)
     emb = EmbeddingSet(
@@ -455,10 +450,7 @@ def forward(
         item_launch=[view0.item_launch, view1.item_launch],
         user_join=[view0.user_join, view1.user_join],
         item_join=[view0.item_join, view1.item_join],
-        friend_mean=[
-            kernels.segment_mean(social.indptr, social.indices, view0.user_join),
-            kernels.segment_mean(social.indptr, social.indices, view1.user_join),
-        ],
+        friend_mean=[social.mean(view0.user_join), social.mean(view1.user_join)],
         has_friends=social.degrees > 0,
         alpha=hp.alpha,
         renormalize_alpha=hp.renormalize_alpha,
@@ -471,13 +463,16 @@ def forward(
 def flat_embeddings(
     user_emb: np.ndarray, item_emb: np.ndarray, social: SocialGraph, alpha: float, renormalize_alpha: bool = False
 ) -> EmbeddingSet:
-    """Propagation-free scorer over raw embeddings (pretraining and MF baselines)."""
+    """Propagation-free scorer over raw embeddings (pretraining and MF baselines).
+
+    With ``alpha`` 0 the friend term has no weight, so no friend mean is built.
+    """
     return EmbeddingSet(
         user_launch=[user_emb],
         item_launch=[item_emb],
         user_join=[user_emb],
         item_join=[item_emb],
-        friend_mean=[kernels.segment_mean(social.indptr, social.indices, user_emb)],
+        friend_mean=[social.mean(user_emb)] if alpha != 0.0 else [],
         has_friends=social.degrees > 0,
         alpha=alpha,
         renormalize_alpha=renormalize_alpha,
@@ -490,10 +485,8 @@ def flat_embeddings(
 
 def _fold_friend_mean(adj: ScoreAdjoint, social: SocialGraph, dtype) -> None:
     """Route friend-mean adjoints back onto the friends' join-view rows."""
-    inv = kernels.inverse_counts(social.indptr)
-    for bi in range(len(adj.d_friend_mean)):
-        scaled = (adj.d_friend_mean[bi] * inv[:, None]).astype(dtype)
-        adj.d_user_join[bi] += kernels.segment_sum(social.indptr, social.indices, scaled)
+    for d_fm, d_uj in zip(adj.d_friend_mean, adj.d_user_join):
+        d_uj += social.mean_adjoint(d_fm, dtype)
 
 
 def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
@@ -526,28 +519,16 @@ def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray
         grads["w_" + spec.suffix] += bs.mean_in.T @ dz
         grads["b_" + spec.suffix] += dz.sum(axis=0)
         da = dz @ getattr(params, "w_" + spec.suffix).T
-        fwd = bundle.adjacency(spec.fwd_tag)
-        rev = bundle.adjacency(spec.rev_tag)
-        scaled = (da * kernels.inverse_counts(fwd.indptr)[:, None]).astype(dtype)
-        d0[spec.source] += kernels.segment_sum(rev.indptr, rev.indices, scaled)
+        d0[spec.source] += spec.csr(bundle).mean_adjoint(da, dtype)
 
     d = hp.dim
-    views = (
-        ("user_launch", "item_launch", bundle.launch_user_items, bundle.launch_item_users),
-        ("user_join", "item_join", bundle.join_user_items, bundle.join_item_users),
-    )
-    for ukey, ikey, user_adj, item_adj in views:
+    views = (("user_launch", "item_launch", bundle.launch), ("user_join", "item_join", bundle.join))
+    for ukey, ikey, graph in views:
         du = [d0[ukey][:, l * d : (l + 1) * d] for l in range(hp.num_layers + 1)]
         di = [d0[ikey][:, l * d : (l + 1) * d] for l in range(hp.num_layers + 1)]
-        inv_u = kernels.inverse_counts(user_adj.indptr)
-        inv_i = kernels.inverse_counts(item_adj.indptr)
         for l in range(hp.num_layers, 0, -1):
-            di[l - 1] += kernels.segment_sum(
-                item_adj.indptr, item_adj.indices, (du[l] * inv_u[:, None]).astype(dtype)
-            )
-            du[l - 1] += kernels.segment_sum(
-                user_adj.indptr, user_adj.indices, (di[l] * inv_i[:, None]).astype(dtype)
-            )
+            di[l - 1] += graph.mean_adjoint(du[l], dtype)
+            du[l - 1] += graph.T.mean_adjoint(di[l], dtype)
         grads["user_emb"] += du[0]
         grads["item_emb"] += di[0]
 

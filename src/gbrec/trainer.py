@@ -33,6 +33,7 @@ from .loss import (
     loss_terms_backward,
     regularizer_grads,
     score_terms,
+    social_residual,
 )
 from .model import (
     FLAT_TENSOR_FIELDS,
@@ -156,12 +157,13 @@ def loss_and_grads(
     terms = build_terms(records, negatives, social, hp.beta)
     y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
-    bd = breakdown_from_terms(terms, y_hi, y_lo, tensors, social, hp)
+    resid = social_residual(params.user_emb, social, hp.social_reg_coeff)
+    bd = breakdown_from_terms(terms, y_hi, y_lo, tensors, resid, hp)
     adj = ScoreAdjoint.zeros(emb)
     loss_terms_backward(terms, y_hi, y_lo, emb, adj, hp.role_scores)
     grads = {name: np.zeros_like(tensors[name]) for name in adapter.trainable}
     adapter.backward(state, adj, grads)
-    regularizer_grads(tensors, social, hp, grads)
+    regularizer_grads(tensors, social, resid, hp, grads)
     return bd, grads
 
 
@@ -337,7 +339,8 @@ def train_model(
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: magic, version, model tag, dims, hyperparams, f32 tensors
+# checkpoints: magic, version, model tag, dims, hyperparams, flags (always 0),
+# f32 tensors
 
 
 def _tensor_fields(model_type: str) -> tuple[str, ...]:
@@ -349,30 +352,22 @@ class Checkpoint:
     model_type: str
     params: object
     hp: Hyperparams
-    opt_state: dict | None = None
 
 
-def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams, opt_state: dict | None = None) -> None:
+def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams) -> None:
     if model_type not in MODEL_TYPE_CODES:
         raise ValueError(f"unknown model type {model_type!r}")
     P, d = params.user_emb.shape
     Q = params.item_emb.shape[0]
     L = hp.num_layers if model_type == "gbgcn" else 0
     hp_json = json.dumps(hp.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    flags = 1 if opt_state is not None else 0
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<IIIIII", CHECKPOINT_VERSION, MODEL_TYPE_CODES[model_type], P, Q, d, L)
-    buf += struct.pack("<II", len(hp_json), flags)
+    buf += struct.pack("<II", len(hp_json), 0)
     buf += hp_json
-    fields = _tensor_fields(model_type)
-    for name in fields:
+    for name in _tensor_fields(model_type):
         buf += np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes()
-    if opt_state is not None:
-        buf += struct.pack("<Q", int(opt_state["step"]))
-        for bank in ("m", "v"):
-            for name in fields:
-                buf += np.ascontiguousarray(opt_state[bank][name], dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
 
@@ -399,6 +394,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: unknown model type code {code}")
     model_type = CODE_TO_MODEL_TYPE[code]
     hp_len, flags = struct.unpack("<II", take(8))
+    if flags:
+        raise CheckpointError(f"{path}: unsupported header flags {flags:#x}")
     hp = Hyperparams.from_dict(json.loads(take(hp_len).decode()))
 
     width = (L + 1) * d
@@ -406,22 +403,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     for name in TENSOR_FIELDS[2:]:
         shapes[name] = (width,) if name.startswith("b_") else (width, width)
 
-    def read_tensors(fields) -> dict[str, np.ndarray]:
-        out = {}
-        for name in fields:
-            shape = shapes[name]
-            count = int(np.prod(shape))
-            arr = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-            out[name] = np.ascontiguousarray(arr)
-        return out
-
-    fields = _tensor_fields(model_type)
-    tensors = read_tensors(fields)
+    tensors = {}
+    for name in _tensor_fields(model_type):
+        shape = shapes[name]
+        count = int(np.prod(shape))
+        tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * count), dtype="<f4").reshape(shape))
     params = ModelParams(**tensors) if model_type == "gbgcn" else FlatParams(**tensors)
-    opt_state = None
-    if flags & 1:
-        (step,) = struct.unpack("<Q", take(8))
-        opt_state = {"step": step, "m": read_tensors(fields), "v": read_tensors(fields)}
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return Checkpoint(model_type, params, hp, opt_state)
+    return Checkpoint(model_type, params, hp)

@@ -155,6 +155,18 @@ def test_recommend_rejects_unknown_user(pipeline, capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("k", ["0", "-5"])
+def test_recommend_rejects_k_below_one(pipeline, capsys, k):
+    code, out, err = run(
+        capsys,
+        ["recommend", "--checkpoint", pipeline["checkpoint"], "--data", pipeline["datadir"],
+         "--user", "0", "--k", k],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: --k must be >= 1, got {k}"]
+
+
 def test_bad_hyperparameter_exits_2(pipeline, capsys):
     code, _, err = run(
         capsys,

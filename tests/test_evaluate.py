@@ -77,9 +77,15 @@ def test_metrics_match_reference_definitions(rng):
 
 def test_metrics_monotone_in_k(rng):
     ranks = rng.integers(0, 50, size=200)
-    r = compute_metrics(ranks, (1, 2, 5, 10, 25, 50))  # __post_init__ asserts monotone
+    r = compute_metrics(ranks, (1, 2, 5, 10, 25, 50))  # __post_init__ checks monotone
     ks = sorted(r.ks)
     assert all(r.recall[a] <= r.recall[b] for a, b in zip(ks, ks[1:]))
+
+
+def test_report_rejects_recall_falling_with_k():
+    # raised, not asserted, so the check also holds under python -O
+    with pytest.raises(ValueError, match="recall must grow with K"):
+        MetricReport((5, 10), {5: 0.5, 10: 0.25}, {5: 0.1, 10: 0.2}, 4, np.zeros(4, dtype=np.int64))
 
 
 def test_metrics_reject_empty():

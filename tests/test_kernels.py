@@ -1,5 +1,6 @@
 """Sparse segment/scatter kernels against loop oracles, plus backend parity."""
 
+import os
 import subprocess
 import sys
 
@@ -73,9 +74,9 @@ def test_scatter_add_accumulates_duplicates():
     np.testing.assert_array_equal(out[1], [11.0, 22.0])
 
 
-def test_inverse_counts():
-    indptr = np.array([0, 2, 2, 5], dtype=np.int64)
-    np.testing.assert_array_equal(kernels.inverse_counts(indptr), [0.5, 0.0, 1.0 / 3.0])
+def test_inv_degrees():
+    g = kernels.CSR(3, 3, np.array([0, 2, 2, 5], dtype=np.int64), np.array([0, 1, 0, 1, 2], dtype=np.int64))
+    np.testing.assert_array_equal(g.inv_degrees, [0.5, 0.0, 1.0 / 3.0])
 
 
 def test_float32_inputs_accumulate_in_float64():
@@ -114,7 +115,7 @@ def test_backend_env_override_numpy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "GBREC_BACKEND": "numpy"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "GBREC_BACKEND": "numpy"},
         capture_output=True,
         text=True,
     )
@@ -125,7 +126,7 @@ def test_backend_env_rejects_unknown():
     code = "import gbrec.kernels"
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "GBREC_BACKEND": "cuda"},
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "GBREC_BACKEND": "cuda"},
         capture_output=True,
         text=True,
     )

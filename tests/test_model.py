@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gbrec.data import SocialGraph
-from gbrec.graphs import CSRAdjacency, HeteroGraphBundle
+from gbrec.graphs import HeteroGraphBundle
+from gbrec.kernels import CSR
 from gbrec.model import (
     BRANCHES,
     EmbeddingSet,
@@ -35,9 +36,9 @@ import helpers
 import oracles
 
 
-def adj(n_rows, edges):
+def adj(n_rows, n_cols, edges):
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return CSRAdjacency.from_edges(n_rows, e[:, 0], e[:, 1])
+    return CSR.from_edges(n_rows, n_cols, e[:, 0], e[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +47,10 @@ def adj(n_rows, edges):
 
 def test_in_view_layers_hand_example():
     # u0 -> {i0, i1}, u1 -> {i0}; all values dyadic so equality is exact
-    user_adj = adj(2, [(0, 0), (0, 1), (1, 0)])
-    item_adj = adj(2, [(0, 0), (0, 1), (1, 0)])
+    graph = adj(2, 2, [(0, 0), (0, 1), (1, 0)])
     U0 = np.array([[2.0], [4.0]])
     I0 = np.array([[8.0], [16.0]])
-    users, items = propagate_in_view(user_adj, item_adj, U0, I0, num_layers=2)
+    users, items = propagate_in_view(graph, U0, I0, num_layers=2)
     np.testing.assert_array_equal(users[0], [[2.0], [4.0]])
     np.testing.assert_array_equal(items[0], [[8.0], [16.0]])
     np.testing.assert_array_equal(users[1], [[12.0], [8.0]])   # means of raw items
@@ -61,20 +61,16 @@ def test_in_view_layers_hand_example():
 
 
 def test_in_view_empty_neighborhood_stays_zero():
-    user_adj = adj(2, [(1, 0)])  # user 0 never interacts
-    item_adj = adj(1, [(0, 1)])
-    users, items = propagate_in_view(
-        user_adj, item_adj, np.array([[5.0], [7.0]]), np.array([[3.0]]), num_layers=3
-    )
+    graph = adj(2, 1, [(1, 0)])  # user 0 never interacts
+    users, items = propagate_in_view(graph, np.array([[5.0], [7.0]]), np.array([[3.0]]), num_layers=3)
     for layer in users[1:]:
         assert layer[0, 0] == 0.0
     np.testing.assert_array_equal(users[1], [[0.0], [3.0]])
 
 
 def test_zero_layers_is_raw_embeddings_only():
-    user_adj = adj(1, [(0, 0)])
-    item_adj = adj(1, [(0, 0)])
-    users, items = propagate_in_view(user_adj, item_adj, np.array([[1.5]]), np.array([[2.5]]), 0)
+    graph = adj(1, 1, [(0, 0)])
+    users, items = propagate_in_view(graph, np.array([[1.5]]), np.array([[2.5]]), 0)
     assert len(users) == 1 and len(items) == 1
 
 
@@ -86,12 +82,9 @@ def hand_bundle():
     return HeteroGraphBundle(
         num_users=2,
         num_items=2,
-        launch_user_items=adj(2, [(0, 0), (0, 1), (1, 0)]),
-        launch_item_users=adj(2, [(0, 0), (1, 0), (0, 1)]),
-        join_user_items=adj(2, [(1, 1)]),
-        join_item_users=adj(2, [(1, 1)]),
-        share_out=adj(2, [(0, 1)]),
-        share_in=adj(2, [(1, 0)]),
+        launch=adj(2, 2, [(0, 0), (0, 1), (1, 0)]),
+        join=adj(2, 2, [(1, 1)]),
+        share=adj(2, 2, [(0, 1)]),
     )
 
 
@@ -180,7 +173,7 @@ print(h.hexdigest())
     for backend in ("numba", "numpy"):
         proc = subprocess.run(
             [sys.executable, "-c", code.format(tests=tests_dir)],
-            env={"PATH": "/usr/bin:/bin", "GBREC_BACKEND": backend},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "GBREC_BACKEND": backend},
             capture_output=True,
             text=True,
         )

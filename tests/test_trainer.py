@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gbrec import kernels
 from gbrec.data import BehaviorLog, DatasetSplit, split_leave_one_out
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
@@ -151,10 +152,17 @@ def test_training_diverges_loudly_at_absurd_learning_rate():
 # train_model orchestration
 
 
-def test_train_model_mf_disables_multi_view_machinery():
+def test_train_model_mf_disables_multi_view_machinery(monkeypatch):
     split, social = tiny_problem(seed=5)
     hp = Hyperparams(dim=4, pretrain_epochs=2, epochs=2, finetune_lr=0.05, batch_size=64)
+    reductions = []
+    for name in ("segment_mean", "segment_sum"):
+        orig = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *a, _name=name, _orig=orig: reductions.append(_name) or _orig(*a)
+        )
     result = train_model("mf", split, social, hp, seed=1)
+    assert reductions == []  # no friend mean, no social penalty, no graphs
     assert result.model_type == "mf"
     assert result.hp.alpha == 0.0 and result.hp.beta == 0.0 and result.hp.social_reg_coeff == 0.0
     assert len(result.entries) == 4
@@ -204,9 +212,9 @@ def test_write_training_log_is_jsonl(tmp_path):
 # checkpoints
 
 
-def roundtrip(tmp_path, model_type, params, hp, opt_state=None):
+def roundtrip(tmp_path, model_type, params, hp):
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, model_type, params, hp, opt_state)
+    save_checkpoint(path, model_type, params, hp)
     return path, load_checkpoint(path)
 
 
@@ -216,26 +224,19 @@ def test_checkpoint_round_trip_gcn(tmp_path):
     path, ckpt = roundtrip(tmp_path, "gbgcn", params, hp)
     assert ckpt.model_type == "gbgcn"
     assert ckpt.hp == hp
-    assert ckpt.opt_state is None
     for name, t in params.tensors().items():
         got = getattr(ckpt.params, name)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, t.astype(np.float32))
 
 
-def test_checkpoint_round_trip_flat_with_optimizer_state(tmp_path):
+def test_checkpoint_round_trip_flat(tmp_path):
     hp = Hyperparams(dim=3)
     params = init_flat_params(6, 5, 3, seed=0)
-    opt_state = {
-        "step": 7,
-        "m": {k: np.full_like(v, 0.25) for k, v in params.tensors().items()},
-        "v": {k: np.full_like(v, 0.5) for k, v in params.tensors().items()},
-    }
-    _, ckpt = roundtrip(tmp_path, "gbmf", params, hp, opt_state)
+    _, ckpt = roundtrip(tmp_path, "gbmf", params, hp)
     assert ckpt.model_type == "gbmf"
-    assert ckpt.opt_state["step"] == 7
-    np.testing.assert_array_equal(ckpt.opt_state["m"]["user_emb"], 0.25)
-    np.testing.assert_array_equal(ckpt.opt_state["v"]["item_emb"], 0.5)
+    for name, t in params.tensors().items():
+        np.testing.assert_array_equal(getattr(ckpt.params, name), t)
 
 
 def test_checkpoint_save_is_byte_deterministic(tmp_path):
@@ -275,6 +276,13 @@ def test_checkpoint_rejects_corruption(tmp_path):
     open(wrong_version, "wb").write(blob[:4] + struct.pack("<I", 999) + blob[8:])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(wrong_version)
+
+    # the flags word follows magic, six header ints and the hyperparameter length
+    flagged = str(tmp_path / "flags.ckpt")
+    open(flagged, "wb").write(blob[:32] + struct.pack("<I", 1) + blob[36:])
+    with pytest.raises(CheckpointError, match="flags") as err:
+        load_checkpoint(flagged)
+    assert flagged in str(err.value)
 
 
 def test_checkpoint_rejects_unknown_model_type(tmp_path):
