@@ -1,9 +1,10 @@
 """Timing comparison of the jit and pure-numpy kernel backends.
 
-Runs both implementations of the two hot kernels on a synthetic CSR graph
-sized like a desk-scale training run and prints per-call times plus the
-speedup. The jit path is warmed up before timing so compilation cost is not
-counted. Usage::
+Each backend has one kernel. This runs it in the two roles training uses --
+a segment sum over a synthetic CSR graph sized like a desk-scale training
+run, and a scatter (the segment sum's transpose) -- and prints per-call
+times plus the speedup. The jit path is warmed up before timing so
+compilation cost is not counted. Usage::
 
     python3 benchmarks/bench_kernels.py [--rows 200000] [--degree 20] [--dim 32]
 """
@@ -25,8 +26,7 @@ def make_csr(rng: np.random.Generator, num_rows: int, num_cols: int, avg_degree:
     order = np.argsort(rows, kind="stable")
     rows, cols = rows[order], cols[order]
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
     return indptr, cols
 
 
@@ -58,27 +58,27 @@ def main() -> int:
     print(f"available backends: {sorted(kernels.IMPLS)}")
 
     results: dict[str, dict[str, float]] = {}
-    for backend, impl in sorted(kernels.IMPLS.items()):
+    for backend, kernel in sorted(kernels.IMPLS.items()):
         if backend == "numba":
-            # warm the jit cache before measuring
-            out = np.zeros((args.rows, args.dim), dtype=np.float64)
-            impl["segment_sum"](indptr, indices, src, out)
-            impl["scatter_add_rows"](np.zeros((args.rows, args.dim), dtype=np.float32), idx, rows)
 
             def seg():
-                buf = np.zeros((args.rows, args.dim), dtype=np.float64)
-                impl["segment_sum"](indptr, indices, src, buf)
+                kernel(indptr, indices, src, np.zeros((args.rows, args.dim), dtype=np.float64))
 
             def scat():
-                impl["scatter_add_rows"](np.zeros((args.rows, args.dim), dtype=np.float32), idx, rows)
+                t_indptr, order = kernels._transpose_index(idx, args.rows)
+                kernel(t_indptr, order, rows, np.zeros((args.rows, args.dim), dtype=np.float64))
 
+            # warm the jit cache before measuring
+            seg()
+            scat()
         else:
 
             def seg():
-                impl["segment_sum"](indptr, indices, src)
+                dest = np.repeat(np.arange(args.rows, dtype=np.int64), np.diff(indptr))
+                kernel(dest, src, args.rows, indices)
 
             def scat():
-                impl["scatter_add_rows"](np.zeros((args.rows, args.dim), dtype=np.float32), idx, rows)
+                kernel(idx, rows, args.rows)
 
         results[backend] = {
             "segment_sum": best_of(seg, args.repeats),

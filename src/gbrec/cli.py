@@ -25,6 +25,7 @@ from .data import (
     IngestError,
     ingest,
     load_split_dir,
+    load_train_dir,
     save_split_dir,
     split_leave_one_out,
     user_interactions,
@@ -87,16 +88,16 @@ def _overrides(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _embeddings_from_checkpoint(ckpt, split, social):
+def _embeddings_from_checkpoint(ckpt, train, social):
     P = ckpt.params.user_emb.shape[0]
     Q = ckpt.params.item_emb.shape[0]
-    if P != split.num_users or Q != split.num_items:
+    if P != train.num_users or Q != train.num_items:
         raise CheckpointError(
             f"checkpoint holds {P} users x {Q} items but the data dir has "
-            f"{split.num_users} x {split.num_items}"
+            f"{train.num_users} x {train.num_items}"
         )
     if ckpt.model_type == "gbgcn":
-        bundle = build_graphs(split.train, ckpt.hp.failed_participant_edges)
+        bundle = build_graphs(train, ckpt.hp.failed_participant_edges)
         return forward(bundle, social, ckpt.params, ckpt.hp).emb
     return flat_embeddings(
         ckpt.params.user_emb, ckpt.params.item_emb, social, ckpt.hp.alpha, ckpt.hp.renormalize_alpha
@@ -140,7 +141,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     split, social, _stats = load_split_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    emb = _embeddings_from_checkpoint(ckpt, split, social)
+    emb = _embeddings_from_checkpoint(ckpt, split.train, social)
     ks = args.ks if args.ks is not None else tuple(ckpt.hp.eval_ks)
     if not split.test:
         raise IngestError(f"{args.data}: split has no test users")
@@ -163,15 +164,15 @@ def cmd_recommend(args) -> int:
     if args.k < 1:
         print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
         return 2
-    split, social, _stats = load_split_dir(args.data)
+    train, social, _stats = load_train_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    emb = _embeddings_from_checkpoint(ckpt, split, social)
-    if not 0 <= args.user < split.num_users:
-        raise IndexError(f"user id {args.user} out of range [0, {split.num_users})")
+    emb = _embeddings_from_checkpoint(ckpt, train, social)
+    if not 0 <= args.user < train.num_users:
+        raise IndexError(f"user id {args.user} out of range [0, {train.num_users})")
     scores = emb.all_item_scores(args.user)
     # stable ranking: score descending, item id ascending on ties
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    seen = user_interactions(split.train)[args.user]
+    seen = user_interactions(train)[args.user]
     picked = [int(i) for i in order if int(i) not in seen][: args.k]
     for item in picked:
         print(f"{item}\t{scores[item]:.6f}")

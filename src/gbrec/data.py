@@ -431,24 +431,45 @@ def save_split_dir(
                 fh.write(f"{dense}\t{orig}\n")
 
 
-def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
-    with open(os.path.join(datadir, "stats.json"), encoding="utf-8") as fh:
-        stats = json.load(fh)
+def _load_records(datadir: str, name: str, num_users: int, num_items: int) -> list[BehaviorRecord]:
+    path = os.path.join(datadir, name)
+    records, _, _ = parse_behavior_file(path)
+    for r in records:
+        if r.initiator >= num_users or r.item >= num_items or any(p >= num_users for p in r.participants):
+            raise IngestError(f"{path}: id out of range for this split")
+    return records
+
+
+def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
+    """The training side of a split directory: ``train.tsv``, ``social.tsv`` and ``stats.json``."""
+    stats_path = os.path.join(datadir, "stats.json")
+    with open(stats_path, encoding="utf-8") as fh:
+        try:
+            stats = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{stats_path}: not valid JSON: {exc}") from None
+    for key in ("num_users", "num_items"):
+        if not isinstance(stats, dict) or key not in stats:
+            raise IngestError(f"{stats_path}: missing key {key!r}")
+        if type(stats[key]) is not int or stats[key] < 0:
+            raise IngestError(f"{stats_path}: {key!r} must be a non-negative integer, got {stats[key]!r}")
     num_users = stats["num_users"]
     num_items = stats["num_items"]
-
-    def _load_log(name: str) -> list[BehaviorRecord]:
-        records, _, _ = parse_behavior_file(os.path.join(datadir, name))
-        for r in records:
-            if r.initiator >= num_users or r.item >= num_items or any(p >= num_users for p in r.participants):
-                raise IngestError(f"{name}: id out of range for this split")
-        return records
-
-    train = BehaviorLog(_load_log("train.tsv"), num_users, num_items)
-    validation = {r.initiator: r for r in _load_log("validation.tsv")}
-    test = {r.initiator: r for r in _load_log("test.tsv")}
-    pairs = parse_social_file(os.path.join(datadir, "social.tsv"))
+    train = BehaviorLog(_load_records(datadir, "train.tsv", num_users, num_items), num_users, num_items)
+    social_path = os.path.join(datadir, "social.tsv")
+    pairs = parse_social_file(social_path)
+    if pairs.size and pairs.max() >= num_users:
+        raise IngestError(f"{social_path}: user id {pairs.max()} out of range [0, {num_users})")
     social = SocialGraph.from_edges(num_users, pairs.reshape(-1, 2))
+    return train, social, stats
+
+
+def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
+    """``load_train_dir`` plus the evaluation side: held-out records and frozen negatives."""
+    train, social, stats = load_train_dir(datadir)
+    num_users, num_items = train.num_users, train.num_items
+    validation = {r.initiator: r for r in _load_records(datadir, "validation.tsv", num_users, num_items)}
+    test = {r.initiator: r for r in _load_records(datadir, "test.tsv", num_users, num_items)}
     negatives: dict[int, np.ndarray] = {}
     neg_path = os.path.join(datadir, "negatives.tsv")
     with open(neg_path, encoding="utf-8") as fh:
@@ -456,8 +477,20 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
             line = raw.rstrip("\n")
             if not line:
                 continue
-            u_tok, items_tok = line.split("\t")
-            u = _parse_int(u_tok, f"{neg_path}:{lineno}")
-            negatives[u] = np.asarray([int(t) for t in items_tok.split(",")], dtype=np.int64)
+            where = f"{neg_path}:{lineno}"
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
+            u = _parse_int(fields[0], where)
+            if u >= num_users:
+                raise IngestError(f"{where}: user id {u} out of range [0, {num_users})")
+            try:
+                items = np.asarray([int(t) for t in fields[1].split(",")], dtype=np.int64)
+            except ValueError:
+                raise IngestError(f"{where}: item ids must be comma-separated integers") from None
+            if items.min() < 0 or items.max() >= num_items:
+                bad = items[(items < 0) | (items >= num_items)][0]
+                raise IngestError(f"{where}: item id {bad} out of range [0, {num_items})")
+            negatives[u] = items
     split = DatasetSplit(train, validation, test, negatives, num_users, num_items)
     return split, social, stats

@@ -4,21 +4,24 @@
 form with its neighbour mean and that mean's adjoint. Its transpose is built
 from it on first use, so a graph and its reverse can never disagree.
 
-The reductions come in two interchangeable backends:
+The reductions come in two interchangeable backends, each with one kernel:
 
-* ``numba`` -- jit-compiled loops, parallel over destination rows. Default
-  whenever numba imports.
-* ``numpy`` -- pure-numpy fallback built on ``np.add.at``.
+* ``numba`` -- a jit-compiled segment sum, parallel over destination rows.
+  Default whenever numba imports (``pip install gbrec[numba]``).
+* ``numpy`` -- a float64 sum of source rows into destination rows, one
+  ``np.bincount`` per column.
 
 Select explicitly with the environment variable ``GBREC_BACKEND=numba|numpy``
-(read once at import time). In both backends ``segment_sum`` and
-``segment_mean`` accumulate in float64 and round to the input dtype once at
-the end, so results agree across backends to the last bit in the common case;
-``scatter_add_rows`` accumulates in the output array's dtype.
+(read once at import time). ``scatter_add_rows`` is the transpose of
+``segment_sum``: on numpy the same bincount with the scatter index as the
+destination, on numba the segment sum over the stably sorted scatter index.
+All three reductions -- ``segment_sum``, ``segment_mean`` and
+``scatter_add_rows`` -- add each destination row's contributions in float64,
+in index order, and round to the output dtype once at the end, so the two
+backends agree to the last bit.
 
 Per-row reductions iterate neighbors in CSR order regardless of thread count,
-so numba parallelism does not change results. ``scatter_add_rows`` is the one
-inherently sequential kernel (duplicate destinations) and is never threaded.
+so numba parallelism does not change results.
 """
 
 from __future__ import annotations
@@ -64,23 +67,22 @@ def set_num_threads(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# numpy implementations
+# the one kernel of each backend
 
 
-def _segment_sum_np(indptr, indices, src):
-    n_rows = indptr.shape[0] - 1
-    out = np.zeros((n_rows, src.shape[1]), dtype=np.float64)
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
-    np.add.at(out, rows, src[indices])
+def _bincount_rows(dest, src, n_rows, gather=None):
+    """float64 ``out[dest[i]] += src[gather[i]]`` (``src[i]`` without ``gather``).
+
+    One ``np.bincount`` per column of ``src``; bincount adds its weights in
+    index order in float64, so every destination row is a sequential float64
+    sum in the order its contributions appear. Columns are read one at a
+    time, so no whole copy of ``src`` (or of its gathered rows) is made.
+    """
+    out = np.empty((n_rows, src.shape[1]), dtype=np.float64)
+    for c, col in enumerate(src.T):
+        out[:, c] = np.bincount(dest, weights=col if gather is None else col.take(gather), minlength=n_rows)
     return out
 
-
-def _scatter_add_rows_np(out, idx, rows):
-    np.add.at(out, idx, rows)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
 
 if HAVE_NUMBA:
 
@@ -93,12 +95,31 @@ if HAVE_NUMBA:
                 for c in range(src.shape[1]):
                     out[r, c] += src[s, c]
 
-    @njit(cache=True)
-    def _scatter_add_rows_nb(out, idx, rows):
-        for i in range(idx.shape[0]):
-            r = idx[i]
-            for c in range(rows.shape[1]):
-                out[r, c] += rows[i, c]
+
+def _transpose_index(idx, n_rows):
+    """The CSR of a scatter: row ``r`` lists, in order, the ``i`` with ``idx[i] == r``."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
+    return indptr, np.argsort(idx, kind="stable")
+
+
+def _segment_sum64(indptr, indices, src):
+    n_rows = indptr.shape[0] - 1
+    if _BACKEND == "numba":
+        out = np.zeros((n_rows, src.shape[1]), dtype=np.float64)
+        _segment_sum_nb(indptr, indices, src, out)
+        return out
+    dest = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
+    return _bincount_rows(dest, src, n_rows, indices)
+
+
+def _scatter_sum64(idx, rows, n_rows):
+    if _BACKEND == "numba":
+        indptr, order = _transpose_index(idx, n_rows)
+        out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
+        _segment_sum_nb(indptr, order, rows, out)
+        return out
+    return _bincount_rows(idx, rows, n_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +132,13 @@ def segment_sum(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np.
     Rows with no neighbors come back as zero vectors. Returns ``src``'s dtype.
     """
     src = np.ascontiguousarray(src)
-    if _BACKEND == "numba":
-        out = np.zeros((indptr.shape[0] - 1, src.shape[1]), dtype=np.float64)
-        _segment_sum_nb(indptr, indices, src, out)
-    else:
-        out = _segment_sum_np(indptr, indices, src)
-    return out.astype(src.dtype, copy=False)
+    return _segment_sum64(indptr, indices, src).astype(src.dtype, copy=False)
 
 
 def segment_mean(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np.ndarray:
     """Per-row neighbor mean; empty rows yield the zero vector."""
     src = np.ascontiguousarray(src)
-    if _BACKEND == "numba":
-        sums = np.zeros((indptr.shape[0] - 1, src.shape[1]), dtype=np.float64)
-        _segment_sum_nb(indptr, indices, src, sums)
-    else:
-        sums = _segment_sum_np(indptr, indices, src)
+    sums = _segment_sum64(indptr, indices, src)
     counts = np.diff(indptr)
     inv = np.zeros(counts.shape[0], dtype=np.float64)
     nz = counts > 0
@@ -135,21 +147,20 @@ def segment_mean(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np
 
 
 def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """In-place ``out[idx[i]] += rows[i]`` with duplicate idx handled by accumulation."""
+    """In-place ``out[idx[i]] += rows[i]`` with duplicate idx handled by accumulation.
+
+    Each destination's contributions are summed in float64, in index order,
+    and the sum is rounded to ``out.dtype`` once before it is added.
+    """
     if idx.shape[0] == 0:
         return
-    rows = np.ascontiguousarray(rows.astype(out.dtype, copy=False))
-    idx = np.ascontiguousarray(idx)
-    if _BACKEND == "numba":
-        _scatter_add_rows_nb(out, idx, rows)
-    else:
-        _scatter_add_rows_np(out, idx, rows)
+    out += _scatter_sum64(np.ascontiguousarray(idx), rows, out.shape[0]).astype(out.dtype)
 
 
-# registry used by the benchmark and the backend-equivalence tests
-IMPLS = {"numpy": {"segment_sum": _segment_sum_np, "scatter_add_rows": _scatter_add_rows_np}}
+# the one kernel of each backend, for the benchmark and the backend-equivalence test
+IMPLS = {"numpy": _bincount_rows}
 if HAVE_NUMBA:
-    IMPLS["numba"] = {"segment_sum": _segment_sum_nb, "scatter_add_rows": _scatter_add_rows_nb}
+    IMPLS["numba"] = _segment_sum_nb
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +185,7 @@ class CSR:
         """Build from parallel edge arrays; repeated edges collapse to one."""
         edges = np.unique(np.stack([rows, cols], axis=1), axis=0)
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.add.at(indptr, edges[:, 0] + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(edges[:, 0], minlength=num_rows), out=indptr[1:])
         return cls(num_rows, num_cols, indptr, edges[:, 1].astype(np.int64))
 
     def neighbors(self, v: int) -> np.ndarray:

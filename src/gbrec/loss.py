@@ -178,15 +178,20 @@ def l2_value(tensors: dict[str, np.ndarray], coeff: float) -> float:
     return coeff * float(sum(np.sum(t.astype(np.float64) ** 2) for t in tensors.values()))
 
 
-def social_residual(user_emb: np.ndarray, social: SocialGraph, coeff: float) -> np.ndarray | None:
+def social_residual(
+    user_emb: np.ndarray, social: SocialGraph, coeff: float, friend_mean: np.ndarray | None = None
+) -> np.ndarray | None:
     """Per-user gap to the friend-mean embedding; zero rows for friendless users.
 
     None when the penalty is off (``coeff`` 0). Computed once per batch and
-    shared by the penalty's value and gradient.
+    shared by the penalty's value and gradient. ``friend_mean`` is
+    ``social.mean(user_emb)`` when the caller already holds it.
     """
     if coeff == 0.0:
         return None
-    r = (user_emb - social.mean(user_emb)).astype(np.float64)
+    if friend_mean is None:
+        friend_mean = social.mean(user_emb)
+    r = (user_emb - friend_mean).astype(np.float64)
     r[social.degrees == 0] = 0.0
     return r
 

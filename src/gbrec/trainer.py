@@ -128,6 +128,10 @@ class GCNModel:
     def backward(self, state, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
         backward(state, adj, grads)
 
+    def user_friend_mean(self, state) -> None:
+        """The friend means here are of propagated blocks, not of ``user_emb``."""
+        return None
+
 
 class FlatModel:
     trainable = FLAT_TENSOR_FIELDS
@@ -147,6 +151,10 @@ class FlatModel:
     def backward(self, state, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
         flat_backward(adj, self.social, grads)
 
+    def user_friend_mean(self, state) -> np.ndarray | None:
+        """``social.mean(user_emb)``, built by the scorer unless alpha is 0."""
+        return state.friend_mean[0] if state.friend_mean else None
+
 
 def loss_and_grads(
     adapter, params, records, negatives: np.ndarray, hp: Hyperparams, social: SocialGraph
@@ -157,7 +165,7 @@ def loss_and_grads(
     terms = build_terms(records, negatives, social, hp.beta)
     y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
-    resid = social_residual(params.user_emb, social, hp.social_reg_coeff)
+    resid = social_residual(params.user_emb, social, hp.social_reg_coeff, adapter.user_friend_mean(state))
     bd = breakdown_from_terms(terms, y_hi, y_lo, tensors, resid, hp)
     adj = ScoreAdjoint.zeros(emb)
     loss_terms_backward(terms, y_hi, y_lo, emb, adj, hp.role_scores)

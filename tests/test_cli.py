@@ -2,11 +2,12 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
 from gbrec.cli import main
-from gbrec.data import load_split_dir, user_interactions
+from gbrec.data import IngestError, load_split_dir, user_interactions
 
 
 SYNTH_ARGS = [
@@ -143,6 +144,61 @@ def test_recommend_emits_ranked_unseen_items(pipeline, capsys):
     assert scores == sorted(scores, reverse=True)
     split, _, _ = load_split_dir(pipeline["datadir"])
     assert set(items).isdisjoint(user_interactions(split.train)[0])
+
+
+def test_recommend_reads_only_the_training_files(pipeline, tmp_path, capsys):
+    argv = ["recommend", "--checkpoint", pipeline["checkpoint"], "--user", "0", "--k", "5"]
+    code, full, _ = run(capsys, [*argv, "--data", pipeline["datadir"]])
+    assert code == 0
+    datadir = str(tmp_path / "data")
+    shutil.copytree(pipeline["datadir"], datadir)
+    for name in ("validation.tsv", "test.tsv", "negatives.tsv"):
+        os.remove(os.path.join(datadir, name))
+    code, out, err = run(capsys, [*argv, "--data", datadir])
+    assert code == 0, err
+    assert out == full
+
+
+def _second_line(text, replacement):
+    lines = text.splitlines(keepends=True)
+    lines[1] = replacement + "\n"
+    return "".join(lines)
+
+
+def _drop_num_items(text):
+    payload = json.loads(text)
+    del payload["num_items"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, where",
+    [
+        ("negatives.tsv", lambda t: _second_line(t, "1 2,3"), "negatives.tsv:2"),
+        ("negatives.tsv", lambda t: _second_line(t, "1\t2,x,3"), "negatives.tsv:2"),
+        ("negatives.tsv", lambda t: _second_line(t, "1\t2,12"), "negatives.tsv:2"),
+        ("negatives.tsv", lambda t: _second_line(t, "1\t-1,2"), "negatives.tsv:2"),
+        ("stats.json", _drop_num_items, "stats.json: missing key 'num_items'"),
+        ("social.tsv", lambda t: t + "1\t30\n", "social.tsv: user id 30 out of range"),
+    ],
+    ids=["no-tab", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key", "social-past-range"],
+)
+def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, name, corrupt, where):
+    datadir = str(tmp_path / "data")
+    shutil.copytree(pipeline["datadir"], datadir)
+    path = os.path.join(datadir, name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(corrupt(text))
+
+    with pytest.raises(IngestError, match=where):
+        load_split_dir(datadir)
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", pipeline["checkpoint"], "--data", datadir])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert where in err
 
 
 def test_recommend_rejects_unknown_user(pipeline, capsys):

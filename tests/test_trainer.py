@@ -19,6 +19,7 @@ from gbrec.trainer import (
     TrainingError,
     finetune_stage,
     load_checkpoint,
+    loss_and_grads,
     normalize_embedding_rows,
     pretrain_stage,
     save_checkpoint,
@@ -168,6 +169,29 @@ def test_train_model_mf_disables_multi_view_machinery(monkeypatch):
     assert len(result.entries) == 4
     stages = [e["stage"] for e in result.entries]
     assert stages == ["pretrain", "pretrain", "finetune", "finetune"]
+
+
+def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
+    split, social = tiny_problem(seed=5)
+    hp = Hyperparams(dim=4, alpha=0.6, social_reg_coeff=0.1)
+    params = init_flat_params(split.num_users, split.num_items, 4, seed=0)
+    records = split.train.records
+    negatives = np.random.default_rng(0).integers(0, split.num_items, size=(len(records), 1))
+    adapter = FlatModel(social, hp)
+
+    means = []
+    orig = kernels.segment_mean
+    monkeypatch.setattr(kernels, "segment_mean", lambda *a: means.append(1) or orig(*a))
+    bd, grads = loss_and_grads(adapter, params, records, negatives, hp, social)
+    assert len(means) == 1  # the scorer's friend-mean block also feeds the social residual
+
+    # the same numbers as taking the residual's friend mean afresh
+    monkeypatch.setattr(adapter, "user_friend_mean", lambda state: None)
+    bd2, grads2 = loss_and_grads(adapter, params, records, negatives, hp, social)
+    assert len(means) == 3
+    assert bd == bd2
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], grads2[name])
 
 
 def test_train_model_all_types_run_and_are_seed_reproducible():
