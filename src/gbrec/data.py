@@ -17,6 +17,8 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .kernels import CSR
 log = logging.getLogger(__name__)
 
 DEFAULT_EVAL_NEGATIVES = 999
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class IngestError(ValueError):
@@ -45,6 +48,55 @@ class BehaviorRecord:
         return f"{self.initiator}\t{self.item}\t{parts}\t{int(self.success)}"
 
 
+@dataclass(eq=False)
+class RecordColumns:
+    """Behavior records as columns: one entry per record in ``initiator``,
+    ``item`` and ``success``, and record ``i``'s participants, in their
+    recorded order, at ``part_indices[part_indptr[i]:part_indptr[i+1]]``.
+
+    The participant lists are kept as given (not sorted or deduplicated), so
+    anything expanded from them keeps the records' own order.
+    """
+
+    initiator: np.ndarray
+    item: np.ndarray
+    success: np.ndarray
+    part_indptr: np.ndarray
+    part_indices: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: list[BehaviorRecord]) -> "RecordColumns":
+        n = len(records)
+        part_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(r.participants) for r in records), np.int64, n), out=part_indptr[1:])
+        return cls(
+            initiator=np.fromiter((r.initiator for r in records), np.int64, n),
+            item=np.fromiter((r.item for r in records), np.int64, n),
+            success=np.fromiter((r.success for r in records), bool, n),
+            part_indptr=part_indptr,
+            part_indices=np.fromiter(
+                chain.from_iterable(r.participants for r in records), np.int64, int(part_indptr[-1])
+            ),
+        )
+
+    def __len__(self) -> int:
+        return self.initiator.shape[0]
+
+    @property
+    def num_participants(self) -> np.ndarray:
+        return np.diff(self.part_indptr)
+
+    def take(self, idx: np.ndarray) -> "RecordColumns":
+        """The records at ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        starts = self.part_indptr[idx]
+        counts = self.part_indptr[idx + 1] - starts
+        indptr = np.zeros(idx.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        gather = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1], dtype=np.int64)
+        return RecordColumns(self.initiator[idx], self.item[idx], self.success[idx], indptr, self.part_indices[gather])
+
+
 @dataclass
 class BehaviorLog:
     records: list[BehaviorRecord]
@@ -53,6 +105,11 @@ class BehaviorLog:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @cached_property
+    def columns(self) -> RecordColumns:
+        """The records as columns, built on first use; ``records`` must not change after."""
+        return RecordColumns.from_records(self.records)
 
 
 class SocialGraph(CSR):
@@ -130,11 +187,24 @@ def _parse_int(tok: str, where: str) -> int:
         raise IngestError(f"{where}: not an integer: {tok!r}") from None
     if value < 0:
         raise IngestError(f"{where}: negative id: {value}")
+    if value > INT64_MAX:
+        raise IngestError(f"{where}: id {value} too large (max {INT64_MAX})")
     return value
 
 
-def parse_behavior_file(path: str) -> tuple[list[BehaviorRecord], int, int]:
-    """Parse without remapping. Returns (records, dropped_records, deduped_participants)."""
+def _check_range(where: str, what: str, value: int, bound: int) -> None:
+    if value >= bound:
+        raise IngestError(f"{where}: {what} id {value} out of range [0, {bound})")
+
+
+def parse_behavior_file(
+    path: str, bounds: tuple[int, int] | None = None
+) -> tuple[list[BehaviorRecord], int, int]:
+    """Parse without remapping. Returns (records, dropped_records, deduped_participants).
+
+    With ``bounds`` = (num_users, num_items), every id is checked against
+    the dense id space of a split.
+    """
     records: list[BehaviorRecord] = []
     dropped = 0
     deduped = 0
@@ -158,6 +228,11 @@ def parse_behavior_file(path: str) -> tuple[list[BehaviorRecord], int, int]:
             if fields[3] not in ("0", "1"):
                 raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
             success = fields[3] == "1"
+            if bounds is not None:
+                _check_range(where, "user", initiator, bounds[0])
+                _check_range(where, "item", item, bounds[1])
+                for p in participants:
+                    _check_range(where, "user", p, bounds[0])
 
             seen: dict[int, None] = {}
             for p in participants:
@@ -339,6 +414,44 @@ def split_leave_one_out(
     return DatasetSplit(train, validation, test, eval_negatives, logb.num_users, logb.num_items)
 
 
+class _BlockDraws:
+    """Uniform draws from ``[0, high)``, taken from ``rng`` in blocks of
+    ``BLOCK`` and handed out one at a time.
+
+    ``rng.integers(high, size=m)`` yields the values, and leaves the generator
+    in the state, of ``m`` scalar ``rng.integers(high)`` calls. ``sync`` puts
+    the generator where the draws handed out so far would have left it: it
+    restores the state saved before the current block and redraws just the
+    consumed part, so a sync wastes at most one block.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator, high: int):
+        self.rng = rng
+        self.high = high
+        self.block: list[int] = []
+        self.left = iter(self.block)
+        self.state: dict | None = None
+
+    def next(self) -> int:
+        value = next(self.left, None)
+        if value is None:
+            self.state = self.rng.bit_generator.state
+            self.block = self.rng.integers(self.high, size=self.BLOCK).tolist()
+            self.left = iter(self.block)
+            value = next(self.left)
+        return value
+
+    def sync(self) -> None:
+        unused = self.left.__length_hint__()
+        if unused:
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(self.high, size=len(self.block) - unused)
+        self.block = []
+        self.left = iter(self.block)
+
+
 def sample_negatives(
     logb: BehaviorLog,
     k: int,
@@ -350,15 +463,19 @@ def sample_negatives(
     Within a record the k draws are distinct when enough untouched items
     exist; across records repeats are allowed. If a user has touched every
     item, draws fall back to uniform over all items except the positive.
+    The values and the generator's final state are those of one scalar
+    ``rng.integers(num_items)`` call per candidate, record by record.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     touched = interactions if interactions is not None else user_interactions(logb)
     num_items = logb.num_items
-    out = np.empty((len(logb.records), k), dtype=np.int64)
+    cols = logb.columns
+    draws = _BlockDraws(rng, num_items)
+    picks: list[int] = []
     complements: dict[int, np.ndarray] = {}
-    for i, r in enumerate(logb.records):
-        seen = touched[r.initiator]
+    for u, item in zip(cols.initiator.tolist(), cols.item.tolist()):
+        seen = touched[u]
         free = num_items - len(seen)
         if free >= k and free > 0:
             # rejection sampling first; exact complement when unlucky
@@ -366,30 +483,32 @@ def sample_negatives(
             chosen: set[int] = set()
             tries = 0
             while len(picked) < k and tries < 32 * k:
-                cand = int(rng.integers(num_items))
+                cand = draws.next()
                 tries += 1
                 if cand in seen or cand in chosen:
                     continue
                 picked.append(cand)
                 chosen.add(cand)
             if len(picked) < k:
-                comp = complements.get(r.initiator)
+                comp = complements.get(u)
                 if comp is None:
                     comp = np.setdiff1d(
                         np.arange(num_items, dtype=np.int64),
                         np.fromiter(seen, dtype=np.int64, count=len(seen)),
                     )
-                    complements[r.initiator] = comp
-                picked = list(rng.choice(comp, size=k, replace=False))
-            out[i] = picked
+                    complements[u] = comp
+                draws.sync()
+                picked = rng.choice(comp, size=k, replace=False).tolist()
+            picks.extend(picked)
         else:
             # exhausted universe: uniform over everything but the positive
-            for j in range(k):
-                cand = int(rng.integers(num_items))
-                while cand == r.item and num_items > 1:
-                    cand = int(rng.integers(num_items))
-                out[i, j] = cand
-    return out
+            for _ in range(k):
+                cand = draws.next()
+                while cand == item and num_items > 1:
+                    cand = draws.next()
+                picks.append(cand)
+    draws.sync()
+    return np.array(picks, dtype=np.int64).reshape(len(cols), k)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +551,7 @@ def save_split_dir(
 
 
 def _load_records(datadir: str, name: str, num_users: int, num_items: int) -> list[BehaviorRecord]:
-    path = os.path.join(datadir, name)
-    records, _, _ = parse_behavior_file(path)
-    for r in records:
-        if r.initiator >= num_users or r.item >= num_items or any(p >= num_users for p in r.participants):
-            raise IngestError(f"{path}: id out of range for this split")
+    records, _, _ = parse_behavior_file(os.path.join(datadir, name), (num_users, num_items))
     return records
 
 
@@ -482,12 +597,15 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
             if len(fields) != 2:
                 raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
             u = _parse_int(fields[0], where)
-            if u >= num_users:
-                raise IngestError(f"{where}: user id {u} out of range [0, {num_users})")
+            _check_range(where, "user", u, num_users)
+            tokens = fields[1].split(",")
             try:
-                items = np.asarray([int(t) for t in fields[1].split(",")], dtype=np.int64)
-            except ValueError:
-                raise IngestError(f"{where}: item ids must be comma-separated integers") from None
+                # NumPy parses each token as int() does, and overflows past int64
+                items = np.array(tokens, dtype=np.int64)
+            except (ValueError, OverflowError):
+                for tok in tokens:
+                    _parse_int(tok, where)  # raises the located error
+                raise
             if items.min() < 0 or items.max() >= num_items:
                 bad = items[(items < 0) | (items >= num_items)][0]
                 raise IngestError(f"{where}: item id {bad} out of range [0, {num_items})")

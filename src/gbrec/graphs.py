@@ -39,31 +39,20 @@ def build_graphs(train: BehaviorLog, failed_participant_edges: bool = True) -> H
     and share edges count too is a modelling switch (default: they do -- a
     join expresses interest even when the deal fell through).
     """
-    lu, li = [], []
-    ju, ji = [], []
-    src, dst = [], []
-    for r in train.records:
-        lu.append(r.initiator)
-        li.append(r.item)
-        if r.participants and (r.success or failed_participant_edges):
-            for p in r.participants:
-                ju.append(p)
-                ji.append(r.item)
-                src.append(r.initiator)
-                dst.append(p)
-
-    lu = np.asarray(lu, dtype=np.int64)
-    li = np.asarray(li, dtype=np.int64)
-    ju = np.asarray(ju, dtype=np.int64)
-    ji = np.asarray(ji, dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+    cols = train.columns
+    npart = cols.num_participants
+    if not failed_participant_edges:
+        npart = np.where(cols.success, npart, 0)
+    keep = np.repeat(npart > 0, cols.num_participants)  # participants whose edges count
+    ju = cols.part_indices[keep]
+    ji = np.repeat(cols.item, npart)
+    src = np.repeat(cols.initiator, npart)
 
     P, Q = train.num_users, train.num_items
     return HeteroGraphBundle(
         num_users=P,
         num_items=Q,
-        launch=CSR.from_edges(P, Q, lu, li),
+        launch=CSR.from_edges(P, Q, cols.initiator, cols.item),
         join=CSR.from_edges(P, Q, ju, ji),
-        share=CSR.from_edges(P, P, src, dst),
+        share=CSR.from_edges(P, P, src, ju),
     )

@@ -182,11 +182,16 @@ class CSR:
 
     @classmethod
     def from_edges(cls, num_rows: int, num_cols: int, rows: np.ndarray, cols: np.ndarray) -> "CSR":
-        """Build from parallel edge arrays; repeated edges collapse to one."""
-        edges = np.unique(np.stack([rows, cols], axis=1), axis=0)
+        """Build from parallel edge arrays; repeated edges collapse to one.
+
+        Each edge is keyed ``row * num_cols + col``, so one sort of the keys
+        orders the edges by row, then column.
+        """
+        keys = np.unique(np.asarray(rows, dtype=np.int64) * num_cols + np.asarray(cols, dtype=np.int64))
+        edge_rows, indices = np.divmod(keys, max(num_cols, 1))
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(edges[:, 0], minlength=num_rows), out=indptr[1:])
-        return cls(num_rows, num_cols, indptr, edges[:, 1].astype(np.int64))
+        np.cumsum(np.bincount(edge_rows, minlength=num_rows), out=indptr[1:])
+        return cls(num_rows, num_cols, indptr, indices)
 
     def neighbors(self, v: int) -> np.ndarray:
         if not (0 <= v < self.num_rows):

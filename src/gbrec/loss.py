@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BehaviorRecord, SocialGraph
+from .data import BehaviorRecord, RecordColumns, SocialGraph
 from .model import EmbeddingSet, Hyperparams, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
 
 
@@ -93,7 +93,7 @@ class TermSet:
 
 
 def build_terms(
-    records: list[BehaviorRecord],
+    batch: RecordColumns,
     negatives: np.ndarray,
     social: SocialGraph,
     beta: float,
@@ -101,47 +101,36 @@ def build_terms(
     """Expand (record, negative) pairs into flat comparison terms.
 
     ``negatives`` has one row per record and one column per sampled negative;
-    each column yields an independent set of terms for its record.
+    each column yields an independent block of terms for its record: the
+    initiator's term, then one per participant of a successful record, or one
+    per friend of a failed record's initiator (flipped, weight ``beta``; none
+    when ``beta`` is 0). Blocks follow record order, then column order.
     """
     negatives = np.atleast_2d(np.asarray(negatives, dtype=np.int64))
-    users: list[int] = []
-    hi: list[int] = []
-    lo: list[int] = []
-    weight: list[float] = []
-    aux: list[bool] = []
-    pos: list[bool] = []
-    for rec, row in zip(records, negatives):
-        for neg in row:
-            neg = int(neg)
-            users.append(rec.initiator)
-            hi.append(rec.item)
-            lo.append(neg)
-            weight.append(1.0)
-            aux.append(False)
-            pos.append(rec.success)
-            if rec.success:
-                for p in rec.participants:
-                    users.append(p)
-                    hi.append(rec.item)
-                    lo.append(neg)
-                    weight.append(1.0)
-                    aux.append(True)
-                    pos.append(True)
-            elif beta != 0.0:
-                for f in social.friends(rec.initiator):
-                    users.append(int(f))
-                    hi.append(neg)          # flipped: the failed item should lose
-                    lo.append(rec.item)
-                    weight.append(beta)
-                    aux.append(True)
-                    pos.append(False)
+    k = negatives.shape[1]
+    success = batch.success
+    num_friends = social.degrees[batch.initiator] if beta != 0.0 else 0
+    sizes = np.repeat(1 + np.where(success, batch.num_participants, num_friends), k)
+    starts = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
+    t = np.arange(block.shape[0], dtype=np.int64) - starts[block] - 1  # -1: the initiator's term
+    rec = block // k
+    aux = t >= 0
+    pos = success[rec]
+    users = batch.initiator[rec]
+    joined = aux & pos
+    users[joined] = batch.part_indices[batch.part_indptr[rec[joined]] + t[joined]]
+    failed = aux & ~pos
+    users[failed] = social.indices[social.indptr[users[failed]] + t[failed]]
+    item = batch.item[rec]
+    neg = negatives.ravel()[block]
     return TermSet(
-        users=np.asarray(users, dtype=np.int64),
-        hi=np.asarray(hi, dtype=np.int64),
-        lo=np.asarray(lo, dtype=np.int64),
-        weight=np.asarray(weight, dtype=np.float64),
-        aux=np.asarray(aux, dtype=bool),
-        pos=np.asarray(pos, dtype=bool),
+        users=users,
+        hi=np.where(failed, neg, item),  # flipped: the failed item should lose
+        lo=np.where(failed, item, neg),
+        weight=np.where(failed, float(beta), 1.0),
+        aux=aux,
+        pos=pos,
     )
 
 
@@ -240,7 +229,7 @@ def breakdown_from_terms(
 
 
 def total_loss(
-    records: list[BehaviorRecord],
+    batch: RecordColumns,
     negatives: np.ndarray,
     emb: EmbeddingSet,
     social: SocialGraph,
@@ -248,7 +237,7 @@ def total_loss(
     hp: Hyperparams,
 ) -> LossBreakdown:
     """Batch objective: ranking terms plus both regularizers."""
-    terms = build_terms(records, negatives, social, hp.beta)
+    terms = build_terms(batch, negatives, social, hp.beta)
     y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
     resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
     return breakdown_from_terms(terms, y_hi, y_lo, tensors, resid, hp)

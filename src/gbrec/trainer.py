@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import BehaviorLog, DatasetSplit, SocialGraph, sample_negatives, user_interactions
+from .data import BehaviorLog, DatasetSplit, RecordColumns, SocialGraph, sample_negatives, user_interactions
 from .evaluate import evaluate_ranking
 from .graphs import HeteroGraphBundle, build_graphs
 from .loss import (
@@ -157,12 +157,12 @@ class FlatModel:
 
 
 def loss_and_grads(
-    adapter, params, records, negatives: np.ndarray, hp: Hyperparams, social: SocialGraph
+    adapter, params, batch: RecordColumns, negatives: np.ndarray, hp: Hyperparams, social: SocialGraph
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """One full batch evaluation: breakdown plus gradients for every trainable tensor."""
     state = adapter.forward(params)
     emb = adapter.embeddings(state)
-    terms = build_terms(records, negatives, social, hp.beta)
+    terms = build_terms(batch, negatives, social, hp.beta)
     y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
     resid = social_residual(params.user_emb, social, hp.social_reg_coeff, adapter.user_friend_mean(state))
@@ -195,8 +195,7 @@ def _run_epoch(
     order = rng.permutation(len(train_log.records))
     sums = np.zeros(4, dtype=np.float64)
     for batch in _batches(len(train_log.records), hp.batch_size, order):
-        records = [train_log.records[i] for i in batch]
-        bd, grads = loss_and_grads(adapter, params, records, negs[batch], hp, social)
+        bd, grads = loss_and_grads(adapter, params, train_log.columns.take(batch), negs[batch], hp, social)
         _check_finite(bd, grads)
         tensors = {name: getattr(params, name) for name in adapter.trainable}
         optimizer.step(tensors, grads)

@@ -137,6 +137,68 @@ def objective_oracle(records, negatives, score, friends_of, beta: float) -> floa
     return total
 
 
+def build_terms_oracle(records, negatives, friends_of, beta: float) -> dict[str, np.ndarray]:
+    """The batch's pairwise terms, appended record by record, negative by negative.
+
+    Keys and dtypes are those of ``TermSet``'s fields.
+    """
+    terms = {"users": [], "hi": [], "lo": [], "weight": [], "aux": [], "pos": []}
+
+    def add(user, hi, lo, weight, aux, pos):
+        for key, value in zip(terms, (user, hi, lo, weight, aux, pos)):
+            terms[key].append(value)
+
+    for rec, row in zip(records, np.atleast_2d(negatives)):
+        for neg in row:
+            neg = int(neg)
+            add(rec.initiator, rec.item, neg, 1.0, False, rec.success)
+            if rec.success:
+                for p in rec.participants:
+                    add(p, rec.item, neg, 1.0, True, True)
+            elif beta != 0.0:
+                for f in friends_of(rec.initiator):
+                    add(int(f), neg, rec.item, beta, True, False)
+    dtypes = {"users": np.int64, "hi": np.int64, "lo": np.int64, "weight": np.float64, "aux": bool, "pos": bool}
+    return {key: np.asarray(values, dtype=dtypes[key]) for key, values in terms.items()}
+
+
+def sample_negatives_oracle(records, num_items: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k negatives per record from one scalar ``rng.integers`` call per candidate.
+
+    Rejection sampling over the initiator's untouched items (touched: in any
+    role, in any record), at most 32k candidates, then ``rng.choice`` over the
+    exact complement; a user with fewer than k untouched items gets uniform
+    draws that avoid only the record's own item.
+    """
+    touched: dict[int, set[int]] = {}
+    for rec in records:
+        for user in (rec.initiator, *rec.participants):
+            touched.setdefault(user, set()).add(rec.item)
+    out = np.empty((len(records), k), dtype=np.int64)
+    for i, rec in enumerate(records):
+        seen = touched[rec.initiator]
+        free = num_items - len(seen)
+        if free >= k and free > 0:
+            picked: list[int] = []
+            tries = 0
+            while len(picked) < k and tries < 32 * k:
+                cand = int(rng.integers(num_items))
+                tries += 1
+                if cand not in seen and cand not in picked:
+                    picked.append(cand)
+            if len(picked) < k:
+                complement = np.array([j for j in range(num_items) if j not in seen], dtype=np.int64)
+                picked = list(rng.choice(complement, size=k, replace=False))
+            out[i] = picked
+        else:
+            for j in range(k):
+                cand = int(rng.integers(num_items))
+                while cand == rec.item and num_items > 1:
+                    cand = int(rng.integers(num_items))
+                out[i, j] = cand
+    return out
+
+
 def l2_oracle(tensors: dict[str, np.ndarray], coeff: float) -> float:
     return coeff * sum(float((t.astype(np.float64) ** 2).sum()) for t in tensors.values())
 

@@ -124,11 +124,11 @@ def test_criterion_01_gradients_match_finite_differences():
         emb = adapter.embeddings(adapter.forward(inst["params"]))
         tensors = {name: getattr(inst["params"], name) for name in adapter.trainable}
         return total_loss(
-            inst["records"], negatives, emb, inst["social"], tensors, inst["hp"]
+            inst["log"].columns, negatives, emb, inst["social"], tensors, inst["hp"]
         ).total
 
     _, grads = loss_and_grads(
-        adapter, inst["params"], inst["records"], negatives, inst["hp"], inst["social"]
+        adapter, inst["params"], inst["log"].columns, negatives, inst["hp"], inst["social"]
     )
     tensors = {name: getattr(inst["params"], name) for name in adapter.trainable}
     fd = oracles.fd_gradients(batch_loss, tensors, h=1e-3)

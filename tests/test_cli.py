@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 
 import pytest
@@ -179,9 +180,16 @@ def _drop_num_items(text):
         ("negatives.tsv", lambda t: _second_line(t, "1\t2,12"), "negatives.tsv:2"),
         ("negatives.tsv", lambda t: _second_line(t, "1\t-1,2"), "negatives.tsv:2"),
         ("stats.json", _drop_num_items, "stats.json: missing key 'num_items'"),
+        ("negatives.tsv", lambda t: _second_line(t, "1\t2,99999999999999999999"), "negatives.tsv:2: id 99999999999999999999 too large"),
         ("social.tsv", lambda t: t + "1\t30\n", "social.tsv: user id 30 out of range"),
+        ("train.tsv", lambda t: _second_line(t, "1\t99\t-\t1"), "train.tsv:2: item id 99 out of range [0, 12)"),
+        ("train.tsv", lambda t: _second_line(t, "1\t2\t5,30\t1"), "train.tsv:2: user id 30 out of range [0, 30)"),
+        ("validation.tsv", lambda t: _second_line(t, "30\t2\t-\t0"), "validation.tsv:2: user id 30 out of range [0, 30)"),
     ],
-    ids=["no-tab", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key", "social-past-range"],
+    ids=[
+        "no-tab", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key", "item-past-int64",
+        "social-past-range", "train-item-past-range", "train-participant-past-range", "validation-user-past-range",
+    ],
 )
 def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, name, corrupt, where):
     datadir = str(tmp_path / "data")
@@ -192,7 +200,7 @@ def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(corrupt(text))
 
-    with pytest.raises(IngestError, match=where):
+    with pytest.raises(IngestError, match=re.escape(where)):
         load_split_dir(datadir)
     code, out, err = run(capsys, ["evaluate", "--checkpoint", pipeline["checkpoint"], "--data", datadir])
     assert code == 1
@@ -248,6 +256,25 @@ def test_missing_input_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name, line", [("behaviors.tsv", "5\t99999999999999999999\t-\t1"), ("social.tsv", "99999999999999999999\t1")])
+def test_prepare_rejects_an_id_past_int64(pipeline, tmp_path, capsys, name, line):
+    paths = {}
+    for key in ("behaviors", "social"):
+        paths[key] = str(tmp_path / os.path.basename(pipeline[key]))
+        shutil.copy(pipeline[key], paths[key])
+    path = str(tmp_path / name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_second_line(text, line))
+
+    code, out, err = run(capsys, ["prepare", paths["behaviors"], paths["social"], "--outdir", str(tmp_path / "d")])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"{name}:2: id 99999999999999999999 too large" in err
 
 
 def test_config_file_feeds_train(pipeline, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbrec.data import (
     BehaviorLog,
@@ -22,6 +24,7 @@ from gbrec.data import (
 )
 
 import helpers
+import oracles
 
 
 def write(tmp_path, name, text):
@@ -291,6 +294,49 @@ def test_sample_negatives_when_user_touched_everything():
     negs = sample_negatives(log, k=2, rng=np.random.default_rng(0))
     for rec, row in zip(records, negs):
         assert all(n != rec.item for n in row)
+
+
+@st.composite
+def sampler_worlds(draw):
+    num_users = draw(st.integers(1, 5))
+    num_items = draw(st.integers(1, 30))
+    records = []
+    for _ in range(draw(st.integers(0, 40))):
+        initiator = draw(st.integers(0, num_users - 1))
+        others = [u for u in range(num_users) if u != initiator]
+        participants = draw(st.lists(st.sampled_from(others), unique=True, max_size=2)) if others else []
+        records.append(BehaviorRecord(initiator, draw(st.integers(0, num_items - 1)), tuple(participants), True))
+    return BehaviorLog(records, num_users, num_items), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_sampler_matches_scalar_draws(log, k, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_negatives(log, k, rng)
+    want = oracles.sample_negatives_oracle(log.records, log.num_items, k, ref)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert rng.random() == ref.random()  # the generator ends where the scalar draws leave it
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=sampler_worlds())
+def test_sample_negatives_equals_scalar_draws(world):
+    assert_sampler_matches_scalar_draws(*world)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_sample_negatives_equals_scalar_draws_when_rejection_mostly_fails(k):
+    # user 0 leaves exactly k of 200 items untouched, so most records fall back to the complement
+    records = [BehaviorRecord(0, i, (), True) for i in range(200 - k)]
+    records += [BehaviorRecord(1, i, (0,), True) for i in range(0, 200 - k, 40)]
+    assert_sampler_matches_scalar_draws(BehaviorLog(records, 2, 200), k, seed=k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_sample_negatives_equals_scalar_draws_in_an_exhausted_universe(k):
+    # user 0 touched every item; user 1 has fewer than k untouched items when k is 3
+    records = [BehaviorRecord(0, i, (), True) for i in range(6)] + [BehaviorRecord(1, i, (), True) for i in range(4)]
+    assert_sampler_matches_scalar_draws(BehaviorLog(records, 2, 6), k, seed=11)
 
 
 # ---------------------------------------------------------------------------

@@ -21,18 +21,18 @@ import oracles
 TOL = 1e-4
 
 
-def batch_loss(adapter, params, records, negatives, hp, social) -> float:
+def batch_loss(adapter, params, batch, negatives, hp, social) -> float:
     state = adapter.forward(params)
     emb = adapter.embeddings(state)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
-    return total_loss(records, negatives, emb, social, tensors, hp).total
+    return total_loss(batch, negatives, emb, social, tensors, hp).total
 
 
-def check_against_fd(adapter, params, records, negatives, hp, social):
-    _, grads = loss_and_grads(adapter, params, records, negatives, hp, social)
+def check_against_fd(adapter, params, batch, negatives, hp, social):
+    _, grads = loss_and_grads(adapter, params, batch, negatives, hp, social)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
     fd = oracles.fd_gradients(
-        lambda: batch_loss(adapter, params, records, negatives, hp, social),
+        lambda: batch_loss(adapter, params, batch, negatives, hp, social),
         tensors,
         h=1e-3,
     )
@@ -49,7 +49,7 @@ def gcn_fixture(**hp_overrides):
     hp = replace(inst["hp"], **hp_overrides) if hp_overrides else inst["hp"]
     adapter = GCNModel(inst["bundle"], inst["social"], hp)
     negatives = np.random.default_rng(7).integers(0, 8, size=(len(inst["records"]), 1))
-    return adapter, inst["params"], inst["records"], negatives, hp, inst["social"]
+    return adapter, inst["params"], inst["log"].columns, negatives, hp, inst["social"]
 
 
 def test_full_model_gradients_match_finite_differences():
@@ -74,12 +74,12 @@ def test_flat_model_gradients_match_finite_differences():
     params = init_flat_params(10, 8, 4, seed=5, dtype=np.float64)
     adapter = FlatModel(inst["social"], inst["hp"])
     negatives = np.random.default_rng(9).integers(0, 8, size=(len(inst["records"]), 2))
-    check_against_fd(adapter, params, inst["records"], negatives, inst["hp"], inst["social"])
+    check_against_fd(adapter, params, inst["log"].columns, negatives, inst["hp"], inst["social"])
 
 
 def test_gradients_are_deterministic():
-    adapter, params, records, negatives, hp, social = gcn_fixture()
-    _, g1 = loss_and_grads(adapter, params, records, negatives, hp, social)
-    _, g2 = loss_and_grads(adapter, params, records, negatives, hp, social)
+    adapter, params, batch, negatives, hp, social = gcn_fixture()
+    _, g1 = loss_and_grads(adapter, params, batch, negatives, hp, social)
+    _, g2 = loss_and_grads(adapter, params, batch, negatives, hp, social)
     for name in g1:
         np.testing.assert_array_equal(g1[name], g2[name])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbrec.data import BehaviorLog, BehaviorRecord, SocialGraph
 from gbrec.graphs import build_graphs
@@ -56,6 +58,21 @@ def test_csr_from_edges_dedupes_and_sorts():
     assert adj.num_edges == 3
     with pytest.raises(IndexError):
         adj.neighbors(3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(1, 9),
+    n_cols=st.integers(1, 9),
+    edges=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=40),
+)
+def test_csr_from_edges_lists_each_rows_distinct_neighbours_in_order(n_rows, n_cols, edges):
+    edges = [(r % n_rows, c % n_cols) for r, c in edges]
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    g = CSR.from_edges(n_rows, n_cols, e[:, 0], e[:, 1])
+    for r in range(n_rows):
+        np.testing.assert_array_equal(g.neighbors(r), sorted({c for rr, c in edges if rr == r}))
+    assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
 def test_csr_empty():

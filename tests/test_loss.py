@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbrec.data import BehaviorLog, BehaviorRecord, SocialGraph
+from gbrec.data import BehaviorLog, BehaviorRecord, RecordColumns, SocialGraph
 from gbrec.loss import (
     LossBreakdown,
     breakdown_from_terms,
@@ -98,14 +100,14 @@ def test_zero_gap_costs_exactly_ln2_per_pair():
 
 
 def term_layout(records, negatives, social, beta):
-    terms = build_terms(records, negatives, social, beta)
+    terms = build_terms(RecordColumns.from_records(records), negatives, social, beta)
     return list(zip(terms.users, terms.hi, terms.lo, terms.weight, terms.aux, terms.pos))
 
 
 def test_build_terms_success_record():
     rec = BehaviorRecord(0, 1, (2, 3), True)
     social = SocialGraph.from_edges(4, np.empty((0, 2), dtype=np.int64))
-    terms = build_terms([rec], np.array([[9]]), social, beta=0.5)
+    terms = build_terms(RecordColumns.from_records([rec]), np.array([[9]]), social, beta=0.5)
     assert term_layout([rec], np.array([[9]]), social, 0.5) == [
         (0, 1, 9, 1.0, False, True),
         (2, 1, 9, 1.0, True, True),
@@ -127,13 +129,13 @@ def test_build_terms_failed_record_flips_and_weights():
 def test_build_terms_beta_zero_skips_friend_terms():
     rec = BehaviorRecord(0, 1, (), False)
     social = SocialGraph.from_edges(4, np.array([[0, 2]]))
-    assert len(build_terms([rec], np.array([[9]]), social, beta=0.0)) == 1
+    assert len(build_terms(RecordColumns.from_records([rec]), np.array([[9]]), social, beta=0.0)) == 1
 
 
 def test_build_terms_multiple_negative_columns():
     rec = BehaviorRecord(0, 1, (2,), True)
     social = SocialGraph.from_edges(3, np.empty((0, 2), dtype=np.int64))
-    terms = build_terms([rec], np.array([[7, 8]]), social, beta=0.1)
+    terms = build_terms(RecordColumns.from_records([rec]), np.array([[7, 8]]), social, beta=0.1)
     assert len(terms) == 4  # (initiator + participant) x 2 negatives
     assert sorted(set(terms.lo.tolist())) == [7, 8]
 
@@ -143,12 +145,61 @@ def test_term_count_oracle_on_random_batch(rng):
     social = helpers.make_social(rng, 12, 20)
     negatives = rng.integers(0, 9, size=(40, 3))
     beta = 0.05
-    terms = build_terms(records, negatives, social, beta)
+    terms = build_terms(RecordColumns.from_records(records), negatives, social, beta)
     want = 0
     for rec in records:
         per_neg = 1 + (len(rec.participants) if rec.success else len(social.friends(rec.initiator)))
         want += 3 * per_neg
     assert len(terms) == want
+
+
+@st.composite
+def term_batches(draw):
+    """Records, a batch of them in drawn order, its negatives, a social graph and beta."""
+    num_users = draw(st.integers(1, 8))
+    num_items = draw(st.integers(1, 6))
+    records = []
+    for _ in range(draw(st.integers(0, 10))):
+        initiator = draw(st.integers(0, num_users - 1))
+        others = [u for u in range(num_users) if u != initiator]
+        participants = draw(st.lists(st.sampled_from(others), unique=True, max_size=4)) if others else []
+        item = draw(st.integers(0, num_items - 1))
+        records.append(BehaviorRecord(initiator, item, tuple(participants), draw(st.booleans())))
+    batch = draw(st.lists(st.integers(0, len(records) - 1), max_size=12)) if records else []
+    k = draw(st.integers(1, 4))
+    negatives = np.array(
+        draw(st.lists(st.integers(0, num_items - 1), min_size=len(batch) * k, max_size=len(batch) * k)),
+        dtype=np.int64,
+    ).reshape(len(batch), k)
+    pairs = draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_users - 1)), max_size=12))
+    social = SocialGraph.from_edges(num_users, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    beta = draw(st.sampled_from([0.0, 0.05, 0.25]))
+    return records, np.array(batch, dtype=np.int64), negatives, social, beta
+
+
+def assert_terms_equal(terms, want):
+    for name, expected in want.items():
+        got = getattr(terms, name)
+        assert got.dtype == expected.dtype, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=term_batches())
+def test_build_terms_equals_the_record_loop(case):
+    records, batch, negatives, social, beta = case
+    terms = build_terms(RecordColumns.from_records(records).take(batch), negatives, social, beta)
+    want = oracles.build_terms_oracle([records[i] for i in batch], negatives, social.friends, beta)
+    assert_terms_equal(terms, want)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_build_terms_of_an_empty_batch(k):
+    social = SocialGraph.from_edges(2, np.array([[0, 1]]))
+    empty = RecordColumns.from_records([BehaviorRecord(0, 1, (1,), True)]).take(np.empty(0, dtype=np.int64))
+    terms = build_terms(empty, np.empty((0, k), dtype=np.int64), social, 0.05)
+    assert len(terms) == 0
+    assert_terms_equal(terms, oracles.build_terms_oracle([], np.empty((0, k)), social.friends, 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +217,7 @@ def test_batch_ranking_loss_matches_per_record_oracle():
     negatives = np.random.default_rng(11).integers(0, 8, size=(len(records), 2))
     tensors = inst["params"].tensors()
 
-    bd = total_loss(records, negatives, emb, social, tensors, hp)
+    bd = total_loss(inst["log"].columns, negatives, emb, social, tensors, hp)
     want = oracles.objective_oracle(records, negatives, emb.predict, social.friends, hp.beta)
     assert bd.loss_pos + bd.loss_neg == pytest.approx(want, rel=1e-10)
     assert bd.total == pytest.approx(
@@ -182,7 +233,7 @@ def test_batch_loss_also_matches_scalar_record_api():
     emb = batch_emb(inst)
     records, social, hp = inst["records"], inst["social"], inst["hp"]
     negatives = np.random.default_rng(13).integers(0, 8, size=(len(records), 1))
-    bd = total_loss(records, negatives, emb, social, inst["params"].tensors(), hp)
+    bd = total_loss(inst["log"].columns, negatives, emb, social, inst["params"].tensors(), hp)
     want = 0.0
     for rec, (neg,) in zip(records, negatives):
         if rec.success:
@@ -197,7 +248,7 @@ def test_role_scored_variant_scores_aux_terms_through_join_view():
     emb = batch_emb(inst)
     records, social = inst["records"], inst["social"]
     negatives = np.random.default_rng(17).integers(0, 8, size=(len(records), 1))
-    terms = build_terms(records, negatives, social, beta=0.05)
+    terms = build_terms(inst["log"].columns, negatives, social, beta=0.05)
     y_hi, y_lo = score_terms(terms, emb, role_scores=True)
     for i in range(len(terms)):
         u, h, l = int(terms.users[i]), int(terms.hi[i]), int(terms.lo[i])

@@ -175,19 +175,19 @@ def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
     split, social = tiny_problem(seed=5)
     hp = Hyperparams(dim=4, alpha=0.6, social_reg_coeff=0.1)
     params = init_flat_params(split.num_users, split.num_items, 4, seed=0)
-    records = split.train.records
-    negatives = np.random.default_rng(0).integers(0, split.num_items, size=(len(records), 1))
+    batch = split.train.columns
+    negatives = np.random.default_rng(0).integers(0, split.num_items, size=(len(batch), 1))
     adapter = FlatModel(social, hp)
 
     means = []
     orig = kernels.segment_mean
     monkeypatch.setattr(kernels, "segment_mean", lambda *a: means.append(1) or orig(*a))
-    bd, grads = loss_and_grads(adapter, params, records, negatives, hp, social)
+    bd, grads = loss_and_grads(adapter, params, batch, negatives, hp, social)
     assert len(means) == 1  # the scorer's friend-mean block also feeds the social residual
 
     # the same numbers as taking the residual's friend mean afresh
     monkeypatch.setattr(adapter, "user_friend_mean", lambda state: None)
-    bd2, grads2 = loss_and_grads(adapter, params, records, negatives, hp, social)
+    bd2, grads2 = loss_and_grads(adapter, params, batch, negatives, hp, social)
     assert len(means) == 3
     assert bd == bd2
     for name in grads:
