@@ -1,10 +1,14 @@
-"""Timing comparison of the jit and pure-numpy kernel backends.
+"""Timing of the one reduction kernel in the three roles training uses.
 
-Each backend has one kernel. This runs it in the two roles training uses --
-a segment sum over a synthetic CSR graph sized like a desk-scale training
-run, and a scatter (the segment sum's transpose) -- and prints per-call
-times plus the speedup. The jit path is warmed up before timing so
-compilation cost is not counted. Usage::
+* ``segment_sum`` -- a neighbour sum over a synthetic CSR graph, the
+  propagation step and each mean's adjoint;
+* ``scatter`` -- a plain scatter of given rows into destination rows;
+* ``gathered_scatter`` -- the score backward pass: one call that scatters
+  ``scale[i] * table[gather[i]]`` into several targets sharing one index,
+  gathering and scaling each column block inside the kernel.
+
+Prints the best of ``--repeats`` per-call times for each role, with the
+kernel's block width ``kernels.BLOCK``. Usage::
 
     python3 benchmarks/bench_kernels.py [--rows 200000] [--degree 20] [--dim 32]
 """
@@ -45,52 +49,34 @@ def main() -> int:
     ap.add_argument("--cols", type=int, default=30_000)
     ap.add_argument("--degree", type=float, default=20.0)
     ap.add_argument("--dim", type=int, default=32)
+    ap.add_argument("--terms", type=int, default=500_000, help="rows of each scatter")
+    ap.add_argument("--targets", type=int, default=4, help="targets sharing the gathered scatter's index")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
     rng = np.random.default_rng(0)
     indptr, indices = make_csr(rng, args.rows, args.cols, args.degree)
     src = rng.standard_normal((args.cols, args.dim)).astype(np.float32)
-    idx = rng.integers(0, args.rows, size=indices.shape[0])
-    rows = rng.standard_normal((indices.shape[0], args.dim)).astype(np.float32)
+    idx = rng.integers(0, args.rows, size=args.terms)
+    rows = rng.standard_normal((args.terms, args.dim)).astype(np.float32)
+    gather = rng.integers(0, args.cols, size=args.terms)
+    scale = rng.standard_normal(args.terms)
+    outs = [np.zeros((args.rows, args.dim), dtype=np.float32) for _ in range(args.targets)]
+    tables = [rng.standard_normal((args.cols, args.dim)).astype(np.float32) for _ in range(args.targets)]
 
-    print(f"rows={args.rows} cols={args.cols} nnz={indices.shape[0]} dim={args.dim}")
-    print(f"available backends: {sorted(kernels.IMPLS)}")
-
-    results: dict[str, dict[str, float]] = {}
-    for backend, kernel in sorted(kernels.IMPLS.items()):
-        if backend == "numba":
-
-            def seg():
-                kernel(indptr, indices, src, np.zeros((args.rows, args.dim), dtype=np.float64))
-
-            def scat():
-                t_indptr, order = kernels._transpose_index(idx, args.rows)
-                kernel(t_indptr, order, rows, np.zeros((args.rows, args.dim), dtype=np.float64))
-
-            # warm the jit cache before measuring
-            seg()
-            scat()
-        else:
-
-            def seg():
-                dest = np.repeat(np.arange(args.rows, dtype=np.int64), np.diff(indptr))
-                kernel(dest, src, args.rows, indices)
-
-            def scat():
-                kernel(idx, rows, args.rows)
-
-        results[backend] = {
-            "segment_sum": best_of(seg, args.repeats),
-            "scatter_add_rows": best_of(scat, args.repeats),
-        }
-        for name, t in results[backend].items():
-            print(f"{backend:>6} {name:<18} {t * 1e3:8.2f} ms")
-
-    if {"numba", "numpy"} <= results.keys():
-        for name in ("segment_sum", "scatter_add_rows"):
-            speedup = results["numpy"][name] / results["numba"][name]
-            print(f"speedup {name}: {speedup:.1f}x (jit over numpy)")
+    print(
+        f"rows={args.rows} cols={args.cols} nnz={indices.shape[0]} dim={args.dim} "
+        f"terms={args.terms} targets={args.targets} block={kernels.BLOCK}"
+    )
+    roles = {
+        "segment_sum": lambda: kernels.segment_sum(indptr, indices, src),
+        "scatter": lambda: kernels.scatter_add_rows([(outs[0], rows, None)], idx),
+        "gathered_scatter": lambda: kernels.scatter_add_rows(
+            [(out, table, scale) for out, table in zip(outs, tables)], idx, gather
+        ),
+    }
+    for name, fn in roles.items():
+        print(f"{name:<17} {best_of(fn, args.repeats) * 1e3:8.2f} ms")
     return 0
 
 

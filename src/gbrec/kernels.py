@@ -1,125 +1,104 @@
-"""The graph type and the segment reductions that propagation runs on.
+"""The graph type and the one reduction kernel that propagation runs on.
 
 ``CSR`` is the one graph type: a directed graph in compressed sparse row
 form with its neighbour mean and that mean's adjoint. Its transpose is built
 from it on first use, so a graph and its reverse can never disagree.
 
-The reductions come in two interchangeable backends, each with one kernel:
+Every reduction runs on one kernel, ``_block_sums``. Given a destination
+index ``dest``, a gather index and sources ``(table, scale)``, it sums the
+float64 rows ``scale[i] * table[gather[i]]`` into destination rows
+``dest[i]``. It works on blocks of up to ``BLOCK`` columns: a block's rows
+are flattened in row order and summed by one ``np.bincount`` keyed
+``dest[i] * m + j`` for column ``j`` of an ``m``-column block. The key is
+built once per index and shared by every source and every block. bincount
+adds its weights in index order in float64, so each (destination, column)
+pair is a sequential float64 sum of its terms in index order: the same sum,
+bit for bit, as a plain loop, whatever the block width. Each sum is rounded
+to the output dtype once.
 
-* ``numba`` -- a jit-compiled segment sum, parallel over destination rows.
-  Default whenever numba imports (``pip install gbrec[numba]``).
-* ``numpy`` -- a float64 sum of source rows into destination rows, one
-  ``np.bincount`` per column.
+* ``segment_sum`` and ``segment_mean`` run it with ``dest`` the row of each
+  CSR entry and ``gather`` its column.
+* ``scatter_add_rows`` runs it with the scatter index as ``dest``, for every
+  target that shares that index in one call, gathering and scaling each
+  block itself, so no gathered-and-scaled copy of a whole table is made.
 
-Select explicitly with the environment variable ``GBREC_BACKEND=numba|numpy``
-(read once at import time). ``scatter_add_rows`` is the transpose of
-``segment_sum``: on numpy the same bincount with the scatter index as the
-destination, on numba the segment sum over the stably sorted scatter index.
-All three reductions -- ``segment_sum``, ``segment_mean`` and
-``scatter_add_rows`` -- add each destination row's contributions in float64,
-in index order, and round to the output dtype once at the end, so the two
-backends agree to the last bit.
-
-Per-row reductions iterate neighbors in CSR order regardless of thread count,
-so numba parallelism does not change results.
+The kernel is single-threaded NumPy; thread count cannot change a result.
 """
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only where numba is absent
-    HAVE_NUMBA = False
-
-
-def _select_backend() -> str:
-    choice = os.environ.get("GBREC_BACKEND", "").strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        raise ValueError(f"GBREC_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("GBREC_BACKEND=numba but numba is not importable")
-    if not choice:
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
-
-
-_BACKEND = _select_backend()
+# columns summed per np.bincount, chosen by measurement: with the gather
+# fused in, 1 and 4 train equally fast, 4 has the fastest segment sums and 16
+# is slower and larger (its key and block buffer each cost rows * 128 bytes)
+BLOCK = 4
 
 
 def backend_name() -> str:
-    return _BACKEND
+    """The kernel's implementation, as benchmark records report it."""
+    return "numpy"
 
 
 def set_num_threads(n: int) -> None:
-    """Cap the numba thread pool; no-op on the numpy backend."""
+    """Check a worker thread cap. The kernel is single-threaded, so there is
+    nothing to size; BLAS pools follow their own environment variables."""
     if n < 1:
         raise ValueError("thread count must be >= 1")
-    if HAVE_NUMBA:
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
 
 
 # ---------------------------------------------------------------------------
-# the one kernel of each backend
+# the one kernel
 
 
-def _bincount_rows(dest, src, n_rows, gather=None):
-    """float64 ``out[dest[i]] += src[gather[i]]`` (``src[i]`` without ``gather``).
+def _flat_key(dest: np.ndarray, m: int) -> np.ndarray:
+    """``dest[i] * m + j`` for every row ``i`` and column ``j < m``, in row order."""
+    key = np.repeat(np.asarray(dest, dtype=np.int64) * m, m)
+    rows = key.reshape(-1, m)
+    rows += np.arange(m)
+    return key
 
-    One ``np.bincount`` per column of ``src``; bincount adds its weights in
-    index order in float64, so every destination row is a sequential float64
-    sum in the order its contributions appear. Columns are read one at a
-    time, so no whole copy of ``src`` (or of its gathered rows) is made.
+
+def _block_sums(dest: np.ndarray, n_rows: int, gather: np.ndarray | None, sources):
+    """Yield ``(s, cols, sums)``: float64 ``sums[r] = sum of scale[i] * table[gather[i], cols]``
+    over the ``i`` with ``dest[i] == r``, in index order, for source ``s``.
+
+    ``sources`` holds ``(table, scale)`` pairs; ``gather`` None reads
+    ``table[i]``, and ``scale`` None scales by one. Each block of a table is
+    padded with zero columns to the key's width and read in float64, so the
+    gather writes straight into one reused buffer; the padding's sums are
+    dropped.
     """
-    out = np.empty((n_rows, src.shape[1]), dtype=np.float64)
-    for c, col in enumerate(src.T):
-        out[:, c] = np.bincount(dest, weights=col if gather is None else col.take(gather), minlength=n_rows)
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _segment_sum_nb(indptr, indices, src, out):
-        # each destination row is owned by exactly one iteration: deterministic
-        for r in prange(indptr.shape[0] - 1):
-            for j in range(indptr[r], indptr[r + 1]):
-                s = indices[j]
-                for c in range(src.shape[1]):
-                    out[r, c] += src[s, c]
-
-
-def _transpose_index(idx, n_rows):
-    """The CSR of a scatter: row ``r`` lists, in order, the ``i`` with ``idx[i] == r``."""
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=n_rows), out=indptr[1:])
-    return indptr, np.argsort(idx, kind="stable")
+    if gather is not None and gather.shape[0]:
+        n_src = min(table.shape[0] for table, _ in sources)
+        if gather.min() < 0 or gather.max() >= n_src:
+            raise IndexError(f"gather index out of range [0, {n_src})")
+    m = max(1, min(BLOCK, max(table.shape[1] for table, _ in sources)))
+    key = _flat_key(dest, m)
+    buf = np.empty((dest.shape[0], m), dtype=np.float64)
+    for s, (table, scale) in enumerate(sources):
+        for c0 in range(0, table.shape[1], m):
+            cols = slice(c0, min(c0 + m, table.shape[1]))
+            block = np.zeros((table.shape[0], m), dtype=np.float64)
+            block[:, : cols.stop - c0] = table[:, cols]
+            if gather is not None:
+                # in range (checked above), so "clip" only spares take a second buffer
+                block = np.take(block, gather, axis=0, out=buf, mode="clip")
+            if scale is not None:
+                block *= scale[:, None]
+            sums = np.bincount(key, weights=block.ravel(), minlength=n_rows * m)
+            yield s, cols, sums.reshape(n_rows, m)[:, : cols.stop - c0]
 
 
 def _segment_sum64(indptr, indices, src):
     n_rows = indptr.shape[0] - 1
-    if _BACKEND == "numba":
-        out = np.zeros((n_rows, src.shape[1]), dtype=np.float64)
-        _segment_sum_nb(indptr, indices, src, out)
-        return out
     dest = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
-    return _bincount_rows(dest, src, n_rows, indices)
-
-
-def _scatter_sum64(idx, rows, n_rows):
-    if _BACKEND == "numba":
-        indptr, order = _transpose_index(idx, n_rows)
-        out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
-        _segment_sum_nb(indptr, order, rows, out)
-        return out
-    return _bincount_rows(idx, rows, n_rows)
+    out = np.empty((n_rows, src.shape[1]), dtype=np.float64)
+    for _, cols, sums in _block_sums(dest, n_rows, indices, [(src, None)]):
+        out[:, cols] = sums
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +110,11 @@ def segment_sum(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np.
 
     Rows with no neighbors come back as zero vectors. Returns ``src``'s dtype.
     """
-    src = np.ascontiguousarray(src)
     return _segment_sum64(indptr, indices, src).astype(src.dtype, copy=False)
 
 
 def segment_mean(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np.ndarray:
     """Per-row neighbor mean; empty rows yield the zero vector."""
-    src = np.ascontiguousarray(src)
     sums = _segment_sum64(indptr, indices, src)
     counts = np.diff(indptr)
     inv = np.zeros(counts.shape[0], dtype=np.float64)
@@ -146,21 +123,22 @@ def segment_mean(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np
     return (sums * inv[:, None]).astype(src.dtype, copy=False)
 
 
-def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """In-place ``out[idx[i]] += rows[i]`` with duplicate idx handled by accumulation.
+def scatter_add_rows(targets, idx: np.ndarray, gather: np.ndarray | None = None) -> None:
+    """In place, for each ``(out, table, scale)`` in ``targets``:
+    ``out[idx[i]] += scale[i] * table[gather[i]]``, duplicate ``idx`` accumulating.
 
-    Each destination's contributions are summed in float64, in index order,
-    and the sum is rounded to ``out.dtype`` once before it is added.
+    ``gather`` None reads ``table[i]``; ``scale`` None scales by one. The
+    targets share ``idx``, so they share its row count; their widths and
+    dtypes may differ. Each destination's terms are summed in float64, in
+    index order, and the sum is rounded to ``out.dtype`` once before it is
+    added.
     """
-    if idx.shape[0] == 0:
+    if idx.shape[0] == 0 or not targets:
         return
-    out += _scatter_sum64(np.ascontiguousarray(idx), rows, out.shape[0]).astype(out.dtype)
-
-
-# the one kernel of each backend, for the benchmark and the backend-equivalence test
-IMPLS = {"numpy": _bincount_rows}
-if HAVE_NUMBA:
-    IMPLS["numba"] = _segment_sum_nb
+    sources = [(table, scale) for _, table, scale in targets]
+    for s, cols, sums in _block_sums(idx, targets[0][0].shape[0], gather, sources):
+        out = targets[s][0]
+        out[:, cols] += sums.astype(out.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -400,25 +400,27 @@ class ScoreAdjoint:
 def score_pairs_backward(
     emb: EmbeddingSet, users: np.ndarray, items: np.ndarray, dy: np.ndarray, adj: ScoreAdjoint
 ) -> None:
-    """Accumulate d(loss)/d(blocks) for composite-scored (user, item) pairs."""
+    """Accumulate d(loss)/d(blocks) for composite-scored (user, item) pairs.
+
+    One scatter per side: every user-side block gathers its item rows, and
+    every item-side block its user rows, inside the kernel.
+    """
     wl = emb._coef[users].astype(np.float64) * dy
     wj = emb.alpha * dy
-    for bu, bi, d_bu, d_bi in zip(emb.user_launch, emb.item_launch, adj.d_user_launch, adj.d_item_launch):
-        kernels.scatter_add_rows(d_bu, users, wl[:, None] * bi[items])
-        kernels.scatter_add_rows(d_bi, items, wl[:, None] * bu[users])
     # friend-mean blocks exist only where the friend term has weight
-    for fm, bj, d_fm, d_bj in zip(emb.friend_mean, emb.item_join, adj.d_friend_mean, adj.d_item_join):
-        kernels.scatter_add_rows(d_fm, users, wj[:, None] * bj[items])
-        kernels.scatter_add_rows(d_bj, items, wj[:, None] * fm[users])
+    user_side = [(d, bi, wl) for d, bi in zip(adj.d_user_launch, emb.item_launch)]
+    user_side += [(d, bj, wj) for d, bj in zip(adj.d_friend_mean, emb.item_join)]
+    item_side = [(d, bu, wl) for d, bu in zip(adj.d_item_launch, emb.user_launch)]
+    item_side += [(d, fm, wj) for d, fm in zip(adj.d_item_join, emb.friend_mean)]
+    kernels.scatter_add_rows(user_side, users, items)
+    kernels.scatter_add_rows(item_side, items, users)
 
 
 def score_pairs_join_view_backward(
     emb: EmbeddingSet, users: np.ndarray, items: np.ndarray, dy: np.ndarray, adj: ScoreAdjoint
 ) -> None:
-    for bi_idx in range(len(emb.user_join)):
-        bu, bj = emb.user_join[bi_idx], emb.item_join[bi_idx]
-        kernels.scatter_add_rows(adj.d_user_join[bi_idx], users, dy[:, None] * bj[items])
-        kernels.scatter_add_rows(adj.d_item_join[bi_idx], items, dy[:, None] * bu[users])
+    kernels.scatter_add_rows([(d, bj, dy) for d, bj in zip(adj.d_user_join, emb.item_join)], users, items)
+    kernels.scatter_add_rows([(d, bu, dy) for d, bu in zip(adj.d_item_join, emb.user_join)], items, users)
 
 
 @dataclass

@@ -215,14 +215,16 @@ def normalize_embedding_rows(params) -> None:
 
 
 def pretrain_stage(
-    params, train_log: BehaviorLog, social: SocialGraph, hp: Hyperparams, seed: int,
-    entries: list | None = None,
+    params, train_log: BehaviorLog, interactions: list[set[int]], social: SocialGraph, hp: Hyperparams,
+    seed: int, entries: list | None = None,
 ) -> None:
-    """Adam on the propagation-free scorer, then unit-normalize embedding rows."""
+    """Adam on the propagation-free scorer, then unit-normalize embedding rows.
+
+    ``interactions`` is ``user_interactions(train_log)``.
+    """
     adapter = FlatModel(social, hp)
     optimizer = Adam(hp.pretrain_lr)
     rng = np.random.default_rng([seed, 0])
-    interactions = user_interactions(train_log)
     for epoch in range(hp.pretrain_epochs):
         t0 = time.perf_counter()
         bd = _run_epoch(adapter, params, train_log, interactions, hp, rng, optimizer, social)
@@ -233,13 +235,15 @@ def pretrain_stage(
 
 
 def finetune_stage(
-    adapter, params, train_log: BehaviorLog, split: DatasetSplit, hp: Hyperparams, seed: int,
-    entries: list | None = None,
+    adapter, params, train_log: BehaviorLog, interactions: list[set[int]], split: DatasetSplit, hp: Hyperparams,
+    seed: int, entries: list | None = None,
 ):
-    """SGD epochs with per-epoch validation ndcg@10; returns the best params seen."""
+    """SGD epochs with per-epoch validation ndcg@10; returns the best params seen.
+
+    ``interactions`` is ``user_interactions(train_log)``.
+    """
     optimizer = SGD(hp.finetune_lr)
     rng = np.random.default_rng([seed, 1])
-    interactions = user_interactions(train_log)
     best_params = params.copy()
     best_ndcg = -1.0
     for epoch in range(hp.epochs):
@@ -332,7 +336,8 @@ def train_model(
         params = init_flat_params(split.num_users, split.num_items, hp_eff.dim, seed, dtype)
 
     entries: list[dict] = []
-    pretrain_stage(params, train_log, social, hp_eff, seed, entries)
+    interactions = user_interactions(train_log)
+    pretrain_stage(params, train_log, interactions, social, hp_eff, seed, entries)
 
     if hp_eff.epochs > 0:
         if model_type == "gbgcn":
@@ -341,7 +346,7 @@ def train_model(
             adapter = GCNModel(bundle, social, hp_eff)
         else:
             adapter = FlatModel(social, hp_eff)
-        params = finetune_stage(adapter, params, train_log, split, hp_eff, seed, entries)
+        params = finetune_stage(adapter, params, train_log, interactions, split, hp_eff, seed, entries)
     return TrainResult(model_type, params, hp_eff, entries)
 
 
@@ -379,6 +384,44 @@ def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams) -> None
         fh.write(bytes(buf))
 
 
+def _has_field_type(value, template) -> bool:
+    """JSON ``value`` fits the type of a ``Hyperparams`` default (ints pass as floats)."""
+    if isinstance(template, bool) or isinstance(value, bool):
+        return isinstance(template, bool) and isinstance(value, bool)
+    if isinstance(template, tuple):
+        return isinstance(value, list) and all(isinstance(k, int) and not isinstance(k, bool) for k in value)
+    if isinstance(template, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(template))
+
+
+def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int) -> Hyperparams:
+    """The stored hyperparameters, checked for type, for ``validate()`` and
+    against the header's ``d`` and ``L``; every problem is one CheckpointError."""
+    try:
+        values = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: hyperparameters are not JSON ({exc})") from None
+    if not isinstance(values, dict):
+        raise CheckpointError(f"{path}: hyperparameters are not a JSON object")
+    defaults = vars(Hyperparams())
+    problems = [
+        f"{name} must be {type(defaults[name]).__name__}, got {value!r}"
+        for name, value in values.items()
+        if name in defaults and not _has_field_type(value, defaults[name])
+    ]
+    if not problems:
+        hp = Hyperparams.from_dict(values)
+        problems = hp.validate()
+        if hp.dim != d:
+            problems.append(f"dim {hp.dim} does not match the header's d = {d}")
+        if model_type == "gbgcn" and hp.num_layers != L:
+            problems.append(f"num_layers {hp.num_layers} does not match the header's L = {L}")
+    if problems:
+        raise CheckpointError(f"{path}: bad hyperparameters: " + "; ".join(problems))
+    return hp
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -403,7 +446,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     hp_len, flags = struct.unpack("<II", take(8))
     if flags:
         raise CheckpointError(f"{path}: unsupported header flags {flags:#x}")
-    hp = Hyperparams.from_dict(json.loads(take(hp_len).decode()))
+    hp = _checked_hyperparams(path, take(hp_len), model_type, d, L)
 
     width = (L + 1) * d
     shapes = {"user_emb": (P, d), "item_emb": (Q, d)}

@@ -216,6 +216,43 @@ def social_smoothness_oracle(user_emb: np.ndarray, friends_of, coeff: float) -> 
 
 
 # ---------------------------------------------------------------------------
+# score backward with materialised products
+
+
+def _scatter_rows_oracle(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``out[idx[i]] += rows[i]``: a float64 sum per row in index order, rounded once."""
+    acc = np.zeros((out.shape[0], rows.shape[1]))
+    np.add.at(acc, idx, rows.astype(np.float64))
+    out += acc.astype(out.dtype)
+
+
+def score_pairs_backward_oracle(emb, users, items, dy, adj) -> None:
+    """The composite score's adjoints, one ``n x width`` product per block and side.
+
+    The launch weight per user is ``1 - alpha`` rounded to the block dtype (1
+    for a friendless user under ``renormalize_alpha``), as the scorer holds it.
+    """
+    dtype = emb.user_launch[0].dtype
+    coef = np.full(emb.user_launch[0].shape[0], 1.0 - emb.alpha, dtype=dtype)
+    if emb.renormalize_alpha:
+        coef[~emb.has_friends] = 1.0
+    wl = coef[users].astype(np.float64) * dy
+    wj = emb.alpha * dy
+    for bu, bi, d_bu, d_bi in zip(emb.user_launch, emb.item_launch, adj.d_user_launch, adj.d_item_launch):
+        _scatter_rows_oracle(d_bu, users, wl[:, None] * bi[items])
+        _scatter_rows_oracle(d_bi, items, wl[:, None] * bu[users])
+    for fm, bj, d_fm, d_bj in zip(emb.friend_mean, emb.item_join, adj.d_friend_mean, adj.d_item_join):
+        _scatter_rows_oracle(d_fm, users, wj[:, None] * bj[items])
+        _scatter_rows_oracle(d_bj, items, wj[:, None] * fm[users])
+
+
+def score_pairs_join_view_backward_oracle(emb, users, items, dy, adj) -> None:
+    for bu, bj, d_bu, d_bj in zip(emb.user_join, emb.item_join, adj.d_user_join, adj.d_item_join):
+        _scatter_rows_oracle(d_bu, users, dy[:, None] * bj[items])
+        _scatter_rows_oracle(d_bj, items, dy[:, None] * bu[users])
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 

@@ -4,11 +4,14 @@ import json
 import os
 import re
 import shutil
+import struct
 
 import pytest
 
 from gbrec.cli import main
 from gbrec.data import IngestError, load_split_dir, user_interactions
+from gbrec.model import Hyperparams, init_params
+from gbrec.trainer import save_checkpoint
 
 
 SYNTH_ARGS = [
@@ -207,6 +210,48 @@ def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, 
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert where in err
+
+
+def _with_hyperparams(src, dst, **changes):
+    """Copy a checkpoint with some stored hyperparameters replaced."""
+    with open(src, "rb") as fh:
+        blob = fh.read()
+    (hp_len,) = struct.unpack_from("<I", blob, 28)
+    hp = json.loads(blob[36 : 36 + hp_len])
+    hp.update(changes)
+    hp_json = json.dumps(hp).encode()
+    with open(dst, "wb") as fh:
+        fh.write(blob[:28] + struct.pack("<I", len(hp_json)) + blob[32:36] + hp_json + blob[36 + hp_len :])
+
+
+def _gbgcn_checkpoint(pipeline, path):
+    split, _, _ = load_split_dir(pipeline["datadir"])
+    hp = Hyperparams(dim=8, num_layers=2)
+    save_checkpoint(path, "gbgcn", init_params(split.num_users, split.num_items, hp, seed=0), hp)
+    return path
+
+
+@pytest.mark.parametrize(
+    "model, changes, problem",
+    [
+        ("gbgcn", {"num_layers": 3}, "num_layers 3 does not match the header's L = 2"),
+        ("gbmf", {"dim": []}, "dim must be int, got []"),
+    ],
+    ids=["layers-over-header", "dim-not-an-int"],
+)
+def test_checkpoint_hyperparams_disagreeing_with_the_header_fail_with_one_located_error(
+    pipeline, tmp_path, capsys, model, changes, problem
+):
+    src = _gbgcn_checkpoint(pipeline, str(tmp_path / "gbgcn.bin")) if model == "gbgcn" else pipeline["checkpoint"]
+    assert main(["evaluate", "--checkpoint", src, "--data", pipeline["datadir"]]) == 0
+    capsys.readouterr()
+    bad = str(tmp_path / "bad.bin")
+    _with_hyperparams(src, bad, **changes)
+
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: {problem}"]
 
 
 def test_recommend_rejects_unknown_user(pipeline, capsys):

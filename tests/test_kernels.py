@@ -1,8 +1,6 @@
-"""Sparse segment/scatter kernels against loop oracles, plus backend parity."""
+"""Sparse segment/scatter kernels against sequential float64 loop oracles."""
 
-import os
-import subprocess
-import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,6 +35,18 @@ def spread_values(rng, shape, dtype):
 
 
 DTYPES = st.sampled_from([np.float32, np.float64])
+BLOCKS = st.sampled_from([1, 4, 16])
+
+
+@contextmanager
+def block_width(m):
+    """Run the kernel with ``kernels.BLOCK`` set to ``m``, so the same-bits
+    argument is checked for blocks other than the measured one."""
+    saved, kernels.BLOCK = kernels.BLOCK, m
+    try:
+        yield
+    finally:
+        kernels.BLOCK = saved
 
 
 @settings(max_examples=200, deadline=None)
@@ -44,11 +54,12 @@ DTYPES = st.sampled_from([np.float32, np.float64])
     n_rows=st.integers(1, 12),
     n_cols=st.integers(1, 10),
     n_edges=st.integers(0, 60),
-    dim=st.integers(1, 4),
+    dim=st.integers(1, 20),
     dtype=DTYPES,
+    block=BLOCKS,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_segment_sum_and_mean_equal_a_sequential_float64_loop(n_rows, n_cols, n_edges, dim, dtype, seed):
+def test_segment_sum_and_mean_equal_a_sequential_float64_loop(n_rows, n_cols, n_edges, dim, dtype, block, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n_rows, size=n_edges)
     cols = rng.integers(0, n_cols, size=n_edges)
@@ -58,11 +69,12 @@ def test_segment_sum_and_mean_equal_a_sequential_float64_loop(n_rows, n_cols, n_
     src = spread_values(rng, (n_cols, dim), dtype)
 
     sums = loop_segment_sum(g.indptr, g.indices, src)
-    got = kernels.segment_sum(g.indptr, g.indices, src)
+    with block_width(block):
+        got = kernels.segment_sum(g.indptr, g.indices, src)
+        mean = g.mean(src)
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, sums.astype(dtype))
 
-    mean = g.mean(src)
     assert mean.dtype == dtype
     np.testing.assert_array_equal(mean, (sums * g.inv_degrees[:, None]).astype(dtype))
     np.testing.assert_array_equal(mean[g.degrees == 0], 0.0)
@@ -92,9 +104,78 @@ def test_scatter_add_rows_is_a_float64_sum_rounded_once(case):
         acc[r] += rows[i]
     expected = out + acc.astype(np.float32)
 
-    kernels.scatter_add_rows(out, idx, rows)
+    kernels.scatter_add_rows([(out, rows, None)], idx)
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out, expected)
+
+
+def loop_scatter(out, idx, table, gather, scale):
+    """``out`` plus, per row, the sequential float64 sum of ``scale[i] * table[gather[i]]``
+    over its ``i`` in index order, rounded to ``out.dtype`` once."""
+    acc = np.zeros((out.shape[0], table.shape[1]))
+    for i, r in enumerate(idx):
+        row = table[i if gather is None else gather[i]].astype(np.float64)
+        acc[r] += row if scale is None else np.float64(scale[i]) * row
+    return out + acc.astype(out.dtype)
+
+
+WIDTHS = [1, 15, 16, 17, 48]  # one column, a block's edges, and a partial last block
+F32, F64 = np.float32, np.float64
+
+
+@st.composite
+def multi_scatter_cases(draw):
+    n_rows = draw(st.integers(1, 8))
+    n_src = draw(st.integers(1, 8))
+    idx = draw(st.lists(st.integers(0, n_rows - 1), max_size=30))
+    gathered = draw(st.booleans())
+    gather = draw(st.lists(st.integers(0, n_src - 1), min_size=len(idx), max_size=len(idx))) if gathered else None
+    targets = draw(
+        st.lists(
+            # (width, out dtype, table dtype, scale dtype or no scale)
+            st.tuples(st.sampled_from(WIDTHS), DTYPES, DTYPES, st.sampled_from([None, F32, F64])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return n_rows, n_src, idx, gather, targets, draw(BLOCKS), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=multi_scatter_cases())
+@example(case=(4, 3, [], [], [(17, F32, F32, F64)], 16, 0))
+@example(case=(4, 3, [0, 3, 0, 3, 0], [2, 0, 2, 2, 0], [(48, F32, F32, F64), (16, F32, F64, None)], 16, 1))
+@example(case=(1, 5, [0, 0, 0, 0], None, [(1, F64, F32, F32), (15, F32, F32, F64)], 16, 2))
+@example(case=(6, 6, [5, 0, 5, 5], [0, 5, 5, 0], [(17, F32, F32, F32), (48, F64, F64, F64)], 4, 3))
+def test_multi_target_scatter_equals_a_sequential_float64_loop(case):
+    n_rows, n_src, idx, gather, targets, block, seed = case
+    rng = np.random.default_rng(seed)
+    idx = np.asarray(idx, dtype=np.int64)
+    if gather is not None:
+        gather = np.asarray(gather, dtype=np.int64)
+    table_rows = n_src if gather is not None else idx.shape[0]
+    args, expected = [], []
+    for width, out_dtype, table_dtype, scale_dtype in targets:
+        out = spread_values(rng, (n_rows, width), out_dtype)
+        table = spread_values(rng, (table_rows, width), table_dtype)
+        scale = None if scale_dtype is None else spread_values(rng, (idx.shape[0],), scale_dtype)
+        expected.append(loop_scatter(out, idx, table, gather, scale))
+        args.append((out, table, scale))
+
+    with block_width(block):
+        kernels.scatter_add_rows(args, idx, gather)
+    for (out, _, _), want, (_, out_dtype, _, _) in zip(args, expected, targets):
+        assert out.dtype == out_dtype
+        np.testing.assert_array_equal(out, want)
+
+
+def test_scatter_rejects_a_gather_index_out_of_range():
+    out = np.zeros((2, 3))
+    with pytest.raises(IndexError):
+        kernels.scatter_add_rows([(out, np.ones((4, 3)), None)], np.array([0, 1]), np.array([0, 4]))
+    with pytest.raises(IndexError):
+        kernels.scatter_add_rows([(out, np.ones((4, 3)), None)], np.array([0, 1]), np.array([-1, 0]))
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_segment_sum_matches_loop_oracle():
@@ -134,11 +215,11 @@ def test_scatter_add_accumulates_duplicates():
     out = np.zeros((4, 2))
     idx = np.array([1, 1, 3], dtype=np.int64)
     rows = np.array([[1.0, 2.0], [10.0, 20.0], [5.0, 5.0]])
-    kernels.scatter_add_rows(out, idx, rows)
+    kernels.scatter_add_rows([(out, rows, None)], idx)
     np.testing.assert_array_equal(out[1], [11.0, 22.0])
     np.testing.assert_array_equal(out[3], [5.0, 5.0])
     np.testing.assert_array_equal(out[0], 0.0)
-    kernels.scatter_add_rows(out, np.empty(0, dtype=np.int64), np.empty((0, 2)))
+    kernels.scatter_add_rows([(out, np.empty((0, 2)), None)], np.empty(0, dtype=np.int64))
     np.testing.assert_array_equal(out[1], [11.0, 22.0])
 
 
@@ -155,88 +236,6 @@ def test_float32_inputs_accumulate_in_float64():
     got = kernels.segment_sum(indptr, indices, src)
     assert got.dtype == np.float32
     assert got[0, 0] == 1.0
-
-
-def test_each_backend_has_one_kernel():
-    assert kernels.IMPLS["numpy"] is kernels._bincount_rows
-    assert set(kernels.IMPLS) == ({"numpy", "numba"} if kernels.HAVE_NUMBA else {"numpy"})
-
-
-def _python_segment_sum_nb(indptr, indices, src, out):
-    """The numba kernel's loop, run as plain Python."""
-    for r in range(indptr.shape[0] - 1):
-        for j in range(indptr[r], indptr[r + 1]):
-            out[r] += src[indices[j]]
-
-
-def test_numba_dispatch_matches_numpy_through_the_transposed_index(monkeypatch):
-    # the numba backend's scatter is its segment sum over the stably sorted
-    # index; run that wiring with the kernel's loop in Python, so it is
-    # checked where numba is absent too
-    rng = np.random.default_rng(1)
-    indptr, indices = random_csr(rng, 40, 30, 300)
-    src = spread_values(rng, (30, 8), np.float32)
-    # many same-scale rows per destination, kept in float64 at the end, so a
-    # change of summation order shows in the bits
-    idx = rng.integers(0, 30, size=2000)
-    rows = rng.standard_normal((2000, 8))
-    target = rng.standard_normal((30, 8))
-
-    want_sum = kernels.segment_sum(indptr, indices, src)
-    want_mean = kernels.segment_mean(indptr, indices, src)
-    want_scatter = target.copy()
-    kernels.scatter_add_rows(want_scatter, idx, rows)
-
-    monkeypatch.setattr(kernels, "_BACKEND", "numba")
-    monkeypatch.setattr(kernels, "_segment_sum_nb", _python_segment_sum_nb, raising=False)
-    np.testing.assert_array_equal(kernels.segment_sum(indptr, indices, src), want_sum)
-    np.testing.assert_array_equal(kernels.segment_mean(indptr, indices, src), want_mean)
-    kernels.scatter_add_rows(target, idx, rows)
-    np.testing.assert_array_equal(target, want_scatter)
-
-
-@pytest.mark.skipif(len(kernels.IMPLS) < 2, reason="only one backend available")
-def test_backends_agree_bit_for_bit():
-    rng = np.random.default_rng(1)
-    indptr, indices = random_csr(rng, 40, 30, 300)
-    src = rng.standard_normal((30, 8)).astype(np.float32)
-
-    nb_out = np.zeros((40, 8), dtype=np.float64)
-    kernels.IMPLS["numba"](indptr, indices, src, nb_out)
-    dest = np.repeat(np.arange(40, dtype=np.int64), np.diff(indptr))
-    np.testing.assert_array_equal(nb_out, kernels.IMPLS["numpy"](dest, src, 40, indices))
-
-    idx = rng.integers(0, 30, size=100)
-    rows = rng.standard_normal((100, 8))
-    t_indptr, order = kernels._transpose_index(idx, 30)
-    nb_out = np.zeros((30, 8), dtype=np.float64)
-    kernels.IMPLS["numba"](t_indptr, order, rows, nb_out)
-    np.testing.assert_array_equal(nb_out, kernels.IMPLS["numpy"](idx, rows, 30))
-
-
-def test_backend_env_override_numpy():
-    code = (
-        "import gbrec.kernels as k; assert k.backend_name() == 'numpy', k.backend_name()"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "GBREC_BACKEND": "numpy"},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_backend_env_rejects_unknown():
-    code = "import gbrec.kernels"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.environ.get("PYTHONPATH", ""), "GBREC_BACKEND": "cuda"},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode != 0
-    assert "GBREC_BACKEND" in proc.stderr
 
 
 def test_set_num_threads_validation():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gbrec import kernels
-from gbrec.data import BehaviorLog, DatasetSplit, split_leave_one_out
+from gbrec import trainer
+from gbrec.data import BehaviorLog, DatasetSplit, split_leave_one_out, user_interactions
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
 from gbrec.model import Hyperparams, init_flat_params, init_params
@@ -97,7 +98,7 @@ def test_pretrain_stage_is_deterministic_and_normalizes():
     runs = []
     for _ in range(2):
         params = init_flat_params(12, 10, 4, seed=1)
-        pretrain_stage(params, split.train, social, hp, seed=5)
+        pretrain_stage(params, split.train, user_interactions(split.train), social, hp, seed=5)
         runs.append(params)
     np.testing.assert_array_equal(runs[0].user_emb, runs[1].user_emb)
     np.testing.assert_array_equal(runs[0].item_emb, runs[1].item_emb)
@@ -105,7 +106,7 @@ def test_pretrain_stage_is_deterministic_and_normalizes():
     np.testing.assert_allclose(norms[norms > 0], 1.0, atol=1e-6)
 
     other = init_flat_params(12, 10, 4, seed=1)
-    pretrain_stage(other, split.train, social, hp, seed=6)
+    pretrain_stage(other, split.train, user_interactions(split.train), social, hp, seed=6)
     assert np.any(other.user_emb != runs[0].user_emb)
 
 
@@ -116,7 +117,9 @@ def test_finetune_returns_best_validation_params():
     adapter = GCNModel(bundle, social, hp)
     params = init_params(12, 10, hp, seed=3)
     entries = []
-    best = finetune_stage(adapter, params, split.train, split, hp, seed=4, entries=entries)
+    best = finetune_stage(
+        adapter, params, split.train, user_interactions(split.train), split, hp, seed=4, entries=entries
+    )
     assert len(entries) == 4
     assert all(e["stage"] == "finetune" for e in entries)
     best_seen = max(e["val_ndcg10"] for e in entries)
@@ -133,7 +136,9 @@ def test_finetune_without_validation_returns_final_params():
     adapter = GCNModel(bundle, social, hp)
     params = init_params(12, 10, hp, seed=3)
     entries = []
-    best = finetune_stage(adapter, params, bare.train, bare, hp, seed=4, entries=entries)
+    best = finetune_stage(
+        adapter, params, bare.train, user_interactions(bare.train), bare, hp, seed=4, entries=entries
+    )
     assert entries[0]["val_ndcg10"] is None
     np.testing.assert_array_equal(best.user_emb, params.user_emb)
 
@@ -192,6 +197,17 @@ def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
     assert bd == bd2
     for name in grads:
         np.testing.assert_array_equal(grads[name], grads2[name])
+
+
+def test_train_model_builds_the_interactions_once(monkeypatch):
+    split, social = tiny_problem(seed=5)
+    hp = Hyperparams(dim=4, num_layers=1, pretrain_epochs=2, epochs=2, finetune_lr=0.05, batch_size=64)
+    builds = []
+    monkeypatch.setattr(trainer, "user_interactions", lambda *a: builds.append(1) or user_interactions(*a))
+    for model_type in ("gbgcn", "gbmf", "mf"):
+        builds.clear()
+        train_model(model_type, split, social, hp, seed=1)
+        assert len(builds) == 1, model_type  # shared by the pretrain and finetune stages
 
 
 def test_train_model_all_types_run_and_are_seed_reproducible():
