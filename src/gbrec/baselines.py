@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import BehaviorLog, BehaviorRecord, SocialGraph
+from .data import BehaviorLog, SocialGraph
 from .model import FlatParams, flat_embeddings
 
 FLATTEN_ROLES = ("initiator", "participant", "both")
@@ -40,14 +40,18 @@ def flatten_interactions(log: BehaviorLog, roles: str = "both") -> BehaviorLog:
     """
     if roles not in FLATTEN_ROLES:
         raise ValueError(f"roles must be one of {FLATTEN_ROLES}, got {roles!r}")
-    flat: list[BehaviorRecord] = []
-    for rec in log.records:
-        if roles in ("initiator", "both"):
-            flat.append(BehaviorRecord(rec.initiator, rec.item, (), True))
-        if roles in ("participant", "both"):
-            for p in rec.participants:
-                flat.append(BehaviorRecord(p, rec.item, (), True))
-    return BehaviorLog(flat, log.num_users, log.num_items)
+    if roles == "initiator":
+        users, items = log.initiator, log.item
+    elif roles == "participant":
+        users, items = log.part_indices, np.repeat(log.item, log.num_participants)
+    else:  # each record's initiator, then its participants (insert keeps equal positions in order)
+        users = np.insert(log.part_indices, log.part_indptr[:-1], log.initiator)
+        items = np.repeat(log.item, 1 + log.num_participants)
+    n = users.shape[0]
+    return BehaviorLog(
+        users, items, np.ones(n, dtype=bool), np.zeros(n + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64), log.num_users, log.num_items,
+    )
 
 
 def _check_ids(params: FlatParams, user: int, item: int) -> None:

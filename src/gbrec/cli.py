@@ -114,7 +114,7 @@ def cmd_prepare(args) -> int:
     save_split_dir(args.outdir, split, social, stats, args.seed)
     log.info("wrote split artifacts to %s", args.outdir)
     print(stats.text())
-    print(f"train_records={len(split.train.records)}")
+    print(f"train_records={len(split.train)}")
     print(f"validation_users={len(split.validation)}")
     print(f"test_users={len(split.test)}")
     print(f"negatives_digest={negatives_digest(split.eval_negatives)}")
@@ -143,7 +143,7 @@ def cmd_evaluate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     emb = _embeddings_from_checkpoint(ckpt, split.train, social)
     ks = args.ks if args.ks is not None else tuple(ckpt.hp.eval_ks)
-    if not split.test:
+    if not len(split.test):
         raise IngestError(f"{args.data}: split has no test users")
     report = evaluate_ranking(emb.score_items, split.test, split.eval_negatives, ks)
     digest = negatives_digest(split.eval_negatives)
@@ -172,9 +172,8 @@ def cmd_recommend(args) -> int:
     scores = emb.all_item_scores(args.user)
     # stable ranking: score descending, item id ascending on ties
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    seen = user_interactions(train)[args.user]
-    picked = [int(i) for i in order if int(i) not in seen][: args.k]
-    for item in picked:
+    unseen = order[np.isin(order, user_interactions(train).neighbors(args.user), invert=True)]
+    for item in unseen[: args.k].tolist():
         print(f"{item}\t{scores[item]:.6f}")
     return 0
 
@@ -261,7 +260,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if threads is not None:
             kernels.set_num_threads(threads)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (``gbrec recommend ... | head -1``): stop
+        # quietly, with stdout on devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,6 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -34,28 +32,15 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass
-class BehaviorRecord:
-    """One group-buying launch: who started it, for what, who joined, outcome."""
-
-    initiator: int
-    item: int
-    participants: tuple[int, ...]
-    success: bool
-
-    def line(self) -> str:
-        parts = ",".join(str(p) for p in self.participants) if self.participants else "-"
-        return f"{self.initiator}\t{self.item}\t{parts}\t{int(self.success)}"
-
-
 @dataclass(eq=False)
-class RecordColumns:
-    """Behavior records as columns: one entry per record in ``initiator``,
-    ``item`` and ``success``, and record ``i``'s participants, in their
-    recorded order, at ``part_indices[part_indptr[i]:part_indptr[i+1]]``.
+class BehaviorLog:
+    """Group-buying launches as columns, over ``num_users`` users and
+    ``num_items`` items: one entry per record in ``initiator``, ``item`` and
+    ``success``, and record ``i``'s participants, in their recorded order, at
+    ``part_indices[part_indptr[i]:part_indptr[i+1]]``.
 
-    The participant lists are kept as given (not sorted or deduplicated), so
-    anything expanded from them keeps the records' own order.
+    The participant lists are kept as given (not sorted), so anything expanded
+    from them keeps the records' own order.
     """
 
     initiator: np.ndarray
@@ -63,21 +48,17 @@ class RecordColumns:
     success: np.ndarray
     part_indptr: np.ndarray
     part_indices: np.ndarray
+    num_users: int
+    num_items: int
 
     @classmethod
-    def from_records(cls, records: list[BehaviorRecord]) -> "RecordColumns":
-        n = len(records)
-        part_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(r.participants) for r in records), np.int64, n), out=part_indptr[1:])
-        return cls(
-            initiator=np.fromiter((r.initiator for r in records), np.int64, n),
-            item=np.fromiter((r.item for r in records), np.int64, n),
-            success=np.fromiter((r.success for r in records), bool, n),
-            part_indptr=part_indptr,
-            part_indices=np.fromiter(
-                chain.from_iterable(r.participants for r in records), np.int64, int(part_indptr[-1])
-            ),
-        )
+    def from_rows(cls, rows, participants, num_users: int, num_items: int) -> "BehaviorLog":
+        """Build from ``(initiator, item, success, participant count)`` rows and
+        every record's participants concatenated, both in record order."""
+        initiator, item, success, counts = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+        part_indptr = np.concatenate([[0], np.cumsum(counts)])
+        participants = np.array(participants, dtype=np.int64)
+        return cls(initiator, item, success.astype(bool), part_indptr, participants, num_users, num_items)
 
     def __len__(self) -> int:
         return self.initiator.shape[0]
@@ -86,7 +67,7 @@ class RecordColumns:
     def num_participants(self) -> np.ndarray:
         return np.diff(self.part_indptr)
 
-    def take(self, idx: np.ndarray) -> "RecordColumns":
+    def take(self, idx) -> "BehaviorLog":
         """The records at ``idx``, in that order."""
         idx = np.asarray(idx, dtype=np.int64)
         starts = self.part_indptr[idx]
@@ -94,22 +75,10 @@ class RecordColumns:
         indptr = np.zeros(idx.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         gather = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1], dtype=np.int64)
-        return RecordColumns(self.initiator[idx], self.item[idx], self.success[idx], indptr, self.part_indices[gather])
-
-
-@dataclass
-class BehaviorLog:
-    records: list[BehaviorRecord]
-    num_users: int
-    num_items: int
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @cached_property
-    def columns(self) -> RecordColumns:
-        """The records as columns, built on first use; ``records`` must not change after."""
-        return RecordColumns.from_records(self.records)
+        return BehaviorLog(
+            self.initiator[idx], self.item[idx], self.success[idx], indptr, self.part_indices[gather],
+            self.num_users, self.num_items,
+        )
 
 
 class SocialGraph(CSR):
@@ -198,14 +167,18 @@ def _check_range(where: str, what: str, value: int, bound: int) -> None:
 
 
 def parse_behavior_file(
-    path: str, bounds: tuple[int, int] | None = None
-) -> tuple[list[BehaviorRecord], int, int]:
-    """Parse without remapping. Returns (records, dropped_records, deduped_participants).
+    path: str, bounds: tuple[int, int] | None = None, one_per_user: bool = False
+) -> tuple[BehaviorLog, int, int]:
+    """Parse without remapping. Returns (log, dropped_records, deduped_participants).
 
     With ``bounds`` = (num_users, num_items), every id is checked against
-    the dense id space of a split.
+    the dense id space of a split, and the log spans that space; without,
+    it spans ids up to the largest one read. With ``one_per_user``, a second
+    record of one initiator is an error.
     """
-    records: list[BehaviorRecord] = []
+    rows: list[tuple[int, int, bool, int]] = []
+    members: list[int] = []
+    first_line: dict[int, int] = {}
     dropped = 0
     deduped = 0
     with open(path, encoding="utf-8") as fh:
@@ -234,19 +207,21 @@ def parse_behavior_file(
                 for p in participants:
                     _check_range(where, "user", p, bounds[0])
 
-            seen: dict[int, None] = {}
-            for p in participants:
-                if p in seen:
-                    deduped += 1
-                else:
-                    seen[p] = None
-            participants = list(seen)
+            seen = dict.fromkeys(participants)  # first occurrences, in order
+            deduped += len(participants) - len(seen)
             if initiator in seen:
                 log.warning("%s: initiator %d listed as participant, record dropped", where, initiator)
                 dropped += 1
                 continue
-            records.append(BehaviorRecord(initiator, item, tuple(participants), success))
-    return records, dropped, deduped
+            if one_per_user:
+                first = first_line.setdefault(initiator, lineno)
+                if first != lineno:
+                    raise IngestError(f"{where}: user {initiator} listed twice (first on line {first})")
+            rows.append((initiator, item, success, len(seen)))
+            members.extend(seen)
+    if bounds is None:  # the ids read span the log
+        bounds = (max([r[0] for r in rows] + members, default=-1) + 1, max([r[1] for r in rows], default=-1) + 1)
+    return BehaviorLog.from_rows(rows, members, *bounds), dropped, deduped
 
 
 def parse_social_file(path: str) -> np.ndarray:
@@ -272,93 +247,82 @@ def ingest(behavior_path: str, social_path: str | None) -> tuple[BehaviorLog, So
     Social edges touching users that never appear in the behavior file are
     dropped (counted, not fatal); self-loops likewise.
     """
-    raw_records, dropped, deduped = parse_behavior_file(behavior_path)
-    if not raw_records:
+    raw, dropped, deduped = parse_behavior_file(behavior_path)
+    n = len(raw)
+    if n == 0:
         raise IngestError(f"{behavior_path}: no usable behavior records")
-
-    user_ids = sorted({r.initiator for r in raw_records} | {p for r in raw_records for p in r.participants})
-    item_ids = sorted({r.item for r in raw_records})
-    user_map = {orig: dense for dense, orig in enumerate(user_ids)}
-    item_map = {orig: dense for dense, orig in enumerate(item_ids)}
-
-    records = [
-        BehaviorRecord(
-            user_map[r.initiator],
-            item_map[r.item],
-            tuple(user_map[p] for p in r.participants),
-            r.success,
-        )
-        for r in raw_records
-    ]
-    num_users = len(user_ids)
-    num_items = len(item_ids)
-    logb = BehaviorLog(records, num_users, num_items)
+    user_ids, users = np.unique(np.concatenate([raw.initiator, raw.part_indices]), return_inverse=True)
+    item_ids, items = np.unique(raw.item, return_inverse=True)
+    num_users = user_ids.shape[0]
+    logb = BehaviorLog(users[:n], items, raw.success, raw.part_indptr, users[n:], num_users, item_ids.shape[0])
 
     dropped_social = 0
     self_loops = 0
-    kept_pairs = []
+    kept = np.empty((0, 2), dtype=np.int64)
     if social_path is not None:
-        for a, b in parse_social_file(social_path):
-            if a == b:
-                self_loops += 1
-                continue
-            if a not in user_map or b not in user_map:
-                dropped_social += 1
-                continue
-            kept_pairs.append((user_map[a], user_map[b]))
-    social = SocialGraph.from_edges(
-        num_users, np.asarray(kept_pairs, dtype=np.int64).reshape(-1, 2)
-    )
+        pairs = parse_social_file(social_path)
+        loop = pairs[:, 0] == pairs[:, 1]
+        dense = np.searchsorted(user_ids, pairs)
+        known = (user_ids[np.minimum(dense, num_users - 1)] == pairs).all(axis=1)
+        self_loops = int(np.count_nonzero(loop))
+        dropped_social = int(np.count_nonzero(~loop & ~known))
+        kept = dense[~loop & known]
+    social = SocialGraph.from_edges(num_users, kept)
 
-    n_success = sum(1 for r in records if r.success)
+    n_success = int(np.count_nonzero(logb.success))
     stats = DatasetStats(
         num_users=num_users,
-        num_items=num_items,
-        num_behaviors=len(records),
+        num_items=logb.num_items,
+        num_behaviors=n,
         num_success=n_success,
-        num_failed=len(records) - n_success,
+        num_failed=n - n_success,
         num_social_edges=social.num_edges,
         dropped_records=dropped,
         deduped_participants=deduped,
         dropped_social_edges=dropped_social,
         dropped_social_self_loops=self_loops,
-        user_ids=np.asarray(user_ids, dtype=np.int64),
-        item_ids=np.asarray(item_ids, dtype=np.int64),
+        user_ids=user_ids,
+        item_ids=item_ids,
     )
     return logb, social, stats
 
 
-def write_behaviors(path: str, records: list[BehaviorRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(r.line() + "\n")
+def write_behaviors(path: str, logb: BehaviorLog) -> None:
+    parts = logb.part_indices.tolist()
+    ptr = logb.part_indptr.tolist()
+    rows = zip(logb.initiator.tolist(), logb.item.tolist(), ptr, ptr[1:], logb.success.tolist())
+    _write_lines(path, (f"{u}\t{i}\t{','.join(map(str, parts[a:b])) or '-'}\t{int(ok)}\n" for u, i, a, b, ok in rows))
 
 
 def write_social(path: str, social: SocialGraph) -> None:
+    _write_lines(path, (f"{a}\t{b}\n" for a, b in social.undirected_pairs().tolist()))
+
+
+def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b in social.undirected_pairs():
-            fh.write(f"{a}\t{b}\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
-# interaction sets / splitting / negative sampling
+# interactions / splitting / negative sampling
 
 
-def user_interactions(logb: BehaviorLog) -> list[set[int]]:
-    """Items each user touched in any role (initiated or joined)."""
-    touched: list[set[int]] = [set() for _ in range(logb.num_users)]
-    for r in logb.records:
-        touched[r.initiator].add(r.item)
-        for p in r.participants:
-            touched[p].add(r.item)
-    return touched
+def user_interactions(logb: BehaviorLog) -> CSR:
+    """Items each user touched in any role (initiated or joined): row ``u``
+    lists them sorted, once each."""
+    users = np.concatenate([logb.initiator, logb.part_indices])
+    items = np.concatenate([logb.item, np.repeat(logb.item, logb.num_participants)])
+    return CSR.from_edges(logb.num_users, logb.num_items, users, items)
 
 
 @dataclass
 class DatasetSplit:
+    """A training log, and held-out logs of one record per user in ascending
+    user order."""
+
     train: BehaviorLog
-    validation: dict[int, BehaviorRecord]
-    test: dict[int, BehaviorRecord]
+    validation: BehaviorLog
+    test: BehaviorLog
     eval_negatives: dict[int, np.ndarray]
     num_users: int
     num_items: int
@@ -379,39 +343,35 @@ def split_leave_one_out(
     untouched items exist the full complement is used.
     """
     rng = np.random.default_rng(seed)
-    by_initiator: dict[int, list[int]] = {}
-    for idx, r in enumerate(logb.records):
-        by_initiator.setdefault(r.initiator, []).append(idx)
-
-    held_out: set[int] = set()
-    validation: dict[int, BehaviorRecord] = {}
-    test: dict[int, BehaviorRecord] = {}
     touched = user_interactions(logb)
+    by_initiator = np.argsort(logb.initiator, kind="stable")
+    counts = np.bincount(logb.initiator, minlength=logb.num_users)
+    ends = np.cumsum(counts)
+    test: list[int] = []
+    validation: list[int] = []
     eval_negatives: dict[int, np.ndarray] = {}
-    all_items = np.arange(logb.num_items, dtype=np.int64)
-
-    for u in sorted(by_initiator):
-        rec_idx = by_initiator[u]
-        if len(rec_idx) < 2:
-            continue
-        complement = np.setdiff1d(all_items, np.fromiter(touched[u], dtype=np.int64, count=len(touched[u])))
+    for u in np.flatnonzero(counts >= 2).tolist():
+        rec_idx = by_initiator[ends[u] - counts[u] : ends[u]]
+        untouched = np.ones(logb.num_items, dtype=bool)
+        untouched[touched.neighbors(u)] = False
+        complement = np.flatnonzero(untouched)
         if complement.shape[0] == 0:
             log.warning("user %d interacted with every item; excluded from evaluation", u)
             continue
         t = int(rng.choice(rec_idx))
-        test[u] = logb.records[t]
-        held_out.add(t)
-        if len(rec_idx) >= 3:
-            remaining = [i for i in rec_idx if i != t]
-            v = int(rng.choice(remaining))
-            validation[u] = logb.records[v]
-            held_out.add(v)
+        test.append(t)
+        if rec_idx.shape[0] >= 3:
+            validation.append(int(rng.choice(rec_idx[rec_idx != t])))
         take = min(num_negatives, complement.shape[0])
         eval_negatives[u] = np.sort(rng.choice(complement, size=take, replace=False))
 
-    train_records = [r for i, r in enumerate(logb.records) if i not in held_out]
-    train = BehaviorLog(train_records, logb.num_users, logb.num_items)
-    return DatasetSplit(train, validation, test, eval_negatives, logb.num_users, logb.num_items)
+    keep = np.ones(len(logb), dtype=bool)
+    keep[test] = False
+    keep[validation] = False
+    train = logb.take(np.flatnonzero(keep))
+    return DatasetSplit(
+        train, logb.take(validation), logb.take(test), eval_negatives, logb.num_users, logb.num_items
+    )
 
 
 class _BlockDraws:
@@ -456,7 +416,7 @@ def sample_negatives(
     logb: BehaviorLog,
     k: int,
     rng: np.random.Generator,
-    interactions: list[set[int]] | None = None,
+    interactions: CSR | None = None,
 ) -> np.ndarray:
     """Draw k negative items per record, unobserved by the record's initiator.
 
@@ -465,17 +425,19 @@ def sample_negatives(
     item, draws fall back to uniform over all items except the positive.
     The values and the generator's final state are those of one scalar
     ``rng.integers(num_items)`` call per candidate, record by record.
+    ``interactions`` is ``user_interactions(logb)`` when the caller holds it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     touched = interactions if interactions is not None else user_interactions(logb)
     num_items = logb.num_items
-    cols = logb.columns
     draws = _BlockDraws(rng, num_items)
     picks: list[int] = []
+    flat, ptr = touched.indices.tolist(), touched.indptr.tolist()
+    seen_sets = [set(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
     complements: dict[int, np.ndarray] = {}
-    for u, item in zip(cols.initiator.tolist(), cols.item.tolist()):
-        seen = touched[u]
+    for u, item in zip(logb.initiator.tolist(), logb.item.tolist()):
+        seen = seen_sets[u]
         free = num_items - len(seen)
         if free >= k and free > 0:
             # rejection sampling first; exact complement when unlucky
@@ -492,11 +454,9 @@ def sample_negatives(
             if len(picked) < k:
                 comp = complements.get(u)
                 if comp is None:
-                    comp = np.setdiff1d(
-                        np.arange(num_items, dtype=np.int64),
-                        np.fromiter(seen, dtype=np.int64, count=len(seen)),
+                    comp = complements[u] = np.setdiff1d(
+                        np.arange(num_items, dtype=np.int64), touched.neighbors(u), assume_unique=True
                     )
-                    complements[u] = comp
                 draws.sync()
                 picked = rng.choice(comp, size=k, replace=False).tolist()
             picks.extend(picked)
@@ -508,31 +468,31 @@ def sample_negatives(
                     cand = draws.next()
                 picks.append(cand)
     draws.sync()
-    return np.array(picks, dtype=np.int64).reshape(len(cols), k)
+    return np.array(picks, dtype=np.int64).reshape(len(logb), k)
 
 
 # ---------------------------------------------------------------------------
 # split directory round trip (used by the CLI)
 
-SPLIT_FILES = ("train.tsv", "validation.tsv", "test.tsv", "social.tsv", "negatives.tsv", "stats.json")
-
-
 def save_split_dir(
     outdir: str, split: DatasetSplit, social: SocialGraph, stats: DatasetStats, seed: int
 ) -> None:
     os.makedirs(outdir, exist_ok=True)
-    write_behaviors(os.path.join(outdir, "train.tsv"), split.train.records)
-    write_behaviors(os.path.join(outdir, "validation.tsv"), [split.validation[u] for u in sorted(split.validation)])
-    write_behaviors(os.path.join(outdir, "test.tsv"), [split.test[u] for u in sorted(split.test)])
+    write_behaviors(os.path.join(outdir, "train.tsv"), split.train)
+    write_behaviors(os.path.join(outdir, "validation.tsv"), split.validation)
+    write_behaviors(os.path.join(outdir, "test.tsv"), split.test)
     write_social(os.path.join(outdir, "social.tsv"), social)
-    with open(os.path.join(outdir, "negatives.tsv"), "w", encoding="utf-8") as fh:
-        for u in sorted(split.eval_negatives):
-            fh.write(f"{u}\t{','.join(str(i) for i in split.eval_negatives[u])}\n")
+    negatives = split.eval_negatives
+    names = [str(i) for i in range(split.num_items)]  # looked up, not formatted, per id
+    _write_lines(
+        os.path.join(outdir, "negatives.tsv"),
+        (f"{u}\t{','.join(map(names.__getitem__, negatives[u].tolist()))}\n" for u in sorted(negatives)),
+    )
     payload = stats.to_dict()
     payload.update(
         {
             "split_seed": seed,
-            "num_train": len(split.train.records),
+            "num_train": len(split.train),
             "num_validation_users": len(split.validation),
             "num_test_users": len(split.test),
         }
@@ -540,19 +500,9 @@ def save_split_dir(
     with open(os.path.join(outdir, "stats.json"), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if stats.user_ids is not None:
-        with open(os.path.join(outdir, "users.tsv"), "w", encoding="utf-8") as fh:
-            for dense, orig in enumerate(stats.user_ids):
-                fh.write(f"{dense}\t{orig}\n")
-    if stats.item_ids is not None:
-        with open(os.path.join(outdir, "items.tsv"), "w", encoding="utf-8") as fh:
-            for dense, orig in enumerate(stats.item_ids):
-                fh.write(f"{dense}\t{orig}\n")
-
-
-def _load_records(datadir: str, name: str, num_users: int, num_items: int) -> list[BehaviorRecord]:
-    records, _, _ = parse_behavior_file(os.path.join(datadir, name), (num_users, num_items))
-    return records
+    for name, ids in (("users.tsv", stats.user_ids), ("items.tsv", stats.item_ids)):
+        if ids is not None:
+            _write_lines(os.path.join(outdir, name), (f"{dense}\t{orig}\n" for dense, orig in enumerate(ids.tolist())))
 
 
 def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
@@ -570,7 +520,7 @@ def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
             raise IngestError(f"{stats_path}: {key!r} must be a non-negative integer, got {stats[key]!r}")
     num_users = stats["num_users"]
     num_items = stats["num_items"]
-    train = BehaviorLog(_load_records(datadir, "train.tsv", num_users, num_items), num_users, num_items)
+    train, _, _ = parse_behavior_file(os.path.join(datadir, "train.tsv"), (num_users, num_items))
     social_path = os.path.join(datadir, "social.tsv")
     pairs = parse_social_file(social_path)
     if pairs.size and pairs.max() >= num_users:
@@ -580,12 +530,19 @@ def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
 
 
 def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
-    """``load_train_dir`` plus the evaluation side: held-out records and frozen negatives."""
+    """``load_train_dir`` plus the evaluation side: held-out records and frozen negatives.
+
+    Each user has at most one line in each of ``validation.tsv``, ``test.tsv``
+    and ``negatives.tsv``, and every held-out user has a negatives line.
+    """
     train, social, stats = load_train_dir(datadir)
     num_users, num_items = train.num_users, train.num_items
-    validation = {r.initiator: r for r in _load_records(datadir, "validation.tsv", num_users, num_items)}
-    test = {r.initiator: r for r in _load_records(datadir, "test.tsv", num_users, num_items)}
+    held_out = {}
+    for name in ("validation.tsv", "test.tsv"):
+        logb, _, _ = parse_behavior_file(os.path.join(datadir, name), (num_users, num_items), one_per_user=True)
+        held_out[name] = logb.take(np.argsort(logb.initiator))
     negatives: dict[int, np.ndarray] = {}
+    first_line: dict[int, int] = {}
     neg_path = os.path.join(datadir, "negatives.tsv")
     with open(neg_path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -598,6 +555,9 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
                 raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
             u = _parse_int(fields[0], where)
             _check_range(where, "user", u, num_users)
+            first = first_line.setdefault(u, lineno)
+            if first != lineno:
+                raise IngestError(f"{where}: user {u} listed twice (first on line {first})")
             tokens = fields[1].split(",")
             try:
                 # NumPy parses each token as int() does, and overflows past int64
@@ -610,5 +570,9 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
                 bad = items[(items < 0) | (items >= num_items)][0]
                 raise IngestError(f"{where}: item id {bad} out of range [0, {num_items})")
             negatives[u] = items
-    split = DatasetSplit(train, validation, test, negatives, num_users, num_items)
+    for name, logb in held_out.items():
+        for u in logb.initiator.tolist():
+            if u not in negatives:
+                raise IngestError(f"{neg_path}: no line for user {u}, held out in {name}")
+    split = DatasetSplit(train, held_out["validation.tsv"], held_out["test.tsv"], negatives, num_users, num_items)
     return split, social, stats

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BehaviorRecord
+from .data import BehaviorLog
 
 ScoreItemsFn = Callable[[int, np.ndarray], np.ndarray]
 
@@ -81,15 +81,15 @@ def compute_metrics(ranks: np.ndarray, ks: tuple[int, ...]) -> MetricReport:
 
 def evaluate_ranking(
     score_items: ScoreItemsFn,
-    records: dict[int, BehaviorRecord],
+    records: BehaviorLog,
     negatives: dict[int, np.ndarray],
     ks: tuple[int, ...],
 ) -> MetricReport:
-    """Rank every user's held-out item; users iterate in ascending id order."""
-    users = sorted(records)
-    ranks = np.empty(len(users), dtype=np.int64)
-    for i, u in enumerate(users):
-        cand = np.concatenate([[records[u].item], negatives[u]])
+    """Rank each held-out record's item for its initiator, in the log's order
+    (ascending user id for a split's held-out logs)."""
+    ranks = np.empty(len(records), dtype=np.int64)
+    for i, (u, item) in enumerate(zip(records.initiator.tolist(), records.item.tolist())):
+        cand = np.concatenate([[item], negatives[u]])
         scores = score_items(u, cand)
         ranks[i] = rank_from_scores(float(scores[0]), scores[1:])
     return compute_metrics(ranks, ks)

@@ -39,20 +39,19 @@ def build_graphs(train: BehaviorLog, failed_participant_edges: bool = True) -> H
     and share edges count too is a modelling switch (default: they do -- a
     join expresses interest even when the deal fell through).
     """
-    cols = train.columns
-    npart = cols.num_participants
+    npart = train.num_participants
     if not failed_participant_edges:
-        npart = np.where(cols.success, npart, 0)
-    keep = np.repeat(npart > 0, cols.num_participants)  # participants whose edges count
-    ju = cols.part_indices[keep]
-    ji = np.repeat(cols.item, npart)
-    src = np.repeat(cols.initiator, npart)
+        npart = np.where(train.success, npart, 0)
+    keep = np.repeat(npart > 0, train.num_participants)  # participants whose edges count
+    ju = train.part_indices[keep]
+    ji = np.repeat(train.item, npart)
+    src = np.repeat(train.initiator, npart)
 
     P, Q = train.num_users, train.num_items
     return HeteroGraphBundle(
         num_users=P,
         num_items=Q,
-        launch=CSR.from_edges(P, Q, cols.initiator, cols.item),
+        launch=CSR.from_edges(P, Q, train.initiator, train.item),
         join=CSR.from_edges(P, Q, ju, ji),
         share=CSR.from_edges(P, P, src, ju),
     )

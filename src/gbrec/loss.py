@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import BehaviorRecord, RecordColumns, SocialGraph
+from .data import BehaviorLog, SocialGraph
 from .model import EmbeddingSet, Hyperparams, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
 
 
@@ -37,6 +37,16 @@ def sigmoid(x):
 
 # ---------------------------------------------------------------------------
 # scalar reference implementations (also the per-record public API)
+
+
+@dataclass
+class BehaviorRecord:
+    """One group-buying launch: who started it, for what, who joined, outcome."""
+
+    initiator: int
+    item: int
+    participants: tuple[int, ...]
+    success: bool
 
 
 def loss_failed(
@@ -93,7 +103,7 @@ class TermSet:
 
 
 def build_terms(
-    batch: RecordColumns,
+    batch: BehaviorLog,
     negatives: np.ndarray,
     social: SocialGraph,
     beta: float,
@@ -229,7 +239,7 @@ def breakdown_from_terms(
 
 
 def total_loss(
-    batch: RecordColumns,
+    batch: BehaviorLog,
     negatives: np.ndarray,
     emb: EmbeddingSet,
     social: SocialGraph,

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .data import BehaviorLog, BehaviorRecord, SocialGraph, write_behaviors, write_social
+from .data import BehaviorLog, SocialGraph, write_behaviors, write_social
 
 
 @dataclass
@@ -206,23 +206,31 @@ def build_planted(cfg: SynthConfig, rng: np.random.Generator) -> PlantedModel:
     )
 
 
-def simulate(planted: PlantedModel, cfg: SynthConfig, rng: np.random.Generator) -> list[BehaviorRecord]:
+def simulate(planted: PlantedModel, cfg: SynthConfig, rng: np.random.Generator) -> BehaviorLog:
     """Emit num_records launches; the first P/Q force initiator/item coverage."""
     P, Q = cfg.num_users, cfg.num_items
-    item_dist = np.stack([planted.item_probs(u) for u in range(P)])
-    item_ids = np.arange(Q)
-    records: list[BehaviorRecord] = []
+    # Generator.choice(n, p=p) draws cdf.searchsorted(rng.random(), side="right")
+    # with cdf = p.cumsum() / its last entry; the same draws from tables built
+    # once leave the generator in the same state
+    initiator_cdf = planted.activity.cumsum()
+    initiator_cdf /= initiator_cdf[-1]
+    item_cdf = np.empty((P, Q))
+    for u in range(P):
+        row = np.cumsum(planted.item_probs(u), out=item_cdf[u])
+        row /= row[-1]
+    rows: list[tuple[int, int, bool, int]] = []
+    members: list[int] = []
     for t in range(cfg.num_records):
-        initiator = t if t < P else int(rng.choice(P, p=planted.activity))
-        item = t if t < Q else int(rng.choice(item_ids, p=item_dist[initiator]))
+        initiator = t if t < P else int(initiator_cdf.searchsorted(rng.random(), side="right"))
+        item = t if t < Q else int(item_cdf[initiator].searchsorted(rng.random(), side="right"))
         friends = planted.social.friends(initiator)
         if friends.size:
             joined = friends[rng.random(friends.size) < planted.join_probs(friends, item)]
         else:
             joined = friends
-        success = joined.size >= planted.success_threshold
-        records.append(BehaviorRecord(initiator, item, tuple(int(x) for x in joined), success))
-    return records
+        rows.append((initiator, item, joined.size >= planted.success_threshold, joined.size))
+        members.extend(joined.tolist())
+    return BehaviorLog.from_rows(rows, members, P, Q)
 
 
 @dataclass
@@ -242,29 +250,28 @@ def generate(cfg: SynthConfig, seed: int, outdir: str) -> SynthResult:
         raise ValueError("invalid synthetic config:\n  " + "\n  ".join(problems))
     rng = np.random.default_rng(seed)
     planted = build_planted(cfg, rng)
-    records = simulate(planted, cfg, rng)
+    logb = simulate(planted, cfg, rng)
 
     os.makedirs(outdir, exist_ok=True)
     behavior_path = os.path.join(outdir, "behaviors.tsv")
     social_path = os.path.join(outdir, "social.tsv")
     planted_path = os.path.join(outdir, "planted.npz")
-    write_behaviors(behavior_path, records)
+    write_behaviors(behavior_path, logb)
     write_social(social_path, planted.social)
     save_planted(planted_path, planted)
 
-    n_success = sum(1 for r in records if r.success)
+    n_success = int(np.count_nonzero(logb.success))
     counters = {
         "num_users": cfg.num_users,
         "num_items": cfg.num_items,
-        "num_behaviors": len(records),
+        "num_behaviors": len(logb),
         "num_success": n_success,
-        "num_failed": len(records) - n_success,
+        "num_failed": len(logb) - n_success,
         "num_social_edges": planted.social.num_edges,
     }
     with open(os.path.join(outdir, "generation.json"), "w", encoding="utf-8") as fh:
         json.dump({"config": cfg.to_dict(), "seed": seed, "counters": counters}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    logb = BehaviorLog(records, cfg.num_users, cfg.num_items)
     return SynthResult(behavior_path, social_path, planted_path, logb, planted, counters)
 
 

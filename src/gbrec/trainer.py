@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import BehaviorLog, DatasetSplit, RecordColumns, SocialGraph, sample_negatives, user_interactions
+from .data import BehaviorLog, DatasetSplit, SocialGraph, sample_negatives, user_interactions
 from .evaluate import evaluate_ranking
 from .graphs import HeteroGraphBundle, build_graphs
+from .kernels import CSR
 from .loss import (
     LossBreakdown,
     breakdown_from_terms,
@@ -157,7 +158,7 @@ class FlatModel:
 
 
 def loss_and_grads(
-    adapter, params, batch: RecordColumns, negatives: np.ndarray, hp: Hyperparams, social: SocialGraph
+    adapter, params, batch: BehaviorLog, negatives: np.ndarray, hp: Hyperparams, social: SocialGraph
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """One full batch evaluation: breakdown plus gradients for every trainable tensor."""
     state = adapter.forward(params)
@@ -192,10 +193,10 @@ def _run_epoch(
     adapter, params, train_log: BehaviorLog, interactions, hp: Hyperparams, rng, optimizer, social
 ) -> LossBreakdown:
     negs = sample_negatives(train_log, hp.neg_ratio, rng, interactions)
-    order = rng.permutation(len(train_log.records))
+    order = rng.permutation(len(train_log))
     sums = np.zeros(4, dtype=np.float64)
-    for batch in _batches(len(train_log.records), hp.batch_size, order):
-        bd, grads = loss_and_grads(adapter, params, train_log.columns.take(batch), negs[batch], hp, social)
+    for batch in _batches(len(train_log), hp.batch_size, order):
+        bd, grads = loss_and_grads(adapter, params, train_log.take(batch), negs[batch], hp, social)
         _check_finite(bd, grads)
         tensors = {name: getattr(params, name) for name in adapter.trainable}
         optimizer.step(tensors, grads)
@@ -215,7 +216,7 @@ def normalize_embedding_rows(params) -> None:
 
 
 def pretrain_stage(
-    params, train_log: BehaviorLog, interactions: list[set[int]], social: SocialGraph, hp: Hyperparams,
+    params, train_log: BehaviorLog, interactions: CSR, social: SocialGraph, hp: Hyperparams,
     seed: int, entries: list | None = None,
 ) -> None:
     """Adam on the propagation-free scorer, then unit-normalize embedding rows.
@@ -235,7 +236,7 @@ def pretrain_stage(
 
 
 def finetune_stage(
-    adapter, params, train_log: BehaviorLog, interactions: list[set[int]], split: DatasetSplit, hp: Hyperparams,
+    adapter, params, train_log: BehaviorLog, interactions: CSR, split: DatasetSplit, hp: Hyperparams,
     seed: int, entries: list | None = None,
 ):
     """SGD epochs with per-epoch validation ndcg@10; returns the best params seen.
@@ -250,7 +251,7 @@ def finetune_stage(
         t0 = time.perf_counter()
         bd = _run_epoch(adapter, params, train_log, interactions, hp, rng, optimizer, adapter.social)
         val = None
-        if split.validation:
+        if len(split.validation):
             emb = adapter.embeddings(adapter.forward(params))
             report = evaluate_ranking(emb.score_items, split.validation, split.eval_negatives, (10,))
             val = {"ndcg10": report.ndcg[10], "recall10": report.recall[10]}
@@ -263,7 +264,7 @@ def finetune_stage(
             "finetune epoch %d total loss %.4f val_ndcg10 %s",
             epoch, bd.total, "n/a" if val is None else f"{val['ndcg10']:.4f}",
         )
-    if not split.validation:
+    if not len(split.validation):
         best_params = params.copy()
     return best_params
 

@@ -4,11 +4,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from gbrec.data import BehaviorLog, BehaviorRecord, SocialGraph
+from gbrec.data import BehaviorLog, SocialGraph, user_interactions
 from gbrec.graphs import build_graphs
+from gbrec.loss import BehaviorRecord
 from gbrec.model import Hyperparams, init_params
 
 import oracles
+
+
+def from_records(records, num_users: int | None = None, num_items: int | None = None) -> BehaviorLog:
+    """A log of ``BehaviorRecord``s, in their order; the id space defaults to
+    the ids the records use."""
+    if num_users is None:
+        num_users = 1 + max((u for r in records for u in (r.initiator, *r.participants)), default=-1)
+    if num_items is None:
+        num_items = 1 + max((r.item for r in records), default=-1)
+    rows = [(r.initiator, r.item, r.success, len(r.participants)) for r in records]
+    return BehaviorLog.from_rows(rows, [p for r in records for p in r.participants], num_users, num_items)
+
+
+def records_of(log: BehaviorLog) -> list[BehaviorRecord]:
+    """The log's records as ``BehaviorRecord``s, in order."""
+    ptr = log.part_indptr.tolist()
+    parts = log.part_indices.tolist()
+    return [
+        BehaviorRecord(u, i, tuple(parts[a:b]), ok)
+        for u, i, a, b, ok in zip(log.initiator.tolist(), log.item.tolist(), ptr, ptr[1:], log.success.tolist())
+    ]
+
+
+def held_out(log: BehaviorLog) -> dict[int, BehaviorRecord]:
+    """A held-out log (one record per user) keyed by user."""
+    return {r.initiator: r for r in records_of(log)}
+
+
+def touched_sets(log: BehaviorLog) -> list[set[int]]:
+    """``user_interactions(log)`` as one set of items per user."""
+    touched = user_interactions(log)
+    return [set(touched.neighbors(u).tolist()) for u in range(log.num_users)]
 
 
 def make_records(
@@ -69,7 +102,7 @@ def small_instance(
         )
     rng = np.random.default_rng(data_seed)
     records = make_records(rng, num_users, num_items, n_records)
-    log = BehaviorLog(records, num_users, num_items)
+    log = from_records(records, num_users, num_items)
     social = make_social(rng, num_users, n_social_pairs)
     bundle = build_graphs(log, hp.failed_participant_edges)
     params = init_params(num_users, num_items, hp, seed=param_seed, dtype=dtype)

@@ -199,6 +199,96 @@ def sample_negatives_oracle(records, num_items: int, k: int, rng: np.random.Gene
     return out
 
 
+# ---------------------------------------------------------------------------
+# ingest and leave-one-out split, record by record
+
+
+def ingest_oracle(records, pairs) -> dict:
+    """Dense id remap of parsed raw records and social pairs, record by record.
+
+    Users and items are numbered in ascending original id. A social pair is a
+    self-loop, or dropped when either side never appears in a record, or kept.
+    Records come back as ``(initiator, item, participants, success)`` tuples.
+    """
+    user_ids = sorted({r.initiator for r in records} | {p for r in records for p in r.participants})
+    item_ids = sorted({r.item for r in records})
+    user_map = {orig: dense for dense, orig in enumerate(user_ids)}
+    item_map = {orig: dense for dense, orig in enumerate(item_ids)}
+    remapped = [
+        (user_map[r.initiator], item_map[r.item], tuple(user_map[p] for p in r.participants), r.success)
+        for r in records
+    ]
+    self_loops = dropped = 0
+    kept = []
+    for a, b in pairs:
+        if a == b:
+            self_loops += 1
+        elif a not in user_map or b not in user_map:
+            dropped += 1
+        else:
+            kept.append((user_map[a], user_map[b]))
+    return {
+        "records": remapped,
+        "user_ids": user_ids,
+        "item_ids": item_ids,
+        "pairs": kept,
+        "num_social_edges": len({(min(a, b), max(a, b)) for a, b in kept}),
+        "dropped_social_self_loops": self_loops,
+        "dropped_social_edges": dropped,
+        "num_success": sum(1 for r in records if r.success),
+    }
+
+
+def simulate_oracle(planted, num_records: int, rng: np.random.Generator) -> list[tuple]:
+    """The generator's launches with one ``Generator.choice`` per drawn
+    initiator and item, as ``(initiator, item, participants, success)`` tuples."""
+    P, Q = planted.num_users, planted.num_items
+    out = []
+    for t in range(num_records):
+        initiator = t if t < P else int(rng.choice(P, p=planted.activity))
+        item = t if t < Q else int(rng.choice(Q, p=planted.item_probs(initiator)))
+        friends = planted.social.friends(initiator)
+        if friends.size:
+            friends = friends[rng.random(friends.size) < planted.join_probs(friends, item)]
+        out.append((initiator, item, tuple(friends.tolist()), friends.size >= planted.success_threshold))
+    return out
+
+
+def split_oracle(records, num_items: int, seed: int, num_negatives: int):
+    """Leave-one-out split, user by user, with the library's generator calls.
+
+    Users in ascending id order with >= 2 initiated records and an untouched
+    item draw a test record, then (with >= 3) a validation record from the
+    rest, then their sorted negatives. Returns (train records in log order,
+    validation by user, test by user, negatives by user).
+    """
+    rng = np.random.default_rng(seed)
+    by_initiator: dict[int, list[int]] = {}
+    touched: dict[int, set[int]] = {}
+    for idx, r in enumerate(records):
+        by_initiator.setdefault(r.initiator, []).append(idx)
+        for user in (r.initiator, *r.participants):
+            touched.setdefault(user, set()).add(r.item)
+    held: set[int] = set()
+    validation, test, negatives = {}, {}, {}
+    for u in sorted(by_initiator):
+        rec_idx = by_initiator[u]
+        complement = [j for j in range(num_items) if j not in touched[u]]
+        if len(rec_idx) < 2 or not complement:
+            continue
+        t = int(rng.choice(rec_idx))
+        test[u] = records[t]
+        held.add(t)
+        if len(rec_idx) >= 3:
+            v = int(rng.choice([i for i in rec_idx if i != t]))
+            validation[u] = records[v]
+            held.add(v)
+        take = min(num_negatives, len(complement))
+        negatives[u] = np.sort(rng.choice(np.array(complement, dtype=np.int64), size=take, replace=False))
+    train = [r for i, r in enumerate(records) if i not in held]
+    return train, validation, test, negatives
+
+
 def l2_oracle(tensors: dict[str, np.ndarray], coeff: float) -> float:
     return coeff * sum(float((t.astype(np.float64) ** 2).sum()) for t in tensors.values())
 

@@ -23,10 +23,10 @@ import pytest
 
 from gbrec import kernels
 from gbrec.baselines import mf_score
-from gbrec.data import BehaviorRecord, SocialGraph, ingest, split_leave_one_out
+from gbrec.data import SocialGraph, ingest, split_leave_one_out
 from gbrec.evaluate import compute_metrics, evaluate_ranking, rank_from_scores
 from gbrec.graphs import build_graphs
-from gbrec.loss import loss_failed, loss_success
+from gbrec.loss import BehaviorRecord, loss_failed, loss_success
 from gbrec.model import (
     BRANCHES,
     Hyperparams,
@@ -124,11 +124,11 @@ def test_criterion_01_gradients_match_finite_differences():
         emb = adapter.embeddings(adapter.forward(inst["params"]))
         tensors = {name: getattr(inst["params"], name) for name in adapter.trainable}
         return total_loss(
-            inst["log"].columns, negatives, emb, inst["social"], tensors, inst["hp"]
+            inst["log"], negatives, emb, inst["social"], tensors, inst["hp"]
         ).total
 
     _, grads = loss_and_grads(
-        adapter, inst["params"], inst["log"].columns, negatives, inst["hp"], inst["social"]
+        adapter, inst["params"], inst["log"], negatives, inst["hp"], inst["social"]
     )
     tensors = {name: getattr(inst["params"], name) for name in adapter.trainable}
     fd = oracles.fd_gradients(batch_loss, tensors, h=1e-3)
@@ -341,9 +341,7 @@ def test_criterion_10_single_thread_determinism(tmp_path):
         rng = np.random.default_rng(31)
         records = helpers.make_records(rng, 40, 25, 300)
         social = helpers.make_social(rng, 40, 60)
-        from gbrec.data import BehaviorLog
-
-        split = split_leave_one_out(BehaviorLog(records, 40, 25), seed=2, num_negatives=24)
+        split = split_leave_one_out(helpers.from_records(records, 40, 25), seed=2, num_negatives=24)
         hp = Hyperparams(
             dim=8, num_layers=2, pretrain_epochs=3, pretrain_lr=1e-2,
             epochs=4, finetune_lr=1e-2, batch_size=128,

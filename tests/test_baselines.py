@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from gbrec.baselines import FLATTEN_ROLES, flatten_interactions, gbmf_score, mf_score
-from gbrec.data import BehaviorLog, BehaviorRecord, SocialGraph
+from gbrec.data import SocialGraph
+from gbrec.loss import BehaviorRecord
 from gbrec.model import init_flat_params
 
+import helpers
 
-LOG = BehaviorLog(
+
+LOG = helpers.from_records(
     [
         BehaviorRecord(0, 4, (1, 2), True),
         BehaviorRecord(1, 4, (0,), False),
@@ -20,13 +23,13 @@ LOG = BehaviorLog(
 
 
 def pairs(log):
-    return [(r.initiator, r.item) for r in log.records]
+    return [(r.initiator, r.item) for r in helpers.records_of(log)]
 
 
 def test_flatten_both_roles_keeps_multiplicity():
     flat = flatten_interactions(LOG, roles="both")
     assert pairs(flat) == [(0, 4), (1, 4), (2, 4), (1, 4), (0, 4), (1, 5)]
-    assert all(r.success and r.participants == () for r in flat.records)
+    assert all(r.success and r.participants == () for r in helpers.records_of(flat))
     assert flat.num_users == 3 and flat.num_items == 6
 
 

@@ -5,12 +5,14 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import pytest
 
 from gbrec.cli import main
 from gbrec.data import IngestError, load_split_dir, user_interactions
-from gbrec.model import Hyperparams, init_params
+from gbrec.model import Hyperparams, init_flat_params, init_params
 from gbrec.trainer import save_checkpoint
 
 
@@ -147,7 +149,7 @@ def test_recommend_emits_ranked_unseen_items(pipeline, capsys):
         scores.append(float(score_s))
     assert scores == sorted(scores, reverse=True)
     split, _, _ = load_split_dir(pipeline["datadir"])
-    assert set(items).isdisjoint(user_interactions(split.train)[0])
+    assert set(items).isdisjoint(user_interactions(split.train).neighbors(0).tolist())
 
 
 def test_recommend_reads_only_the_training_files(pipeline, tmp_path, capsys):
@@ -188,10 +190,15 @@ def _drop_num_items(text):
         ("train.tsv", lambda t: _second_line(t, "1\t99\t-\t1"), "train.tsv:2: item id 99 out of range [0, 12)"),
         ("train.tsv", lambda t: _second_line(t, "1\t2\t5,30\t1"), "train.tsv:2: user id 30 out of range [0, 30)"),
         ("validation.tsv", lambda t: _second_line(t, "30\t2\t-\t0"), "validation.tsv:2: user id 30 out of range [0, 30)"),
+        ("validation.tsv", lambda t: "7\t1\t-\t1\n7\t2\t-\t0\n" + t, "validation.tsv:2: user 7 listed twice (first on line 1)"),
+        ("test.tsv", lambda t: "7\t1\t-\t1\n7\t2\t-\t0\n" + t, "test.tsv:2: user 7 listed twice (first on line 1)"),
+        ("negatives.tsv", lambda t: "7\t1,2\n7\t1,2\n" + t, "negatives.tsv:2: user 7 listed twice (first on line 1)"),
+        ("negatives.tsv", lambda t: t.split("\n", 1)[1], "negatives.tsv: no line for user"),
     ],
     ids=[
         "no-tab", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key", "item-past-int64",
         "social-past-range", "train-item-past-range", "train-participant-past-range", "validation-user-past-range",
+        "validation-user-twice", "test-user-twice", "negatives-user-twice", "negatives-missing-held-out-user",
     ],
 )
 def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, name, corrupt, where):
@@ -210,6 +217,31 @@ def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, 
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert where in err
+
+
+def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
+    # 20,000 items: far more output than the pipe holds once the reader is gone
+    num_items = 20_000
+    datadir = tmp_path / "data"
+    datadir.mkdir()
+    (datadir / "stats.json").write_text(json.dumps({"num_users": 2, "num_items": num_items}))
+    (datadir / "train.tsv").write_text("0\t0\t1\t1\n")
+    (datadir / "social.tsv").write_text("0\t1\n")
+    checkpoint = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(checkpoint, "gbmf", init_flat_params(2, num_items, 4, seed=0), Hyperparams(dim=4))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["recommend", "--checkpoint", checkpoint, "--data", str(datadir), "--user", "1", "--k", str(num_items)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbrec.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.count(b"\t") == 1
+    assert err == b""
 
 
 def _with_hyperparams(src, dst, **changes):

@@ -1,13 +1,16 @@
 """Parsing, id remapping, splitting, and negative sampling."""
 
+import dataclasses
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbrec.data import (
-    BehaviorLog,
-    BehaviorRecord,
+    INT64_MAX,
     DatasetStats,
     IngestError,
     SocialGraph,
@@ -18,10 +21,10 @@ from gbrec.data import (
     sample_negatives,
     save_split_dir,
     split_leave_one_out,
-    user_interactions,
     write_behaviors,
     write_social,
 )
+from gbrec.loss import BehaviorRecord
 
 import helpers
 import oracles
@@ -39,9 +42,9 @@ def write(tmp_path, name, text):
 
 def test_parse_behavior_basic(tmp_path):
     path = write(tmp_path, "b.tsv", "7\t3\t9,11\t1\n\n5\t3\t-\t0\n")
-    records, dropped, deduped = parse_behavior_file(path)
+    parsed, dropped, deduped = parse_behavior_file(path)
     assert dropped == 0 and deduped == 0
-    assert records == [
+    assert helpers.records_of(parsed) == [
         BehaviorRecord(7, 3, (9, 11), True),
         BehaviorRecord(5, 3, (), False),
     ]
@@ -49,16 +52,16 @@ def test_parse_behavior_basic(tmp_path):
 
 def test_parse_behavior_dedupes_participants_keeping_order(tmp_path):
     path = write(tmp_path, "b.tsv", "1\t2\t5,4,5,4,6\t1\n")
-    records, dropped, deduped = parse_behavior_file(path)
-    assert records[0].participants == (5, 4, 6)
+    parsed, dropped, deduped = parse_behavior_file(path)
+    assert helpers.records_of(parsed)[0].participants == (5, 4, 6)
     assert deduped == 2
 
 
 def test_parse_behavior_drops_record_when_initiator_joins_itself(tmp_path):
     path = write(tmp_path, "b.tsv", "1\t2\t1,3\t1\n4\t2\t-\t1\n")
-    records, dropped, _ = parse_behavior_file(path)
+    parsed, dropped, _ = parse_behavior_file(path)
     assert dropped == 1
-    assert [r.initiator for r in records] == [4]
+    assert [r.initiator for r in helpers.records_of(parsed)] == [4]
 
 
 @pytest.mark.parametrize(
@@ -114,7 +117,7 @@ def test_ingest_remaps_ids_densely_and_counts(tmp_path):
     logb, graph, stats = ingest(behaviors, social)
     # dense ids follow sorted original ids: 100->0, 200->1, 300->2; 50->0, 70->1
     assert logb.num_users == 3 and logb.num_items == 2
-    assert logb.records == [
+    assert helpers.records_of(logb) == [
         BehaviorRecord(0, 0, (1, 2), True),
         BehaviorRecord(2, 1, (), False),
     ]
@@ -128,6 +131,53 @@ def test_ingest_remaps_ids_densely_and_counts(tmp_path):
     np.testing.assert_array_equal(graph.friends(0), [2])
     np.testing.assert_array_equal(graph.friends(2), [0])
     np.testing.assert_array_equal(graph.friends(1), [])
+
+
+RAW_USERS = st.sampled_from([0, 3, 7, 42, 1000, 2**40, INT64_MAX])
+
+
+@st.composite
+def raw_worlds(draw):
+    """Behavior lines over sparse raw ids, and social pairs that may be
+    self-loops or name users no record has (99)."""
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        participants = draw(st.lists(RAW_USERS, max_size=4))
+        item = draw(st.sampled_from([5, 9, 2**33]))
+        lines.append((draw(RAW_USERS), item, participants, draw(st.booleans())))
+    pairs = draw(st.lists(st.tuples(RAW_USERS | st.just(99), RAW_USERS), max_size=10))
+    return lines, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=raw_worlds())
+def test_ingest_equals_the_record_loop(world):
+    lines, pairs = world
+    with tempfile.TemporaryDirectory() as tmp:
+        behaviors = os.path.join(tmp, "b.tsv")
+        social = os.path.join(tmp, "s.tsv")
+        with open(behaviors, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{u}\t{i}\t{','.join(map(str, ps)) or '-'}\t{int(ok)}\n" for u, i, ps, ok in lines)
+        with open(social, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{a}\t{b}\n" for a, b in pairs)
+        raw, _, _ = parse_behavior_file(behaviors)
+        if not len(raw):  # every line dropped
+            with pytest.raises(IngestError, match="no usable"):
+                ingest(behaviors, social)
+            return
+        logb, graph, stats = ingest(behaviors, social)
+        want = oracles.ingest_oracle(helpers.records_of(raw), parse_social_file(social).tolist())
+
+    assert [dataclasses.astuple(r) for r in helpers.records_of(logb)] == want["records"]
+    assert (logb.num_users, logb.num_items) == (len(want["user_ids"]), len(want["item_ids"]))
+    assert stats.user_ids.tolist() == want["user_ids"]
+    assert stats.item_ids.tolist() == want["item_ids"]
+    assert (stats.num_behaviors, stats.num_success) == (len(want["records"]), want["num_success"])
+    for key in ("num_social_edges", "dropped_social_self_loops", "dropped_social_edges"):
+        assert getattr(stats, key) == want[key], key
+    expected = SocialGraph.from_edges(logb.num_users, np.array(want["pairs"], dtype=np.int64).reshape(-1, 2))
+    np.testing.assert_array_equal(graph.indptr, expected.indptr)
+    np.testing.assert_array_equal(graph.indices, expected.indices)
 
 
 def test_ingest_without_social_file(tmp_path):
@@ -145,9 +195,51 @@ def test_ingest_empty_file_is_an_error(tmp_path):
 def test_behavior_round_trip(tmp_path, rng):
     records = helpers.make_records(rng, 12, 9, 30)
     path = str(tmp_path / "b.tsv")
-    write_behaviors(path, records)
+    write_behaviors(path, helpers.from_records(records, 12, 9))
     parsed, dropped, deduped = parse_behavior_file(path)
-    assert parsed == records and dropped == 0 and deduped == 0
+    assert helpers.records_of(parsed) == records and dropped == 0 and deduped == 0
+
+
+@st.composite
+def written_logs(draw):
+    """Records whose participants may repeat or hold the initiator, with their id space."""
+    num_users = draw(st.integers(1, 6))
+    num_items = draw(st.integers(1, 5))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        participants = draw(st.lists(st.integers(0, num_users - 1), max_size=4))
+        records.append(
+            BehaviorRecord(
+                draw(st.integers(0, num_users - 1)), draw(st.integers(0, num_items - 1)),
+                tuple(participants), draw(st.booleans()),
+            )
+        )
+    return records, num_users, num_items
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=written_logs())
+def test_write_then_parse_keeps_what_the_parser_accepts(case):
+    records, num_users, num_items = case
+    want, dropped, deduped = [], 0, 0
+    for r in records:
+        parts = []
+        for p in r.participants:
+            if p in parts:
+                deduped += 1
+            else:
+                parts.append(p)
+        if r.initiator in parts:
+            dropped += 1
+        else:
+            want.append(BehaviorRecord(r.initiator, r.item, tuple(parts), r.success))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.tsv")
+        write_behaviors(path, helpers.from_records(records, num_users, num_items))
+        parsed, got_dropped, got_deduped = parse_behavior_file(path, (num_users, num_items))
+    assert helpers.records_of(parsed) == want
+    assert (got_dropped, got_deduped) == (dropped, deduped)
+    assert (parsed.num_users, parsed.num_items) == (num_users, num_items)
 
 
 def test_social_round_trip(tmp_path, rng):
@@ -177,10 +269,10 @@ def test_social_graph_symmetrizes_and_dedupes():
 
 
 def test_user_interactions_covers_both_roles():
-    log = BehaviorLog(
+    log = helpers.from_records(
         [BehaviorRecord(0, 5, (1,), True), BehaviorRecord(1, 2, (0,), False)], 3, 6
     )
-    touched = user_interactions(log)
+    touched = helpers.touched_sets(log)
     assert touched[0] == {5, 2}
     assert touched[1] == {5, 2}
     assert touched[2] == set()
@@ -198,28 +290,29 @@ def build_log_with_counts(counts, num_items=30):
         for _ in range(c):
             records.append(BehaviorRecord(u, item % num_items, (), True))
             item += 1
-    return BehaviorLog(records, len(counts), num_items)
+    return helpers.from_records(records, len(counts), num_items)
 
 
 def test_split_thresholds_by_initiator_count():
     log = build_log_with_counts([1, 2, 3, 5])
     split = split_leave_one_out(log, seed=0)
-    assert 0 not in split.test and 0 not in split.validation  # one record: train only
-    assert 1 in split.test and 1 not in split.validation
-    assert 2 in split.test and 2 in split.validation
-    assert 3 in split.test and 3 in split.validation
+    test, validation = helpers.held_out(split.test), helpers.held_out(split.validation)
+    assert 0 not in test and 0 not in validation  # one record: train only
+    assert 1 in test and 1 not in validation
+    assert 2 in test and 2 in validation
+    assert 3 in test and 3 in validation
     # every user keeps at least one training record
-    train_initiators = {r.initiator for r in split.train.records}
+    train_initiators = {r.initiator for r in helpers.records_of(split.train)}
     assert train_initiators == {0, 1, 2, 3}
 
 
 def test_split_held_out_records_leave_training(rng):
     records = helpers.make_records(rng, 10, 12, 80)
-    log = BehaviorLog(records, 10, 12)
+    log = helpers.from_records(records, 10, 12)
     split = split_leave_one_out(log, seed=3)
-    assert len(split.train.records) + len(split.test) + len(split.validation) == len(records)
-    train_pairs = [(r.initiator, r.item, r.participants, r.success) for r in split.train.records]
-    for u, rec in list(split.test.items()) + list(split.validation.items()):
+    assert len(split.train) + len(split.test) + len(split.validation) == len(records)
+    train_pairs = [(r.initiator, r.item, r.participants, r.success) for r in helpers.records_of(split.train)]
+    for u, rec in list(helpers.held_out(split.test).items()) + list(helpers.held_out(split.validation).items()):
         assert rec.initiator == u
         key = (rec.initiator, rec.item, rec.participants, rec.success)
         # the held-out record occupies no training slot (multiset accounting)
@@ -230,10 +323,10 @@ def test_split_held_out_records_leave_training(rng):
 
 def test_split_negatives_are_untouched_sorted_and_capped(rng):
     records = helpers.make_records(rng, 8, 10, 60)
-    log = BehaviorLog(records, 8, 10)
+    log = helpers.from_records(records, 8, 10)
     split = split_leave_one_out(log, seed=1, num_negatives=4)
-    touched = user_interactions(log)
-    for u in split.test:
+    touched = helpers.touched_sets(log)
+    for u in helpers.held_out(split.test):
         negs = split.eval_negatives[u]
         complement = sorted(set(range(10)) - touched[u])
         assert len(negs) == min(4, len(complement))
@@ -245,19 +338,51 @@ def test_split_negatives_are_untouched_sorted_and_capped(rng):
 def test_split_negatives_cap_at_full_complement():
     # user 0 touches items 0..3 of 6; only 2 candidates exist, fewer than requested
     records = [BehaviorRecord(0, i, (), True) for i in range(4)]
-    log = BehaviorLog(records, 1, 6)
+    log = helpers.from_records(records, 1, 6)
     split = split_leave_one_out(log, seed=0, num_negatives=999)
     np.testing.assert_array_equal(split.eval_negatives[0], [4, 5])
 
 
 def test_split_deterministic_by_seed(rng):
     records = helpers.make_records(rng, 10, 12, 70)
-    log = BehaviorLog(records, 10, 12)
+    log = helpers.from_records(records, 10, 12)
     a = split_leave_one_out(log, seed=5)
     b = split_leave_one_out(log, seed=5)
-    assert {u: r.item for u, r in a.test.items()} == {u: r.item for u, r in b.test.items()}
+    assert {u: r.item for u, r in helpers.held_out(a.test).items()} == {
+        u: r.item for u, r in helpers.held_out(b.test).items()
+    }
     for u in a.eval_negatives:
         np.testing.assert_array_equal(a.eval_negatives[u], b.eval_negatives[u])
+
+
+@st.composite
+def split_worlds(draw):
+    num_users = draw(st.integers(1, 6))
+    num_items = draw(st.integers(1, 8))
+    records = []
+    for _ in range(draw(st.integers(0, 30))):
+        initiator = draw(st.integers(0, num_users - 1))
+        others = [u for u in range(num_users) if u != initiator]
+        participants = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+        item = draw(st.integers(0, num_items - 1))
+        records.append(BehaviorRecord(initiator, item, tuple(participants), draw(st.booleans())))
+    return records, num_users, num_items, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(world=split_worlds())
+def test_split_equals_the_record_loop(world):
+    records, num_users, num_items, seed, num_negatives = world
+    split = split_leave_one_out(helpers.from_records(records, num_users, num_items), seed, num_negatives)
+    train, validation, test, negatives = oracles.split_oracle(records, num_items, seed, num_negatives)
+    assert helpers.records_of(split.train) == train
+    assert helpers.records_of(split.validation) == [validation[u] for u in sorted(validation)]
+    assert helpers.records_of(split.test) == [test[u] for u in sorted(test)]
+    assert sorted(split.eval_negatives) == sorted(negatives)
+    for u, want in negatives.items():
+        assert split.eval_negatives[u].dtype == np.int64
+        np.testing.assert_array_equal(split.eval_negatives[u], want)
+    assert (split.num_users, split.num_items) == (num_users, num_items)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +391,8 @@ def test_split_deterministic_by_seed(rng):
 
 def test_sample_negatives_avoid_touched_items(rng):
     records = helpers.make_records(rng, 6, 9, 40)
-    log = BehaviorLog(records, 6, 9)
-    touched = user_interactions(log)
+    log = helpers.from_records(records, 6, 9)
+    touched = helpers.touched_sets(log)
     negs = sample_negatives(log, k=2, rng=np.random.default_rng(2))
     assert negs.shape == (len(records), 2)
     for rec, row in zip(records, negs):
@@ -283,14 +408,14 @@ def test_sample_negatives_avoid_touched_items(rng):
 def test_sample_negatives_distinct_within_row():
     # plenty of untouched items: draws within a row must not repeat
     records = [BehaviorRecord(0, 0, (), True)]
-    log = BehaviorLog(records, 1, 50)
+    log = helpers.from_records(records, 1, 50)
     negs = sample_negatives(log, k=10, rng=np.random.default_rng(0))
     assert len(set(negs[0].tolist())) == 10
 
 
 def test_sample_negatives_when_user_touched_everything():
     records = [BehaviorRecord(0, i, (), True) for i in range(3)]
-    log = BehaviorLog(records, 1, 3)
+    log = helpers.from_records(records, 1, 3)
     negs = sample_negatives(log, k=2, rng=np.random.default_rng(0))
     for rec, row in zip(records, negs):
         assert all(n != rec.item for n in row)
@@ -306,13 +431,13 @@ def sampler_worlds(draw):
         others = [u for u in range(num_users) if u != initiator]
         participants = draw(st.lists(st.sampled_from(others), unique=True, max_size=2)) if others else []
         records.append(BehaviorRecord(initiator, draw(st.integers(0, num_items - 1)), tuple(participants), True))
-    return BehaviorLog(records, num_users, num_items), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+    return helpers.from_records(records, num_users, num_items), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
 
 
 def assert_sampler_matches_scalar_draws(log, k, seed):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sample_negatives(log, k, rng)
-    want = oracles.sample_negatives_oracle(log.records, log.num_items, k, ref)
+    want = oracles.sample_negatives_oracle(helpers.records_of(log), log.num_items, k, ref)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
     assert rng.random() == ref.random()  # the generator ends where the scalar draws leave it
@@ -329,14 +454,14 @@ def test_sample_negatives_equals_scalar_draws_when_rejection_mostly_fails(k):
     # user 0 leaves exactly k of 200 items untouched, so most records fall back to the complement
     records = [BehaviorRecord(0, i, (), True) for i in range(200 - k)]
     records += [BehaviorRecord(1, i, (0,), True) for i in range(0, 200 - k, 40)]
-    assert_sampler_matches_scalar_draws(BehaviorLog(records, 2, 200), k, seed=k)
+    assert_sampler_matches_scalar_draws(helpers.from_records(records, 2, 200), k, seed=k)
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_sample_negatives_equals_scalar_draws_in_an_exhausted_universe(k):
     # user 0 touched every item; user 1 has fewer than k untouched items when k is 3
     records = [BehaviorRecord(0, i, (), True) for i in range(6)] + [BehaviorRecord(1, i, (), True) for i in range(4)]
-    assert_sampler_matches_scalar_draws(BehaviorLog(records, 2, 6), k, seed=11)
+    assert_sampler_matches_scalar_draws(helpers.from_records(records, 2, 6), k, seed=11)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +470,7 @@ def test_sample_negatives_equals_scalar_draws_in_an_exhausted_universe(k):
 
 def test_split_dir_round_trip(tmp_path, rng):
     records = helpers.make_records(rng, 10, 12, 70)
-    log = BehaviorLog(records, 10, 12)
+    log = helpers.from_records(records, 10, 12)
     social = helpers.make_social(rng, 10, 16)
     split = split_leave_one_out(log, seed=4)
     stats = DatasetStats(
@@ -362,9 +487,9 @@ def test_split_dir_round_trip(tmp_path, rng):
     loaded, social2, stats2 = load_split_dir(outdir)
 
     assert loaded.num_users == split.num_users and loaded.num_items == split.num_items
-    assert loaded.train.records == split.train.records
-    assert loaded.test == split.test
-    assert loaded.validation == split.validation
+    assert helpers.records_of(loaded.train) == helpers.records_of(split.train)
+    assert helpers.held_out(loaded.test) == helpers.held_out(split.test)
+    assert helpers.held_out(loaded.validation) == helpers.held_out(split.validation)
     assert sorted(loaded.eval_negatives) == sorted(split.eval_negatives)
     for u in split.eval_negatives:
         np.testing.assert_array_equal(loaded.eval_negatives[u], split.eval_negatives[u])

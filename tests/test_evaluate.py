@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from gbrec.data import BehaviorRecord
 from gbrec.evaluate import (
     MetricReport,
     compute_metrics,
@@ -14,7 +13,9 @@ from gbrec.evaluate import (
     rank_from_scores,
     view_similarity,
 )
+from gbrec.loss import BehaviorRecord
 
+import helpers
 import oracles
 
 
@@ -105,7 +106,7 @@ def test_report_serialization():
 
 
 def test_evaluate_ranking_orders_users_and_ranks_test_items():
-    records = {3: BehaviorRecord(3, 0, (), True), 1: BehaviorRecord(1, 1, (), True)}
+    records = helpers.from_records([BehaviorRecord(3, 0, (), True), BehaviorRecord(1, 1, (), True)])
     negatives = {3: np.array([2, 4]), 1: np.array([2, 4])}
     table = {
         # user 1: test item 1 scores below item 2 -> rank 1

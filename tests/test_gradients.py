@@ -49,7 +49,7 @@ def gcn_fixture(**hp_overrides):
     hp = replace(inst["hp"], **hp_overrides) if hp_overrides else inst["hp"]
     adapter = GCNModel(inst["bundle"], inst["social"], hp)
     negatives = np.random.default_rng(7).integers(0, 8, size=(len(inst["records"]), 1))
-    return adapter, inst["params"], inst["log"].columns, negatives, hp, inst["social"]
+    return adapter, inst["params"], inst["log"], negatives, hp, inst["social"]
 
 
 def test_full_model_gradients_match_finite_differences():
@@ -74,7 +74,7 @@ def test_flat_model_gradients_match_finite_differences():
     params = init_flat_params(10, 8, 4, seed=5, dtype=np.float64)
     adapter = FlatModel(inst["social"], inst["hp"])
     negatives = np.random.default_rng(9).integers(0, 8, size=(len(inst["records"]), 2))
-    check_against_fd(adapter, params, inst["log"].columns, negatives, inst["hp"], inst["social"])
+    check_against_fd(adapter, params, inst["log"], negatives, inst["hp"], inst["social"])
 
 
 def test_gradients_are_deterministic():

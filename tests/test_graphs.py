@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbrec.data import BehaviorLog, BehaviorRecord, SocialGraph
+from gbrec.data import SocialGraph
 from gbrec.graphs import build_graphs
 from gbrec.kernels import CSR
+from gbrec.loss import BehaviorRecord
 
 import helpers
 
@@ -18,7 +19,7 @@ RECORDS = [
     BehaviorRecord(0, 0, (1,), True),  # repeats edges already present
     BehaviorRecord(2, 2, (), True),
 ]
-LOG = BehaviorLog(RECORDS, 3, 3)
+LOG = helpers.from_records(RECORDS, 3, 3)
 
 
 def test_build_graphs_wires_all_three_graphs():
@@ -92,7 +93,7 @@ def assert_same_csr(a, b):
 def test_transpose_of_random_logs(seed):
     rng = np.random.default_rng(seed)
     records = helpers.make_records(rng, 9, 6, 25)
-    b = build_graphs(BehaviorLog(records, 9, 6))
+    b = build_graphs(helpers.from_records(records, 9, 6))
     launch_e, join_e, share_e = helpers.edges_from_records(records)
     for g, edges in ((b.launch, launch_e), (b.join, join_e), (b.share, share_e)):
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)

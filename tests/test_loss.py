@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbrec.data import BehaviorLog, BehaviorRecord, RecordColumns, SocialGraph
+from gbrec.data import SocialGraph
 from gbrec.loss import (
+    BehaviorRecord,
     LossBreakdown,
     breakdown_from_terms,
     build_terms,
@@ -100,14 +101,14 @@ def test_zero_gap_costs_exactly_ln2_per_pair():
 
 
 def term_layout(records, negatives, social, beta):
-    terms = build_terms(RecordColumns.from_records(records), negatives, social, beta)
+    terms = build_terms(helpers.from_records(records), negatives, social, beta)
     return list(zip(terms.users, terms.hi, terms.lo, terms.weight, terms.aux, terms.pos))
 
 
 def test_build_terms_success_record():
     rec = BehaviorRecord(0, 1, (2, 3), True)
     social = SocialGraph.from_edges(4, np.empty((0, 2), dtype=np.int64))
-    terms = build_terms(RecordColumns.from_records([rec]), np.array([[9]]), social, beta=0.5)
+    terms = build_terms(helpers.from_records([rec]), np.array([[9]]), social, beta=0.5)
     assert term_layout([rec], np.array([[9]]), social, 0.5) == [
         (0, 1, 9, 1.0, False, True),
         (2, 1, 9, 1.0, True, True),
@@ -129,13 +130,13 @@ def test_build_terms_failed_record_flips_and_weights():
 def test_build_terms_beta_zero_skips_friend_terms():
     rec = BehaviorRecord(0, 1, (), False)
     social = SocialGraph.from_edges(4, np.array([[0, 2]]))
-    assert len(build_terms(RecordColumns.from_records([rec]), np.array([[9]]), social, beta=0.0)) == 1
+    assert len(build_terms(helpers.from_records([rec]), np.array([[9]]), social, beta=0.0)) == 1
 
 
 def test_build_terms_multiple_negative_columns():
     rec = BehaviorRecord(0, 1, (2,), True)
     social = SocialGraph.from_edges(3, np.empty((0, 2), dtype=np.int64))
-    terms = build_terms(RecordColumns.from_records([rec]), np.array([[7, 8]]), social, beta=0.1)
+    terms = build_terms(helpers.from_records([rec]), np.array([[7, 8]]), social, beta=0.1)
     assert len(terms) == 4  # (initiator + participant) x 2 negatives
     assert sorted(set(terms.lo.tolist())) == [7, 8]
 
@@ -145,7 +146,7 @@ def test_term_count_oracle_on_random_batch(rng):
     social = helpers.make_social(rng, 12, 20)
     negatives = rng.integers(0, 9, size=(40, 3))
     beta = 0.05
-    terms = build_terms(RecordColumns.from_records(records), negatives, social, beta)
+    terms = build_terms(helpers.from_records(records), negatives, social, beta)
     want = 0
     for rec in records:
         per_neg = 1 + (len(rec.participants) if rec.success else len(social.friends(rec.initiator)))
@@ -188,7 +189,7 @@ def assert_terms_equal(terms, want):
 @given(case=term_batches())
 def test_build_terms_equals_the_record_loop(case):
     records, batch, negatives, social, beta = case
-    terms = build_terms(RecordColumns.from_records(records).take(batch), negatives, social, beta)
+    terms = build_terms(helpers.from_records(records).take(batch), negatives, social, beta)
     want = oracles.build_terms_oracle([records[i] for i in batch], negatives, social.friends, beta)
     assert_terms_equal(terms, want)
 
@@ -196,7 +197,7 @@ def test_build_terms_equals_the_record_loop(case):
 @pytest.mark.parametrize("k", [1, 3])
 def test_build_terms_of_an_empty_batch(k):
     social = SocialGraph.from_edges(2, np.array([[0, 1]]))
-    empty = RecordColumns.from_records([BehaviorRecord(0, 1, (1,), True)]).take(np.empty(0, dtype=np.int64))
+    empty = helpers.from_records([BehaviorRecord(0, 1, (1,), True)]).take(np.empty(0, dtype=np.int64))
     terms = build_terms(empty, np.empty((0, k), dtype=np.int64), social, 0.05)
     assert len(terms) == 0
     assert_terms_equal(terms, oracles.build_terms_oracle([], np.empty((0, k)), social.friends, 0.05))
@@ -217,7 +218,7 @@ def test_batch_ranking_loss_matches_per_record_oracle():
     negatives = np.random.default_rng(11).integers(0, 8, size=(len(records), 2))
     tensors = inst["params"].tensors()
 
-    bd = total_loss(inst["log"].columns, negatives, emb, social, tensors, hp)
+    bd = total_loss(inst["log"], negatives, emb, social, tensors, hp)
     want = oracles.objective_oracle(records, negatives, emb.predict, social.friends, hp.beta)
     assert bd.loss_pos + bd.loss_neg == pytest.approx(want, rel=1e-10)
     assert bd.total == pytest.approx(
@@ -233,7 +234,7 @@ def test_batch_loss_also_matches_scalar_record_api():
     emb = batch_emb(inst)
     records, social, hp = inst["records"], inst["social"], inst["hp"]
     negatives = np.random.default_rng(13).integers(0, 8, size=(len(records), 1))
-    bd = total_loss(inst["log"].columns, negatives, emb, social, inst["params"].tensors(), hp)
+    bd = total_loss(inst["log"], negatives, emb, social, inst["params"].tensors(), hp)
     want = 0.0
     for rec, (neg,) in zip(records, negatives):
         if rec.success:
@@ -248,7 +249,7 @@ def test_role_scored_variant_scores_aux_terms_through_join_view():
     emb = batch_emb(inst)
     records, social = inst["records"], inst["social"]
     negatives = np.random.default_rng(17).integers(0, 8, size=(len(records), 1))
-    terms = build_terms(inst["log"].columns, negatives, social, beta=0.05)
+    terms = build_terms(inst["log"], negatives, social, beta=0.05)
     y_hi, y_lo = score_terms(terms, emb, role_scores=True)
     for i in range(len(terms)):
         u, h, l = int(terms.users[i]), int(terms.hi[i]), int(terms.lo[i])

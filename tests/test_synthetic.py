@@ -1,5 +1,6 @@
 """Synthetic world: exact success probabilities, planted structure, generation."""
 
+import dataclasses
 import json
 import os
 
@@ -19,6 +20,7 @@ from gbrec.synthetic import (
     simulate,
 )
 
+import helpers
 import oracles
 
 SMALL = SynthConfig(
@@ -180,7 +182,7 @@ def test_oracle_topk_breaks_ties_by_lower_id():
 def test_simulate_covers_every_user_and_item_then_draws():
     rng = np.random.default_rng(8)
     planted = build_planted(SMALL, rng)
-    records = simulate(planted, SMALL, rng)
+    records = helpers.records_of(simulate(planted, SMALL, rng))
     assert len(records) == SMALL.num_records
     for t in range(SMALL.num_users):
         assert records[t].initiator == t
@@ -193,7 +195,7 @@ def test_simulate_covers_every_user_and_item_then_draws():
 def test_simulate_labels_follow_threshold_rule():
     rng = np.random.default_rng(9)
     planted = build_planted(SMALL, rng)
-    records = simulate(planted, SMALL, rng)
+    records = helpers.records_of(simulate(planted, SMALL, rng))
     for r in records:
         assert r.success == (len(r.participants) >= SMALL.success_threshold)
         assert r.initiator not in r.participants
@@ -201,11 +203,20 @@ def test_simulate_labels_follow_threshold_rule():
         assert set(r.participants) <= friends
 
 
+def test_simulate_draws_what_generator_choice_draws():
+    cfg = SynthConfig(**{**SMALL.to_dict(), "num_records": 2000})
+    planted = build_planted(cfg, np.random.default_rng(15))
+    rng, ref = np.random.default_rng(16), np.random.default_rng(16)
+    got = [dataclasses.astuple(r) for r in helpers.records_of(simulate(planted, cfg, rng))]
+    assert got == oracles.simulate_oracle(planted, cfg.num_records, ref)
+    assert rng.random() == ref.random()  # the generator ends in the same state
+
+
 def test_simulate_threshold_zero_means_every_launch_succeeds():
     cfg = SynthConfig(**{**SMALL.to_dict(), "success_threshold": 0})
     rng = np.random.default_rng(10)
     planted = build_planted(cfg, rng)
-    records = simulate(planted, cfg, rng)
+    records = helpers.records_of(simulate(planted, cfg, rng))
     assert all(r.success for r in records)
 
 
@@ -225,7 +236,7 @@ def test_generate_writes_consistent_corpus(tmp_path, rng):
     assert stats.num_items == SMALL.num_items
     for key, value in result.counters.items():
         assert getattr(stats, key) == value, key
-    assert logb.records == result.log.records
+    assert helpers.records_of(logb) == helpers.records_of(result.log)
 
     meta = json.load(open(os.path.join(out, "generation.json")))
     assert meta["seed"] == 11

@@ -7,7 +7,7 @@ import pytest
 
 from gbrec import kernels
 from gbrec import trainer
-from gbrec.data import BehaviorLog, DatasetSplit, split_leave_one_out, user_interactions
+from gbrec.data import DatasetSplit, split_leave_one_out, user_interactions
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
 from gbrec.model import Hyperparams, init_flat_params, init_params
@@ -86,7 +86,7 @@ def test_normalize_embedding_rows():
 def tiny_problem(seed=0):
     rng = np.random.default_rng(seed)
     records = helpers.make_records(rng, 12, 10, 90)
-    log = BehaviorLog(records, 12, 10)
+    log = helpers.from_records(records, 12, 10)
     social = helpers.make_social(rng, 12, 20)
     split = split_leave_one_out(log, seed=seed, num_negatives=9)
     return split, social
@@ -130,7 +130,7 @@ def test_finetune_returns_best_validation_params():
 
 def test_finetune_without_validation_returns_final_params():
     split, social = tiny_problem(seed=3)
-    bare = DatasetSplit(split.train, {}, split.test, split.eval_negatives, 12, 10)
+    bare = DatasetSplit(split.train, split.validation.take([]), split.test, split.eval_negatives, 12, 10)
     hp = Hyperparams(dim=4, num_layers=1, epochs=2, finetune_lr=0.05, batch_size=64)
     bundle = build_graphs(bare.train, hp.failed_participant_edges)
     adapter = GCNModel(bundle, social, hp)
@@ -180,7 +180,7 @@ def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
     split, social = tiny_problem(seed=5)
     hp = Hyperparams(dim=4, alpha=0.6, social_reg_coeff=0.1)
     params = init_flat_params(split.num_users, split.num_items, 4, seed=0)
-    batch = split.train.columns
+    batch = split.train
     negatives = np.random.default_rng(0).integers(0, split.num_items, size=(len(batch), 1))
     adapter = FlatModel(social, hp)
 
