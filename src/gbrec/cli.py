@@ -139,13 +139,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.ks is not None and min(args.ks) < 1:
+        print(f"error: --ks must be >= 1, got {min(args.ks)}", file=sys.stderr)
+        return 2
     split, social, _stats = load_split_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     emb = _embeddings_from_checkpoint(ckpt, split.train, social)
     ks = args.ks if args.ks is not None else tuple(ckpt.hp.eval_ks)
     if not len(split.test):
         raise IngestError(f"{args.data}: split has no test users")
-    report = evaluate_ranking(emb.score_items, split.test, split.eval_negatives, ks)
+    report = evaluate_ranking(emb.score_users, split.test, split.eval_negatives, ks)
     digest = negatives_digest(split.eval_negatives)
     print(report.text())
     print(f"negatives_digest={digest}")
@@ -268,13 +271,13 @@ def main(argv: list[str] | None = None) -> int:
         # quietly, with stdout on devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # a missing file, a directory where a file belongs, and the like
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IngestError, CheckpointError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, IndexError) as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +167,90 @@ def _check_range(where: str, what: str, value: int, bound: int) -> None:
         raise IngestError(f"{where}: {what} id {value} out of range [0, {bound})")
 
 
+def _c_parse(fields, bound: int) -> np.ndarray | None:
+    """Every id of the comma-separated ``fields``, in order, from one C-level
+    ``np.fromstring`` call; None when some token is not a plain decimal id
+    below ``bound`` (at most ``INT64_MAX``), and the caller parses the lines
+    token by token instead.
+
+    ``np.fromstring`` reads ``"-"``, ``"+ 5"`` and blanks as ids, stops at a
+    trailing comma and saturates past int64. So only ASCII digits and commas
+    pass, the ids must number one more than the commas, and a saturated id
+    fails the bound.
+    """
+    if not fields:
+        return np.empty(0, dtype=np.int64)
+    text = ",".join(fields)
+    if not text.isascii() or text.encode().translate(None, b"0123456789,"):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # unmatched data: a warning in older NumPy, an error in newer
+        try:
+            ids = np.fromstring(text, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if ids.shape[0] != text.count(",") + 1 or ids.max() >= bound:
+        return None
+    return ids
+
+
+def _c_column(fields, bound: int) -> np.ndarray | None:
+    """``_c_parse`` of fields that hold one id each."""
+    ids = _c_parse(fields, bound)
+    return ids if ids is not None and ids.shape[0] == len(fields) else None
+
+
+def _numbered_fields(path: str) -> tuple[list[int], list[list[str]]]:
+    """Line numbers and tab-separated fields of the non-empty lines of ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return [n for n, line in enumerate(lines, 1) if line], [line.split("\t") for line in lines if line]
+
+
+def _behavior_columns(fields: list[list[str]], bounds: tuple[int, int] | None) -> BehaviorLog | None:
+    """The records of lines that are all plain, as read (participants not yet
+    deduplicated), with one C-level parse per id column; None if any line
+    needs the per-token parse. An empty participant field is an empty token,
+    which the C parse rejects."""
+    if any(len(f) != 4 for f in fields):
+        return None
+    initiator, item, parts, success = zip(*fields) if fields else ((), (), (), ())
+    if not set(success) <= {"0", "1"}:
+        return None
+    users, items = bounds if bounds is not None else (INT64_MAX, INT64_MAX)
+    ids = (
+        _c_column(initiator, users), _c_column(item, items), _c_parse([p for p in parts if p != "-"], users)
+    )
+    if any(col is None for col in ids):
+        return None
+    counts = [0 if p == "-" else p.count(",") + 1 for p in parts]
+    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    return BehaviorLog(ids[0], ids[1], np.array([s == "1" for s in success], dtype=bool), indptr, ids[2], 0, 0)
+
+
+def _parse_behavior_line(fields: list[str], where: str, bounds: tuple[int, int] | None):
+    """One line's ``(initiator, item, success, participants)``, token by token,
+    or its located error."""
+    if len(fields) != 4:
+        raise IngestError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+    initiator = _parse_int(fields[0], where)
+    item = _parse_int(fields[1], where)
+    if fields[2] == "-":
+        participants: list[int] = []
+    elif fields[2] == "":
+        raise IngestError(f"{where}: empty participant field (use '-')")
+    else:
+        participants = [_parse_int(t, where) for t in fields[2].split(",")]
+    if fields[3] not in ("0", "1"):
+        raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
+    if bounds is not None:
+        _check_range(where, "user", initiator, bounds[0])
+        _check_range(where, "item", item, bounds[1])
+        for p in participants:
+            _check_range(where, "user", p, bounds[0])
+    return initiator, item, fields[3] == "1", participants
+
+
 def parse_behavior_file(
     path: str, bounds: tuple[int, int] | None = None, one_per_user: bool = False
 ) -> tuple[BehaviorLog, int, int]:
@@ -175,57 +260,90 @@ def parse_behavior_file(
     the dense id space of a split, and the log spans that space; without,
     it spans ids up to the largest one read. With ``one_per_user``, a second
     record of one initiator is an error.
-    """
-    rows: list[tuple[int, int, bool, int]] = []
-    members: list[int] = []
-    first_line: dict[int, int] = {}
-    dropped = 0
-    deduped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise IngestError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
-            initiator = _parse_int(fields[0], where)
-            item = _parse_int(fields[1], where)
-            if fields[2] == "-":
-                participants: list[int] = []
-            elif fields[2] == "":
-                raise IngestError(f"{where}: empty participant field (use '-')")
-            else:
-                participants = [_parse_int(t, where) for t in fields[2].split(",")]
-            if fields[3] not in ("0", "1"):
-                raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
-            success = fields[3] == "1"
-            if bounds is not None:
-                _check_range(where, "user", initiator, bounds[0])
-                _check_range(where, "item", item, bounds[1])
-                for p in participants:
-                    _check_range(where, "user", p, bounds[0])
 
-            seen = dict.fromkeys(participants)  # first occurrences, in order
-            deduped += len(participants) - len(seen)
-            if initiator in seen:
-                log.warning("%s: initiator %d listed as participant, record dropped", where, initiator)
-                dropped += 1
-                continue
-            if one_per_user:
-                first = first_line.setdefault(initiator, lineno)
-                if first != lineno:
-                    raise IngestError(f"{where}: user {initiator} listed twice (first on line {first})")
-            rows.append((initiator, item, success, len(seen)))
-            members.extend(seen)
+    Each id column is parsed by one C-level call. If any line is not plain
+    (a blank or a sign in an id, say, or a bad line), every line is parsed
+    token by token up to the first bad one; the lines before it are kept,
+    dropped and deduplicated as in a clean file, and then its error is raised.
+    """
+    linenos, fields = _numbered_fields(path)
+    raw = _behavior_columns(fields, bounds)
+    error = None
+    if raw is None:
+        rows, parts = [], []
+        for lineno, line_fields in zip(linenos, fields):
+            try:
+                initiator, item, success, participants = _parse_behavior_line(line_fields, f"{path}:{lineno}", bounds)
+            except IngestError as exc:
+                error = exc
+                break
+            rows.append((initiator, item, success, len(participants)))
+            parts.extend(participants)
+        raw = BehaviorLog.from_rows(rows, parts, 0, 0)
+
+    # participants: first occurrences per record, in order; a stable sort by
+    # (record, id) puts each repeat right after the occurrence it repeats
+    n = len(raw)
+    rec = np.repeat(np.arange(n), raw.num_participants)
+    members = raw.part_indices
+    order = np.lexsort((members, rec))
+    repeat = np.zeros(members.shape[0], dtype=bool)
+    repeat[order[1:]] = (members[order[1:]] == members[order[:-1]]) & (rec[order[1:]] == rec[order[:-1]])
+    dropped = np.zeros(n, dtype=bool)
+    dropped[rec[members == raw.initiator[rec]]] = True
+    kept = np.flatnonzero(~dropped)
+    reached = n  # records read before the first error
+    if one_per_user:
+        _, first, inverse = np.unique(raw.initiator[kept], return_index=True, return_inverse=True)
+        again = np.flatnonzero(first[inverse] != np.arange(kept.shape[0]))
+        if again.size:
+            i, j = kept[again[0]], kept[first[inverse[again[0]]]]
+            error = IngestError(
+                f"{path}:{linenos[i]}: user {raw.initiator[i]} listed twice (first on line {linenos[j]})"
+            )
+            reached = i
+    for i in np.flatnonzero(dropped[:reached]).tolist():
+        log.warning("%s: initiator %d listed as participant, record dropped", f"{path}:{linenos[i]}", raw.initiator[i])
+    if error is not None:
+        raise error
+
+    keep = ~repeat & ~dropped[rec]
+    part_indptr = np.zeros(kept.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rec[keep], minlength=n)[kept], out=part_indptr[1:])
+    initiator, part_indices = raw.initiator[kept], members[keep]
     if bounds is None:  # the ids read span the log
-        bounds = (max([r[0] for r in rows] + members, default=-1) + 1, max([r[1] for r in rows], default=-1) + 1)
-    return BehaviorLog.from_rows(rows, members, *bounds), dropped, deduped
+        bounds = (
+            int(max(initiator.max(initial=-1), part_indices.max(initial=-1))) + 1,
+            int(raw.item[kept].max(initial=-1)) + 1,
+        )
+    logb = BehaviorLog(initiator, raw.item[kept], raw.success[kept], part_indptr, part_indices, *bounds)
+    return logb, int(np.count_nonzero(dropped)), int(np.count_nonzero(repeat))
 
 
 def parse_social_file(path: str) -> np.ndarray:
-    pairs: list[tuple[int, int]] = []
+    """``(E, 2)`` id pairs; each column is parsed by one C-level call, or,
+    if any line is not plain, every line token by token."""
+    linenos, fields = _numbered_fields(path)
+    if all(len(f) == 2 for f in fields):
+        a, b = zip(*fields) if fields else ((), ())
+        pairs = (_c_column(a, INT64_MAX), _c_column(b, INT64_MAX))
+        if pairs[0] is not None and pairs[1] is not None:
+            return np.stack(pairs, axis=1)
+    rows: list[tuple[int, int]] = []
+    for lineno, line_fields in zip(linenos, fields):
+        where = f"{path}:{lineno}"
+        if len(line_fields) != 2:
+            raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(line_fields)}")
+        rows.append((_parse_int(line_fields[0], where), _parse_int(line_fields[1], where)))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def parse_negatives_file(path: str, num_users: int, num_items: int) -> dict[int, np.ndarray]:
+    """Frozen evaluation candidates, ``user<TAB>i1,i2,...`` per line: each
+    user's list is parsed by one C-level call, or, if it is not plain, id by
+    id. A user may have one line."""
+    negatives: dict[int, np.ndarray] = {}
+    first_line: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -235,10 +353,26 @@ def parse_social_file(path: str) -> np.ndarray:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
-            pairs.append((_parse_int(fields[0], where), _parse_int(fields[1], where)))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+            u = _parse_int(fields[0], where)
+            _check_range(where, "user", u, num_users)
+            first = first_line.setdefault(u, lineno)
+            if first != lineno:
+                raise IngestError(f"{where}: user {u} listed twice (first on line {first})")
+            items = _c_parse(fields[1:], num_items)
+            if items is None:
+                tokens = fields[1].split(",")
+                try:
+                    # NumPy parses each token as int() does, and overflows past int64
+                    items = np.array(tokens, dtype=np.int64)
+                except (ValueError, OverflowError):
+                    for tok in tokens:
+                        _parse_int(tok, where)  # raises the located error
+                    raise
+                if items.min() < 0 or items.max() >= num_items:
+                    bad = items[(items < 0) | (items >= num_items)][0]
+                    raise IngestError(f"{where}: item id {bad} out of range [0, {num_items})")
+            negatives[u] = items
+    return negatives
 
 
 def ingest(behavior_path: str, social_path: str | None) -> tuple[BehaviorLog, SocialGraph, DatasetStats]:
@@ -533,7 +667,10 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
     """``load_train_dir`` plus the evaluation side: held-out records and frozen negatives.
 
     Each user has at most one line in each of ``validation.tsv``, ``test.tsv``
-    and ``negatives.tsv``, and every held-out user has a negatives line.
+    and ``negatives.tsv``, and every held-out user has a negatives line. Ids
+    are parsed by one C-level call per column of a file, or per list of
+    ``negatives.tsv``; a line that is not plain is read token by token, as
+    ``int`` reads it, or fails with its located error.
     """
     train, social, stats = load_train_dir(datadir)
     num_users, num_items = train.num_users, train.num_items
@@ -541,35 +678,8 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
     for name in ("validation.tsv", "test.tsv"):
         logb, _, _ = parse_behavior_file(os.path.join(datadir, name), (num_users, num_items), one_per_user=True)
         held_out[name] = logb.take(np.argsort(logb.initiator))
-    negatives: dict[int, np.ndarray] = {}
-    first_line: dict[int, int] = {}
     neg_path = os.path.join(datadir, "negatives.tsv")
-    with open(neg_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            where = f"{neg_path}:{lineno}"
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
-            u = _parse_int(fields[0], where)
-            _check_range(where, "user", u, num_users)
-            first = first_line.setdefault(u, lineno)
-            if first != lineno:
-                raise IngestError(f"{where}: user {u} listed twice (first on line {first})")
-            tokens = fields[1].split(",")
-            try:
-                # NumPy parses each token as int() does, and overflows past int64
-                items = np.array(tokens, dtype=np.int64)
-            except (ValueError, OverflowError):
-                for tok in tokens:
-                    _parse_int(tok, where)  # raises the located error
-                raise
-            if items.min() < 0 or items.max() >= num_items:
-                bad = items[(items < 0) | (items >= num_items)][0]
-                raise IngestError(f"{where}: item id {bad} out of range [0, {num_items})")
-            negatives[u] = items
+    negatives = parse_negatives_file(neg_path, num_users, num_items)
     for name, logb in held_out.items():
         for u in logb.initiator.tolist():
             if u not in negatives:

@@ -7,6 +7,10 @@ the model: rank = #strictly-better + #equal among the negatives). Metrics:
 * recall@K: fraction of users whose held-out item landed in the top K;
 * ndcg@K:  mean of 1/log2(rank+2) for users with rank < K, else 0.
 
+Users are ranked in blocks of ``RANK_BLOCK``: one ``(block, num_items)``
+score matrix per block, from which each user's test item and negatives are
+gathered. ``rank_from_scores`` is the same rank for one user.
+
 Keeping the negative lists frozen in the split makes comparisons between
 models paired; ``negatives_digest`` fingerprints them so a report can prove
 two evaluations saw the same candidates.
@@ -22,7 +26,12 @@ import numpy as np
 
 from .data import BehaviorLog
 
-ScoreItemsFn = Callable[[int, np.ndarray], np.ndarray]
+# every item's score for each user given: (users,) -> (len(users), num_items)
+ScoreUsersFn = Callable[[np.ndarray], np.ndarray]
+
+# Users per score matrix. Counting users, not score cells, bounds the gathered
+# candidates too: 128 lists of up to 999 items with the default split.
+RANK_BLOCK = 128
 
 
 def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
@@ -80,18 +89,26 @@ def compute_metrics(ranks: np.ndarray, ks: tuple[int, ...]) -> MetricReport:
 
 
 def evaluate_ranking(
-    score_items: ScoreItemsFn,
+    score_users: ScoreUsersFn,
     records: BehaviorLog,
     negatives: dict[int, np.ndarray],
     ks: tuple[int, ...],
 ) -> MetricReport:
     """Rank each held-out record's item for its initiator, in the log's order
-    (ascending user id for a split's held-out logs)."""
+    (ascending user id for a split's held-out logs), ``RANK_BLOCK`` users per
+    score matrix. A negative counts against the test item when it scores
+    ``>=``: the pessimistic rank, and NaN on either side counts for nothing."""
     ranks = np.empty(len(records), dtype=np.int64)
-    for i, (u, item) in enumerate(zip(records.initiator.tolist(), records.item.tolist())):
-        cand = np.concatenate([[item], negatives[u]])
-        scores = score_items(u, cand)
-        ranks[i] = rank_from_scores(float(scores[0]), scores[1:])
+    for start in range(0, len(records), RANK_BLOCK):
+        block = slice(start, start + RANK_BLOCK)
+        users = records.initiator[block]
+        rows = np.arange(users.shape[0])
+        scores = score_users(users)
+        test = scores[rows, records.item[block]]
+        cand = [negatives[u] for u in users.tolist()]
+        row = np.repeat(rows, [c.shape[0] for c in cand])
+        beaten = scores[row, np.concatenate(cand)] >= test[row]
+        ranks[block] = np.bincount(row[beaten], minlength=rows.shape[0])
     return compute_metrics(ranks, ks)
 
 

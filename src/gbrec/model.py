@@ -354,6 +354,19 @@ class EmbeddingSet:
             join = join + bj[items] @ fm[user]
         return self._coef[user] * launch + self._alpha_t * join
 
+    def score_users(self, users: np.ndarray) -> np.ndarray:
+        """Every item's score for each of ``users``: a ``(len(users), num_items)``
+        matrix, one matmul per block, by the arithmetic of ``score_items``."""
+        users = np.asarray(users, dtype=np.int64)
+        dtype = self.user_launch[0].dtype
+        launch = np.zeros((users.shape[0], self.num_items), dtype=dtype)
+        for bu, bi in zip(self.user_launch, self.item_launch):
+            launch = launch + bu[users] @ bi.T
+        join = np.zeros((users.shape[0], self.num_items), dtype=dtype)
+        for fm, bj in zip(self.friend_mean, self.item_join):
+            join = join + fm[users] @ bj.T
+        return self._coef[users, None] * launch + self._alpha_t * join
+
     def predict(self, user: int, item: int) -> float:
         return float(self.score_items(user, np.asarray([item], dtype=np.int64))[0])
 

@@ -253,7 +253,7 @@ def finetune_stage(
         val = None
         if len(split.validation):
             emb = adapter.embeddings(adapter.forward(params))
-            report = evaluate_ranking(emb.score_items, split.validation, split.eval_negatives, (10,))
+            report = evaluate_ranking(emb.score_users, split.validation, split.eval_negatives, (10,))
             val = {"ndcg10": report.ndcg[10], "recall10": report.recall[10]}
             if report.ndcg[10] > best_ndcg:
                 best_ndcg = report.ndcg[10]

@@ -13,6 +13,8 @@ from itertools import product
 
 import numpy as np
 
+from gbrec.data import IngestError
+
 
 # ---------------------------------------------------------------------------
 # dense propagation oracle
@@ -287,6 +289,123 @@ def split_oracle(records, num_items: int, seed: int, num_negatives: int):
         negatives[u] = np.sort(rng.choice(np.array(complement, dtype=np.int64), size=take, replace=False))
     train = [r for i, r in enumerate(records) if i not in held]
     return train, validation, test, negatives
+
+
+# ---------------------------------------------------------------------------
+# split files, line by line and token by token
+
+INT64_MAX = 2**63 - 1
+
+
+def _id_token(tok: str, where: str) -> int:
+    try:
+        value = int(tok)
+    except ValueError:
+        raise IngestError(f"{where}: not an integer: {tok!r}") from None
+    if value < 0:
+        raise IngestError(f"{where}: negative id: {value}")
+    if value > INT64_MAX:
+        raise IngestError(f"{where}: id {value} too large (max {INT64_MAX})")
+    return value
+
+
+def _lines(path: str):
+    """``(line number, "path:line", tab-separated fields)`` of each non-empty line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if line:
+                yield lineno, f"{path}:{lineno}", line.split("\t")
+
+
+def parse_behavior_oracle(path: str, bounds=None, one_per_user: bool = False, warnings: list | None = None):
+    """A behavior file, record by record: ``(records, num_users, num_items,
+    dropped, deduped)`` with records as ``(initiator, item, participants,
+    success)`` tuples, or the first bad line's ``IngestError``. The warning
+    for each dropped record is appended to ``warnings``, in line order."""
+    records = []
+    first_line: dict[int, int] = {}
+    dropped = deduped = 0
+    for lineno, where, fields in _lines(path):
+        if len(fields) != 4:
+            raise IngestError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+        initiator = _id_token(fields[0], where)
+        item = _id_token(fields[1], where)
+        if fields[2] == "-":
+            participants = []
+        elif fields[2] == "":
+            raise IngestError(f"{where}: empty participant field (use '-')")
+        else:
+            participants = [_id_token(t, where) for t in fields[2].split(",")]
+        if fields[3] not in ("0", "1"):
+            raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
+        if bounds is not None:
+            checks = [("user", initiator, bounds[0]), ("item", item, bounds[1])]
+            for what, value, bound in checks + [("user", p, bounds[0]) for p in participants]:
+                if value >= bound:
+                    raise IngestError(f"{where}: {what} id {value} out of range [0, {bound})")
+        seen = list(dict.fromkeys(participants))
+        deduped += len(participants) - len(seen)
+        if initiator in seen:
+            if warnings is not None:
+                warnings.append(f"{where}: initiator {initiator} listed as participant, record dropped")
+            dropped += 1
+            continue
+        if one_per_user:
+            first = first_line.setdefault(initiator, lineno)
+            if first != lineno:
+                raise IngestError(f"{where}: user {initiator} listed twice (first on line {first})")
+        records.append((initiator, item, tuple(seen), fields[3] == "1"))
+    if bounds is None:
+        users = [r[0] for r in records] + [p for r in records for p in r[2]]
+        bounds = (max(users, default=-1) + 1, max([r[1] for r in records], default=-1) + 1)
+    return records, bounds[0], bounds[1], dropped, deduped
+
+
+def parse_social_oracle(path: str) -> list[tuple[int, int]]:
+    """A social file, pair by pair, or the first bad line's ``IngestError``."""
+    pairs = []
+    for _, where, fields in _lines(path):
+        if len(fields) != 2:
+            raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
+        pairs.append((_id_token(fields[0], where), _id_token(fields[1], where)))
+    return pairs
+
+
+def parse_negatives_oracle(path: str, num_users: int, num_items: int) -> dict[int, list[int]]:
+    """A negatives file, user by user, or the first bad line's ``IngestError``.
+
+    A list whose tokens are all int64 integers is range-checked as a whole,
+    so its first id outside ``[0, num_items)`` is named, negative or not;
+    otherwise the first token that is not an id is.
+    """
+    negatives: dict[int, list[int]] = {}
+    first_line: dict[int, int] = {}
+    for lineno, where, fields in _lines(path):
+        if len(fields) != 2:
+            raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
+        u = _id_token(fields[0], where)
+        if u >= num_users:
+            raise IngestError(f"{where}: user id {u} out of range [0, {num_users})")
+        first = first_line.setdefault(u, lineno)
+        if first != lineno:
+            raise IngestError(f"{where}: user {u} listed twice (first on line {first})")
+        tokens = fields[1].split(",")
+        items = []
+        for tok in tokens:
+            try:
+                value = int(tok)
+            except ValueError:
+                value = None
+            if value is None or not -INT64_MAX - 1 <= value <= INT64_MAX:
+                for earlier in tokens:
+                    _id_token(earlier, where)
+            items.append(value)
+        for value in items:
+            if not 0 <= value < num_items:
+                raise IngestError(f"{where}: item id {value} out of range [0, {num_items})")
+        negatives[u] = items
+    return negatives
 
 
 def l2_oracle(tensors: dict[str, np.ndarray], coeff: float) -> float:

@@ -102,7 +102,7 @@ def train_and_test_ndcg(model_type: str, split, social, finetune_lr: float):
     else:
         model = FlatModel(social, result.hp)
     emb = model.embeddings(model.forward(result.params))
-    report = evaluate_ranking(emb.score_items, split.test, split.eval_negatives, (10,))
+    report = evaluate_ranking(emb.score_users, split.test, split.eval_negatives, (10,))
     return report.ndcg[10], report.recall[10]
 
 

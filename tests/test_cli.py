@@ -308,6 +308,36 @@ def test_recommend_rejects_k_below_one(pipeline, capsys, k):
     assert err.strip().splitlines() == [f"error: --k must be >= 1, got {k}"]
 
 
+@pytest.mark.parametrize("ks", ["0", "-3", "5,0"])
+def test_evaluate_rejects_k_below_one_before_loading(tmp_path, capsys, ks):
+    missing = str(tmp_path / "nothing-here")
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", missing, "--data", missing, "--ks", ks])
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: --ks must be >= 1, got {min(int(k) for k in ks.split(','))}"]
+
+
+def test_evaluate_with_a_directory_as_checkpoint_fails_with_one_line(pipeline, tmp_path, capsys):
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", str(tmp_path), "--data", pipeline["datadir"]])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_train_into_an_existing_file_fails_with_one_line(pipeline, tmp_path, capsys):
+    outdir = tmp_path / "taken"
+    outdir.write_text("not a directory\n")
+    code, out, err = run(
+        capsys,
+        ["train", "--data", pipeline["datadir"], "--outdir", str(outdir), "--model", "gbmf", "--seed", "0", *TRAIN_ARGS],
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and str(outdir) in err
+
+
 def test_bad_hyperparameter_exits_2(pipeline, capsys):
     code, _, err = run(
         capsys,

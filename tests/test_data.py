@@ -1,6 +1,7 @@
 """Parsing, id remapping, splitting, and negative sampling."""
 
 import dataclasses
+import logging
 import os
 import tempfile
 
@@ -17,6 +18,7 @@ from gbrec.data import (
     ingest,
     load_split_dir,
     parse_behavior_file,
+    parse_negatives_file,
     parse_social_file,
     sample_negatives,
     save_split_dir,
@@ -93,6 +95,123 @@ def test_parse_social(tmp_path):
     np.testing.assert_array_equal(parse_social_file(path), [[1, 2], [3, 4]])
     with pytest.raises(IngestError, match="expected 2"):
         parse_social_file(write(tmp_path, "bad.tsv", "1\t2\t3\n"))
+
+
+# ---------------------------------------------------------------------------
+# the C-level id parse against the token-by-token oracles
+
+# ids of a small space, so repeats, self-joins and out-of-range ids are common
+PLAIN_IDS = st.integers(0, 7).map(str)
+# tokens that int() reads and np.fromstring does not, or reads differently,
+# or that neither reads
+ODD_IDS = st.sampled_from(
+    [" 5", "+5", "5 ", "1_0", "٣", "", "-3", "-0", "007", "+ 5", "-", " ", "1.0", "x",
+     "99999999999999999999", "-99999999999999999999", "9223372036854775807"]
+)
+
+
+@st.composite
+def tsv_files(draw, kind):
+    """Lines of a behavior, negatives or social file: plain ids or odd tokens
+    too, and well-formed lines or bad field counts, flags and participant
+    fields and empty lines too."""
+    odd_ids, odd_lines = draw(st.booleans()), draw(st.booleans())
+    ids = st.one_of(PLAIN_IDS, ODD_IDS) if odd_ids else PLAIN_IDS
+    lists = st.lists(ids, min_size=1, max_size=5).map(",".join)
+    flags = st.sampled_from(["0", "1", "2", "", "01"] if odd_lines else ["0", "1"])
+    participants = st.sampled_from(["-", ""] if odd_lines else ["-"]) | lists
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if kind == "behaviors":
+            fields = [draw(ids), draw(ids), draw(participants), draw(flags)]
+        else:
+            fields = [draw(ids), draw(lists if kind == "negatives" else ids)]
+        if odd_lines and draw(st.integers(0, 4)) == 0:
+            fields = draw(st.sampled_from([fields[:-1], fields + ["1"], ["1,2"] + fields[1:], []]))
+        lines.append("\t".join(fields))
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_temp(text):
+    fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".tsv", delete=False)
+    with fh:
+        fh.write(text)
+    return fh.name
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except IngestError as exc:
+        return f"IngestError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=tsv_files("behaviors"),
+    bounds=st.sampled_from([None, (8, 8)]) | st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    one_per_user=st.booleans(),
+)
+def test_parse_behavior_file_equals_the_token_parse(text, bounds, one_per_user):
+    path = _write_temp(text)
+    try:
+        want_warnings = []
+        want = _outcome(oracles.parse_behavior_oracle, path, bounds, one_per_user, want_warnings)
+        logger = logging.getLogger("gbrec.data")
+        handler = _Messages()
+        logger.addHandler(handler)
+        try:
+            got = _outcome(parse_behavior_file, path, bounds, one_per_user)
+        finally:
+            logger.removeHandler(handler)
+    finally:
+        os.unlink(path)
+    if not isinstance(got, str):
+        logb, dropped, deduped = got
+        got = (
+            [dataclasses.astuple(r) for r in helpers.records_of(logb)], logb.num_users, logb.num_items, dropped, deduped
+        )
+    assert got == want
+    assert handler.messages == want_warnings
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=tsv_files("negatives"), num_users=st.integers(1, 8), num_items=st.integers(1, 8))
+def test_parse_negatives_file_equals_the_token_parse(text, num_users, num_items):
+    path = _write_temp(text)
+    try:
+        want = _outcome(oracles.parse_negatives_oracle, path, num_users, num_items)
+        got = _outcome(parse_negatives_file, path, num_users, num_items)
+    finally:
+        os.unlink(path)
+    if not isinstance(got, str):
+        assert all(items.dtype == np.int64 for items in got.values())
+        got = {u: items.tolist() for u, items in got.items()}
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=tsv_files("social"))
+def test_parse_social_file_equals_the_token_parse(text):
+    path = _write_temp(text)
+    try:
+        want = _outcome(oracles.parse_social_oracle, path)
+        got = _outcome(parse_social_file, path)
+    finally:
+        os.unlink(path)
+    if not isinstance(got, str):
+        assert got.dtype == np.int64 and got.shape[1] == 2
+        got = [tuple(pair) for pair in got.tolist()]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

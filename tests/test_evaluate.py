@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbrec.evaluate import (
+    RANK_BLOCK,
     MetricReport,
     compute_metrics,
     evaluate_ranking,
@@ -14,6 +17,7 @@ from gbrec.evaluate import (
     view_similarity,
 )
 from gbrec.loss import BehaviorRecord
+from gbrec.model import EmbeddingSet
 
 import helpers
 import oracles
@@ -115,13 +119,64 @@ def test_evaluate_ranking_orders_users_and_ranks_test_items():
         (3, 0): 9.0, (3, 2): 1.0, (3, 4): 1.0,
     }
 
-    def score_items(u, items):
-        return np.array([table[(u, int(i))] for i in items])
+    def score_users(users):
+        return np.array([[table.get((u, i), np.nan) for i in range(5)] for u in users.tolist()])
 
-    report = evaluate_ranking(score_items, records, negatives, (1, 2))
+    report = evaluate_ranking(score_users, records, negatives, (1, 2))
     np.testing.assert_array_equal(sorted(report.ranks.tolist()), [0, 1])
     assert report.recall[1] == 0.5
     assert report.recall[2] == 1.0
+
+
+@st.composite
+def ranking_worlds(draw):
+    """Embeddings of small integers, so every score is exact in float32 and
+    ties are common; ragged negative lists; and held-out logs from empty to
+    more users than one block."""
+    num_users = draw(st.integers(1, 2 * RANK_BLOCK + 5))
+    num_items = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, num_blocks = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    ints = lambda rows: rng.integers(-2, 3, size=(rows, dim)).astype(np.float32)
+    item_launch = [ints(num_items) for _ in range(num_blocks)]
+    if draw(st.booleans()):  # an item scoring NaN for everyone
+        item_launch[0][rng.integers(num_items)] = np.nan
+    flat = draw(st.booleans())  # mf: no friend-mean blocks
+    emb = EmbeddingSet(
+        user_launch=[ints(num_users) for _ in range(num_blocks)],
+        item_launch=item_launch,
+        user_join=[ints(num_users) for _ in range(num_blocks)],
+        item_join=[ints(num_items) for _ in range(num_blocks)],
+        friend_mean=[] if flat else [ints(num_users) for _ in range(num_blocks)],
+        has_friends=rng.random(num_users) < 0.5,
+        alpha=0.0 if flat else draw(st.sampled_from([0.25, 0.5, 1.0])),
+        renormalize_alpha=draw(st.booleans()),
+    )
+    users = np.sort(rng.choice(num_users, size=draw(st.integers(0, num_users)), replace=False))
+    items = rng.integers(num_items, size=users.shape[0])
+    records = helpers.from_records(
+        [BehaviorRecord(u, i, (), True) for u, i in zip(users.tolist(), items.tolist())], num_users, num_items
+    )
+    negatives = {u: rng.choice(num_items, size=rng.integers(num_items + 1), replace=False) for u in users.tolist()}
+    return emb, records, negatives
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=ranking_worlds())
+def test_blocked_ranking_equals_the_rank_of_each_user(world):
+    emb, records, negatives = world
+    if not len(records):
+        with pytest.raises(ValueError, match="no ranks"):
+            evaluate_ranking(emb.score_users, records, negatives, (1, 3))
+        return
+    report = evaluate_ranking(emb.score_users, records, negatives, (1, 3))
+    want = []
+    for u, item in zip(records.initiator.tolist(), records.item.tolist()):
+        scores = emb.score_items(u, np.concatenate([[item], negatives[u]]))
+        want.append(rank_from_scores(float(scores[0]), scores[1:]))
+    np.testing.assert_array_equal(report.ranks, want)
+    by_user = [emb.all_item_scores(u) for u in records.initiator.tolist()]
+    np.testing.assert_array_equal(emb.score_users(records.initiator), by_user)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_finetune_returns_best_validation_params():
     assert all(e["stage"] == "finetune" for e in entries)
     best_seen = max(e["val_ndcg10"] for e in entries)
     emb = adapter.embeddings(adapter.forward(best))
-    report = evaluate_ranking(emb.score_items, split.validation, split.eval_negatives, (10,))
+    report = evaluate_ranking(emb.score_users, split.validation, split.eval_negatives, (10,))
     assert report.ndcg[10] == pytest.approx(best_seen, abs=1e-12)
 
 
