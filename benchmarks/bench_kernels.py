@@ -1,11 +1,15 @@
-"""Timing of the one reduction kernel in the three roles training uses.
+"""Timing of the one reduction kernel in the four roles training uses.
 
 * ``segment_sum`` -- a neighbour sum over a synthetic CSR graph, the
   propagation step and each mean's adjoint;
 * ``scatter`` -- a plain scatter of given rows into destination rows;
-* ``gathered_scatter`` -- the score backward pass: one call that scatters
-  ``scale[i] * table[gather[i]]`` into several targets sharing one index,
-  gathering and scaling each column block inside the kernel.
+* ``gap_user_side`` -- the user side of the score gap's backward pass: one
+  call that scatters ``scale[i] * (table[lo[i]] - table[hi[i]])`` into several
+  targets sharing the index ``users``, gathering both rows, subtracting and
+  scaling each column block inside the kernel;
+* ``gap_item_side`` -- its item side: one call that gathers
+  ``scale[i] * table[users[i]]`` once per column block, adds it at ``lo[i]``
+  and subtracts it at ``hi[i]``, for several targets.
 
 Prints the best of ``--repeats`` per-call times for each role, with the
 kernel's block width ``kernels.BLOCK``. Usage::
@@ -50,7 +54,7 @@ def main() -> int:
     ap.add_argument("--degree", type=float, default=20.0)
     ap.add_argument("--dim", type=int, default=32)
     ap.add_argument("--terms", type=int, default=500_000, help="rows of each scatter")
-    ap.add_argument("--targets", type=int, default=4, help="targets sharing the gathered scatter's index")
+    ap.add_argument("--targets", type=int, default=4, help="targets of each gap-side call")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
@@ -59,10 +63,14 @@ def main() -> int:
     src = rng.standard_normal((args.cols, args.dim)).astype(np.float32)
     idx = rng.integers(0, args.rows, size=args.terms)
     rows = rng.standard_normal((args.terms, args.dim)).astype(np.float32)
-    gather = rng.integers(0, args.cols, size=args.terms)
+    # each gap term scatters to a user row and gathers two item rows, or the reverse
+    lo = rng.integers(0, args.cols, size=args.terms)
+    hi = rng.integers(0, args.cols, size=args.terms)
     scale = rng.standard_normal(args.terms)
-    outs = [np.zeros((args.rows, args.dim), dtype=np.float32) for _ in range(args.targets)]
-    tables = [rng.standard_normal((args.cols, args.dim)).astype(np.float32) for _ in range(args.targets)]
+    user_rows = [np.zeros((args.rows, args.dim), dtype=np.float32) for _ in range(args.targets)]
+    item_rows = [np.zeros((args.cols, args.dim), dtype=np.float32) for _ in range(args.targets)]
+    item_tables = [rng.standard_normal((args.cols, args.dim)).astype(np.float32) for _ in range(args.targets)]
+    user_tables = [rng.standard_normal((args.rows, args.dim)).astype(np.float32) for _ in range(args.targets)]
 
     print(
         f"rows={args.rows} cols={args.cols} nnz={indices.shape[0]} dim={args.dim} "
@@ -70,9 +78,12 @@ def main() -> int:
     )
     roles = {
         "segment_sum": lambda: kernels.segment_sum(indptr, indices, src),
-        "scatter": lambda: kernels.scatter_add_rows([(outs[0], rows, None)], idx),
-        "gathered_scatter": lambda: kernels.scatter_add_rows(
-            [(out, table, scale) for out, table in zip(outs, tables)], idx, gather
+        "scatter": lambda: kernels.scatter_add_rows([(user_rows[0], rows, None)], idx),
+        "gap_user_side": lambda: kernels.scatter_add_rows(
+            [(out, table, scale) for out, table in zip(user_rows, item_tables)], idx, lo, minus_gather=hi
+        ),
+        "gap_item_side": lambda: kernels.scatter_add_rows(
+            [(out, table, scale) for out, table in zip(item_rows, user_tables)], lo, idx, minus_idx=hi
         ),
     }
     for name, fn in roles.items():

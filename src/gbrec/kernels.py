@@ -22,6 +22,18 @@ to the output dtype once.
   target that shares that index in one call, gathering and scaling each
   block itself, so no gathered-and-scaled copy of a whole table is made.
 
+``scatter_add_rows`` has two signed forms, one per side of the score gap's
+backward pass:
+
+* a subtracted gather (the user side): the row is ``scale[i] *
+  (table[gather[i]] - table[minus_gather[i]])``, both rows read in float64,
+  subtracted, then scaled, before the sum above;
+* a subtracted destination (the item side): each row is added at ``idx[i]``
+  and subtracted at ``minus_idx[i]``. The added sum and the subtracted sum
+  are each a sequential float64 sum in index order, one ``np.bincount``
+  each; the second is subtracted from the first once, and the difference is
+  rounded once.
+
 The kernel is single-threaded NumPy; thread count cannot change a result.
 """
 
@@ -61,34 +73,45 @@ def _flat_key(dest: np.ndarray, m: int) -> np.ndarray:
     return key
 
 
-def _block_sums(dest: np.ndarray, n_rows: int, gather: np.ndarray | None, sources):
-    """Yield ``(s, cols, sums)``: float64 ``sums[r] = sum of scale[i] * table[gather[i], cols]``
-    over the ``i`` with ``dest[i] == r``, in index order, for source ``s``.
+def _check_range(index: np.ndarray | None, bound: int, what: str) -> None:
+    if index is not None and index.shape[0] and (index.min() < 0 or index.max() >= bound):
+        raise IndexError(f"{what} out of range [0, {bound})")
 
-    ``sources`` holds ``(table, scale)`` pairs; ``gather`` None reads
-    ``table[i]``, and ``scale`` None scales by one. Each block of a table is
-    padded with zero columns to the key's width and read in float64, so the
-    gather writes straight into one reused buffer; the padding's sums are
-    dropped.
+
+def _block_sums(dest, n_rows, gather, sources, minus_gather=None, minus_dest=None):
+    """Yield ``(s, cols, sums)``: float64 ``sums[r] = sum of row[i, cols]`` over
+    the ``i`` with ``dest[i] == r``, in index order, minus the same sum over the
+    ``i`` with ``minus_dest[i] == r`` when it is given, for source ``s``.
+
+    ``sources`` holds ``(table, scale)`` pairs, and ``row[i]`` is
+    ``scale[i] * (table[gather[i]] - table[minus_gather[i]])``: ``gather`` None
+    reads ``table[i]``, ``minus_gather`` None subtracts nothing and ``scale``
+    None scales by one. Each block of a table is padded with zero columns to
+    the key's width and read in float64, so each gather writes straight into
+    one reused buffer; the padding's sums are dropped.
     """
-    if gather is not None and gather.shape[0]:
-        n_src = min(table.shape[0] for table, _ in sources)
-        if gather.min() < 0 or gather.max() >= n_src:
-            raise IndexError(f"gather index out of range [0, {n_src})")
+    n_src = min(table.shape[0] for table, _ in sources)
+    _check_range(gather, n_src, "gather index")
+    _check_range(minus_gather, n_src, "subtracted gather index")
     m = max(1, min(BLOCK, max(table.shape[1] for table, _ in sources)))
     key = _flat_key(dest, m)
+    minus_key = None if minus_dest is None else _flat_key(minus_dest, m)
     buf = np.empty((dest.shape[0], m), dtype=np.float64)
+    minus_buf = None if minus_gather is None else np.empty_like(buf)
     for s, (table, scale) in enumerate(sources):
         for c0 in range(0, table.shape[1], m):
             cols = slice(c0, min(c0 + m, table.shape[1]))
             block = np.zeros((table.shape[0], m), dtype=np.float64)
             block[:, : cols.stop - c0] = table[:, cols]
-            if gather is not None:
-                # in range (checked above), so "clip" only spares take a second buffer
-                block = np.take(block, gather, axis=0, out=buf, mode="clip")
+            # gathers are in range (checked above), so "clip" only spares a second buffer
+            rows = block if gather is None else np.take(block, gather, axis=0, out=buf, mode="clip")
+            if minus_gather is not None:
+                rows -= np.take(block, minus_gather, axis=0, out=minus_buf, mode="clip")
             if scale is not None:
-                block *= scale[:, None]
-            sums = np.bincount(key, weights=block.ravel(), minlength=n_rows * m)
+                rows *= scale[:, None]
+            sums = np.bincount(key, weights=rows.ravel(), minlength=n_rows * m)
+            if minus_key is not None:
+                sums -= np.bincount(minus_key, weights=rows.ravel(), minlength=n_rows * m)
             yield s, cols, sums.reshape(n_rows, m)[:, : cols.stop - c0]
 
 
@@ -123,20 +146,35 @@ def segment_mean(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray) -> np
     return (sums * inv[:, None]).astype(src.dtype, copy=False)
 
 
-def scatter_add_rows(targets, idx: np.ndarray, gather: np.ndarray | None = None) -> None:
+def scatter_add_rows(
+    targets,
+    idx: np.ndarray,
+    gather: np.ndarray | None = None,
+    minus_gather: np.ndarray | None = None,
+    minus_idx: np.ndarray | None = None,
+) -> None:
     """In place, for each ``(out, table, scale)`` in ``targets``:
-    ``out[idx[i]] += scale[i] * table[gather[i]]``, duplicate ``idx`` accumulating.
+    ``out[idx[i]] += row[i]`` with ``row[i] = scale[i] * table[gather[i]]``,
+    duplicate ``idx`` accumulating.
 
     ``gather`` None reads ``table[i]``; ``scale`` None scales by one. The
-    targets share ``idx``, so they share its row count; their widths and
-    dtypes may differ. Each destination's terms are summed in float64, in
-    index order, and the sum is rounded to ``out.dtype`` once before it is
-    added.
+    signed forms: ``minus_gather`` makes ``row[i] = scale[i] * (table[gather[i]]
+    - table[minus_gather[i]])``, the difference taken in float64 before the
+    scale; ``minus_idx`` also does ``out[minus_idx[i]] -= row[i]``. The targets
+    share ``idx``, so they share its row count; their widths and dtypes may
+    differ. Per destination, the added rows and the subtracted rows are each
+    summed in float64 in index order, the second sum is subtracted from the
+    first, and the result is rounded to ``out.dtype`` once before it is added.
+    Every index is checked against its range first, and nothing is written if
+    one is out of it.
     """
     if idx.shape[0] == 0 or not targets:
         return
+    n_rows = min(out.shape[0] for out, _, _ in targets)
+    _check_range(idx, n_rows, "scatter index")
+    _check_range(minus_idx, n_rows, "subtracted scatter index")
     sources = [(table, scale) for _, table, scale in targets]
-    for s, cols, sums in _block_sums(idx, targets[0][0].shape[0], gather, sources):
+    for s, cols, sums in _block_sums(idx, n_rows, gather, sources, minus_gather, minus_idx):
         out = targets[s][0]
         out[:, cols] += sums.astype(out.dtype)
 

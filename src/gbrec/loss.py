@@ -9,8 +9,9 @@ their launched item above a sampled negative. On top of that:
   preference flipped (nobody joined, so friends are taken to prefer the
   sampled item over the failed one), down-weighted by ``beta``.
 
-All terms share the form weight * softplus(y_low - y_high), evaluated in
-float64 through ``np.logaddexp`` so large score gaps never produce infs.
+All terms share the form weight · softplus(gap), where gap = y_low - y_high is
+scored directly, once per term; it is evaluated in float64 through
+``np.logaddexp`` so large gaps never produce infs.
 Batch totals add an L2 penalty over all parameters and a social smoothness
 penalty pulling each user's raw embedding toward the mean of their friends'.
 """
@@ -144,19 +145,14 @@ def build_terms(
     )
 
 
-def score_terms(terms: TermSet, emb: EmbeddingSet, role_scores: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Score the hi and lo side of every term, honoring the scoring variant."""
-    y_hi = np.empty(len(terms), dtype=np.float64)
-    y_lo = np.empty(len(terms), dtype=np.float64)
-    direct = terms.aux if role_scores else np.zeros(len(terms), dtype=bool)
-    comp = ~direct
-    if comp.any():
-        y_hi[comp] = emb.score_pairs(terms.users[comp], terms.hi[comp]).astype(np.float64)
-        y_lo[comp] = emb.score_pairs(terms.users[comp], terms.lo[comp]).astype(np.float64)
-    if direct.any():
-        y_hi[direct] = emb.score_pairs_join_view(terms.users[direct], terms.hi[direct]).astype(np.float64)
-        y_lo[direct] = emb.score_pairs_join_view(terms.users[direct], terms.lo[direct]).astype(np.float64)
-    return y_hi, y_lo
+def score_terms(terms: TermSet, emb: EmbeddingSet, role_scores: bool) -> np.ndarray:
+    """Each term's float64 gap ``score(u, lo) - score(u, hi)``, honoring the scoring variant."""
+    if not role_scores:
+        return emb.score_gaps(terms.users, terms.lo, terms.hi)
+    gap = np.empty(len(terms), dtype=np.float64)
+    for join_view, sel in ((False, ~terms.aux), (True, terms.aux)):
+        gap[sel] = emb.score_gaps(terms.users[sel], terms.lo[sel], terms.hi[sel], join_view)
+    return gap
 
 
 @dataclass
@@ -222,14 +218,13 @@ def regularizer_grads(
 
 def breakdown_from_terms(
     terms: TermSet,
-    y_hi: np.ndarray,
-    y_lo: np.ndarray,
+    gap: np.ndarray,
     tensors: dict[str, np.ndarray],
     resid: np.ndarray | None,
     hp: Hyperparams,
 ) -> LossBreakdown:
     """Loss values of a scored batch; ``resid`` is its ``social_residual``."""
-    per_term = terms.weight * softplus(y_lo - y_hi)
+    per_term = terms.weight * softplus(gap)
     return LossBreakdown(
         loss_pos=float(per_term[terms.pos].sum()),
         loss_neg=float(per_term[~terms.pos].sum()),
@@ -248,26 +243,18 @@ def total_loss(
 ) -> LossBreakdown:
     """Batch objective: ranking terms plus both regularizers."""
     terms = build_terms(batch, negatives, social, hp.beta)
-    y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
+    gap = score_terms(terms, emb, hp.role_scores)
     resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
-    return breakdown_from_terms(terms, y_hi, y_lo, tensors, resid, hp)
+    return breakdown_from_terms(terms, gap, tensors, resid, hp)
 
 
 def loss_terms_backward(
-    terms: TermSet,
-    y_hi: np.ndarray,
-    y_lo: np.ndarray,
-    emb: EmbeddingSet,
-    adj: ScoreAdjoint,
-    role_scores: bool,
+    terms: TermSet, gap: np.ndarray, emb: EmbeddingSet, adj: ScoreAdjoint, role_scores: bool
 ) -> None:
-    """Push d(sum of term losses)/d(scores) into the embedding adjoints."""
-    dgap = terms.weight * sigmoid(y_lo - y_hi)  # d/d(y_lo); d/d(y_hi) is its negation
-    direct = terms.aux if role_scores else np.zeros(len(terms), dtype=bool)
-    comp = ~direct
-    if comp.any():
-        score_pairs_backward(emb, terms.users[comp], terms.lo[comp], dgap[comp], adj)
-        score_pairs_backward(emb, terms.users[comp], terms.hi[comp], -dgap[comp], adj)
-    if direct.any():
-        score_pairs_join_view_backward(emb, terms.users[direct], terms.lo[direct], dgap[direct], adj)
-        score_pairs_join_view_backward(emb, terms.users[direct], terms.hi[direct], -dgap[direct], adj)
+    """Push d(sum of term losses)/d(gap) into the embedding adjoints."""
+    dgap = terms.weight * sigmoid(gap)
+    if not role_scores:
+        score_pairs_backward(emb, terms.users, terms.hi, terms.lo, dgap, adj)
+        return
+    for backward, sel in ((score_pairs_backward, ~terms.aux), (score_pairs_join_view_backward, terms.aux)):
+        backward(emb, terms.users[sel], terms.hi[sel], terms.lo[sel], dgap[sel], adj)

@@ -164,12 +164,12 @@ def loss_and_grads(
     state = adapter.forward(params)
     emb = adapter.embeddings(state)
     terms = build_terms(batch, negatives, social, hp.beta)
-    y_hi, y_lo = score_terms(terms, emb, hp.role_scores)
+    gap = score_terms(terms, emb, hp.role_scores)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
     resid = social_residual(params.user_emb, social, hp.social_reg_coeff, adapter.user_friend_mean(state))
-    bd = breakdown_from_terms(terms, y_hi, y_lo, tensors, resid, hp)
+    bd = breakdown_from_terms(terms, gap, tensors, resid, hp)
     adj = ScoreAdjoint.zeros(emb)
-    loss_terms_backward(terms, y_hi, y_lo, emb, adj, hp.role_scores)
+    loss_terms_backward(terms, gap, emb, adj, hp.role_scores)
     grads = {name: np.zeros_like(tensors[name]) for name in adapter.trainable}
     adapter.backward(state, adj, grads)
     regularizer_grads(tensors, social, resid, hp, grads)

@@ -425,18 +425,42 @@ def social_smoothness_oracle(user_emb: np.ndarray, friends_of, coeff: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# score backward with materialised products
+# signed scatters and the score gap's backward pass, by plain loops
 
 
-def _scatter_rows_oracle(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``out[idx[i]] += rows[i]``: a float64 sum per row in index order, rounded once."""
-    acc = np.zeros((out.shape[0], rows.shape[1]))
-    np.add.at(acc, idx, rows.astype(np.float64))
-    out += acc.astype(out.dtype)
+def signed_scatter_oracle(out, idx, table, scale, gather=None, minus_gather=None, minus_idx=None) -> np.ndarray:
+    """``out`` plus, per row ``r``, the sum of ``row[i]`` over the ``i`` with
+    ``idx[i] == r`` minus the sum over the ``i`` with ``minus_idx[i] == r``.
+
+    ``row[i]`` is ``scale[i] * (table[gather[i]] - table[minus_gather[i]])``,
+    both rows read in float64 (``gather`` None reads ``table[i]``; a missing
+    ``minus_gather``, ``minus_idx`` or ``scale`` drops its part). Each of the
+    two sums is a sequential float64 sum in index order; their difference is
+    rounded to ``out.dtype`` once.
+    """
+    plus = np.zeros((out.shape[0], table.shape[1]))
+    minus = np.zeros_like(plus)
+    for i in range(len(idx)):
+        row = table[i if gather is None else gather[i]].astype(np.float64)
+        if minus_gather is not None:
+            row = row - table[minus_gather[i]].astype(np.float64)
+        if scale is not None:
+            row = np.float64(scale[i]) * row
+        plus[idx[i]] += row
+        if minus_idx is not None:
+            minus[minus_idx[i]] += row
+    return out + (plus - minus).astype(out.dtype)
 
 
-def score_pairs_backward_oracle(emb, users, items, dy, adj) -> None:
-    """The composite score's adjoints, one ``n x width`` product per block and side.
+def _gap_backward_oracle(d_users, d_items, user_tables, item_tables, users, hi, lo, w) -> None:
+    """The adjoints of ``w * sum_b <user_b[u], item_b[lo] - item_b[hi]>``, block by block."""
+    for d_u, d_i, bu, bi in zip(d_users, d_items, user_tables, item_tables):
+        d_u[...] = signed_scatter_oracle(d_u, users, bi, w, gather=lo, minus_gather=hi)
+        d_i[...] = signed_scatter_oracle(d_i, lo, bu, w, gather=users, minus_idx=hi)
+
+
+def score_gap_backward_oracle(emb, users, hi, lo, dgap, adj) -> None:
+    """The composite gap's adjoints, a loop per block and side.
 
     The launch weight per user is ``1 - alpha`` rounded to the block dtype (1
     for a friendless user under ``renormalize_alpha``), as the scorer holds it.
@@ -445,20 +469,14 @@ def score_pairs_backward_oracle(emb, users, items, dy, adj) -> None:
     coef = np.full(emb.user_launch[0].shape[0], 1.0 - emb.alpha, dtype=dtype)
     if emb.renormalize_alpha:
         coef[~emb.has_friends] = 1.0
-    wl = coef[users].astype(np.float64) * dy
-    wj = emb.alpha * dy
-    for bu, bi, d_bu, d_bi in zip(emb.user_launch, emb.item_launch, adj.d_user_launch, adj.d_item_launch):
-        _scatter_rows_oracle(d_bu, users, wl[:, None] * bi[items])
-        _scatter_rows_oracle(d_bi, items, wl[:, None] * bu[users])
-    for fm, bj, d_fm, d_bj in zip(emb.friend_mean, emb.item_join, adj.d_friend_mean, adj.d_item_join):
-        _scatter_rows_oracle(d_fm, users, wj[:, None] * bj[items])
-        _scatter_rows_oracle(d_bj, items, wj[:, None] * fm[users])
+    wl = coef[users].astype(np.float64) * dgap
+    _gap_backward_oracle(adj.d_user_launch, adj.d_item_launch, emb.user_launch, emb.item_launch, users, hi, lo, wl)
+    wj = emb.alpha * dgap
+    _gap_backward_oracle(adj.d_friend_mean, adj.d_item_join, emb.friend_mean, emb.item_join, users, hi, lo, wj)
 
 
-def score_pairs_join_view_backward_oracle(emb, users, items, dy, adj) -> None:
-    for bu, bj, d_bu, d_bj in zip(emb.user_join, emb.item_join, adj.d_user_join, adj.d_item_join):
-        _scatter_rows_oracle(d_bu, users, dy[:, None] * bj[items])
-        _scatter_rows_oracle(d_bj, items, dy[:, None] * bu[users])
+def score_gap_join_view_backward_oracle(emb, users, hi, lo, dgap, adj) -> None:
+    _gap_backward_oracle(adj.d_user_join, adj.d_item_join, emb.user_join, emb.item_join, users, hi, lo, dgap)
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,29 @@ def test_gradients_without_regularizers():
     check_against_fd(*gcn_fixture(l2_coeff=0.0, social_reg_coeff=0.0))
 
 
-def test_flat_model_gradients_match_finite_differences():
+def flat_fixture(**hp_overrides):
     inst = helpers.small_instance(dtype=np.float64)
+    hp = replace(inst["hp"], **hp_overrides)
     params = init_flat_params(10, 8, 4, seed=5, dtype=np.float64)
-    adapter = FlatModel(inst["social"], inst["hp"])
+    adapter = FlatModel(inst["social"], hp)
     negatives = np.random.default_rng(9).integers(0, 8, size=(len(inst["records"]), 2))
-    check_against_fd(adapter, params, inst["log"], negatives, inst["hp"], inst["social"])
+    return adapter, params, inst["log"], negatives, hp, inst["social"]
+
+
+def test_flat_model_gradients_match_finite_differences():
+    check_against_fd(*flat_fixture())
+
+
+def test_flat_model_gradients_without_the_friend_term():
+    # alpha 0 is what mf trains: the scorer builds no friend-mean blocks
+    fixture = flat_fixture(alpha=0.0)
+    adapter, params = fixture[:2]
+    assert adapter.forward(params).friend_mean == []
+    check_against_fd(*fixture)
+
+
+def test_flat_model_gradients_role_scored_variant():
+    check_against_fd(*flat_fixture(role_scores=True))
 
 
 def test_gradients_are_deterministic():

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from gbrec import kernels
 
+import oracles
+
 
 def random_csr(rng, n_rows, n_targets, n_edges):
     rows = rng.integers(0, n_rows, size=n_edges)
@@ -109,16 +111,6 @@ def test_scatter_add_rows_is_a_float64_sum_rounded_once(case):
     np.testing.assert_array_equal(out, expected)
 
 
-def loop_scatter(out, idx, table, gather, scale):
-    """``out`` plus, per row, the sequential float64 sum of ``scale[i] * table[gather[i]]``
-    over its ``i`` in index order, rounded to ``out.dtype`` once."""
-    acc = np.zeros((out.shape[0], table.shape[1]))
-    for i, r in enumerate(idx):
-        row = table[i if gather is None else gather[i]].astype(np.float64)
-        acc[r] += row if scale is None else np.float64(scale[i]) * row
-    return out + acc.astype(out.dtype)
-
-
 WIDTHS = [1, 15, 16, 17, 48]  # one column, a block's edges, and a partial last block
 F32, F64 = np.float32, np.float64
 
@@ -159,7 +151,7 @@ def test_multi_target_scatter_equals_a_sequential_float64_loop(case):
         out = spread_values(rng, (n_rows, width), out_dtype)
         table = spread_values(rng, (table_rows, width), table_dtype)
         scale = None if scale_dtype is None else spread_values(rng, (idx.shape[0],), scale_dtype)
-        expected.append(loop_scatter(out, idx, table, gather, scale))
+        expected.append(oracles.signed_scatter_oracle(out, idx, table, scale, gather))
         args.append((out, table, scale))
 
     with block_width(block):
@@ -169,12 +161,93 @@ def test_multi_target_scatter_equals_a_sequential_float64_loop(case):
         np.testing.assert_array_equal(out, want)
 
 
+@st.composite
+def signed_scatter_cases(draw):
+    """A signed scatter: the user side's subtracted gather, the item side's
+    subtracted destination, or both; ``tie`` makes every minus index equal its
+    plus index, so every row must cancel."""
+    n_rows = draw(st.integers(1, 8))
+    n_src = draw(st.integers(1, 8))
+    n = draw(st.integers(0, 30))
+    idx = draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    gather = draw(st.lists(st.integers(0, n_src - 1), min_size=n, max_size=n))
+    minus_gather = draw(st.none() | st.lists(st.integers(0, n_src - 1), min_size=n, max_size=n))
+    minus_idx = draw(st.none() | st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n))
+    if minus_gather is None and minus_idx is None:
+        minus_gather = draw(st.lists(st.integers(0, n_src - 1), min_size=n, max_size=n))
+    tie = draw(st.booleans())
+    if tie:
+        minus_gather = None if minus_gather is None else gather
+        minus_idx = None if minus_idx is None else idx
+    targets = draw(
+        st.lists(
+            st.tuples(st.sampled_from(WIDTHS), DTYPES, DTYPES, st.sampled_from([None, F32, F64])),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return n_rows, n_src, idx, gather, minus_gather, minus_idx, tie, targets, draw(BLOCKS), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=signed_scatter_cases())
+@example(case=(3, 3, [], [], [], None, False, [(17, F32, F32, F64)], 4, 0))
+@example(case=(3, 3, [], [], None, [], False, [(17, F32, F32, F64)], 4, 0))
+@example(case=(4, 5, [0, 3, 0, 3], [4, 1, 4, 0], [2, 2, 0, 0], None, False, [(48, F32, F32, F64), (1, F64, F64, F32)], 4, 1))
+@example(case=(4, 5, [2, 2, 1, 2], [0, 4, 4, 0], None, [2, 1, 1, 0], False, [(17, F32, F32, F64), (16, F64, F32, None)], 16, 2))
+@example(case=(2, 3, [1, 0, 1], [2, 2, 0], [2, 2, 0], None, True, [(15, F32, F32, F64)], 4, 3))
+@example(case=(2, 3, [1, 1, 1], [2, 0, 1], None, [1, 1, 1], True, [(15, F32, F32, F64)], 1, 4))
+def test_signed_scatter_equals_the_loop_oracle(case):
+    n_rows, n_src, idx, gather, minus_gather, minus_idx, tie, targets, block, seed = case
+    rng = np.random.default_rng(seed)
+    as_index = lambda a: None if a is None else np.asarray(a, dtype=np.int64)
+    idx, gather, minus_gather, minus_idx = map(as_index, (idx, gather, minus_gather, minus_idx))
+    args, expected, before = [], [], []
+    for width, out_dtype, table_dtype, scale_dtype in targets:
+        out = spread_values(rng, (n_rows, width), out_dtype)
+        table = spread_values(rng, (n_src, width), table_dtype)
+        scale = None if scale_dtype is None else spread_values(rng, (idx.shape[0],), scale_dtype)
+        expected.append(oracles.signed_scatter_oracle(out, idx, table, scale, gather, minus_gather, minus_idx))
+        before.append(out.copy())
+        args.append((out, table, scale))
+
+    with block_width(block):
+        kernels.scatter_add_rows(args, idx, gather, minus_gather=minus_gather, minus_idx=minus_idx)
+    for (out, _, _), want, old, (_, out_dtype, _, _) in zip(args, expected, before, targets):
+        assert out.dtype == out_dtype
+        np.testing.assert_array_equal(out, want)
+        if tie:  # lo == hi for every term: each row, or each row's two sums, cancel to exactly 0
+            np.testing.assert_array_equal(out, old)
+
+
 def test_scatter_rejects_a_gather_index_out_of_range():
     out = np.zeros((2, 3))
     with pytest.raises(IndexError):
         kernels.scatter_add_rows([(out, np.ones((4, 3)), None)], np.array([0, 1]), np.array([0, 4]))
     with pytest.raises(IndexError):
         kernels.scatter_add_rows([(out, np.ones((4, 3)), None)], np.array([0, 1]), np.array([-1, 0]))
+    np.testing.assert_array_equal(out, 0.0)
+
+
+@pytest.mark.parametrize(
+    "where,bad",
+    [("idx", 3), ("idx", -1), ("gather", 4), ("gather", -1), ("minus_gather", 4), ("minus_gather", -1),
+     ("minus_idx", 3), ("minus_idx", -1)],
+)
+def test_scatter_rejects_every_index_out_of_range(where, bad):
+    # 3 destination rows, 4 table rows; the bad index is the last of three
+    out = np.zeros((3, 2))
+    index = {
+        "idx": np.array([0, 2, 1]),
+        "gather": np.array([3, 0, 1]),
+        "minus_gather": np.array([1, 3, 0]),
+        "minus_idx": np.array([2, 0, 0]),
+    }
+    index[where] = np.array([*index[where][:2], bad])
+    bound = 3 if where in ("idx", "minus_idx") else 4
+    with pytest.raises(IndexError, match=rf"out of range \[0, {bound}\)"):
+        kernels.scatter_add_rows([(out, np.ones((4, 2)), np.ones(3))], index["idx"], index["gather"],
+                                 minus_gather=index["minus_gather"], minus_idx=index["minus_idx"])
     np.testing.assert_array_equal(out, 0.0)
 
 

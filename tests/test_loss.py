@@ -250,19 +250,15 @@ def test_role_scored_variant_scores_aux_terms_through_join_view():
     records, social = inst["records"], inst["social"]
     negatives = np.random.default_rng(17).integers(0, 8, size=(len(records), 1))
     terms = build_terms(inst["log"], negatives, social, beta=0.05)
-    y_hi, y_lo = score_terms(terms, emb, role_scores=True)
+    gap = score_terms(terms, emb, role_scores=True)
+
+    def join_view_score(u, i):
+        return sum(float(bu[u] @ bj[i]) for bu, bj in zip(emb.user_join, emb.item_join))
+
     for i in range(len(terms)):
         u, h, l = int(terms.users[i]), int(terms.hi[i]), int(terms.lo[i])
-        if terms.aux[i]:
-            want_hi = emb.score_pairs_join_view(np.array([u]), np.array([h]))[0]
-        else:
-            want_hi = emb.predict(u, h)
-        assert y_hi[i] == pytest.approx(want_hi, rel=1e-12)
-        if terms.aux[i]:
-            want_lo = emb.score_pairs_join_view(np.array([u]), np.array([l]))[0]
-        else:
-            want_lo = emb.predict(u, l)
-        assert y_lo[i] == pytest.approx(want_lo, rel=1e-12)
+        score = join_view_score if terms.aux[i] else emb.predict
+        assert gap[i] == pytest.approx(score(u, l) - score(u, h), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def make_emb(alpha=0.5, renormalize=False):
 @pytest.mark.parametrize(
     "alpha,renormalize,num_blocks", [(0.6, False, 2), (0.6, True, 2), (0.0, False, 1), (0.3, True, 1)]
 )
-def test_score_backward_matches_the_materialised_product_oracle(alpha, renormalize, num_blocks):
+def test_score_gap_backward_matches_the_loop_oracle(alpha, renormalize, num_blocks):
     rng = np.random.default_rng(11)
     num_users, num_items, n = 40, 25, 3000
     width = 48 if num_blocks == 2 else 16
@@ -214,15 +214,16 @@ def test_score_backward_matches_the_materialised_product_oracle(alpha, renormali
         has_friends=rng.random(num_users) < 0.7, alpha=alpha, renormalize_alpha=renormalize,
     )
     users = rng.integers(0, num_users, size=n)
-    items = rng.integers(0, num_items, size=n)
-    dy = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2, size=n)
+    hi = rng.integers(0, num_items, size=n)
+    lo = rng.integers(0, num_items, size=n)
+    dgap = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2, size=n)
     for lib, oracle in (
-        (score_pairs_backward, oracles.score_pairs_backward_oracle),
-        (score_pairs_join_view_backward, oracles.score_pairs_join_view_backward_oracle),
+        (score_pairs_backward, oracles.score_gap_backward_oracle),
+        (score_pairs_join_view_backward, oracles.score_gap_join_view_backward_oracle),
     ):
         got, want = ScoreAdjoint.zeros(emb), ScoreAdjoint.zeros(emb)
-        lib(emb, users, items, dy, got)
-        oracle(emb, users, items, dy, want)
+        lib(emb, users, hi, lo, dgap, got)
+        oracle(emb, users, hi, lo, dgap, want)
         for name in ("d_user_launch", "d_item_launch", "d_user_join", "d_item_join", "d_friend_mean"):
             for g, w in zip(getattr(got, name), getattr(want, name)):
                 np.testing.assert_array_equal(g, w, err_msg=f"{lib.__name__} {name}")
@@ -239,8 +240,9 @@ def test_score_entry_points_agree():
     items = np.array([0, 1])
     by_items = emb.score_items(0, items)
     np.testing.assert_array_equal(by_items, emb.all_item_scores(0))
+    # launch gap 2*(16-8) + 33*(4.5-6.5) = -50; friend join gap 4*(16-8) + 37*(8.5-0) = 346.5
     np.testing.assert_array_equal(
-        emb.score_pairs(np.array([0, 0]), items), by_items
+        emb.score_gaps(np.array([0, 0]), np.array([1, 1]), items), [(1 - 0.3) * -50.0 + 0.3 * 346.5, 0.0]
     )
     assert emb.predict(0, 1) == by_items[1]
 
@@ -290,8 +292,8 @@ def test_renormalize_alpha_for_friendless_users():
 
 def test_join_view_scores():
     emb = make_emb()
-    got = emb.score_pairs_join_view(np.array([1]), np.array([1]))
-    assert got[0] == 4.0 * 16.0 + 37.0 * 8.5
+    got = emb.score_gaps(np.array([1]), np.array([1]), np.array([0]), join_view=True)
+    assert got[0] == 4.0 * (16.0 - 8.0) + 37.0 * (8.5 - 0.0)
 
 
 # ---------------------------------------------------------------------------
