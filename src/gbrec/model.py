@@ -387,13 +387,20 @@ class EmbeddingSet:
             groups = [(self.user_join, self.item_join)]
         else:
             groups = [(self.user_launch, self.item_launch), (self.friend_mean, self.item_join)]
+        # one (group, user block, item block) per inner product; in the flat
+        # scorer the join item block is the launch item block, so consecutive
+        # products share one row difference per chunk
+        products = [(g, bu, bi) for g, (ubs, ibs) in enumerate(groups) for bu, bi in zip(ubs, ibs)]
         gap = np.empty(users.shape[0], dtype=np.float64)
         for c0 in range(0, users.shape[0], SCORE_CHUNK):
             u, l, h = (a[c0 : c0 + SCORE_CHUNK] for a in (users, lo, hi))
             dots = [np.zeros(u.shape[0], dtype=self.user_launch[0].dtype) for _ in groups]
-            for dot, (user_blocks, item_blocks) in zip(dots, groups):
-                for bu, bi in zip(user_blocks, item_blocks):
-                    dot += np.einsum("nd,nd->n", bu[u], bi[l] - bi[h])
+            block = diff = None
+            for g, bu, bi in products:
+                if bi is not block:
+                    diff = None  # free the last difference before building the next
+                    block, diff = bi, bi[l] - bi[h]
+                dots[g] += np.einsum("nd,nd->n", bu[u], diff)
             gap[c0 : c0 + SCORE_CHUNK] = dots[0] if join_view else self._coef[u] * dots[0] + self._alpha_t * dots[1]
         return gap
 

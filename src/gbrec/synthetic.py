@@ -26,6 +26,14 @@ re-ingest mapping is the identity, and downstream stats match the generation
 counters exactly. Everything is driven by one seeded generator, so a (config,
 seed) pair reproduces files byte for byte.
 
+The draw contract: every draw is one ``rng.random()`` uniform, and record
+``t`` reads, in order, one initiator draw if ``t >= P``, one item draw if
+``t >= Q``, and one join draw per friend of its initiator, in friend order.
+Record ``t``'s draws thus start at stream position
+``sum over s < t of [s >= P] + [s >= Q] + deg(initiator of s)``. Since
+``rng.random(n)`` yields the doubles of ``n`` scalar calls, ``simulate`` makes
+these draws in bulk and leaves the generator where the scalar draws would.
+
 ``success_probability`` computes the exact Poisson-binomial tail over a
 user's full friend set, and ``oracle_topk`` ranks items by it -- the ground
 truth that recovery tests compare against.
@@ -34,7 +42,9 @@ truth that recovery tests compare against.
 from __future__ import annotations
 
 import json
+import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -58,6 +68,13 @@ class SynthConfig:
     launch_social_mix: float = 0.5
 
     def validate(self) -> list[str]:
+        # NaN passes every range check and inf overflows the generator, so a
+        # non-finite float is reported once, in place of its range check
+        nonfinite = [k for k, v in self.to_dict().items() if isinstance(v, float) and not math.isfinite(v)]
+        problems = [f"{k} must be finite, got {getattr(self, k)}" for k in nonfinite]
+        return problems + [p for p in self._range_problems() if p.split(" ", 1)[0] not in nonfinite]
+
+    def _range_problems(self) -> list[str]:
         problems = []
         if self.num_users < 2:
             problems.append(f"num_users must be >= 2, got {self.num_users}")
@@ -206,31 +223,159 @@ def build_planted(cfg: SynthConfig, rng: np.random.Generator) -> PlantedModel:
     )
 
 
+# uniforms drawn per block while locating the records' draws
+LOCATE_BLOCK = 4096
+# softmax cells (initiators x items) computed per block when drawing items
+ITEM_CELLS = 1 << 16
+# records whose joins are drawn per block
+JOIN_RECORDS = 1024
+
+
 def simulate(planted: PlantedModel, cfg: SynthConfig, rng: np.random.Generator) -> BehaviorLog:
-    """Emit num_records launches; the first P/Q force initiator/item coverage."""
+    """Emit num_records launches; the first P/Q force initiator/item coverage.
+
+    Follows the draw contract of the module docstring. A draw ``x`` from
+    weights ``w`` is ``cdf.searchsorted(x, side="right")`` with ``cdf`` the
+    cumsum of ``w`` over its last entry, which is what ``Generator.choice(n,
+    p=w)`` returns, and friend ``f`` joins when its draw is below
+    ``planted.join_probs([f], item)``. The draws are made in bulk: one pass
+    over the records finds each one's initiator and where its draws start,
+    then items are drawn per initiator (one softmax CDF row each) and joins per
+    record block, with the join probabilities built once per distinct
+    (initiator, item) pair.
+    """
     P, Q = cfg.num_users, cfg.num_items
-    # Generator.choice(n, p=p) draws cdf.searchsorted(rng.random(), side="right")
-    # with cdf = p.cumsum() / its last entry; the same draws from tables built
-    # once leave the generator in the same state
-    initiator_cdf = planted.activity.cumsum()
-    initiator_cdf /= initiator_cdf[-1]
-    item_cdf = np.empty((P, Q))
-    for u in range(P):
-        row = np.cumsum(planted.item_probs(u), out=item_cdf[u])
-        row /= row[-1]
-    rows: list[tuple[int, int, bool, int]] = []
-    members: list[int] = []
-    for t in range(cfg.num_records):
-        initiator = t if t < P else int(initiator_cdf.searchsorted(rng.random(), side="right"))
-        item = t if t < Q else int(item_cdf[initiator].searchsorted(rng.random(), side="right"))
-        friends = planted.social.friends(initiator)
-        if friends.size:
-            joined = friends[rng.random(friends.size) < planted.join_probs(friends, item)]
-        else:
-            joined = friends
-        rows.append((initiator, item, joined.size >= planted.success_threshold, joined.size))
-        members.extend(joined.tolist())
-    return BehaviorLog.from_rows(rows, members, P, Q)
+    start = rng.bit_generator.state
+    initiator, first, item_draw = _locate(planted, rng, P, Q, cfg.num_records)
+    item = _draw_items(planted, initiator, item_draw, Q)
+    rng.bit_generator.state = start
+    part_indptr, participants = _draw_joins(planted, rng, initiator, item, first)
+    success = np.diff(part_indptr) >= planted.success_threshold
+    return BehaviorLog(initiator, item, success, part_indptr, participants, P, Q)
+
+
+def _locate(planted: PlantedModel, rng: np.random.Generator, P: int, Q: int, n: int):
+    """Each record's initiator, the stream position of its first draw (plus
+    the stream length at ``first[n]``) and its item draw's uniform.
+
+    Reads the stream in blocks and leaves ``rng`` past the last block."""
+    cdf = planted.activity.cumsum()
+    cdf /= cdf[-1]
+    # bisect_right on the list is cdf.searchsorted(x, side="right")
+    cdf = cdf.tolist()
+    degrees = planted.social.degrees.tolist()
+    initiator = np.arange(n, dtype=np.int64)
+    first = np.empty(n + 1, dtype=np.int64)
+    item_draw = np.zeros(n)
+
+    def refill(at, end):
+        if at > end:
+            rng.random(at - end)  # join draws past the block
+        return rng.random(LOCATE_BLOCK).tolist(), at, at + LOCATE_BLOCK
+
+    at = base = end = 0  # the current block holds stream positions [base, end)
+    block = []
+    for t in range(n):
+        first[t] = at
+        u = t
+        if t >= P:
+            if at >= end:
+                block, base, end = refill(at, end)
+            u = bisect_right(cdf, block[at - base])
+            initiator[t] = u
+            at += 1
+        if t >= Q:
+            if at >= end:
+                block, base, end = refill(at, end)
+            item_draw[t] = block[at - base]
+            at += 1
+        at += degrees[u]
+    first[n] = at
+    return initiator, first, item_draw
+
+
+def _draw_items(planted: PlantedModel, initiator: np.ndarray, item_draw: np.ndarray, Q: int) -> np.ndarray:
+    """Records ``t < Q`` launch item ``t``; the rest draw from their
+    initiator's softmax, whose CDF row is built once per initiator, for a
+    block of initiators at a time."""
+    item = np.arange(initiator.shape[0], dtype=np.int64)
+    order = np.argsort(initiator[Q:], kind="stable") + Q
+    users = initiator[order]
+    starts = np.flatnonzero(np.diff(users, prepend=-1))  # each initiator's first record in order
+    launchers = users[starts].tolist()
+    bounds = [*starts.tolist(), users.shape[0]]
+    rows = max(1, ITEM_CELLS // Q)
+    for b0 in range(0, len(launchers), rows):
+        block = launchers[b0 : b0 + rows]
+        # the steps of PlantedModel.item_probs, one gemv per row
+        cdf = np.empty((len(block), Q))
+        for r, u in enumerate(block):
+            cdf[r] = planted.launch_vecs[u] @ planted.item_vecs.T
+        cdf /= planted.item_temp
+        cdf -= cdf.max(axis=1, keepdims=True)
+        np.exp(cdf, out=cdf)
+        cdf /= cdf.sum(axis=1, keepdims=True)
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:].copy()
+        for r in range(len(block)):
+            recs = order[bounds[b0 + r] : bounds[b0 + r + 1]]
+            item[recs] = cdf[r].searchsorted(item_draw[recs], side="right")
+    return item
+
+
+def _draw_joins(planted: PlantedModel, rng: np.random.Generator, initiator: np.ndarray, item: np.ndarray,
+                first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Participants of every record, as ``(part_indptr, part_indices)``.
+
+    Redraws the stream block by block from ``first``, so ``rng`` ends after
+    the last record's draws. Join probabilities are computed once per
+    distinct (initiator, item) pair with ``PlantedModel.join_probs``'s gemv."""
+    Q = planted.num_items
+    indptr, indices = planted.social.indptr, planted.social.indices
+    degrees = np.diff(indptr)
+    pairs, pair_of = np.unique(initiator * Q + item, return_inverse=True)
+    pair_user, pair_item = np.divmod(pairs, Q)
+    pair_ptr = np.zeros(pairs.shape[0] + 1, dtype=np.int64)
+    np.cumsum(degrees[pair_user], out=pair_ptr[1:])
+    # friend_vecs[a:b] is join_vecs[friends(u)]: the same values, shape and
+    # strides, so the same gemv
+    friend_vecs = planted.join_vecs[indices]
+    item_rows = list(planted.item_vecs)
+    p = np.empty(int(pair_ptr[-1]))
+    ptr = indptr.tolist()
+    for u, i, lo, hi in zip(pair_user.tolist(), pair_item.tolist(), pair_ptr.tolist(), pair_ptr[1:].tolist()):
+        if lo < hi:
+            p[lo:hi] = friend_vecs[ptr[u] : ptr[u + 1]] @ item_rows[i]
+    del friend_vecs, item_rows
+    # p = sigmoid(join_scale * p + join_bias), in place, in join_probs' order
+    p *= planted.join_scale
+    p += planted.join_bias
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    slot_of = pair_ptr[pair_of]
+    del pairs, pair_of, pair_user, pair_item, pair_ptr
+
+    n = initiator.shape[0]
+    part_indptr = np.zeros(n + 1, dtype=np.int64)  # participant counts until the cumsum
+    chunks = []
+    for t0 in range(0, n, JOIN_RECORDS):
+        t1 = min(n, t0 + JOIN_RECORDS)
+        draws = rng.random(int(first[t1] - first[t0]))
+        deg = degrees[initiator[t0:t1]]
+        ends = np.cumsum(deg)
+        lead = ends - deg  # each record's first slot in the block
+        slot = np.arange(ends[-1])
+        # a record's join draws are the last deg of its draws
+        joined = draws[np.repeat(first[t0 + 1 : t1 + 1] - first[t0] - ends, deg) + slot] < (
+            p[np.repeat(slot_of[t0:t1] - lead, deg) + slot]
+        )
+        chunks.append(indices[np.repeat(indptr[initiator[t0:t1]] - lead, deg) + slot][joined])
+        running = np.concatenate(([0], np.cumsum(joined)))
+        part_indptr[t0 + 1 : t1 + 1] = running[ends] - running[lead]
+    np.cumsum(part_indptr, out=part_indptr)
+    return part_indptr, np.concatenate(chunks)
 
 
 @dataclass

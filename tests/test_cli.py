@@ -349,6 +349,16 @@ def test_bad_hyperparameter_exits_2(pipeline, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--mean-friends", "inf"), ("--mean-friends", "nan"),
+                                         ("--item-temp", "nan"), ("--join-scale", "nan"), ("--join-bias", "-inf")])
+def test_synth_rejects_a_non_finite_float_exits_2(tmp_path, capsys, flag, value):
+    code, _, err = run(capsys, ["synth", "--outdir", str(tmp_path / "w"), "--seed", "0", *SYNTH_ARGS, f"{flag}={value}"])
+    assert code == 2
+    name = flag[2:].replace("-", "_")
+    assert err == f"error: invalid configuration:\n  {name} must be finite, got {float(value)}\n"
+    assert not (tmp_path / "w").exists()
+
+
 def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GBREC_NUM_THREADS", "many")
     code, _, err = run(capsys, ["synth", "--outdir", str(tmp_path), "--seed", "0", *SYNTH_ARGS])

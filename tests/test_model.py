@@ -13,6 +13,7 @@ from gbrec.graphs import HeteroGraphBundle
 from gbrec.kernels import CSR
 from gbrec.model import (
     BRANCHES,
+    SCORE_CHUNK,
     EmbeddingSet,
     Hyperparams,
     ModelParams,
@@ -288,6 +289,29 @@ def test_renormalize_alpha_for_friendless_users():
     # friendless: renormalized mode scores by the full launch dot instead
     assert plain.predict(1, 0) == pytest.approx(0.4 * 32.0)
     assert renorm.predict(1, 0) == 32.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_flat_score_gaps_match_separate_differences_bit_for_bit(rng, alpha):
+    # the flat scorer's join item block is its launch item block, and the one
+    # row difference per chunk must give the bits of building it per product
+    social = SocialGraph.from_edges(30, rng.integers(0, 30, size=(60, 2)))
+    user_emb = rng.standard_normal((30, 6)).astype(np.float32)
+    item_emb = rng.standard_normal((12, 6)).astype(np.float32)
+    emb = flat_embeddings(user_emb, item_emb, social, alpha)
+    n = 2 * SCORE_CHUNK + 5
+    users, lo, hi = rng.integers(0, 30, n), rng.integers(0, 12, n), rng.integers(0, 12, n)
+    friend_mean = social.mean(user_emb)
+    want = np.empty(n)
+    for c0 in range(0, n, SCORE_CHUNK):
+        u, l, h = (a[c0 : c0 + SCORE_CHUNK] for a in (users, lo, hi))
+        launch = np.zeros(u.shape[0], dtype=np.float32)
+        launch += np.einsum("nd,nd->n", user_emb[u], item_emb[l] - item_emb[h])
+        join = np.zeros(u.shape[0], dtype=np.float32)
+        if alpha:
+            join += np.einsum("nd,nd->n", friend_mean[u], item_emb[l] - item_emb[h])
+        want[c0 : c0 + SCORE_CHUNK] = np.float32(1 - alpha) * launch + np.float32(alpha) * join
+    np.testing.assert_array_equal(emb.score_gaps(users, lo, hi), want)
 
 
 def test_join_view_scores():

@@ -1,12 +1,17 @@
 """Synthetic world: exact success probabilities, planted structure, generation."""
 
 import dataclasses
+import hashlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gbrec import synthetic
 from gbrec.data import ingest
 from gbrec.synthetic import (
     PlantedModel,
@@ -44,6 +49,22 @@ def test_config_validation_collects_problems():
                   "role_correlation", "launch_social_mix"):
         assert token in problems
     assert SMALL.validate() == []
+
+
+FLOAT_FIELDS = ("mean_friends", "activity_concentration", "item_temp", "join_scale", "join_bias",
+                "role_correlation", "launch_social_mix")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats_once(name, value):
+    problems = SynthConfig(**{**SMALL.to_dict(), name: value}).validate()
+    assert problems == [f"{name} must be finite, got {value}"]
+
+
+def test_config_reports_non_finite_beside_other_problems():
+    problems = SynthConfig(**{**SMALL.to_dict(), "item_temp": float("nan"), "num_users": 1}).validate()
+    assert problems == ["item_temp must be finite, got nan", "num_users must be >= 2, got 1"]
 
 
 def test_config_dict_round_trip():
@@ -212,6 +233,48 @@ def test_simulate_draws_what_generator_choice_draws():
     assert rng.random() == ref.random()  # the generator ends in the same state
 
 
+@st.composite
+def simulation_worlds(draw):
+    """Small worlds, with the generator's block sizes shrunk so that the
+    uniform stream spans many locate and join blocks."""
+    P = draw(st.integers(2, 12))
+    Q = draw(st.integers(2, 12))
+    cfg = SynthConfig(
+        num_users=P,
+        num_items=Q,
+        latent_dim=draw(st.integers(1, 5)),
+        num_records=max(P, Q) + draw(st.integers(0, 40)),
+        mean_friends=draw(st.sampled_from([0.0, 0.5, 2.0, 6.0, 20.0])),
+        item_temp=draw(st.sampled_from([1e-6, 0.05, 0.2, 2.0])),
+        success_threshold=draw(st.integers(0, 3)),
+        role_correlation=draw(st.floats(0.0, 1.0)),
+        launch_social_mix=draw(st.floats(0.0, 1.0)),
+    )
+    blocks = dict(
+        LOCATE_BLOCK=draw(st.integers(1, 9)),
+        ITEM_CELLS=draw(st.integers(1, 40)),
+        JOIN_RECORDS=draw(st.integers(1, 7)),
+    )
+    return cfg, draw(st.integers(0, 2**32 - 1)), blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(world=simulation_worlds())
+@example(world=(SynthConfig(num_users=9, num_items=4, latent_dim=2, num_records=9, mean_friends=0.0), 3,
+                dict(LOCATE_BLOCK=2, ITEM_CELLS=5, JOIN_RECORDS=2)))
+@example(world=(SynthConfig(num_users=3, num_items=11, latent_dim=3, num_records=11, mean_friends=20.0,
+                            item_temp=1e-6, success_threshold=0), 5,
+                dict(LOCATE_BLOCK=1, ITEM_CELLS=1, JOIN_RECORDS=1)))
+def test_simulate_matches_oracle_draw_for_draw(world):
+    cfg, seed, blocks = world
+    planted = build_planted(cfg, np.random.default_rng(seed))
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    with mock.patch.multiple(synthetic, **blocks):
+        got = [dataclasses.astuple(r) for r in helpers.records_of(simulate(planted, cfg, rng))]
+    assert got == oracles.simulate_oracle(planted, cfg.num_records, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_simulate_threshold_zero_means_every_launch_succeeds():
     cfg = SynthConfig(**{**SMALL.to_dict(), "success_threshold": 0})
     rng = np.random.default_rng(10)
@@ -251,6 +314,21 @@ def test_generate_is_deterministic(tmp_path):
     assert open(a.social_path).read() == open(b.social_path).read()
     c = generate(SMALL, seed=13, outdir=str(tmp_path / "c"))
     assert open(a.behavior_path).read() != open(c.behavior_path).read()
+
+
+# sha256 of the files generate(SMALL, seed=11) writes; planted.npz also pins
+# the bytes of NumPy's .npy writer
+GOLDEN_SMALL_11 = {
+    "behaviors.tsv": "981d6a533425e998104e3a099f09d1a38c5be4fd34c5117f1f58884691ff7a7d",
+    "social.tsv": "a9af739fd4ecd504dff5e28f260c970fa5e4e4a088c2e1da82fa5cf66eaa8510",
+    "planted.npz": "57cd1baa1098271f486639ca58913595aeacb8040d91356707d92bc1a2c9c29d",
+}
+
+
+def test_generate_writes_the_golden_files(tmp_path):
+    generate(SMALL, seed=11, outdir=str(tmp_path))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SMALL_11}
+    assert got == GOLDEN_SMALL_11
 
 
 def test_planted_round_trip(tmp_path):
