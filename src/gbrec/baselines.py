@@ -5,7 +5,7 @@ propagation:
 
 * ``mf``: classic pairwise-ranked matrix factorization. Group structure is
   erased up front: every record is flattened to plain user-item pairs
-  (initiator role, participant roles, or both), all marked successful, and
+  (the initiator's and each participant's), all marked successful, and
   the trainer is run with the social weight, the failure weight, and the
   two-role mixing all zeroed. Only ``mf_score``'s single inner product
   remains.
@@ -26,27 +26,18 @@ import numpy as np
 from .data import BehaviorLog, SocialGraph
 from .model import FlatParams, flat_embeddings
 
-FLATTEN_ROLES = ("initiator", "participant", "both")
-
-
-def flatten_interactions(log: BehaviorLog, roles: str = "both") -> BehaviorLog:
+def flatten_interactions(log: BehaviorLog) -> BehaviorLog:
     """Convert group records to plain user-item pairs for single-view training.
 
     Each kept (user, item) occurrence becomes its own record with no
     participants and a success flag, so downstream sampling and loss code see
     an ordinary implicit-feedback dataset. Occurrences are kept with
     multiplicity: a user appearing in three groups for an item yields three
-    pairs.
+    pairs. Each record's initiator comes first, then its participants.
     """
-    if roles not in FLATTEN_ROLES:
-        raise ValueError(f"roles must be one of {FLATTEN_ROLES}, got {roles!r}")
-    if roles == "initiator":
-        users, items = log.initiator, log.item
-    elif roles == "participant":
-        users, items = log.part_indices, np.repeat(log.item, log.num_participants)
-    else:  # each record's initiator, then its participants (insert keeps equal positions in order)
-        users = np.insert(log.part_indices, log.part_indptr[:-1], log.initiator)
-        items = np.repeat(log.item, 1 + log.num_participants)
+    # insert keeps equal positions in order
+    users = np.insert(log.part_indices, log.part_indptr[:-1], log.initiator)
+    items = np.repeat(log.item, 1 + log.num_participants)
     n = users.shape[0]
     return BehaviorLog(
         users, items, np.ones(n, dtype=bool), np.zeros(n + 1, dtype=np.int64),

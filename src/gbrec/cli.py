@@ -3,8 +3,7 @@
 One orchestration layer over the library; no modelling logic lives here.
 Results go to standard output, diagnostics to standard error, and the exit
 code is 0 exactly when the command completed. Every command is deterministic
-given its inputs, the seed, and a fixed thread count (``--threads`` or the
-``GBREC_NUM_THREADS`` environment variable).
+given its inputs and the seed, with BLAS at one thread.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import fields as dc_fields
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .config import ConfigError, coerce_value, load_typed
 from .data import (
     DEFAULT_EVAL_NEGATIVES,
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gbrec", description="group-buying recommendation: data prep, training, evaluation"
     )
     parser.add_argument("--version", action="version", version=f"gbrec {__version__}")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap (env: GBREC_NUM_THREADS)")
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level diagnostics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,16 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    threads = args.threads
-    if threads is None and os.environ.get("GBREC_NUM_THREADS"):
-        try:
-            threads = int(os.environ["GBREC_NUM_THREADS"])
-        except ValueError:
-            print("error: GBREC_NUM_THREADS must be an integer", file=sys.stderr)
-            return 2
     try:
-        if threads is not None:
-            kernels.set_num_threads(threads)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -10,6 +10,7 @@ rather than one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields as dc_fields
 
 
@@ -17,6 +18,16 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("invalid configuration:\n  " + "\n  ".join(problems))
+
+
+def finite_first(instance, range_problems: list[str]) -> list[str]:
+    """``range_problems`` of a dataclass instance, with each non-finite float
+    field reported once, as not finite, in place of its range check: NaN
+    passes every range check, and inf passes the one-sided ones."""
+    values = {f.name: getattr(instance, f.name) for f in dc_fields(instance)}
+    nonfinite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
+    problems = [f"{k} must be finite, got {values[k]}" for k in nonfinite]
+    return problems + [p for p in range_problems if p.split(" ", 1)[0] not in nonfinite]
 
 
 TRUE_WORDS = ("1", "true", "yes", "on")

@@ -26,6 +26,8 @@ from .kernels import CSR
 log = logging.getLogger(__name__)
 
 DEFAULT_EVAL_NEGATIVES = 999
+# redraw rounds of sample_negatives before a row takes its exact complement
+REDRAW_ROUNDS = 32
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -508,44 +510,6 @@ def split_leave_one_out(
     )
 
 
-class _BlockDraws:
-    """Uniform draws from ``[0, high)``, taken from ``rng`` in blocks of
-    ``BLOCK`` and handed out one at a time.
-
-    ``rng.integers(high, size=m)`` yields the values, and leaves the generator
-    in the state, of ``m`` scalar ``rng.integers(high)`` calls. ``sync`` puts
-    the generator where the draws handed out so far would have left it: it
-    restores the state saved before the current block and redraws just the
-    consumed part, so a sync wastes at most one block.
-    """
-
-    BLOCK = 4096
-
-    def __init__(self, rng: np.random.Generator, high: int):
-        self.rng = rng
-        self.high = high
-        self.block: list[int] = []
-        self.left = iter(self.block)
-        self.state: dict | None = None
-
-    def next(self) -> int:
-        value = next(self.left, None)
-        if value is None:
-            self.state = self.rng.bit_generator.state
-            self.block = self.rng.integers(self.high, size=self.BLOCK).tolist()
-            self.left = iter(self.block)
-            value = next(self.left)
-        return value
-
-    def sync(self) -> None:
-        unused = self.left.__length_hint__()
-        if unused:
-            self.rng.bit_generator.state = self.state
-            self.rng.integers(self.high, size=len(self.block) - unused)
-        self.block = []
-        self.left = iter(self.block)
-
-
 def sample_negatives(
     logb: BehaviorLog,
     k: int,
@@ -554,55 +518,66 @@ def sample_negatives(
 ) -> np.ndarray:
     """Draw k negative items per record, unobserved by the record's initiator.
 
-    Within a record the k draws are distinct when enough untouched items
-    exist; across records repeats are allowed. If a user has touched every
-    item, draws fall back to uniform over all items except the positive.
-    The values and the generator's final state are those of one scalar
-    ``rng.integers(num_items)`` call per candidate, record by record.
+    A record whose initiator left at least k items untouched gets k distinct
+    untouched items, every ordered k-tuple of them equally likely; across
+    records repeats are allowed. Otherwise its k draws are uniform over all
+    items except the positive (item 0 when there is only one item).
+
+    The draws are made in bulk: one n × k block, whose slots are rejected
+    when the initiator touched the item or when they repeat an earlier slot
+    of their row. Only rejected slots are redrawn, for up to
+    ``REDRAW_ROUNDS`` rounds; a row still short then takes ``rng.choice``
+    over its exact complement. The process sees items only through equality
+    and touchedness, so it stays uniform.
     ``interactions`` is ``user_interactions(logb)`` when the caller holds it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     touched = interactions if interactions is not None else user_interactions(logb)
-    num_items = logb.num_items
-    draws = _BlockDraws(rng, num_items)
-    picks: list[int] = []
-    flat, ptr = touched.indices.tolist(), touched.indptr.tolist()
-    seen_sets = [set(flat[a:b]) for a, b in zip(ptr, ptr[1:])]
-    complements: dict[int, np.ndarray] = {}
-    for u, item in zip(logb.initiator.tolist(), logb.item.tolist()):
-        seen = seen_sets[u]
-        free = num_items - len(seen)
-        if free >= k and free > 0:
-            # rejection sampling first; exact complement when unlucky
-            picked: list[int] = []
-            chosen: set[int] = set()
-            tries = 0
-            while len(picked) < k and tries < 32 * k:
-                cand = draws.next()
-                tries += 1
-                if cand in seen or cand in chosen:
-                    continue
-                picked.append(cand)
-                chosen.add(cand)
-            if len(picked) < k:
-                comp = complements.get(u)
-                if comp is None:
-                    comp = complements[u] = np.setdiff1d(
-                        np.arange(num_items, dtype=np.int64), touched.neighbors(u), assume_unique=True
-                    )
-                draws.sync()
-                picked = rng.choice(comp, size=k, replace=False).tolist()
-            picks.extend(picked)
-        else:
-            # exhausted universe: uniform over everything but the positive
-            for _ in range(k):
-                cand = draws.next()
-                while cand == item and num_items > 1:
-                    cand = draws.next()
-                picks.append(cand)
-    draws.sync()
-    return np.array(picks, dtype=np.int64).reshape(len(logb), k)
+    num_items, users = logb.num_items, logb.initiator
+    negs = np.empty((len(logb), k), dtype=np.int64)
+    degrees = touched.degrees
+    short = degrees[users] > num_items - k
+
+    # fewer than k untouched items: one shifted draw skips the positive
+    rows = np.flatnonzero(short)
+    if num_items > 1:
+        draws = rng.integers(num_items - 1, size=(rows.size, k))
+        negs[rows] = draws + (draws >= logb.item[rows, None])
+    else:
+        negs[rows] = 0
+
+    # touched (user, item) pairs as sorted keys u·Q + i
+    keys = np.repeat(np.arange(touched.num_rows, dtype=np.int64) * num_items, degrees) + touched.indices
+    earlier = np.tri(k, k, -1, dtype=bool)
+
+    def rejected(rows: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+        """Which slots of ``rows`` repeat an earlier slot or, among the
+        ``fresh`` ones, hold a touched item."""
+        block = negs[rows]
+        bad = ((block[:, :, None] == block[:, None, :]) & earlier).any(axis=2)
+        r, c = np.nonzero(fresh)
+        key = users[rows[r]] * num_items + block[r, c]
+        bad[r, c] |= keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
+        return bad
+
+    rows = np.flatnonzero(~short)
+    negs[rows] = rng.integers(num_items, size=(rows.size, k))
+    bad = rejected(rows, np.ones((rows.size, k), dtype=bool))
+    for _ in range(REDRAW_ROUNDS):
+        pending = bad.any(axis=1)
+        rows, bad = rows[pending], bad[pending]
+        if not rows.size:
+            break
+        r, c = np.nonzero(bad)
+        negs[rows[r], c] = rng.integers(num_items, size=r.size)
+        bad = rejected(rows, bad)
+    for i in rows[bad.any(axis=1)].tolist():
+        complement = np.setdiff1d(
+            np.arange(num_items, dtype=np.int64), touched.neighbors(users[i]), assume_unique=True
+        )
+        negs[i] = rng.choice(complement, size=k, replace=False)
+    return negs
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,6 @@ def backend_name() -> str:
     return "numpy"
 
 
-def set_num_threads(n: int) -> None:
-    """Check a worker thread cap. The kernel is single-threaded, so there is
-    nothing to size; BLAS pools follow their own environment variables."""
-    if n < 1:
-        raise ValueError("thread count must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # the one kernel
 

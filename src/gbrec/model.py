@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from .config import finite_first
 from .data import SocialGraph
 from .graphs import HeteroGraphBundle
 from .kernels import CSR
@@ -66,6 +67,9 @@ class Hyperparams:
 
     def validate(self) -> list[str]:
         """Collect every config problem instead of stopping at the first."""
+        return finite_first(self, self._range_problems())
+
+    def _range_problems(self) -> list[str]:
         problems = []
         if self.dim < 1:
             problems.append(f"dim must be >= 1, got {self.dim}")

@@ -42,13 +42,13 @@ truth that recovery tests compare against.
 from __future__ import annotations
 
 import json
-import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
+from .config import finite_first
 from .data import BehaviorLog, SocialGraph, write_behaviors, write_social
 
 
@@ -68,11 +68,8 @@ class SynthConfig:
     launch_social_mix: float = 0.5
 
     def validate(self) -> list[str]:
-        # NaN passes every range check and inf overflows the generator, so a
-        # non-finite float is reported once, in place of its range check
-        nonfinite = [k for k, v in self.to_dict().items() if isinstance(v, float) and not math.isfinite(v)]
-        problems = [f"{k} must be finite, got {getattr(self, k)}" for k in nonfinite]
-        return problems + [p for p in self._range_problems() if p.split(" ", 1)[0] not in nonfinite]
+        # inf would also overflow the generator
+        return finite_first(self, self._range_problems())
 
     def _range_problems(self) -> list[str]:
         problems = []

@@ -164,43 +164,6 @@ def build_terms_oracle(records, negatives, friends_of, beta: float) -> dict[str,
     return {key: np.asarray(values, dtype=dtypes[key]) for key, values in terms.items()}
 
 
-def sample_negatives_oracle(records, num_items: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k negatives per record from one scalar ``rng.integers`` call per candidate.
-
-    Rejection sampling over the initiator's untouched items (touched: in any
-    role, in any record), at most 32k candidates, then ``rng.choice`` over the
-    exact complement; a user with fewer than k untouched items gets uniform
-    draws that avoid only the record's own item.
-    """
-    touched: dict[int, set[int]] = {}
-    for rec in records:
-        for user in (rec.initiator, *rec.participants):
-            touched.setdefault(user, set()).add(rec.item)
-    out = np.empty((len(records), k), dtype=np.int64)
-    for i, rec in enumerate(records):
-        seen = touched[rec.initiator]
-        free = num_items - len(seen)
-        if free >= k and free > 0:
-            picked: list[int] = []
-            tries = 0
-            while len(picked) < k and tries < 32 * k:
-                cand = int(rng.integers(num_items))
-                tries += 1
-                if cand not in seen and cand not in picked:
-                    picked.append(cand)
-            if len(picked) < k:
-                complement = np.array([j for j in range(num_items) if j not in seen], dtype=np.int64)
-                picked = list(rng.choice(complement, size=k, replace=False))
-            out[i] = picked
-        else:
-            for j in range(k):
-                cand = int(rng.integers(num_items))
-                while cand == rec.item and num_items > 1:
-                    cand = int(rng.integers(num_items))
-                out[i, j] = cand
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ingest and leave-one-out split, record by record
 

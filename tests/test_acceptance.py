@@ -21,7 +21,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gbrec import kernels
 from gbrec.baselines import mf_score
 from gbrec.data import SocialGraph, ingest, split_leave_one_out
 from gbrec.evaluate import compute_metrics, evaluate_ranking, rank_from_scores
@@ -336,30 +335,26 @@ def test_criterion_09_production_dataset_counts():
 
 
 def test_criterion_10_single_thread_determinism(tmp_path):
-    kernels.set_num_threads(1)
-    try:
-        rng = np.random.default_rng(31)
-        records = helpers.make_records(rng, 40, 25, 300)
-        social = helpers.make_social(rng, 40, 60)
-        split = split_leave_one_out(helpers.from_records(records, 40, 25), seed=2, num_negatives=24)
-        hp = Hyperparams(
-            dim=8, num_layers=2, pretrain_epochs=3, pretrain_lr=1e-2,
-            epochs=4, finetune_lr=1e-2, batch_size=128,
-        )
-        runs = [train_model("gbgcn", split, social, hp, seed=11) for _ in range(2)]
-        assert runs[0].log_hash == runs[1].log_hash
+    rng = np.random.default_rng(31)
+    records = helpers.make_records(rng, 40, 25, 300)
+    social = helpers.make_social(rng, 40, 60)
+    split = split_leave_one_out(helpers.from_records(records, 40, 25), seed=2, num_negatives=24)
+    hp = Hyperparams(
+        dim=8, num_layers=2, pretrain_epochs=3, pretrain_lr=1e-2,
+        epochs=4, finetune_lr=1e-2, batch_size=128,
+    )
+    runs = [train_model("gbgcn", split, social, hp, seed=11) for _ in range(2)]
+    assert runs[0].log_hash == runs[1].log_hash
 
-        paths = []
-        for i, result in enumerate(runs):
-            path = str(tmp_path / f"ckpt-{i}.bin")
-            save_checkpoint(path, result.model_type, result.params, result.hp)
-            paths.append(path)
-        blobs = [open(p, "rb").read() for p in paths]
-        assert blobs[0] == blobs[1], "same-seed checkpoints differ"
+    paths = []
+    for i, result in enumerate(runs):
+        path = str(tmp_path / f"ckpt-{i}.bin")
+        save_checkpoint(path, result.model_type, result.params, result.hp)
+        paths.append(path)
+    blobs = [open(p, "rb").read() for p in paths]
+    assert blobs[0] == blobs[1], "same-seed checkpoints differ"
 
-        loaded = load_checkpoint(paths[0])
-        round_trip = str(tmp_path / "round-trip.bin")
-        save_checkpoint(round_trip, loaded.model_type, loaded.params, loaded.hp)
-        assert open(round_trip, "rb").read() == blobs[0], "round trip not byte-identical"
-    finally:
-        kernels.set_num_threads(2)
+    loaded = load_checkpoint(paths[0])
+    round_trip = str(tmp_path / "round-trip.bin")
+    save_checkpoint(round_trip, loaded.model_type, loaded.params, loaded.hp)
+    assert open(round_trip, "rb").read() == blobs[0], "round trip not byte-identical"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gbrec.baselines import FLATTEN_ROLES, flatten_interactions, gbmf_score, mf_score
+from gbrec.baselines import flatten_interactions, gbmf_score, mf_score
 from gbrec.data import SocialGraph
 from gbrec.loss import BehaviorRecord
 from gbrec.model import init_flat_params
@@ -27,18 +27,10 @@ def pairs(log):
 
 
 def test_flatten_both_roles_keeps_multiplicity():
-    flat = flatten_interactions(LOG, roles="both")
+    flat = flatten_interactions(LOG)
     assert pairs(flat) == [(0, 4), (1, 4), (2, 4), (1, 4), (0, 4), (1, 5)]
     assert all(r.success and r.participants == () for r in helpers.records_of(flat))
     assert flat.num_users == 3 and flat.num_items == 6
-
-
-def test_flatten_single_roles():
-    assert pairs(flatten_interactions(LOG, roles="initiator")) == [(0, 4), (1, 4), (1, 5)]
-    assert pairs(flatten_interactions(LOG, roles="participant")) == [(1, 4), (2, 4), (0, 4)]
-    with pytest.raises(ValueError, match="roles"):
-        flatten_interactions(LOG, roles="everyone")
-    assert FLATTEN_ROLES == ("initiator", "participant", "both")
 
 
 def test_mf_score_is_raw_inner_product():

@@ -55,7 +55,7 @@ def pipeline(tmp_path_factory):
     datadir = str(root / "data")
     modeldir = str(root / "model")
 
-    assert main(["--threads", "1", "synth", "--outdir", synthdir, "--seed", "1", *SYNTH_ARGS]) == 0
+    assert main(["synth", "--outdir", synthdir, "--seed", "1", *SYNTH_ARGS]) == 0
     behaviors = os.path.join(synthdir, "behaviors.tsv")
     social = os.path.join(synthdir, "social.tsv")
     assert os.path.exists(behaviors) and os.path.exists(social)
@@ -268,8 +268,9 @@ def _gbgcn_checkpoint(pipeline, path):
     [
         ("gbgcn", {"num_layers": 3}, "num_layers 3 does not match the header's L = 2"),
         ("gbmf", {"dim": []}, "dim must be int, got []"),
+        ("gbmf", {"beta": float("nan")}, "beta must be finite, got nan"),
     ],
-    ids=["layers-over-header", "dim-not-an-int"],
+    ids=["layers-over-header", "dim-not-an-int", "beta-nan"],
 )
 def test_checkpoint_hyperparams_disagreeing_with_the_header_fail_with_one_located_error(
     pipeline, tmp_path, capsys, model, changes, problem
@@ -359,11 +360,19 @@ def test_synth_rejects_a_non_finite_float_exits_2(tmp_path, capsys, flag, value)
     assert not (tmp_path / "w").exists()
 
 
-def test_bad_thread_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GBREC_NUM_THREADS", "many")
-    code, _, err = run(capsys, ["synth", "--outdir", str(tmp_path), "--seed", "0", *SYNTH_ARGS])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag", ["--beta", "--activation-slope", "--l2-coeff", "--social-reg-coeff", "--pretrain-lr", "--finetune-lr"]
+)
+def test_train_rejects_a_non_finite_float_exits_2(pipeline, tmp_path, capsys, flag, value):
+    outdir = tmp_path / "model"
+    code, _, err = run(
+        capsys, ["train", "--data", pipeline["datadir"], "--outdir", str(outdir), "--model", "gbmf", f"{flag}={value}"]
+    )
     assert code == 2
-    assert "GBREC_NUM_THREADS" in err
+    name = flag[2:].replace("-", "_")
+    assert err == f"error: invalid configuration:\n  {name} must be finite, got {float(value)}\n"
+    assert not outdir.exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbrec import data
 from gbrec.data import (
     INT64_MAX,
     DatasetStats,
@@ -553,34 +554,75 @@ def sampler_worlds(draw):
     return helpers.from_records(records, num_users, num_items), draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
 
 
-def assert_sampler_matches_scalar_draws(log, k, seed):
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_negatives(log, k, rng)
-    want = oracles.sample_negatives_oracle(helpers.records_of(log), log.num_items, k, ref)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
-    assert rng.random() == ref.random()  # the generator ends where the scalar draws leave it
+def assert_sampler_contract(log, k, negs):
+    """Rows whose initiator left at least k items untouched hold k distinct
+    untouched items; other rows avoid only the positive."""
+    assert negs.shape == (len(log), k) and negs.dtype == np.int64
+    touched = helpers.touched_sets(log)
+    for u, item, row in zip(log.initiator.tolist(), log.item.tolist(), negs.tolist()):
+        assert all(0 <= n < log.num_items for n in row)
+        if log.num_items - len(touched[u]) >= k:
+            assert len(set(row)) == k and not touched[u] & set(row)
+        else:
+            assert item not in row if log.num_items > 1 else row == [0] * k
 
 
 @settings(max_examples=200, deadline=None)
 @given(world=sampler_worlds())
-def test_sample_negatives_equals_scalar_draws(world):
-    assert_sampler_matches_scalar_draws(*world)
+def test_sample_negatives_keep_the_contract(world):
+    log, k, seed = world
+    assert_sampler_contract(log, k, sample_negatives(log, k, np.random.default_rng(seed)))
 
 
+@settings(max_examples=50, deadline=None)
+@given(world=sampler_worlds())
+def test_sample_negatives_same_seed_same_draws(world):
+    log, k, seed = world
+    first = sample_negatives(log, k, np.random.default_rng(seed))
+    np.testing.assert_array_equal(sample_negatives(log, k, np.random.default_rng(seed)), first)
+
+
+@pytest.mark.parametrize("rounds", [0, data.REDRAW_ROUNDS])
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_sample_negatives_equals_scalar_draws_when_rejection_mostly_fails(k):
-    # user 0 leaves exactly k of 200 items untouched, so most records fall back to the complement
+def test_sample_negatives_take_the_complement_when_rejection_mostly_fails(monkeypatch, k, rounds):
+    # user 0 leaves exactly k of 200 items untouched, so most of its rows run out
+    # of redraw rounds (every row that needs one, with 0 rounds) and take the
+    # complement, which is exactly those k items
+    monkeypatch.setattr(data, "REDRAW_ROUNDS", rounds)
     records = [BehaviorRecord(0, i, (), True) for i in range(200 - k)]
     records += [BehaviorRecord(1, i, (0,), True) for i in range(0, 200 - k, 40)]
-    assert_sampler_matches_scalar_draws(helpers.from_records(records, 2, 200), k, seed=k)
+    log = helpers.from_records(records, 2, 200)
+    negs = sample_negatives(log, k, np.random.default_rng(k))
+    assert_sampler_contract(log, k, negs)
+    free = set(range(200 - k, 200))
+    assert all(set(row) == free for row in negs[log.initiator == 0].tolist())
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_sample_negatives_equals_scalar_draws_in_an_exhausted_universe(k):
+def test_sample_negatives_avoid_the_positive_in_an_exhausted_universe(k):
     # user 0 touched every item; user 1 has fewer than k untouched items when k is 3
     records = [BehaviorRecord(0, i, (), True) for i in range(6)] + [BehaviorRecord(1, i, (), True) for i in range(4)]
-    assert_sampler_matches_scalar_draws(helpers.from_records(records, 2, 6), k, seed=11)
+    log = helpers.from_records(records * 50, 2, 6)
+    negs = sample_negatives(log, k, np.random.default_rng(11))
+    assert_sampler_contract(log, k, negs)
+    # the shifted draw reaches every other item
+    assert set(negs[(log.initiator == 0) & (log.item == 2)].ravel().tolist()) == {0, 1, 3, 4, 5}
+    one_item = helpers.from_records([BehaviorRecord(0, 0, (), True)] * 3, 1, 1)
+    assert_sampler_contract(one_item, k, sample_negatives(one_item, k, np.random.default_rng(11)))
+
+
+def test_sample_negatives_are_uniform_over_ordered_free_pairs():
+    # user 0 touched items 0 and 1 of 6, so each row is one of the 12 ordered
+    # pairs of distinct items from {2, 3, 4, 5}; 12,000 rows expect 1,000 each.
+    # The chi-square statistic (11 degrees of freedom) must stay below 31.26,
+    # its 0.999 quantile; with this fixed seed a pass is deterministic.
+    log = helpers.from_records([BehaviorRecord(0, i % 2, (), True) for i in range(12_000)], 1, 6)
+    negs = sample_negatives(log, 2, np.random.default_rng(5))
+    assert_sampler_contract(log, 2, negs)
+    counts = np.bincount((negs[:, 0] - 2) * 4 + (negs[:, 1] - 2), minlength=16)
+    cells = counts[[a * 4 + b for a in range(4) for b in range(4) if a != b]]
+    assert cells.sum() == 12_000
+    assert ((cells - 1000.0) ** 2 / 1000.0).sum() < 31.26
 
 
 # ---------------------------------------------------------------------------

@@ -311,12 +311,5 @@ def test_float32_inputs_accumulate_in_float64():
     assert got[0, 0] == 1.0
 
 
-def test_set_num_threads_validation():
-    with pytest.raises(ValueError):
-        kernels.set_num_threads(0)
-    kernels.set_num_threads(1)
-    kernels.set_num_threads(4)
-
-
 def test_backend_name_is_known():
     assert kernels.backend_name() in ("numba", "numpy")
