@@ -1,4 +1,4 @@
-"""Timing of the one reduction kernel in the four roles training uses.
+"""Timing of the products training runs, in the roles training uses them.
 
 * ``segment_sum`` -- a neighbour sum over a synthetic CSR graph, the
   propagation step and each mean's adjoint;
@@ -9,12 +9,23 @@
   scaling each column block inside the kernel;
 * ``gap_item_side`` -- its item side: one call that gathers
   ``scale[i] * table[users[i]]`` once per column block, adds it at ``lo[i]``
-  and subtracts it at ``hi[i]``, for several targets.
+  and subtracts it at ``hi[i]``, for several targets;
+* ``mean`` -- ``CSR.mean`` and ``CSR.mean_adjoint`` of a ``--rows`` x
+  ``--cols`` graph with ``--entries`` stored entries, on the sparse path and
+  on the dense one (skipped past ``DENSE_LIMIT`` cells), with the path
+  ``CSR.runs_dense`` picks;
+* ``score_pass`` -- ``EmbeddingSet.score_gaps`` and ``score_pairs_backward``
+  over ``--terms`` random terms of ``--users`` x ``--items``, with
+  ``--blocks`` blocks of width ``--dim``, on both paths, with the path
+  ``EmbeddingSet.dense_score_pass`` picks.
 
-Prints the best of ``--repeats`` per-call times for each role, with the
-kernel's block width ``kernels.BLOCK``. Usage::
+The first four roles time the sparse kernel alone. Prints the best of
+``--repeats`` per-call times for each role, with the kernel's block width
+``kernels.BLOCK``; tables are float32, as in training. Usage::
 
-    python3 benchmarks/bench_kernels.py [--rows 200000] [--degree 20] [--dim 32]
+    python3 benchmarks/bench_kernels.py [--role ROLE ...] [--rows 200000] [--cols 30000]
+        [--degree 20 | --entries N] [--dim 32] [--terms 500000]
+        [--users 500] [--items 200] [--blocks 2]
 """
 
 from __future__ import annotations
@@ -24,7 +35,10 @@ import time
 
 import numpy as np
 
-from gbrec import kernels
+from gbrec import kernels, model
+
+ROLES = ("segment_sum", "scatter", "gap_user_side", "gap_item_side", "mean", "score_pass")
+DENSE_LIMIT = 1 << 24  # cells past which the mean role times no dense matrix (64 MB in float32)
 
 
 def make_csr(rng: np.random.Generator, num_rows: int, num_cols: int, avg_degree: float):
@@ -47,47 +61,112 @@ def best_of(fn, repeats: int = 5) -> float:
     return min(times)
 
 
+def time_paths(name: str, fns: dict, picked: str, repeats: int, dense_ok: bool = True) -> None:
+    """Print one line per function: its sparse time, its dense time and the path the rule picks."""
+    for label, fn in fns.items():
+        with model.forced_products("sparse"):
+            sparse = f"{best_of(fn, repeats) * 1e3:8.2f} ms"
+        dense = "skipped"
+        if dense_ok:
+            with model.forced_products("dense"):
+                fn()  # builds and caches the dense matrix, as the first call of a run does
+                dense = f"{best_of(fn, repeats) * 1e3:8.2f} ms"
+        print(f"{name + '.' + label:<17} sparse {sparse}  dense {dense:>11}  picks {picked}")
+
+
+def time_mean(args, rng) -> None:
+    cells = args.rows * args.cols
+    entries = args.entries if args.entries is not None else int(args.rows * args.degree)
+    keys = rng.choice(cells, size=min(entries, cells), replace=False)
+    g = kernels.CSR.from_edges(args.rows, args.cols, *np.divmod(keys, args.cols))
+    src = rng.standard_normal((args.cols, args.dim)).astype(np.float32)
+    d = rng.standard_normal((args.rows, args.dim)).astype(np.float32)
+    print(
+        f"mean: rows={args.rows} cols={args.cols} entries={g.indices.shape[0]} "
+        f"fill={g.indices.shape[0] / cells:.4%} dim={args.dim} min_fill={kernels.DENSE_MIN_FILL:.4%} "
+        f"max_cells={kernels.DENSE_MAX_CELLS}"
+    )
+    fns = {"mean": lambda: g.mean(src), "adjoint": lambda: g.mean_adjoint(d, np.float32)}
+    time_paths("mean", fns, "dense" if g.runs_dense else "sparse", args.repeats, cells <= DENSE_LIMIT)
+
+
+def time_score_pass(args, rng) -> None:
+    P, Q, n = args.users, args.items, args.terms
+
+    def blocks(rows):
+        return [rng.standard_normal((rows, args.dim)).astype(np.float32) for _ in range(args.blocks)]
+
+    emb = model.EmbeddingSet(
+        user_launch=blocks(P), item_launch=blocks(Q), user_join=blocks(P), item_join=blocks(Q),
+        friend_mean=blocks(P), has_friends=rng.random(P) < 0.9, alpha=0.6,
+    )
+    users, lo, hi = rng.integers(0, P, n), rng.integers(0, Q, n), rng.integers(0, Q, n)
+    dgap = rng.random(n)
+    adj = model.ScoreAdjoint.zeros(emb)
+    print(
+        f"score_pass: users={P} items={Q} terms={n} blocks={args.blocks} width={args.dim} "
+        f"cells/terms={P * Q / n:.2f} ratio={model.SCORE_DENSE_RATIO}"
+    )
+    fns = {
+        "gaps": lambda: emb.score_gaps(users, lo, hi),
+        "backward": lambda: model.score_pairs_backward(emb, users, hi, lo, dgap, adj),
+    }
+    time_paths("score_pass", fns, "dense" if emb.dense_score_pass(n) else "sparse", args.repeats)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--role", choices=ROLES, action="append", help="a role to time (repeatable; default every role)")
     ap.add_argument("--rows", type=int, default=200_000)
     ap.add_argument("--cols", type=int, default=30_000)
     ap.add_argument("--degree", type=float, default=20.0)
+    ap.add_argument("--entries", type=int, default=None, help="stored entries of the mean role's graph (default rows * degree)")
     ap.add_argument("--dim", type=int, default=32)
-    ap.add_argument("--terms", type=int, default=500_000, help="rows of each scatter")
+    ap.add_argument("--terms", type=int, default=500_000, help="rows of each scatter, terms of the score pass")
     ap.add_argument("--targets", type=int, default=4, help="targets of each gap-side call")
+    ap.add_argument("--users", type=int, default=500, help="users of the score pass")
+    ap.add_argument("--items", type=int, default=200, help="items of the score pass")
+    ap.add_argument("--blocks", type=int, default=2, help="embedding blocks of the score pass")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
+    roles = args.role or ROLES
 
     rng = np.random.default_rng(0)
-    indptr, indices = make_csr(rng, args.rows, args.cols, args.degree)
-    src = rng.standard_normal((args.cols, args.dim)).astype(np.float32)
-    idx = rng.integers(0, args.rows, size=args.terms)
-    rows = rng.standard_normal((args.terms, args.dim)).astype(np.float32)
-    # each gap term scatters to a user row and gathers two item rows, or the reverse
-    lo = rng.integers(0, args.cols, size=args.terms)
-    hi = rng.integers(0, args.cols, size=args.terms)
-    scale = rng.standard_normal(args.terms)
-    user_rows = [np.zeros((args.rows, args.dim), dtype=np.float32) for _ in range(args.targets)]
-    item_rows = [np.zeros((args.cols, args.dim), dtype=np.float32) for _ in range(args.targets)]
-    item_tables = [rng.standard_normal((args.cols, args.dim)).astype(np.float32) for _ in range(args.targets)]
-    user_tables = [rng.standard_normal((args.rows, args.dim)).astype(np.float32) for _ in range(args.targets)]
+    kernel_roles = [r for r in roles if r in ROLES[:4]]
+    if kernel_roles:
+        indptr, indices = make_csr(rng, args.rows, args.cols, args.degree)
+        src = rng.standard_normal((args.cols, args.dim)).astype(np.float32)
+        idx = rng.integers(0, args.rows, size=args.terms)
+        rows = rng.standard_normal((args.terms, args.dim)).astype(np.float32)
+        # each gap term scatters to a user row and gathers two item rows, or the reverse
+        lo = rng.integers(0, args.cols, size=args.terms)
+        hi = rng.integers(0, args.cols, size=args.terms)
+        scale = rng.standard_normal(args.terms)
+        user_rows = [np.zeros((args.rows, args.dim), dtype=np.float32) for _ in range(args.targets)]
+        item_rows = [np.zeros((args.cols, args.dim), dtype=np.float32) for _ in range(args.targets)]
+        item_tables = [rng.standard_normal((args.cols, args.dim)).astype(np.float32) for _ in range(args.targets)]
+        user_tables = [rng.standard_normal((args.rows, args.dim)).astype(np.float32) for _ in range(args.targets)]
 
-    print(
-        f"rows={args.rows} cols={args.cols} nnz={indices.shape[0]} dim={args.dim} "
-        f"terms={args.terms} targets={args.targets} block={kernels.BLOCK}"
-    )
-    roles = {
-        "segment_sum": lambda: kernels.segment_sum(indptr, indices, src),
-        "scatter": lambda: kernels.scatter_add_rows([(user_rows[0], rows, None)], idx),
-        "gap_user_side": lambda: kernels.scatter_add_rows(
-            [(out, table, scale) for out, table in zip(user_rows, item_tables)], idx, lo, minus_gather=hi
-        ),
-        "gap_item_side": lambda: kernels.scatter_add_rows(
-            [(out, table, scale) for out, table in zip(item_rows, user_tables)], lo, idx, minus_idx=hi
-        ),
-    }
-    for name, fn in roles.items():
-        print(f"{name:<17} {best_of(fn, args.repeats) * 1e3:8.2f} ms")
+        print(
+            f"rows={args.rows} cols={args.cols} nnz={indices.shape[0]} dim={args.dim} "
+            f"terms={args.terms} targets={args.targets} block={kernels.BLOCK}"
+        )
+        fns = {
+            "segment_sum": lambda: kernels.segment_sum(indptr, indices, src),
+            "scatter": lambda: kernels.scatter_add_rows([(user_rows[0], rows, None)], idx),
+            "gap_user_side": lambda: kernels.scatter_add_rows(
+                [(out, table, scale) for out, table in zip(user_rows, item_tables)], idx, lo, minus_gather=hi
+            ),
+            "gap_item_side": lambda: kernels.scatter_add_rows(
+                [(out, table, scale) for out, table in zip(item_rows, user_tables)], lo, idx, minus_idx=hi
+            ),
+        }
+        for name in kernel_roles:
+            print(f"{name:<17} {best_of(fns[name], args.repeats) * 1e3:8.2f} ms")
+    if "mean" in roles:
+        time_mean(args, rng)
+    if "score_pass" in roles:
+        time_score_pass(args, rng)
     return 0
 
 

@@ -620,7 +620,7 @@ def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
     with open(stats_path, encoding="utf-8") as fh:
         try:
             stats = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise IngestError(f"{stats_path}: not valid JSON: {exc}") from None
     for key in ("num_users", "num_items"):
         if not isinstance(stats, dict) or key not in stats:

@@ -1,14 +1,25 @@
-"""The graph type and the one reduction kernel that propagation runs on.
+"""The graph type and the two ways its products run: sparse and dense.
 
 ``CSR`` is the one graph type: a directed graph in compressed sparse row
 form with its neighbour mean and that mean's adjoint. Its transpose is built
 from it on first use, so a graph and its reverse can never disagree.
 
-Every reduction runs on one kernel, ``_block_sums``. Given a destination
-index ``dest``, a gather index and sources ``(table, scale)``, it sums the
-float64 rows ``scale[i] * table[gather[i]]`` into destination rows
-``dest[i]``. It works on blocks of up to ``BLOCK`` columns: a block's rows
-are flattened in row order and summed by one ``np.bincount`` keyed
+A graph's mean and adjoint take one of two paths, chosen from its shape
+alone, so no caller knows which one ran:
+
+* dense, when the graph stores at least ``DENSE_MIN_FILL`` of its cells and
+  has fewer than ``DENSE_MAX_CELLS`` cells: one product with the graph's
+  row-normalised adjacency matrix (``1/degree(r)`` at each stored ``(r, c)``),
+  built once per graph and per dtype and kept, in the dtype of the rows it
+  multiplies. This is LightGCN's normalised-adjacency product, and BLAS
+  rounds it as it sums;
+* sparse, otherwise: the one reduction kernel below.
+
+Every sparse reduction runs on one kernel, ``_block_sums``. Given a
+destination index ``dest``, a gather index and sources ``(table, scale)``,
+it sums the float64 rows ``scale[i] * table[gather[i]]`` into destination
+rows ``dest[i]``. It works on blocks of up to ``BLOCK`` columns: a block's
+rows are flattened in row order and summed by one ``np.bincount`` keyed
 ``dest[i] * m + j`` for column ``j`` of an ``m``-column block. The key is
 built once per index and shared by every source and every block. bincount
 adds its weights in index order in float64, so each (destination, column)
@@ -34,7 +45,8 @@ backward pass:
   each; the second is subtracted from the first once, and the difference is
   rounded once.
 
-The kernel is single-threaded NumPy; thread count cannot change a result.
+The sparse kernel is single-threaded NumPy; thread count cannot change its
+result.
 """
 
 from __future__ import annotations
@@ -47,6 +59,17 @@ import numpy as np
 # fused in, 1 and 4 train equally fast, 4 has the fastest segment sums and 16
 # is slower and larger (its key and block buffer each cost rows * 128 bytes)
 BLOCK = 4
+
+# a graph's products run dense when it stores at least DENSE_MIN_FILL of its
+# cells and has fewer than DENSE_MAX_CELLS cells. Per call (benchmarks/
+# bench_kernels.py --role mean, widths 16 and 48, 100k-500k cells) the dense
+# product wins from about 0.5% fill, by 2-3x at 1.6% and 16-50x at 12-32%;
+# but its matrix stays resident, and on the desk world the two 1.6% graphs
+# (share, social) would add 3 MB to a training run's peak for about 2% of its
+# time, so the line sits between them and the 12% launch graph. The cap
+# holds each cached matrix to 4 MB in float64.
+DENSE_MIN_FILL = 1 / 32
+DENSE_MAX_CELLS = 1 << 19
 
 
 def backend_name() -> str:
@@ -188,6 +211,7 @@ class CSR:
         self.indptr = indptr
         self.indices = indices
         self._transpose: CSR | None = None
+        self._normalized: dict[np.dtype, np.ndarray] = {}
 
     @classmethod
     def from_edges(cls, num_rows: int, num_cols: int, rows: np.ndarray, cols: np.ndarray) -> "CSR":
@@ -237,15 +261,40 @@ class CSR:
         inv[nz] = 1.0 / counts[nz]
         return inv
 
+    @property
+    def runs_dense(self) -> bool:
+        """Whether ``mean`` and ``mean_adjoint`` run as dense products: the graph
+        stores at least ``DENSE_MIN_FILL`` of its cells and has fewer than
+        ``DENSE_MAX_CELLS`` cells. Stored entries are counted, so a symmetric
+        graph counts each undirected edge twice."""
+        cells = self.num_rows * self.num_cols
+        return cells < DENSE_MAX_CELLS and self.indices.shape[0] >= DENSE_MIN_FILL * cells
+
+    def normalized(self, dtype) -> np.ndarray:
+        """The row-normalised adjacency matrix in ``dtype``: ``1/degree(r)`` at
+        each stored ``(r, c)``, zero elsewhere. Built once per dtype and kept."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._normalized:
+            rows = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees)
+            mat = np.zeros((self.num_rows, self.num_cols), dtype=dtype)
+            mat[rows, self.indices] = self.inv_degrees[rows]
+            self._normalized[dtype] = mat
+        return self._normalized[dtype]
+
     def mean(self, src: np.ndarray) -> np.ndarray:
         """Per-row mean of the neighbours' ``src`` rows; empty rows give zero."""
+        if self.runs_dense:
+            return self.normalized(src.dtype) @ src
         return segment_mean(self.indptr, self.indices, src)
 
     def mean_adjoint(self, d: np.ndarray, dtype) -> np.ndarray:
         """Adjoint of ``mean``: maps d(loss)/d(mean) to d(loss)/d(src).
 
         Each row's adjoint is split evenly over its neighbours (rounded to
-        ``dtype``) and summed per neighbour over the transpose.
+        ``dtype``) and summed per neighbour over the transpose; on the dense
+        path, ``normalized(dtype).T @ d`` with ``d`` rounded to ``dtype``.
         """
+        if self.runs_dense:
+            return self.normalized(dtype).T @ d.astype(dtype, copy=False)
         scaled = (d * self.inv_degrees[:, None]).astype(dtype)
         return segment_sum(self.T.indptr, self.T.indices, scaled)

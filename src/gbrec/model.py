@@ -1,7 +1,13 @@
 """Multi-view graph convolutional embedding model for group-buying.
 
-Forward pipeline per batch (recomputed over the full graph; desk-scale
-instances make this cheap and it keeps gradients exact):
+Forward pipeline per batch, recomputed over the full graph, which keeps
+gradients exact. That stays cheap because each product takes the path its
+shapes favour: a graph mean is one product with the graph's row-normalised
+adjacency matrix when the graph stores at least ``kernels.DENSE_MIN_FILL``
+of its cells and has fewer than ``kernels.DENSE_MAX_CELLS`` cells, and a
+sparse reduction otherwise; a batch of ``n`` terms is scored through one
+``P x Q`` score matrix when ``P * Q <= SCORE_DENSE_RATIO * n``, and term by
+term otherwise. Desk-scale graphs and batches take the dense products:
 
 1. in-view propagation: L rounds of plain neighbor-mean smoothing inside the
    launch view and inside the join view, starting from the raw embeddings;
@@ -23,6 +29,7 @@ needed); every reduction has a fixed order, keeping runs reproducible.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields
 from typing import NamedTuple
 
@@ -40,6 +47,37 @@ MODEL_TYPES = ("gbgcn", "gbmf", "mf")
 # terms per chunk of EmbeddingSet.score_gaps, so its gathered rows stay in
 # cache: at width 48, chunks of 4096 or more score a desk batch 2-3x slower
 SCORE_CHUNK = 2048
+
+# the score pass runs through one P x Q score matrix when P * Q <=
+# SCORE_DENSE_RATIO * terms, and term by term otherwise. Measured with
+# benchmarks/bench_kernels.py --role score_pass (gaps plus backward, on
+# 500 x 200 and 1000 x 500): the flat scorer (one block of width 16) breaks
+# even near 16 cells per term and runs 1.6-2.7x slower dense at 32; GBGCN's
+# two blocks of width 48 run dense 1.6-4x faster up to 32 and break even
+# between 32 and 128. The ratio sits at the flat scorer's break-even, so
+# neither scorer runs measurably slower dense; desk batches have about 2
+# cells per term, gbmf-wide's about 58
+SCORE_DENSE_RATIO = 16
+
+
+@contextmanager
+def forced_products(path: str):
+    """Run every graph mean and every composite score pass on ``path``
+    ("sparse" or "dense"), whatever the shape rules pick, by setting the
+    rules' constants for the duration. This is the one place that knows which
+    constants force which path."""
+    global SCORE_DENSE_RATIO
+    saved = kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO
+    if path == "dense":
+        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO = 0.0, float("inf"), float("inf")
+    elif path == "sparse":
+        kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO = 0, 0
+    else:
+        raise ValueError(f"path must be 'sparse' or 'dense', got {path!r}")
+    try:
+        yield
+    finally:
+        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO = saved
 
 
 @dataclass
@@ -375,6 +413,11 @@ class EmbeddingSet:
             join = join + fm[users] @ bj.T
         return self._coef[users, None] * launch + self._alpha_t * join
 
+    def dense_score_pass(self, terms: int) -> bool:
+        """Whether a pass over ``terms`` composite-scored terms goes through one
+        ``num_users x num_items`` score matrix (see ``SCORE_DENSE_RATIO``)."""
+        return self.num_users * self.num_items <= SCORE_DENSE_RATIO * terms
+
     def predict(self, user: int, item: int) -> float:
         return float(self.score_items(user, np.asarray([item], dtype=np.int64))[0])
 
@@ -386,7 +429,12 @@ class EmbeddingSet:
         ``coef[u] * sum_b <bu_b[u], bi_b[lo] - bi_b[hi]> + alpha * sum_b <fm_b[u], bj_b[lo] - bj_b[hi]>``,
         or with ``join_view`` the role-scored variant's ``sum_b <uj_b[u], bj_b[lo] - bj_b[hi]>``.
         Each user row is gathered once; the inner products run in the blocks' dtype.
+        A composite pass that ``dense_score_pass`` picks is ``S[u, lo] - S[u, hi]``
+        over ``S = score_users(every user)``, in the blocks' dtype.
         """
+        if not join_view and self.dense_score_pass(users.shape[0]):
+            scores = self.score_users(np.arange(self.num_users))
+            return scores[users, lo].astype(np.float64) - scores[users, hi]
         if join_view:
             groups = [(self.user_join, self.item_join)]
         else:
@@ -433,7 +481,11 @@ def score_pairs_backward(
     """Accumulate d(loss)/d(blocks) for composite-scored gaps ``score(u, lo) - score(u, hi)``:
     one signed scatter per side, of ``dgap * (table[lo] - table[hi])`` into ``users``
     and of ``dgap * table[users]`` into ``lo`` minus ``hi``, gathering inside the kernel.
+    A pass that ``emb.dense_score_pass`` picks runs as four products instead.
     """
+    if emb.dense_score_pass(users.shape[0]):
+        _score_pairs_backward_dense(emb, users, hi, lo, dgap, adj)
+        return
     wl = emb._coef[users].astype(np.float64) * dgap
     wj = emb.alpha * dgap
     # friend-mean blocks exist only where the friend term has weight
@@ -443,6 +495,31 @@ def score_pairs_backward(
     item_side += [(d, fm, wj) for d, fm in zip(adj.d_item_join, emb.friend_mean)]
     kernels.scatter_add_rows(user_side, users, lo, minus_gather=hi)
     kernels.scatter_add_rows(item_side, lo, users, minus_idx=hi)
+
+
+def _score_pairs_backward_dense(
+    emb: EmbeddingSet, users: np.ndarray, hi: np.ndarray, lo: np.ndarray, dgap: np.ndarray, adj: ScoreAdjoint
+) -> None:
+    """``score_pairs_backward`` through the ``P x Q`` matrix ``W`` of summed
+    ``dgap`` per (user, item) cell, ``lo`` cells added and ``hi`` cells
+    subtracted in float64. Each block's adjoint is then one product in the
+    blocks' dtype: ``(coef W) @ item`` and ``(coef W).T @ user`` for the launch
+    blocks, ``(alpha W) @ item_join`` and ``(alpha W).T @ friend_mean`` for the
+    friend blocks.
+    """
+    cells = emb.num_users * emb.num_items
+    key = users * emb.num_items
+    w = np.bincount(key + lo, dgap, minlength=cells) - np.bincount(key + hi, dgap, minlength=cells)
+    w = w.reshape(emb.num_users, emb.num_items)
+    dtype = emb.user_launch[0].dtype
+    wl = (emb._coef[:, None] * w).astype(dtype)
+    for d_u, d_i, bu, bi in zip(adj.d_user_launch, adj.d_item_launch, emb.user_launch, emb.item_launch):
+        d_u += wl @ bi
+        d_i += wl.T @ bu
+    wj = (emb.alpha * w).astype(dtype)
+    for d_fm, d_ij, fm, bj in zip(adj.d_friend_mean, adj.d_item_join, emb.friend_mean, emb.item_join):
+        d_fm += wj @ bj
+        d_ij += wj.T @ fm
 
 
 def score_pairs_join_view_backward(

@@ -459,6 +459,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         shape = shapes[name]
         count = int(np.prod(shape))
         tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * count), dtype="<f4").reshape(shape))
+        if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
+            raise CheckpointError(f"{path}: {name} holds a non-finite value")
     params = ModelParams(**tensors) if model_type == "gbgcn" else FlatParams(**tensors)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")

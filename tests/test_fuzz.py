@@ -1,0 +1,182 @@
+"""Truncated and bit-flipped checkpoints and ``stats.json`` files.
+
+Whatever byte a file is cut at and whichever single bit is flipped, the
+loaders raise only their own error (``CheckpointError``, ``IngestError``) or
+load, and ``gbrec evaluate`` either completes or exits 1 or 2 with one line
+on standard error and nothing on standard output. A flip inside the tensor
+payload can leave a checkpoint that loads: the format carries no digest.
+"""
+
+import os
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from gbrec.cli import main
+from gbrec.data import IngestError, load_split_dir
+from gbrec.model import Hyperparams, init_flat_params, init_params
+from gbrec.trainer import CheckpointError, load_checkpoint, save_checkpoint
+
+SYNTH_ARGS = ["--num-users", "30", "--num-items", "12", "--num-records", "200", "--latent-dim", "4",
+              "--mean-friends", "4.0"]
+TRAIN_ARGS = ["--dim", "4", "--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "64"]
+
+# every example reuses the test's one tmp_path and resets capsys
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """A split dir, a trained gbmf checkpoint and a gbgcn one, and their bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    raw, data = str(root / "raw"), str(root / "data")
+    assert main(["synth", "--outdir", raw, "--seed", "1", *SYNTH_ARGS]) == 0
+    behaviors, social = os.path.join(raw, "behaviors.tsv"), os.path.join(raw, "social.tsv")
+    assert main(["prepare", behaviors, social, "--outdir", data, "--seed", "3", "--negatives", "8"]) == 0
+    assert main(["train", "--data", data, "--outdir", str(root / "gbmf"), "--model", "gbmf", *TRAIN_ARGS]) == 0
+    split, _, _ = load_split_dir(data)
+    hp = Hyperparams(dim=4, num_layers=1)
+    gbgcn = str(root / "gbgcn.bin")
+    save_checkpoint(gbgcn, "gbgcn", init_params(split.num_users, split.num_items, hp, seed=0), hp)
+    blobs = {}
+    for name, path in (("gbmf", str(root / "gbmf" / "checkpoint.bin")), ("gbgcn", gbgcn)):
+        with open(path, "rb") as fh:
+            blobs[name] = fh.read()
+    with open(os.path.join(data, "stats.json"), "rb") as fh:
+        stats = fh.read()
+    return {"data": data, "checkpoints": blobs, "stats": stats}
+
+
+def header_bytes(blob: bytes) -> int:
+    """Bytes before the tensors: 36 of fixed header, then the hyperparameter JSON."""
+    return 36 + int.from_bytes(blob[28:32], "little")
+
+
+def flip(blob: bytes, bit: int) -> bytes:
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def evaluate(capsys, checkpoint: str, data: str) -> int:
+    """Run ``gbrec evaluate``; a failure must be one line on stderr and nothing on stdout."""
+    capsys.readouterr()
+    code = main(["evaluate", "--checkpoint", checkpoint, "--data", data])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: "), err
+    return code
+
+
+# where a cut or a flip lands: a fraction of the fixed 36-byte header, of the
+# header with the hyperparameters, or of the whole file; two thirds of the
+# draws land where the parsing is
+REGIONS = ("fixed", "header", "anywhere")
+
+
+@st.composite
+def checkpoint_cuts(draw):
+    """A model, a region and a fraction of that region."""
+    model = draw(st.sampled_from(["gbmf", "gbgcn"]))
+    return model, draw(st.sampled_from(REGIONS)), draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+def position(blob: bytes, region: str, fraction: float, unit: int) -> int:
+    """The byte (``unit`` 1) or bit (``unit`` 8) at ``fraction`` of ``region``."""
+    span = {"fixed": 36, "header": header_bytes(blob), "anywhere": len(blob)}[region]
+    return int(fraction * span * unit)
+
+
+@FUZZ
+@given(case=checkpoint_cuts())
+@example(case=("gbmf", "anywhere", 0.0))
+@example(case=("gbgcn", "anywhere", 0.9999))
+def test_a_truncated_checkpoint_fails_with_one_checkpoint_error(world, tmp_path, capsys, case):
+    model, region, fraction = case
+    blob = world["checkpoints"][model]
+    path = str(tmp_path / "cut.bin")
+    with open(path, "wb") as fh:
+        fh.write(blob[: position(blob, region, fraction, 1)])
+    with pytest.raises(CheckpointError, match="truncated|bad magic"):
+        load_checkpoint(path)
+    assert evaluate(capsys, path, world["data"]) == 1
+
+
+@FUZZ
+@given(case=checkpoint_cuts())
+@example(case=("gbmf", "fixed", 28.5 / 36))  # a bit of the hyperparameters' length
+@example(case=("gbgcn", "fixed", 20.5 / 36))  # a bit of d
+def test_a_bit_flipped_checkpoint_loads_or_fails_with_one_checkpoint_error(world, tmp_path, capsys, case):
+    model, region, fraction = case
+    blob = world["checkpoints"][model]
+    path = str(tmp_path / "flipped.bin")
+    with open(path, "wb") as fh:
+        fh.write(flip(blob, position(blob, region, fraction, 8)))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        assert evaluate(capsys, path, world["data"]) == 1
+    else:
+        evaluate(capsys, path, world["data"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_tensor_fails_with_one_checkpoint_error(world, tmp_path, capsys, value):
+    split, _, _ = load_split_dir(world["data"])
+    params = init_flat_params(split.num_users, split.num_items, 4, seed=0)
+    params.item_emb[3, 1] = value
+    path = str(tmp_path / "non-finite.bin")
+    save_checkpoint(path, "gbmf", params, Hyperparams(dim=4))
+    with pytest.raises(CheckpointError, match="item_emb holds a non-finite value"):
+        load_checkpoint(path)
+    assert evaluate(capsys, path, world["data"]) == 1
+
+
+def gbmf_checkpoint(world, tmp_path) -> str:
+    path = str(tmp_path / "gbmf.bin")
+    if not os.path.exists(path):
+        with open(path, "wb") as fh:
+            fh.write(world["checkpoints"]["gbmf"])
+    return path
+
+
+def with_stats(world, tmp_path, stats: bytes) -> str:
+    data = str(tmp_path / "data")
+    if not os.path.isdir(data):
+        shutil.copytree(world["data"], data)
+    with open(os.path.join(data, "stats.json"), "wb") as fh:
+        fh.write(stats)
+    return data
+
+
+def load_or_ingest_error(data: str) -> bool:
+    """Whether the split dir loads; any failure must be one IngestError."""
+    try:
+        load_split_dir(data)
+    except IngestError:
+        return False
+    return True
+
+
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+@example(cut=0.0)
+def test_a_truncated_stats_file_loads_or_fails_with_one_ingest_error(world, tmp_path, capsys, cut):
+    stats = world["stats"]
+    data = with_stats(world, tmp_path, stats[: int(cut * len(stats))])
+    loaded = load_or_ingest_error(data)
+    assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), data) == (0 if loaded else 1)
+
+
+@FUZZ
+@given(bit=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_bit_flipped_stats_file_loads_or_fails_with_one_ingest_error(world, tmp_path, capsys, bit):
+    stats = world["stats"]
+    data = with_stats(world, tmp_path, flip(stats, int(bit * 8 * len(stats))))
+    loaded = load_or_ingest_error(data)
+    code = evaluate(capsys, gbmf_checkpoint(world, tmp_path), data)
+    assert code == 1 or loaded

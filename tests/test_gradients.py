@@ -57,6 +57,12 @@ def test_full_model_gradients_match_finite_differences():
     assert max(worst.values()) < 1e-6  # far below the acceptance bar in practice
 
 
+def test_full_model_gradients_match_finite_differences_on_the_sparse_path(sparse_products):
+    # the fixture's graphs and batch are small enough for the dense rules; this
+    # checks the sparse propagation and score backward passes end to end
+    check_against_fd(*gcn_fixture())
+
+
 def test_gradients_role_scored_variant():
     check_against_fd(*gcn_fixture(role_scores=True))
 
@@ -79,6 +85,10 @@ def flat_fixture(**hp_overrides):
 
 
 def test_flat_model_gradients_match_finite_differences():
+    check_against_fd(*flat_fixture())
+
+
+def test_flat_model_gradients_match_finite_differences_on_the_sparse_path(sparse_products):
     check_against_fd(*flat_fixture())
 
 

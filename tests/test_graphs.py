@@ -9,6 +9,7 @@ from gbrec.data import SocialGraph
 from gbrec.graphs import build_graphs
 from gbrec.kernels import CSR
 from gbrec.loss import BehaviorRecord
+from gbrec.synthetic import SynthConfig, build_planted, simulate
 
 import helpers
 
@@ -104,22 +105,41 @@ def test_transpose_of_random_logs(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_mean_adjoint_is_dense_transpose_of_row_normalised_adjacency(seed):
+def test_mean_adjoint_is_dense_transpose_of_row_normalised_adjacency(sparse_products, seed):
+    assert_mean_is_the_row_normalised_product(seed, dense=False)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_mean_and_adjoint_are_the_row_normalised_products(dense_products, seed):
+    assert_mean_is_the_row_normalised_product(seed, dense=True)
+
+
+def assert_mean_is_the_row_normalised_product(seed, dense):
     rng = np.random.default_rng(seed)
     rows, cols = rng.integers(0, 7, size=20), rng.integers(0, 5, size=20)
     g = CSR.from_edges(7, 5, rows, cols)
-    dense = np.zeros((7, 5))
-    dense[rows, cols] = 1.0
-    deg = dense.sum(axis=1, keepdims=True)
-    norm = np.divide(dense, deg, out=np.zeros_like(dense), where=deg > 0)
+    assert g.runs_dense is dense
+    adjacency = np.zeros((7, 5))
+    adjacency[rows, cols] = 1.0
+    deg = adjacency.sum(axis=1, keepdims=True)
+    norm = np.divide(adjacency, deg, out=np.zeros_like(adjacency), where=deg > 0)
     src = rng.standard_normal((5, 3))
     d = rng.standard_normal((7, 3))
     np.testing.assert_allclose(g.mean(src), norm @ src, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(g.mean_adjoint(d, np.float64), norm.T @ d, rtol=1e-12, atol=1e-15)
 
 
-def test_social_graph_is_its_own_transpose():
+def test_social_graph_is_its_own_transpose(sparse_products):
+    assert_social_graph_is_its_own_transpose(dense=False)
+
+
+def test_social_graph_is_its_own_transpose_on_the_dense_path(dense_products):
+    assert_social_graph_is_its_own_transpose(dense=True)
+
+
+def assert_social_graph_is_its_own_transpose(dense):
     social = SocialGraph.from_edges(4, np.array([[0, 1], [2, 1], [3, 3]]))
+    assert social.runs_dense is dense
     assert social.T is social
     np.testing.assert_array_equal(social.friends(1), [0, 2])
     np.testing.assert_array_equal(social.friends(3), [])
@@ -130,3 +150,31 @@ def test_social_graph_is_its_own_transpose():
     np.testing.assert_array_equal(
         social.mean_adjoint(d, np.float64), [[1.0, 1.5], [4.0, 6.0], [1.0, 1.5], [0.0, 0.0]]
     )
+
+
+# the benchmark's two worlds (gbbench/run.py), built in memory
+DESK_WORLD = SynthConfig(num_users=500, num_items=200, latent_dim=8, num_records=20_000,
+                         mean_friends=8.0, role_correlation=0.0, launch_social_mix=0.7)
+WIDE_WORLD = SynthConfig(num_users=3000, num_items=1200, latent_dim=8, num_records=24_000,
+                         mean_friends=8.0, item_temp=0.05)
+
+
+def world_graphs(cfg: SynthConfig) -> dict[str, CSR]:
+    rng = np.random.default_rng(0)
+    planted = build_planted(cfg, rng)
+    b = build_graphs(simulate(planted, cfg, rng))
+    graphs = {name: getattr(b, name) for name in ("launch", "join", "share")}
+    graphs.update({name + ".T": g.T for name, g in list(graphs.items())})
+    graphs["social"] = planted.social
+    return graphs
+
+
+def test_the_dense_rule_takes_the_desk_launch_and_join_graphs_and_no_wide_one():
+    # desk: launch 12% and join 32% of their cells; share and social about
+    # 1.6%, social counting both directions of each friendship
+    desk = world_graphs(DESK_WORLD)
+    dense = {"launch", "launch.T", "join", "join.T"}
+    assert {name: g.runs_dense for name, g in desk.items()} == {name: name in dense for name in desk}
+    # wide: at most 1.5% of cells filled, on 3.6M or more cells
+    wide = world_graphs(WIDE_WORLD)
+    assert {name: g.runs_dense for name, g in wide.items()} == dict.fromkeys(wide, False)

@@ -1,13 +1,19 @@
-"""Sparse segment/scatter kernels against sequential float64 loop oracles."""
+"""Graph means and scatter kernels against sequential float64 loop oracles.
+
+Bit-exact tests of the sparse kernel pin the sparse path with the
+``sparse_products`` fixture; the dense path is held to the same loops within
+a stated tolerance under ``dense_products``.
+"""
 
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gbrec import kernels
+from gbrec.data import SocialGraph
 
 import oracles
 
@@ -51,7 +57,21 @@ def block_width(m):
         kernels.BLOCK = saved
 
 
-@settings(max_examples=200, deadline=None)
+def loop_mean_adjoint(g, d, dtype=np.float64):
+    """Sequential float64 adjoint of the mean: ``d[r] / degree(r)``, rounded to
+    ``dtype``, summed into each neighbour ``c`` in row order."""
+    out = np.zeros((g.num_cols, d.shape[1]))
+    for r in range(g.num_rows):
+        for c in g.neighbors(r):
+            out[c] += (d[r] * g.inv_degrees[r]).astype(dtype)
+    return out
+
+
+# the path fixtures only set module constants, the same for every example
+FIXTURED = [HealthCheck.function_scoped_fixture]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=FIXTURED)
 @given(
     n_rows=st.integers(1, 12),
     n_cols=st.integers(1, 10),
@@ -61,7 +81,7 @@ def block_width(m):
     block=BLOCKS,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_segment_sum_and_mean_equal_a_sequential_float64_loop(n_rows, n_cols, n_edges, dim, dtype, block, seed):
+def test_segment_sum_and_mean_equal_a_sequential_float64_loop(sparse_products, n_rows, n_cols, n_edges, dim, dtype, block, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n_rows, size=n_edges)
     cols = rng.integers(0, n_cols, size=n_edges)
@@ -69,17 +89,77 @@ def test_segment_sum_and_mean_equal_a_sequential_float64_loop(n_rows, n_cols, n_
     for r in range(n_rows):
         np.testing.assert_array_equal(g.neighbors(r), np.unique(cols[rows == r]))
     src = spread_values(rng, (n_cols, dim), dtype)
+    d = spread_values(rng, (n_rows, dim), np.float64)
 
     sums = loop_segment_sum(g.indptr, g.indices, src)
     with block_width(block):
         got = kernels.segment_sum(g.indptr, g.indices, src)
         mean = g.mean(src)
+        adjoint = g.mean_adjoint(d, dtype)
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, sums.astype(dtype))
 
     assert mean.dtype == dtype
     np.testing.assert_array_equal(mean, (sums * g.inv_degrees[:, None]).astype(dtype))
     np.testing.assert_array_equal(mean[g.degrees == 0], 0.0)
+
+    assert adjoint.dtype == dtype
+    np.testing.assert_array_equal(adjoint, loop_mean_adjoint(g, d, dtype).astype(dtype))
+
+
+# dense products round as BLAS sums: each result is held to the float64 loop
+# within RTOL times the sum of its terms' magnitudes. With at most 12 terms
+# per sum here, float32's rounding of the inputs, of 1/degree and of each
+# partial sum stays under (12 + 2) * 6e-8 = 8.4e-7 (measured: 2.4e-7).
+RTOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+def assert_within_terms(got, want, terms_abs, rtol):
+    excess = np.abs(got.astype(np.float64) - want) - rtol * terms_abs
+    assert excess.max(initial=0.0) <= 0.0, f"off by more than {rtol:g} of the terms' magnitudes"
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=FIXTURED)
+@given(
+    n_rows=st.integers(1, 12),
+    n_cols=st.integers(1, 10),
+    n_edges=st.integers(0, 60),
+    dim=st.integers(1, 20),
+    dtype=DTYPES,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_mean_and_adjoint_match_the_float64_loop(dense_products, n_rows, n_cols, n_edges, dim, dtype, seed):
+    rng = np.random.default_rng(seed)
+    g = kernels.CSR.from_edges(n_rows, n_cols, rng.integers(0, n_rows, n_edges), rng.integers(0, n_cols, n_edges))
+    assert g.runs_dense
+    src = spread_values(rng, (n_cols, dim), dtype)
+    d = spread_values(rng, (n_rows, dim), np.float64)
+
+    mean = g.mean(src)
+    assert mean.dtype == dtype
+    inv = g.inv_degrees[:, None]
+    assert_within_terms(mean, loop_segment_sum(g.indptr, g.indices, src) * inv,
+                        loop_segment_sum(g.indptr, g.indices, np.abs(src)) * inv, RTOL[dtype])
+    np.testing.assert_array_equal(mean[g.degrees == 0], 0.0)
+
+    adjoint = g.mean_adjoint(d, dtype)
+    assert adjoint.dtype == dtype
+    assert_within_terms(adjoint, loop_mean_adjoint(g, d), loop_mean_adjoint(g, np.abs(d)), RTOL[dtype])
+    assert g.normalized(dtype).dtype == dtype
+    assert g.normalized(dtype) is g.normalized(dtype)  # built once per dtype
+
+
+def test_the_dense_rule_counts_stored_entries_against_the_cells(monkeypatch):
+    monkeypatch.setattr(kernels, "DENSE_MIN_FILL", 1 / 8)
+    monkeypatch.setattr(kernels, "DENSE_MAX_CELLS", 65)
+    rows, cols = np.divmod(np.arange(8), 8)  # 8 entries in row 0 of an 8 x 8 graph
+    assert kernels.CSR.from_edges(8, 8, rows, cols).runs_dense  # 8 entries fill 1/8 of 64 cells
+    assert not kernels.CSR.from_edges(8, 8, rows[:7], cols[:7]).runs_dense
+    assert not kernels.CSR.from_edges(8, 9, rows, cols).runs_dense  # 72 cells: past the cap
+    # a symmetric graph stores each undirected edge twice, and the rule counts what is stored
+    social = SocialGraph.from_edges(8, np.array([[0, 1], [2, 3], [4, 5], [6, 7]]))
+    assert social.num_edges == 4 and social.indices.shape[0] == 8
+    assert social.runs_dense
 
 
 @st.composite

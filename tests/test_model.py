@@ -143,6 +143,14 @@ def test_cross_view_masks_after_activation():
 
 
 def test_forward_matches_dense_oracle_small():
+    assert_forward_matches_dense_oracle_small()
+
+
+def test_forward_matches_dense_oracle_small_on_the_sparse_path(sparse_products):
+    assert_forward_matches_dense_oracle_small()
+
+
+def assert_forward_matches_dense_oracle_small():
     inst = helpers.small_instance(dtype=np.float64)
     state = forward(inst["bundle"], inst["social"], inst["params"], inst["hp"])
     blocks = helpers.oracle_blocks(inst)
@@ -197,16 +205,23 @@ def make_emb(alpha=0.5, renormalize=False):
     )
 
 
-@pytest.mark.parametrize(
-    "alpha,renormalize,num_blocks", [(0.6, False, 2), (0.6, True, 2), (0.0, False, 1), (0.3, True, 1)]
-)
-def test_score_gap_backward_matches_the_loop_oracle(alpha, renormalize, num_blocks):
+GAP_CASES = [(0.6, False, 2), (0.6, True, 2), (0.0, False, 1), (0.3, True, 1)]
+ADJOINTS = ("d_user_launch", "d_item_launch", "d_user_join", "d_item_join", "d_friend_mean")
+
+# the dense path's gradients are held to the loop oracles by norm-relative
+# error per block; float32 rounds W to float32 and sums 25-40 terms per
+# product in float32 (unit roundoff 6e-8; measured up to 1.3e-7)
+GAP_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
+
+
+def gap_case(alpha, renormalize, num_blocks, dtype=np.float32):
+    """Blocks whose rows span six orders of magnitude, and 3000 terms over 40 users x 25 items."""
     rng = np.random.default_rng(11)
     num_users, num_items, n = 40, 25, 3000
     width = 48 if num_blocks == 2 else 16
 
     def blocks(rows):
-        return [(rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))).astype(np.float32)
+        return [(rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))).astype(dtype)
                 for _ in range(num_blocks)]
 
     emb = EmbeddingSet(
@@ -218,6 +233,12 @@ def test_score_gap_backward_matches_the_loop_oracle(alpha, renormalize, num_bloc
     hi = rng.integers(0, num_items, size=n)
     lo = rng.integers(0, num_items, size=n)
     dgap = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2, size=n)
+    return emb, users, hi, lo, dgap
+
+
+@pytest.mark.parametrize("alpha,renormalize,num_blocks", GAP_CASES)
+def test_score_gap_backward_matches_the_loop_oracle(sparse_products, alpha, renormalize, num_blocks):
+    emb, users, hi, lo, dgap = gap_case(alpha, renormalize, num_blocks)
     for lib, oracle in (
         (score_pairs_backward, oracles.score_gap_backward_oracle),
         (score_pairs_join_view_backward, oracles.score_gap_join_view_backward_oracle),
@@ -225,9 +246,25 @@ def test_score_gap_backward_matches_the_loop_oracle(alpha, renormalize, num_bloc
         got, want = ScoreAdjoint.zeros(emb), ScoreAdjoint.zeros(emb)
         lib(emb, users, hi, lo, dgap, got)
         oracle(emb, users, hi, lo, dgap, want)
-        for name in ("d_user_launch", "d_item_launch", "d_user_join", "d_item_join", "d_friend_mean"):
+        for name in ADJOINTS:
             for g, w in zip(getattr(got, name), getattr(want, name)):
                 np.testing.assert_array_equal(g, w, err_msg=f"{lib.__name__} {name}")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha,renormalize,num_blocks", GAP_CASES)
+def test_dense_score_gap_backward_matches_the_loop_oracle(dense_products, alpha, renormalize, num_blocks, dtype):
+    # the join-view pass of the role-scored variant has no dense path
+    emb, users, hi, lo, dgap = gap_case(alpha, renormalize, num_blocks, dtype)
+    assert emb.dense_score_pass(users.shape[0])
+    got, want = ScoreAdjoint.zeros(emb), ScoreAdjoint.zeros(emb)
+    score_pairs_backward(emb, users, hi, lo, dgap, got)
+    oracles.score_gap_backward_oracle(emb, users, hi, lo, dgap, want)
+    for name in ADJOINTS:
+        for g, w in zip(getattr(got, name), getattr(want, name)):
+            assert g.dtype == dtype
+            err = oracles.relative_error(g.astype(np.float64), w.astype(np.float64))
+            assert err <= GAP_RTOL[dtype], f"{name}: relative error {err:.3g}"
 
 
 def test_score_hand_example():
@@ -236,16 +273,24 @@ def test_score_hand_example():
     assert emb.predict(0, 1) == 0.5 * 180.5 + 0.5 * 378.5
 
 
-def test_score_entry_points_agree():
+# launch gap 2*(16-8) + 33*(4.5-6.5) = -50; friend join gap 4*(16-8) + 37*(8.5-0) = 346.5
+HAND_GAPS = [(1 - 0.3) * -50.0 + 0.3 * 346.5, 0.0]
+
+
+def test_score_entry_points_agree(sparse_products):
     emb = make_emb(alpha=0.3)
     items = np.array([0, 1])
     by_items = emb.score_items(0, items)
     np.testing.assert_array_equal(by_items, emb.all_item_scores(0))
-    # launch gap 2*(16-8) + 33*(4.5-6.5) = -50; friend join gap 4*(16-8) + 37*(8.5-0) = 346.5
-    np.testing.assert_array_equal(
-        emb.score_gaps(np.array([0, 0]), np.array([1, 1]), items), [(1 - 0.3) * -50.0 + 0.3 * 346.5, 0.0]
-    )
+    np.testing.assert_array_equal(emb.score_gaps(np.array([0, 0]), np.array([1, 1]), items), HAND_GAPS)
     assert emb.predict(0, 1) == by_items[1]
+
+
+def test_dense_score_gaps_agree_with_the_hand_example(dense_products):
+    emb = make_emb(alpha=0.3)
+    gaps = emb.score_gaps(np.array([0, 0]), np.array([1, 1]), np.array([0, 1]))
+    assert gaps.dtype == np.float64
+    np.testing.assert_allclose(gaps, HAND_GAPS, rtol=1e-12, atol=0.0)
 
 
 def test_score_matches_friend_loop_oracle():
@@ -291,10 +336,9 @@ def test_renormalize_alpha_for_friendless_users():
     assert renorm.predict(1, 0) == 32.0
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.6])
-def test_flat_score_gaps_match_separate_differences_bit_for_bit(rng, alpha):
-    # the flat scorer's join item block is its launch item block, and the one
-    # row difference per chunk must give the bits of building it per product
+def flat_gap_case(rng, alpha):
+    """The flat scorer over 2 * SCORE_CHUNK + 5 terms, and each term's gap from
+    separate row differences per product, chunk by chunk, in float32."""
     social = SocialGraph.from_edges(30, rng.integers(0, 30, size=(60, 2)))
     user_emb = rng.standard_normal((30, 6)).astype(np.float32)
     item_emb = rng.standard_normal((12, 6)).astype(np.float32)
@@ -311,7 +355,24 @@ def test_flat_score_gaps_match_separate_differences_bit_for_bit(rng, alpha):
         if alpha:
             join += np.einsum("nd,nd->n", friend_mean[u], item_emb[l] - item_emb[h])
         want[c0 : c0 + SCORE_CHUNK] = np.float32(1 - alpha) * launch + np.float32(alpha) * join
+    return emb, users, lo, hi, want
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_flat_score_gaps_match_separate_differences_bit_for_bit(sparse_products, rng, alpha):
+    # the flat scorer's join item block is its launch item block, and the one
+    # row difference per chunk must give the bits of building it per product
+    emb, users, lo, hi, want = flat_gap_case(rng, alpha)
     np.testing.assert_array_equal(emb.score_gaps(users, lo, hi), want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.6])
+def test_dense_flat_score_gaps_match_separate_differences(dense_products, rng, alpha):
+    # both sides round in float32: the dense side each score, the loop each
+    # product of a row difference (measured: under 1e-7 norm-relative)
+    emb, users, lo, hi, want = flat_gap_case(rng, alpha)
+    got = emb.score_gaps(users, lo, hi)
+    assert oracles.relative_error(got, want) <= 1e-6
 
 
 def test_join_view_scores():

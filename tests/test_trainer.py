@@ -176,8 +176,10 @@ def test_train_model_mf_disables_multi_view_machinery(monkeypatch):
     assert stages == ["pretrain", "pretrain", "finetune", "finetune"]
 
 
-def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
+def assert_flat_batch_takes_the_friend_mean_once(monkeypatch, owner, attr: str, dense: bool):
+    """Count the friend means of one flat batch at ``owner.attr``."""
     split, social = tiny_problem(seed=5)
+    assert social.runs_dense is dense
     hp = Hyperparams(dim=4, alpha=0.6, social_reg_coeff=0.1)
     params = init_flat_params(split.num_users, split.num_items, 4, seed=0)
     batch = split.train
@@ -185,8 +187,8 @@ def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
     adapter = FlatModel(social, hp)
 
     means = []
-    orig = kernels.segment_mean
-    monkeypatch.setattr(kernels, "segment_mean", lambda *a: means.append(1) or orig(*a))
+    orig = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *a: means.append(1) or orig(*a))
     bd, grads = loss_and_grads(adapter, params, batch, negatives, hp, social)
     assert len(means) == 1  # the scorer's friend-mean block also feeds the social residual
 
@@ -197,6 +199,14 @@ def test_flat_batch_takes_the_friend_mean_once(monkeypatch):
     assert bd == bd2
     for name in grads:
         np.testing.assert_array_equal(grads[name], grads2[name])
+
+
+def test_flat_batch_takes_the_friend_mean_once(sparse_products, monkeypatch):
+    assert_flat_batch_takes_the_friend_mean_once(monkeypatch, kernels, "segment_mean", dense=False)
+
+
+def test_flat_batch_takes_the_friend_mean_once_on_the_dense_path(dense_products, monkeypatch):
+    assert_flat_batch_takes_the_friend_mean_once(monkeypatch, kernels.CSR, "mean", dense=True)
 
 
 def test_train_model_builds_the_interactions_once(monkeypatch):
