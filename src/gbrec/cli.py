@@ -108,6 +108,9 @@ def _embeddings_from_checkpoint(ckpt, train, social):
 
 
 def cmd_prepare(args) -> int:
+    if args.negatives < 1:
+        print(f"error: --negatives must be >= 1, got {args.negatives}", file=sys.stderr)
+        return 2
     logb, social, stats = ingest(args.behaviors, args.social)
     split = split_leave_one_out(logb, args.seed, args.negatives)
     save_split_dir(args.outdir, split, social, stats, args.seed)

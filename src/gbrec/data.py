@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 DEFAULT_EVAL_NEGATIVES = 999
 # redraw rounds of sample_negatives before a row takes its exact complement
 REDRAW_ROUNDS = 32
+# key cells per block of split_leave_one_out's negative draw; bounds memory only
+SPLIT_BLOCK_CELLS = 1 << 16
+# tokens the text writers format at once
+WRITE_CHUNK_TOKENS = 1 << 14
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -423,20 +427,94 @@ def ingest(behavior_path: str, social_path: str | None) -> tuple[BehaviorLog, So
     return logb, social, stats
 
 
+def _names(ids: np.ndarray) -> np.ndarray:
+    """The decimal text of the non-negative ``ids``, NUL-padded to one ``S{width}``."""
+    return ids.astype(f"S{len(str(int(ids.max(initial=0))))}")
+
+
+def _id_names(size: int) -> np.ndarray:
+    """The names of ids ``0..size-1`` and, at ``size``, ``-``: an empty list."""
+    names = _names(np.arange(size + 1))
+    names[size] = b"-"
+    return names
+
+
+def _write_rows(path: str, names: np.ndarray, head, counts: np.ndarray, values, tail=()) -> None:
+    """Write one tab-separated line per row ``r``: its ``head`` columns, its
+    ``counts[r]`` list values joined by commas (the last of ``names`` when it
+    has none), then its ``tail`` columns. The columns, and ``values(a, b)``,
+    the lists of rows ``a`` to ``b - 1`` end to end, hold indices into
+    ``names``, a NUL-padded ``S{width}`` table of token texts.
+
+    Whole lines are formatted about ``WRITE_CHUNK_TOKENS`` tokens at a time.
+    """
+    slots = np.maximum(counts, 1)  # list tokens per line
+    ends = np.cumsum(slots + len(head) + len(tail))
+    cuts = np.searchsorted(ends, np.arange(WRITE_CHUNK_TOKENS, ends[-1] if ends.size else 0, WRITE_CHUNK_TOKENS))
+    bounds = np.unique(np.r_[0, cuts + 1, ends.size]).tolist()
+    with open(path, "wb") as fh:
+        for a, b in zip(bounds, bounds[1:]):
+            cols = [col[a:b] for col in head], [col[a:b] for col in tail]
+            fh.write(_line_text(names, *cols, counts[a:b], slots[a:b], values(a, b)))
+
+
+def _line_text(names: np.ndarray, head, tail, counts, slots, values) -> bytes:
+    """The text of whole lines (see ``_write_rows``): each token's name and
+    its separator byte fill one cell of a packed array, and one ``translate``
+    drops the names' padding NULs."""
+    lengths = slots + len(head) + len(tail)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths  # each line's first token
+    first = starts + len(head)  # each line's first list token
+    tokens = np.empty(ends[-1], dtype=np.int64)
+    cells = np.empty(ends[-1], dtype=[("name", names.dtype), ("sep", np.uint8)])
+    seps = cells["sep"]
+    seps[:] = ord(",")
+    listed = np.ones(ends[-1], dtype=bool)
+    columns = [starts + j for j in range(len(head))] + [first + slots + j for j in range(len(tail))]
+    for at, col in zip(columns, [*head, *tail]):
+        tokens[at] = col
+        seps[at] = ord("\t")
+        listed[at] = False
+    empty = first[counts == 0]
+    tokens[empty] = names.shape[0] - 1
+    listed[empty] = False
+    tokens[listed] = values
+    seps[first + slots - 1] = ord("\t")
+    seps[ends - 1] = ord("\n")
+    cells["name"] = names[tokens]
+    return cells.tobytes().translate(None, b"\0")
+
+
 def write_behaviors(path: str, logb: BehaviorLog) -> None:
-    parts = logb.part_indices.tolist()
-    ptr = logb.part_indptr.tolist()
-    rows = zip(logb.initiator.tolist(), logb.item.tolist(), ptr, ptr[1:], logb.success.tolist())
-    _write_lines(path, (f"{u}\t{i}\t{','.join(map(str, parts[a:b])) or '-'}\t{int(ok)}\n" for u, i, a, b, ok in rows))
+    ptr, parts = logb.part_indptr, logb.part_indices
+    size = 1 + max(1, *(int(col.max(initial=0)) for col in (logb.initiator, logb.item, parts)))
+    _write_rows(
+        path, _id_names(size), (logb.initiator, logb.item), np.diff(ptr), lambda a, b: parts[ptr[a] : ptr[b]],
+        (logb.success,),
+    )
 
 
 def write_social(path: str, social: SocialGraph) -> None:
-    _write_lines(path, (f"{a}\t{b}\n" for a, b in social.undirected_pairs().tolist()))
+    pairs = social.undirected_pairs()
+    ones = np.ones(pairs.shape[0], dtype=np.int64)
+    _write_rows(path, _id_names(social.num_rows), (pairs[:, 0],), ones, lambda a, b: pairs[a:b, 1])
 
 
-def _write_lines(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+def write_negatives(path: str, negatives: dict[int, np.ndarray], num_items: int) -> None:
+    """``user<TAB>i1,i2,...`` per user, in ascending user order."""
+    users = np.array(sorted(negatives), dtype=np.int64)
+    lists = [negatives[u] for u in users.tolist()]
+    counts = np.array([ids.shape[0] for ids in lists], dtype=np.int64)
+    size = max(num_items, int(users.max(initial=-1)) + 1)
+    _write_rows(path, _id_names(size), (users,), counts, lambda a, b: np.concatenate(lists[a:b]))
+
+
+def write_id_map(path: str, ids: np.ndarray) -> None:
+    """``dense<TAB>original`` per id, in dense order."""
+    n = ids.shape[0]
+    names = _names(np.concatenate([np.arange(n), ids]))
+    _write_rows(path, names, (np.arange(n),), np.ones(n, dtype=np.int64), lambda a, b: np.arange(n + a, n + b))
 
 
 # ---------------------------------------------------------------------------
@@ -477,34 +555,64 @@ def split_leave_one_out(
     the user never touched in any role; they are frozen into the split so
     later evaluations stay paired. When fewer than ``num_negatives``
     untouched items exist the full complement is used.
+
+    The eligible users (>= 2 records and an untouched item), in ascending id
+    order, take three bulk draws from ``np.random.default_rng(seed)``:
+
+    1. ``rng.integers(counts)`` over their record counts: the test record's
+       position among the user's records, in log order.
+    2. ``rng.integers(counts - 1)`` over the users with >= 3 records: the
+       validation record's position among the others (a draw at or past the
+       test position moves one further on).
+    3. ``rng.random`` keys, one row of ``num_items`` per user, in blocks of
+       about ``SPLIT_BLOCK_CELLS`` keys. Touched items' keys are set to 2.0,
+       and the user's negatives are the items of its ``min(num_negatives,
+       untouched)`` smallest keys, sorted by id: a uniform draw without
+       replacement. Each key is one double of the stream, so the block size
+       bounds memory and leaves the split as it is.
     """
+    if num_negatives < 1:
+        raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
     rng = np.random.default_rng(seed)
     touched = user_interactions(logb)
-    by_initiator = np.argsort(logb.initiator, kind="stable")
+    num_items = logb.num_items
     counts = np.bincount(logb.initiator, minlength=logb.num_users)
-    ends = np.cumsum(counts)
-    test: list[int] = []
-    validation: list[int] = []
-    eval_negatives: dict[int, np.ndarray] = {}
-    for u in np.flatnonzero(counts >= 2).tolist():
-        rec_idx = by_initiator[ends[u] - counts[u] : ends[u]]
-        untouched = np.ones(logb.num_items, dtype=bool)
-        untouched[touched.neighbors(u)] = False
-        complement = np.flatnonzero(untouched)
-        if complement.shape[0] == 0:
-            log.warning("user %d interacted with every item; excluded from evaluation", u)
-            continue
-        t = int(rng.choice(rec_idx))
-        test.append(t)
-        if rec_idx.shape[0] >= 3:
-            validation.append(int(rng.choice(rec_idx[rec_idx != t])))
-        take = min(num_negatives, complement.shape[0])
-        eval_negatives[u] = np.sort(rng.choice(complement, size=take, replace=False))
+    degrees = touched.degrees
+    for u in np.flatnonzero((counts >= 2) & (degrees >= num_items)).tolist():
+        log.warning("user %d interacted with every item; excluded from evaluation", u)
+    users = np.flatnonzero((counts >= 2) & (degrees < num_items))
+    by_initiator = np.argsort(logb.initiator, kind="stable")
+    first = (np.cumsum(counts) - counts)[users]  # each user's first record in by_initiator
+    test_pos = rng.integers(counts[users])
+    three = counts[users] >= 3
+    val_pos = rng.integers(counts[users[three]] - 1)
+    val_pos += val_pos >= test_pos[three]
+    test = by_initiator[first + test_pos]
+    validation = by_initiator[first[three] + val_pos]
+
+    indptr = np.zeros(users.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.minimum(num_negatives, num_items - degrees[users]), out=indptr[1:])
+    ids = np.empty(indptr[-1], dtype=np.int64)
+    kth = min(num_negatives, num_items) - 1
+    rows = max(1, SPLIT_BLOCK_CELLS // max(num_items, 1))
+    for a in range(0, users.shape[0], rows):
+        block = users[a : a + rows]
+        keys = rng.random((block.shape[0], num_items))
+        deg = degrees[block]
+        offsets = np.cumsum(deg) - deg
+        cells = np.repeat(touched.indptr[block] - offsets, deg) + np.arange(offsets[-1] + deg[-1])
+        keys[np.repeat(np.arange(block.shape[0]), deg), touched.indices[cells]] = 2.0
+        pick = np.argpartition(keys, kth, axis=1)[:, : kth + 1]
+        pick[np.take_along_axis(keys, pick, axis=1) == 2.0] = num_items  # touched: sorts past every id
+        pick.sort(axis=1)
+        ids[indptr[a] : indptr[a + block.shape[0]]] = pick[pick < num_items]
 
     keep = np.ones(len(logb), dtype=bool)
     keep[test] = False
     keep[validation] = False
     train = logb.take(np.flatnonzero(keep))
+    bounds = indptr.tolist()
+    eval_negatives = {u: ids[lo:hi] for u, lo, hi in zip(users.tolist(), bounds, bounds[1:])}
     return DatasetSplit(
         train, logb.take(validation), logb.take(test), eval_negatives, logb.num_users, logb.num_items
     )
@@ -591,12 +699,7 @@ def save_split_dir(
     write_behaviors(os.path.join(outdir, "validation.tsv"), split.validation)
     write_behaviors(os.path.join(outdir, "test.tsv"), split.test)
     write_social(os.path.join(outdir, "social.tsv"), social)
-    negatives = split.eval_negatives
-    names = [str(i) for i in range(split.num_items)]  # looked up, not formatted, per id
-    _write_lines(
-        os.path.join(outdir, "negatives.tsv"),
-        (f"{u}\t{','.join(map(names.__getitem__, negatives[u].tolist()))}\n" for u in sorted(negatives)),
-    )
+    write_negatives(os.path.join(outdir, "negatives.tsv"), split.eval_negatives, split.num_items)
     payload = stats.to_dict()
     payload.update(
         {
@@ -611,7 +714,7 @@ def save_split_dir(
         fh.write("\n")
     for name, ids in (("users.tsv", stats.user_ids), ("items.tsv", stats.item_ids)):
         if ids is not None:
-            _write_lines(os.path.join(outdir, name), (f"{dense}\t{orig}\n" for dense, orig in enumerate(ids.tolist())))
+            write_id_map(os.path.join(outdir, name), ids)
 
 
 def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:

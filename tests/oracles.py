@@ -220,12 +220,14 @@ def simulate_oracle(planted, num_records: int, rng: np.random.Generator) -> list
 
 
 def split_oracle(records, num_items: int, seed: int, num_negatives: int):
-    """Leave-one-out split, user by user, with the library's generator calls.
+    """Leave-one-out split, user by user, with one generator call per draw.
 
     Users in ascending id order with >= 2 initiated records and an untouched
-    item draw a test record, then (with >= 3) a validation record from the
-    rest, then their sorted negatives. Returns (train records in log order,
-    validation by user, test by user, negatives by user).
+    item each draw a test position, then those with >= 3 records each draw a
+    validation position among the others, then each draws one key per item
+    and takes the untouched items of its smallest keys, sorted. Returns
+    (train records in log order, validation by user, test by user,
+    negatives by user).
     """
     rng = np.random.default_rng(seed)
     by_initiator: dict[int, list[int]] = {}
@@ -234,24 +236,50 @@ def split_oracle(records, num_items: int, seed: int, num_negatives: int):
         by_initiator.setdefault(r.initiator, []).append(idx)
         for user in (r.initiator, *r.participants):
             touched.setdefault(user, set()).add(r.item)
-    held: set[int] = set()
-    validation, test, negatives = {}, {}, {}
-    for u in sorted(by_initiator):
-        rec_idx = by_initiator[u]
-        complement = [j for j in range(num_items) if j not in touched[u]]
-        if len(rec_idx) < 2 or not complement:
-            continue
-        t = int(rng.choice(rec_idx))
-        test[u] = records[t]
-        held.add(t)
-        if len(rec_idx) >= 3:
-            v = int(rng.choice([i for i in rec_idx if i != t]))
-            validation[u] = records[v]
-            held.add(v)
-        take = min(num_negatives, len(complement))
-        negatives[u] = np.sort(rng.choice(np.array(complement, dtype=np.int64), size=take, replace=False))
+    users = [
+        u for u in sorted(by_initiator) if len(by_initiator[u]) >= 2 and len(touched[u]) < num_items
+    ]
+    test_idx = {u: by_initiator[u][int(rng.integers(len(by_initiator[u])))] for u in users}
+    validation_idx = {}
+    for u in users:
+        if len(by_initiator[u]) >= 3:
+            rest = [i for i in by_initiator[u] if i != test_idx[u]]
+            validation_idx[u] = rest[int(rng.integers(len(rest)))]
+    negatives = {}
+    for u in users:
+        keys = rng.random(num_items)
+        complement = sorted((keys[j], j) for j in range(num_items) if j not in touched[u])
+        negatives[u] = np.array(sorted(j for _, j in complement[:num_negatives]), dtype=np.int64)
+    held = set(test_idx.values()) | set(validation_idx.values())
     train = [r for i, r in enumerate(records) if i not in held]
+    validation = {u: records[i] for u, i in validation_idx.items()}
+    test = {u: records[i] for u, i in test_idx.items()}
     return train, validation, test, negatives
+
+
+# ---------------------------------------------------------------------------
+# text writers, one f-string per line
+
+
+def write_behaviors_oracle(path: str, records) -> None:
+    """``(initiator, item, participants, success)`` records, one line each."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, i, parts, ok in records:
+            fh.write(f"{u}\t{i}\t{','.join(map(str, parts)) or '-'}\t{int(ok)}\n")
+
+
+def write_pairs_oracle(path: str, pairs) -> None:
+    """``a<TAB>b`` per pair: ``social.tsv``, and ``users.tsv`` / ``items.tsv``
+    as ``enumerate(original ids)``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for a, b in pairs:
+            fh.write(f"{a}\t{b}\n")
+
+
+def write_negatives_oracle(path: str, negatives) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in sorted(negatives):
+            fh.write(f"{u}\t{','.join(str(int(i)) for i in negatives[u])}\n")
 
 
 # ---------------------------------------------------------------------------

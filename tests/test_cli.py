@@ -309,6 +309,16 @@ def test_recommend_rejects_k_below_one(pipeline, capsys, k):
     assert err.strip().splitlines() == [f"error: --k must be >= 1, got {k}"]
 
 
+@pytest.mark.parametrize("negatives", ["0", "-5"])
+def test_prepare_rejects_negatives_below_one_before_reading(tmp_path, capsys, negatives):
+    missing = str(tmp_path / "nothing-here")
+    code, out, err = run(capsys, ["prepare", missing, missing, "--outdir", str(tmp_path / "data"), "--negatives", negatives])
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: --negatives must be >= 1, got {negatives}"]
+    assert not os.path.exists(tmp_path / "data")
+
+
 @pytest.mark.parametrize("ks", ["0", "-3", "5,0"])
 def test_evaluate_rejects_k_below_one_before_loading(tmp_path, capsys, ks):
     missing = str(tmp_path / "nothing-here")

@@ -25,6 +25,8 @@ from gbrec.data import (
     save_split_dir,
     split_leave_one_out,
     write_behaviors,
+    write_id_map,
+    write_negatives,
     write_social,
 )
 from gbrec.loss import BehaviorRecord
@@ -371,6 +373,67 @@ def test_social_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(rebuilt.indices, graph.indices)
 
 
+DIGIT_EDGES = [0, 1, 9, 10, 99, 100, 999, 1000]
+
+
+@st.composite
+def written_files(draw):
+    """The contents of every split file, with ids at digit boundaries and
+    original ids anywhere in int64, and a writer chunk size."""
+    num_items = draw(st.sampled_from([1, 2, 10, 11, 100, 101, 1000, 1001]))
+    num_users = draw(st.sampled_from([1, 2, 10, 11, 100, 101, 1000, 1001]))
+
+    def ids(n):
+        return st.one_of(st.sampled_from([i for i in DIGIT_EDGES if i < n]), st.integers(0, n - 1))
+
+    records = draw(
+        st.lists(
+            st.tuples(ids(num_users), ids(num_items), st.lists(ids(num_users), max_size=4).map(tuple), st.booleans()),
+            max_size=12,
+        )
+    )
+    pairs = draw(st.lists(st.tuples(ids(num_users), ids(num_users)), max_size=12))
+    negatives = draw(
+        st.dictionaries(
+            ids(num_users), st.lists(ids(num_items), min_size=1, max_size=6, unique=True).map(sorted), max_size=6
+        )
+    )
+    original = draw(st.lists(st.integers(0, INT64_MAX), max_size=8, unique=True).map(sorted))
+    chunk = draw(st.sampled_from([1, 2, 5, data.WRITE_CHUNK_TOKENS]))
+    return records, num_users, num_items, pairs, negatives, original, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=written_files())
+def test_writers_equal_the_line_by_line_writers(case):
+    records, num_users, num_items, pairs, negatives, original, chunk = case
+    logb = helpers.from_records([BehaviorRecord(*r) for r in records], num_users, num_items)
+    social = SocialGraph.from_edges(num_users, np.array(pairs, dtype=np.int64))
+    negatives = {u: np.array(items, dtype=np.int64) for u, items in negatives.items()}
+    original = np.array(original, dtype=np.int64)
+    writers = [
+        (lambda p: write_behaviors(p, logb), lambda p: oracles.write_behaviors_oracle(p, records)),
+        (lambda p: write_social(p, social), lambda p: oracles.write_pairs_oracle(p, social.undirected_pairs().tolist())),
+        (
+            lambda p: write_negatives(p, negatives, num_items),
+            lambda p: oracles.write_negatives_oracle(p, negatives),
+        ),
+        (lambda p: write_id_map(p, original), lambda p: oracles.write_pairs_oracle(p, enumerate(original.tolist()))),
+    ]
+    saved = data.WRITE_CHUNK_TOKENS
+    data.WRITE_CHUNK_TOKENS = chunk
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
+            for write_file, write_oracle in writers:
+                write_file(got)
+                write_oracle(want)
+                with open(got, "rb") as a, open(want, "rb") as b:
+                    assert a.read() == b.read()
+    finally:
+        data.WRITE_CHUNK_TOKENS = saved
+
+
 # ---------------------------------------------------------------------------
 # social graph container
 
@@ -503,6 +566,85 @@ def test_split_equals_the_record_loop(world):
         assert split.eval_negatives[u].dtype == np.int64
         np.testing.assert_array_equal(split.eval_negatives[u], want)
     assert (split.num_users, split.num_items) == (num_users, num_items)
+
+
+def split_parts(split):
+    """A split's held-out records and negatives, comparable with ``==``."""
+    return (
+        helpers.records_of(split.train), helpers.records_of(split.validation), helpers.records_of(split.test),
+        {u: ids.tolist() for u, ids in split.eval_negatives.items()},
+    )
+
+
+@pytest.mark.parametrize("cells", [1, 7 * 30, 1 << 30])
+def test_split_is_the_same_for_any_block_size(monkeypatch, cells):
+    # one row, seven rows and every row per key block draw the same stream
+    records = helpers.make_records(np.random.default_rng(8), 40, 30, 400)
+    log = helpers.from_records(records, 40, 30)
+    want = split_parts(split_leave_one_out(log, seed=6, num_negatives=12))
+    monkeypatch.setattr(data, "SPLIT_BLOCK_CELLS", cells)
+    assert split_parts(split_leave_one_out(log, seed=6, num_negatives=12)) == want
+
+
+def test_split_negatives_are_uniform_over_the_untouched_items():
+    # each of 20 users touched items 0 and 1 of 6, so its two negatives are
+    # one of the 6 pairs of {2, 3, 4, 5}; 300 seeds give 6,000 draws, 1,000
+    # expected per pair. Each count is binomial (n = 6,000, p = 1/6, sd 28.9)
+    # and must fall within 4 sd of 1,000: a fair draw misses with odds under
+    # 4e-4 for the 6 counts together, and with fixed seeds a pass is
+    # deterministic.
+    records = [BehaviorRecord(u, i, (), True) for u in range(20) for i in (0, 1)]
+    log = helpers.from_records(records, 20, 6)
+    counts = np.zeros((6, 6), dtype=np.int64)
+    for seed in range(300):
+        for negs in split_leave_one_out(log, seed=seed, num_negatives=2).eval_negatives.values():
+            counts[negs[0], negs[1]] += 1
+    pairs = counts[np.triu_indices(6, 1)]
+    assert counts.sum() == 6000 and counts[:2].sum() == 0
+    assert np.abs(pairs[pairs > 0] - 1000).max() <= 4 * np.sqrt(6000 / 6 * 5 / 6)
+    assert np.count_nonzero(pairs) == 6
+
+
+class TiedKeys:
+    """A generator whose ``random`` keys take only the values 0 and 0.5."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+
+    def integers(self, high):
+        return self.rng.integers(high)
+
+    def random(self, shape):
+        return np.floor(self.rng.random(shape) * 2) / 2
+
+
+@pytest.mark.parametrize("num_negatives", [1, 3, 5, 8, 40])
+def test_split_rows_hold_min_k_untouched_when_keys_tie(monkeypatch, num_negatives):
+    # users touch 0 to 7 of 8 items; with tied keys every row still holds
+    # exactly min(k, untouched) distinct untouched items, sorted
+    records = [BehaviorRecord(u, i, (), True) for u in range(8) for i in range(max(u, 2))]
+    log = helpers.from_records(records, 8, 8)
+    monkeypatch.setattr(data.np.random, "default_rng", TiedKeys)
+    split = split_leave_one_out(log, seed=0, num_negatives=num_negatives)
+    touched = helpers.touched_sets(log)
+    assert sorted(split.eval_negatives) == list(range(8))
+    for u, negs in split.eval_negatives.items():
+        untouched = set(range(8)) - touched[u]
+        assert negs.tolist() == sorted(set(negs.tolist()))
+        assert set(negs.tolist()) <= untouched and len(negs) == min(num_negatives, len(untouched))
+
+
+def test_split_warns_once_per_user_who_touched_every_item(caplog):
+    records = [BehaviorRecord(0, i, (), True) for i in range(3)] + [BehaviorRecord(1, 0, (), True)] * 2
+    with caplog.at_level(logging.WARNING, logger="gbrec.data"):
+        split = split_leave_one_out(helpers.from_records(records, 2, 3), seed=0)
+    assert [r.getMessage() for r in caplog.records] == ["user 0 interacted with every item; excluded from evaluation"]
+    assert sorted(split.eval_negatives) == [1] and helpers.records_of(split.test)[0].initiator == 1
+
+
+def test_split_rejects_fewer_than_one_negative():
+    with pytest.raises(ValueError, match="num_negatives must be >= 1"):
+        split_leave_one_out(build_log_with_counts([2]), seed=0, num_negatives=0)
 
 
 # ---------------------------------------------------------------------------
