@@ -3,11 +3,14 @@
 * ``ingest`` -- the raw files read and their ids remapped;
 * ``split_leave_one_out`` -- the held-out records and the frozen negatives;
 * one stage per file of ``save_split_dir``, each written by its own writer,
-  then ``save_split_dir`` as a whole.
+  then ``save_split_dir`` as a whole;
+* ``load_split_dir`` (as ``gbrec train`` and ``gbrec evaluate`` read the
+  split dir) and ``load_train_dir`` (as ``gbrec recommend`` does).
 
 The world is made once, by ``gbrec synth`` in a child process, so this
 process's ``VmHWM`` (peak resident memory, read from ``/proc/self/status``
-after each stage) covers the prepare stages alone. Prints the
+after each stage) covers these stages alone; being a high-water mark, it
+shows a load stage's own peak only where that rises above prepare's. Prints the
 best of ``--repeats`` times for each stage, the ``VmHWM`` after it, and the
 sha256 of every file ``save_split_dir`` writes, so two checkouts can be
 compared for both speed and output. The world shape is given as to
@@ -32,7 +35,12 @@ import time
 
 from gbrec.data import (
     DEFAULT_EVAL_NEGATIVES,
+    SPLIT_FILE,
+    _split_arrays,
+    _write_npz,
     ingest,
+    load_split_dir,
+    load_train_dir,
     save_split_dir,
     split_leave_one_out,
     write_behaviors,
@@ -89,13 +97,16 @@ def main() -> int:
         split = stage("split_leave_one_out", lambda: split_leave_one_out(logb, args.seed, args.negatives))
         os.makedirs(outdir)
         path = lambda name: os.path.join(outdir, name)  # noqa: E731
+        stage(SPLIT_FILE, lambda: _write_npz(path(SPLIT_FILE), _split_arrays(split, social)))
         for name in ("train", "validation", "test"):
             stage(f"{name}.tsv", lambda name=name: write_behaviors(path(f"{name}.tsv"), getattr(split, name)))
         stage("social.tsv", lambda: write_social(path("social.tsv"), social))
-        stage("negatives.tsv", lambda: write_negatives(path("negatives.tsv"), split.eval_negatives, split.num_items))
+        stage("negatives.tsv", lambda: write_negatives(path("negatives.tsv"), split.eval_negatives))
         stage("users.tsv", lambda: write_id_map(path("users.tsv"), stats.user_ids))
         stage("items.tsv", lambda: write_id_map(path("items.tsv"), stats.item_ids))
         stage("save_split_dir", lambda: save_split_dir(outdir, split, social, stats, args.seed))
+        stage("load_split_dir", lambda: load_split_dir(outdir))
+        stage("load_train_dir", lambda: load_train_dir(outdir))
         digests = {}
         for name in sorted(os.listdir(outdir)):
             with open(path(name), "rb") as fh:

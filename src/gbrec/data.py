@@ -9,14 +9,27 @@ File grammar (tab-separated, UTF-8, one record per line):
 Ingestion remaps arbitrary non-negative integer ids onto dense 0..P-1 /
 0..Q-1 ranges (sorted by original id, so already-dense files map to
 themselves and a write/re-ingest round trip is a fixed point).
+
+A split directory, written by ``save_split_dir``, is read by gbrec from two
+files alone: ``split.npz`` (the columns of the training and held-out logs,
+the social pairs, and the frozen negatives as one ``indptr``/``indices``
+pair) and ``stats.json``. Its ``.tsv`` files (``train``, ``validation``,
+``test``, ``social``, ``negatives``, ``users``, ``items``) are an export in
+the grammar above, for people and for tools outside gbrec; no loader reads
+them.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import math
 import os
+import tokenize
 import warnings
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,16 +181,11 @@ def _parse_int(tok: str, where: str) -> int:
     return value
 
 
-def _check_range(where: str, what: str, value: int, bound: int) -> None:
-    if value >= bound:
-        raise IngestError(f"{where}: {what} id {value} out of range [0, {bound})")
-
-
-def _c_parse(fields, bound: int) -> np.ndarray | None:
+def _c_parse(fields) -> np.ndarray | None:
     """Every id of the comma-separated ``fields``, in order, from one C-level
     ``np.fromstring`` call; None when some token is not a plain decimal id
-    below ``bound`` (at most ``INT64_MAX``), and the caller parses the lines
-    token by token instead.
+    below ``INT64_MAX``, and the caller parses the lines token by token
+    instead.
 
     ``np.fromstring`` reads ``"-"``, ``"+ 5"`` and blanks as ids, stops at a
     trailing comma and saturates past int64. So only ASCII digits and commas
@@ -195,14 +203,14 @@ def _c_parse(fields, bound: int) -> np.ndarray | None:
             ids = np.fromstring(text, dtype=np.int64, sep=",")
         except (ValueError, DeprecationWarning):
             return None
-    if ids.shape[0] != text.count(",") + 1 or ids.max() >= bound:
+    if ids.shape[0] != text.count(",") + 1 or ids.max() >= INT64_MAX:
         return None
     return ids
 
 
-def _c_column(fields, bound: int) -> np.ndarray | None:
+def _c_column(fields) -> np.ndarray | None:
     """``_c_parse`` of fields that hold one id each."""
-    ids = _c_parse(fields, bound)
+    ids = _c_parse(fields)
     return ids if ids is not None and ids.shape[0] == len(fields) else None
 
 
@@ -213,7 +221,7 @@ def _numbered_fields(path: str) -> tuple[list[int], list[list[str]]]:
     return [n for n, line in enumerate(lines, 1) if line], [line.split("\t") for line in lines if line]
 
 
-def _behavior_columns(fields: list[list[str]], bounds: tuple[int, int] | None) -> BehaviorLog | None:
+def _behavior_columns(fields: list[list[str]]) -> BehaviorLog | None:
     """The records of lines that are all plain, as read (participants not yet
     deduplicated), with one C-level parse per id column; None if any line
     needs the per-token parse. An empty participant field is an empty token,
@@ -223,10 +231,7 @@ def _behavior_columns(fields: list[list[str]], bounds: tuple[int, int] | None) -
     initiator, item, parts, success = zip(*fields) if fields else ((), (), (), ())
     if not set(success) <= {"0", "1"}:
         return None
-    users, items = bounds if bounds is not None else (INT64_MAX, INT64_MAX)
-    ids = (
-        _c_column(initiator, users), _c_column(item, items), _c_parse([p for p in parts if p != "-"], users)
-    )
+    ids = (_c_column(initiator), _c_column(item), _c_parse([p for p in parts if p != "-"]))
     if any(col is None for col in ids):
         return None
     counts = [0 if p == "-" else p.count(",") + 1 for p in parts]
@@ -234,7 +239,7 @@ def _behavior_columns(fields: list[list[str]], bounds: tuple[int, int] | None) -
     return BehaviorLog(ids[0], ids[1], np.array([s == "1" for s in success], dtype=bool), indptr, ids[2], 0, 0)
 
 
-def _parse_behavior_line(fields: list[str], where: str, bounds: tuple[int, int] | None):
+def _parse_behavior_line(fields: list[str], where: str):
     """One line's ``(initiator, item, success, participants)``, token by token,
     or its located error."""
     if len(fields) != 4:
@@ -249,23 +254,12 @@ def _parse_behavior_line(fields: list[str], where: str, bounds: tuple[int, int] 
         participants = [_parse_int(t, where) for t in fields[2].split(",")]
     if fields[3] not in ("0", "1"):
         raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
-    if bounds is not None:
-        _check_range(where, "user", initiator, bounds[0])
-        _check_range(where, "item", item, bounds[1])
-        for p in participants:
-            _check_range(where, "user", p, bounds[0])
     return initiator, item, fields[3] == "1", participants
 
 
-def parse_behavior_file(
-    path: str, bounds: tuple[int, int] | None = None, one_per_user: bool = False
-) -> tuple[BehaviorLog, int, int]:
-    """Parse without remapping. Returns (log, dropped_records, deduped_participants).
-
-    With ``bounds`` = (num_users, num_items), every id is checked against
-    the dense id space of a split, and the log spans that space; without,
-    it spans ids up to the largest one read. With ``one_per_user``, a second
-    record of one initiator is an error.
+def parse_behavior_file(path: str) -> tuple[BehaviorLog, int, int]:
+    """Parse without remapping. Returns (log, dropped_records,
+    deduped_participants); the log spans ids up to the largest one read.
 
     Each id column is parsed by one C-level call. If any line is not plain
     (a blank or a sign in an id, say, or a bad line), every line is parsed
@@ -273,13 +267,13 @@ def parse_behavior_file(
     dropped and deduplicated as in a clean file, and then its error is raised.
     """
     linenos, fields = _numbered_fields(path)
-    raw = _behavior_columns(fields, bounds)
+    raw = _behavior_columns(fields)
     error = None
     if raw is None:
         rows, parts = [], []
         for lineno, line_fields in zip(linenos, fields):
             try:
-                initiator, item, success, participants = _parse_behavior_line(line_fields, f"{path}:{lineno}", bounds)
+                initiator, item, success, participants = _parse_behavior_line(line_fields, f"{path}:{lineno}")
             except IngestError as exc:
                 error = exc
                 break
@@ -298,17 +292,7 @@ def parse_behavior_file(
     dropped = np.zeros(n, dtype=bool)
     dropped[rec[members == raw.initiator[rec]]] = True
     kept = np.flatnonzero(~dropped)
-    reached = n  # records read before the first error
-    if one_per_user:
-        _, first, inverse = np.unique(raw.initiator[kept], return_index=True, return_inverse=True)
-        again = np.flatnonzero(first[inverse] != np.arange(kept.shape[0]))
-        if again.size:
-            i, j = kept[again[0]], kept[first[inverse[again[0]]]]
-            error = IngestError(
-                f"{path}:{linenos[i]}: user {raw.initiator[i]} listed twice (first on line {linenos[j]})"
-            )
-            reached = i
-    for i in np.flatnonzero(dropped[:reached]).tolist():
+    for i in np.flatnonzero(dropped).tolist():
         log.warning("%s: initiator %d listed as participant, record dropped", f"{path}:{linenos[i]}", raw.initiator[i])
     if error is not None:
         raise error
@@ -317,12 +301,9 @@ def parse_behavior_file(
     part_indptr = np.zeros(kept.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(rec[keep], minlength=n)[kept], out=part_indptr[1:])
     initiator, part_indices = raw.initiator[kept], members[keep]
-    if bounds is None:  # the ids read span the log
-        bounds = (
-            int(max(initiator.max(initial=-1), part_indices.max(initial=-1))) + 1,
-            int(raw.item[kept].max(initial=-1)) + 1,
-        )
-    logb = BehaviorLog(initiator, raw.item[kept], raw.success[kept], part_indptr, part_indices, *bounds)
+    num_users = int(max(initiator.max(initial=-1), part_indices.max(initial=-1))) + 1
+    num_items = int(raw.item[kept].max(initial=-1)) + 1
+    logb = BehaviorLog(initiator, raw.item[kept], raw.success[kept], part_indptr, part_indices, num_users, num_items)
     return logb, int(np.count_nonzero(dropped)), int(np.count_nonzero(repeat))
 
 
@@ -332,7 +313,7 @@ def parse_social_file(path: str) -> np.ndarray:
     linenos, fields = _numbered_fields(path)
     if all(len(f) == 2 for f in fields):
         a, b = zip(*fields) if fields else ((), ())
-        pairs = (_c_column(a, INT64_MAX), _c_column(b, INT64_MAX))
+        pairs = (_c_column(a), _c_column(b))
         if pairs[0] is not None and pairs[1] is not None:
             return np.stack(pairs, axis=1)
     rows: list[tuple[int, int]] = []
@@ -342,43 +323,6 @@ def parse_social_file(path: str) -> np.ndarray:
             raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(line_fields)}")
         rows.append((_parse_int(line_fields[0], where), _parse_int(line_fields[1], where)))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
-
-
-def parse_negatives_file(path: str, num_users: int, num_items: int) -> dict[int, np.ndarray]:
-    """Frozen evaluation candidates, ``user<TAB>i1,i2,...`` per line: each
-    user's list is parsed by one C-level call, or, if it is not plain, id by
-    id. A user may have one line."""
-    negatives: dict[int, np.ndarray] = {}
-    first_line: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
-            u = _parse_int(fields[0], where)
-            _check_range(where, "user", u, num_users)
-            first = first_line.setdefault(u, lineno)
-            if first != lineno:
-                raise IngestError(f"{where}: user {u} listed twice (first on line {first})")
-            items = _c_parse(fields[1:], num_items)
-            if items is None:
-                tokens = fields[1].split(",")
-                try:
-                    # NumPy parses each token as int() does, and overflows past int64
-                    items = np.array(tokens, dtype=np.int64)
-                except (ValueError, OverflowError):
-                    for tok in tokens:
-                        _parse_int(tok, where)  # raises the located error
-                    raise
-                if items.min() < 0 or items.max() >= num_items:
-                    bad = items[(items < 0) | (items >= num_items)][0]
-                    raise IngestError(f"{where}: item id {bad} out of range [0, {num_items})")
-            negatives[u] = items
-    return negatives
 
 
 def ingest(behavior_path: str, social_path: str | None) -> tuple[BehaviorLog, SocialGraph, DatasetStats]:
@@ -501,13 +445,13 @@ def write_social(path: str, social: SocialGraph) -> None:
     _write_rows(path, _id_names(social.num_rows), (pairs[:, 0],), ones, lambda a, b: pairs[a:b, 1])
 
 
-def write_negatives(path: str, negatives: dict[int, np.ndarray], num_items: int) -> None:
-    """``user<TAB>i1,i2,...`` per user, in ascending user order."""
-    users = np.array(sorted(negatives), dtype=np.int64)
-    lists = [negatives[u] for u in users.tolist()]
-    counts = np.array([ids.shape[0] for ids in lists], dtype=np.int64)
-    size = max(num_items, int(users.max(initial=-1)) + 1)
-    _write_rows(path, _id_names(size), (users,), counts, lambda a, b: np.concatenate(lists[a:b]))
+def write_negatives(path: str, negatives: CSR) -> None:
+    """``user<TAB>i1,i2,...`` per user with a non-empty row, in ascending user order."""
+    ptr, ids = negatives.indptr, negatives.indices
+    counts = negatives.degrees
+    users = np.flatnonzero(counts)
+    size = max(negatives.num_rows, negatives.num_cols)
+    _write_rows(path, _id_names(size), (users,), counts[users], lambda a, b: ids[ptr[users[a]] : ptr[users[b - 1] + 1]])
 
 
 def write_id_map(path: str, ids: np.ndarray) -> None:
@@ -537,7 +481,8 @@ class DatasetSplit:
     train: BehaviorLog
     validation: BehaviorLog
     test: BehaviorLog
-    eval_negatives: dict[int, np.ndarray]
+    # users x items: row u holds user u's frozen candidates, sorted; empty when u has none
+    eval_negatives: CSR
     num_users: int
     num_items: int
 
@@ -590,8 +535,9 @@ def split_leave_one_out(
     test = by_initiator[first + test_pos]
     validation = by_initiator[first[three] + val_pos]
 
-    indptr = np.zeros(users.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.minimum(num_negatives, num_items - degrees[users]), out=indptr[1:])
+    indptr = np.zeros(logb.num_users + 1, dtype=np.int64)
+    indptr[users + 1] = np.minimum(num_negatives, num_items - degrees[users])
+    np.cumsum(indptr, out=indptr)
     ids = np.empty(indptr[-1], dtype=np.int64)
     kth = min(num_negatives, num_items) - 1
     rows = max(1, SPLIT_BLOCK_CELLS // max(num_items, 1))
@@ -605,14 +551,13 @@ def split_leave_one_out(
         pick = np.argpartition(keys, kth, axis=1)[:, : kth + 1]
         pick[np.take_along_axis(keys, pick, axis=1) == 2.0] = num_items  # touched: sorts past every id
         pick.sort(axis=1)
-        ids[indptr[a] : indptr[a + block.shape[0]]] = pick[pick < num_items]
+        ids[indptr[block[0]] : indptr[block[-1] + 1]] = pick[pick < num_items]
 
     keep = np.ones(len(logb), dtype=bool)
     keep[test] = False
     keep[validation] = False
     train = logb.take(np.flatnonzero(keep))
-    bounds = indptr.tolist()
-    eval_negatives = {u: ids[lo:hi] for u, lo, hi in zip(users.tolist(), bounds, bounds[1:])}
+    eval_negatives = CSR(logb.num_users, num_items, indptr, ids)
     return DatasetSplit(
         train, logb.take(validation), logb.take(test), eval_negatives, logb.num_users, logb.num_items
     )
@@ -691,15 +636,161 @@ def sample_negatives(
 # ---------------------------------------------------------------------------
 # split directory round trip (used by the CLI)
 
+SPLIT_FILE = "split.npz"
+HELD_OUT = ("validation", "test")
+# a BehaviorLog's columns as split.npz stores them, as "<log>_<column>"
+LOG_COLUMNS = (
+    ("initiator", np.dtype(np.int64)), ("item", np.dtype(np.int64)), ("success", np.dtype(bool)),
+    ("part_indptr", np.dtype(np.int64)), ("part_indices", np.dtype(np.int64)),
+)
+# bytes per read or write of a split.npz member's data
+NPZ_CHUNK_BYTES = 1 << 20
+# what damaged bytes raise from the zip reader (a bad CRC-32, directory or
+# local header; a method, flag or length that a flipped bit changed; an
+# unknown compression method) and from NumPy's .npy header parser
+NPZ_READ_ERRORS = (
+    zipfile.BadZipFile, zlib.error, EOFError, OSError, RuntimeError, NotImplementedError, ValueError,
+    SyntaxError, tokenize.TokenError,
+)
+
+
+def _write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """An uncompressed ``.npz`` that ``np.load`` reads: per array, a member
+    ``<name>.npy`` of an ``.npy`` 1.0 header and the array's bytes, written
+    from the array's own memory ``NPZ_CHUNK_BYTES`` at a time, so no array is
+    copied. Members carry a fixed timestamp: equal arrays give equal bytes."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.file_size = header.tell() + arr.nbytes
+            body = memoryview(arr.reshape(-1)).cast("B")
+            with zf.open(info, "w") as fh:
+                fh.write(header.getvalue())
+                for at in range(0, len(body), NPZ_CHUNK_BYTES):
+                    fh.write(body[at : at + NPZ_CHUNK_BYTES])
+
+
+def _read_member(zf: zipfile.ZipFile, name: str, dtype: np.dtype, tail: tuple) -> np.ndarray:
+    """Member ``<name>.npy`` of ``zf``, which must hold a C-order array of
+    ``dtype`` and shape ``(n, *tail)`` whose bytes fill the member. The header
+    is checked before any data is read, so no object array (no pickle) is
+    ever read, and no array larger than the member is made. Reading the
+    member to its end checks its CRC-32."""
+    try:
+        info = zf.getinfo(f"{name}.npy")
+    except KeyError:
+        raise IngestError(f"{name}: no such array") from None
+    with zf.open(info) as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise IngestError(f"{name}: not an .npy 1.0 array")
+        shape, fortran, stored = np.lib.format.read_array_header_1_0(fh)
+        if stored != dtype or fortran or len(shape) != 1 + len(tail) or tuple(shape[1:]) != tail:
+            want = ", ".join(["n", *map(str, tail)])
+            raise IngestError(f"{name}: {stored} array of shape {tuple(shape)}, expected {dtype} of shape ({want},)")
+        if fh.tell() + math.prod(shape) * dtype.itemsize != info.file_size:
+            raise IngestError(f"{name}: shape {tuple(shape)} does not fill the member's {info.file_size} bytes")
+        arr = np.empty(shape, dtype)
+        body = memoryview(arr.reshape(-1)).cast("B")
+        for at in range(0, len(body), NPZ_CHUNK_BYTES):
+            chunk = body[at : at + NPZ_CHUNK_BYTES]
+            if fh.readinto(chunk) != len(chunk):
+                raise IngestError(f"{name}: truncated")
+    return arr
+
+
+def _read_split(datadir: str, held_out: bool):
+    """``stats.json`` and the arrays of ``split.npz`` that hold the training
+    log and the social pairs and, with ``held_out``, the held-out logs and
+    the negatives: ``(path, stats, arrays)``. Shapes and dtypes are checked
+    here, and every failure to read is one ``IngestError`` naming the file."""
+    stats_path = os.path.join(datadir, "stats.json")
+    with open(stats_path, encoding="utf-8") as fh:
+        try:
+            stats = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise IngestError(f"{stats_path}: not valid JSON: {exc}") from None
+    for key in ("num_users", "num_items"):
+        if not isinstance(stats, dict) or key not in stats:
+            raise IngestError(f"{stats_path}: missing key {key!r}")
+        if type(stats[key]) is not int or stats[key] < 0:
+            raise IngestError(f"{stats_path}: {key!r} must be a non-negative integer, got {stats[key]!r}")
+    logs = ("train", *HELD_OUT) if held_out else ("train",)
+    specs = {f"{log}_{col}": (dtype, ()) for log in logs for col, dtype in LOG_COLUMNS}
+    specs["social_pairs"] = (np.dtype(np.int64), (2,))
+    if held_out:
+        specs.update({"negatives_indptr": (np.dtype(np.int64), ()), "negatives_indices": (np.dtype(np.int64), ())})
+    path = os.path.join(datadir, SPLIT_FILE)
+    if not os.path.exists(path):
+        raise IngestError(f"{path}: no such file; write this split dir again with gbrec prepare")
+    try:
+        with zipfile.ZipFile(path) as zf:
+            arrays = {name: _read_member(zf, name, *spec) for name, spec in specs.items()}
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    except NPZ_READ_ERRORS as exc:
+        raise IngestError(f"{path}: unreadable: {type(exc).__name__}: {exc}") from None
+    return path, stats, arrays
+
+
+def _check_ids(where: str, name: str, what: str, ids: np.ndarray, bound: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        at = tuple(np.argwhere((ids < 0) | (ids >= bound))[0].tolist())
+        raise IngestError(f"{where}: {name}[{', '.join(map(str, at))}]: {what} id {ids[at]} out of range [0, {bound})")
+
+
+def _check_indptr(where: str, name: str, indptr: np.ndarray, rows: int, size: int) -> None:
+    """``indptr`` must hold ``rows + 1`` offsets rising from 0 to ``size``."""
+    if indptr.shape[0] != rows + 1:
+        raise IngestError(f"{where}: {name} holds {indptr.shape[0]} offsets, expected {rows + 1}")
+    if indptr[0] != 0 or indptr[-1] != size or (indptr[1:] < indptr[:-1]).any():
+        raise IngestError(f"{where}: {name} does not rise from 0 to {size}")
+
+
+def _checked_log(where: str, arrays: dict, log: str, num_users: int, num_items: int) -> BehaviorLog:
+    initiator, item, success, part_indptr, part_indices = (arrays[f"{log}_{col}"] for col, _ in LOG_COLUMNS)
+    n = initiator.shape[0]
+    for col, values in (("item", item), ("success", success)):
+        if values.shape[0] != n:
+            raise IngestError(f"{where}: {log}_{col} holds {values.shape[0]} records, {log}_initiator {n}")
+    _check_indptr(where, f"{log}_part_indptr", part_indptr, n, part_indices.shape[0])
+    _check_ids(where, f"{log}_initiator", "user", initiator, num_users)
+    _check_ids(where, f"{log}_item", "item", item, num_items)
+    _check_ids(where, f"{log}_part_indices", "user", part_indices, num_users)
+    return BehaviorLog(initiator, item, success, part_indptr, part_indices, num_users, num_items)
+
+
+def _checked_social(where: str, arrays: dict, num_users: int) -> SocialGraph:
+    pairs = arrays["social_pairs"]
+    _check_ids(where, "social_pairs", "user", pairs, num_users)
+    return SocialGraph.from_edges(num_users, pairs)
+
+
+def _split_arrays(split: DatasetSplit, social: SocialGraph) -> dict[str, np.ndarray]:
+    """The members of ``split.npz``: the split's own arrays, not copies."""
+    arrays = {
+        f"{log}_{col}": getattr(getattr(split, log), col) for log in ("train", *HELD_OUT) for col, _ in LOG_COLUMNS
+    }
+    arrays["social_pairs"] = social.undirected_pairs()
+    arrays["negatives_indptr"] = split.eval_negatives.indptr
+    arrays["negatives_indices"] = split.eval_negatives.indices
+    return arrays
+
+
 def save_split_dir(
     outdir: str, split: DatasetSplit, social: SocialGraph, stats: DatasetStats, seed: int
 ) -> None:
+    """Write ``split.npz`` and ``stats.json``, which the loaders read, and the
+    ``.tsv`` export of the same split."""
     os.makedirs(outdir, exist_ok=True)
+    _write_npz(os.path.join(outdir, SPLIT_FILE), _split_arrays(split, social))
     write_behaviors(os.path.join(outdir, "train.tsv"), split.train)
     write_behaviors(os.path.join(outdir, "validation.tsv"), split.validation)
     write_behaviors(os.path.join(outdir, "test.tsv"), split.test)
     write_social(os.path.join(outdir, "social.tsv"), social)
-    write_negatives(os.path.join(outdir, "negatives.tsv"), split.eval_negatives, split.num_items)
+    write_negatives(os.path.join(outdir, "negatives.tsv"), split.eval_negatives)
     payload = stats.to_dict()
     payload.update(
         {
@@ -718,49 +809,45 @@ def save_split_dir(
 
 
 def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
-    """The training side of a split directory: ``train.tsv``, ``social.tsv`` and ``stats.json``."""
-    stats_path = os.path.join(datadir, "stats.json")
-    with open(stats_path, encoding="utf-8") as fh:
-        try:
-            stats = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise IngestError(f"{stats_path}: not valid JSON: {exc}") from None
-    for key in ("num_users", "num_items"):
-        if not isinstance(stats, dict) or key not in stats:
-            raise IngestError(f"{stats_path}: missing key {key!r}")
-        if type(stats[key]) is not int or stats[key] < 0:
-            raise IngestError(f"{stats_path}: {key!r} must be a non-negative integer, got {stats[key]!r}")
-    num_users = stats["num_users"]
-    num_items = stats["num_items"]
-    train, _, _ = parse_behavior_file(os.path.join(datadir, "train.tsv"), (num_users, num_items))
-    social_path = os.path.join(datadir, "social.tsv")
-    pairs = parse_social_file(social_path)
-    if pairs.size and pairs.max() >= num_users:
-        raise IngestError(f"{social_path}: user id {pairs.max()} out of range [0, {num_users})")
-    social = SocialGraph.from_edges(num_users, pairs.reshape(-1, 2))
-    return train, social, stats
+    """The training side of a split directory: the training log and the
+    social graph from ``split.npz``, and ``stats.json``."""
+    where, stats, arrays = _read_split(datadir, held_out=False)
+    num_users, num_items = stats["num_users"], stats["num_items"]
+    return _checked_log(where, arrays, "train", num_users, num_items), _checked_social(where, arrays, num_users), stats
 
 
 def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
-    """``load_train_dir`` plus the evaluation side: held-out records and frozen negatives.
+    """``load_train_dir`` plus the evaluation side: the held-out logs, each
+    one record per user in ascending user order, and the frozen negatives,
+    a non-empty row of sorted distinct items for every held-out user.
 
-    Each user has at most one line in each of ``validation.tsv``, ``test.tsv``
-    and ``negatives.tsv``, and every held-out user has a negatives line. Ids
-    are parsed by one C-level call per column of a file, or per list of
-    ``negatives.tsv``; a line that is not plain is read token by token, as
-    ``int`` reads it, or fails with its located error.
+    Every id is checked against the split's id space, and every offset
+    array for rising from 0 to the length of the array it indexes.
     """
-    train, social, stats = load_train_dir(datadir)
-    num_users, num_items = train.num_users, train.num_items
-    held_out = {}
-    for name in ("validation.tsv", "test.tsv"):
-        logb, _, _ = parse_behavior_file(os.path.join(datadir, name), (num_users, num_items), one_per_user=True)
-        held_out[name] = logb.take(np.argsort(logb.initiator))
-    neg_path = os.path.join(datadir, "negatives.tsv")
-    negatives = parse_negatives_file(neg_path, num_users, num_items)
-    for name, logb in held_out.items():
-        for u in logb.initiator.tolist():
-            if u not in negatives:
-                raise IngestError(f"{neg_path}: no line for user {u}, held out in {name}")
-    split = DatasetSplit(train, held_out["validation.tsv"], held_out["test.tsv"], negatives, num_users, num_items)
-    return split, social, stats
+    where, stats, arrays = _read_split(datadir, held_out=True)
+    num_users, num_items = stats["num_users"], stats["num_items"]
+    logs = {log: _checked_log(where, arrays, log, num_users, num_items) for log in ("train", *HELD_OUT)}
+    ptr, ids = arrays["negatives_indptr"], arrays["negatives_indices"]
+    _check_indptr(where, "negatives_indptr", ptr, num_users, ids.shape[0])
+    _check_ids(where, "negatives_indices", "item", ids, num_items)
+    # each id rises over the one before it, except where a row starts
+    rising = ids[1:] > ids[:-1]
+    starts = ptr[1:-1]
+    rising[starts[(starts > 0) & (starts < ids.shape[0])] - 1] = True
+    if not rising.all():
+        at = int(np.argmin(rising)) + 1
+        user = int(np.searchsorted(ptr, at, side="right")) - 1
+        raise IngestError(f"{where}: negatives_indices[{at}]: user {user}'s negatives are not sorted and distinct")
+    for log in HELD_OUT:
+        users = logs[log].initiator
+        step = users[1:] - users[:-1]
+        if (step <= 0).any():
+            at = int(np.argmax(step <= 0)) + 1
+            problem = "listed twice" if step[at - 1] == 0 else "out of ascending order"
+            raise IngestError(f"{where}: {log}_initiator[{at}]: user {users[at]} {problem}")
+        bare = users[ptr[users + 1] == ptr[users]]
+        if bare.size:
+            raise IngestError(f"{where}: negatives_indptr: no negatives for user {bare[0]}, held out in {log}")
+    negatives = CSR(num_users, num_items, ptr, ids)
+    split = DatasetSplit(logs["train"], logs["validation"], logs["test"], negatives, num_users, num_items)
+    return split, _checked_social(where, arrays, num_users), stats

@@ -8,8 +8,9 @@ the model: rank = #strictly-better + #equal among the negatives). Metrics:
 * ndcg@K:  mean of 1/log2(rank+2) for users with rank < K, else 0.
 
 Users are ranked in blocks of ``RANK_BLOCK``: one ``(block, num_items)``
-score matrix per block, from which each user's test item and negatives are
-gathered. ``rank_from_scores`` is the same rank for one user.
+score matrix per block, from which each user's test item and negatives (its
+row of the negatives ``CSR``) are gathered. ``rank_from_scores`` is the same
+rank for one user.
 
 Keeping the negative lists frozen in the split makes comparisons between
 models paired; ``negatives_digest`` fingerprints them so a report can prove
@@ -25,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .data import BehaviorLog
+from .kernels import CSR
 
 # every item's score for each user given: (users,) -> (len(users), num_items)
 ScoreUsersFn = Callable[[np.ndarray], np.ndarray]
@@ -91,13 +93,15 @@ def compute_metrics(ranks: np.ndarray, ks: tuple[int, ...]) -> MetricReport:
 def evaluate_ranking(
     score_users: ScoreUsersFn,
     records: BehaviorLog,
-    negatives: dict[int, np.ndarray],
+    negatives: CSR,
     ks: tuple[int, ...],
 ) -> MetricReport:
-    """Rank each held-out record's item for its initiator, in the log's order
-    (ascending user id for a split's held-out logs), ``RANK_BLOCK`` users per
-    score matrix. A negative counts against the test item when it scores
-    ``>=``: the pessimistic rank, and NaN on either side counts for nothing."""
+    """Rank each held-out record's item for its initiator against the
+    initiator's row of ``negatives``, in the log's order (ascending user id
+    for a split's held-out logs), ``RANK_BLOCK`` users per score matrix. A
+    negative counts against the test item when it scores ``>=``: the
+    pessimistic rank, and NaN on either side counts for nothing."""
+    ptr, ids = negatives.indptr, negatives.indices
     ranks = np.empty(len(records), dtype=np.int64)
     for start in range(0, len(records), RANK_BLOCK):
         block = slice(start, start + RANK_BLOCK)
@@ -105,20 +109,26 @@ def evaluate_ranking(
         rows = np.arange(users.shape[0])
         scores = score_users(users)
         test = scores[rows, records.item[block]]
-        cand = [negatives[u] for u in users.tolist()]
-        row = np.repeat(rows, [c.shape[0] for c in cand])
-        beaten = scores[row, np.concatenate(cand)] >= test[row]
+        counts = ptr[users + 1] - ptr[users]
+        row = np.repeat(rows, counts)
+        # candidate j of the block sits at its row's start plus its place in that row
+        cand = ids[np.arange(row.shape[0]) + (ptr[users] - (np.cumsum(counts) - counts))[row]]
+        beaten = scores[row, cand] >= test[row]
         ranks[block] = np.bincount(row[beaten], minlength=rows.shape[0])
     return compute_metrics(ranks, ks)
 
 
-def negatives_digest(negatives: dict[int, np.ndarray]) -> str:
-    """Order-independent fingerprint of the frozen candidate lists."""
+def negatives_digest(negatives: CSR) -> str:
+    """Fingerprint of the frozen candidate lists: the sha256 of, per user
+    with a non-empty row in ascending order, ``b"<user>:"``, the row's ids as
+    int64 bytes, and ``b";"``. Each row is hashed as a slice of the one
+    ``indices`` array, so no row is copied."""
     h = hashlib.sha256()
-    for u in sorted(negatives):
-        h.update(str(u).encode())
-        h.update(b":")
-        h.update(np.ascontiguousarray(negatives[u], dtype=np.int64).tobytes())
+    ids = memoryview(np.ascontiguousarray(negatives.indices, dtype=np.int64))
+    ptr = negatives.indptr.tolist()
+    for u in np.flatnonzero(negatives.degrees).tolist():
+        h.update(b"%d:" % u)
+        h.update(ids[ptr[u] : ptr[u + 1]])
         h.update(b";")
     return h.hexdigest()
 

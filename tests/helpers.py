@@ -6,6 +6,7 @@ import numpy as np
 
 from gbrec.data import BehaviorLog, SocialGraph, user_interactions
 from gbrec.graphs import build_graphs
+from gbrec.kernels import CSR
 from gbrec.loss import BehaviorRecord
 from gbrec.model import Hyperparams, init_params
 
@@ -36,6 +37,20 @@ def records_of(log: BehaviorLog) -> list[BehaviorRecord]:
 def held_out(log: BehaviorLog) -> dict[int, BehaviorRecord]:
     """A held-out log (one record per user) keyed by user."""
     return {r.initiator: r for r in records_of(log)}
+
+
+def negative_lists(negatives: CSR) -> dict[int, np.ndarray]:
+    """The users with a non-empty row of a negatives ``CSR``, each with its row."""
+    return {u: negatives.neighbors(u) for u in np.flatnonzero(negatives.degrees).tolist()}
+
+
+def negatives_csr(lists: dict, num_users: int, num_items: int) -> CSR:
+    """A negatives ``CSR`` whose row ``u`` is ``lists[u]`` as given (not
+    sorted), or empty when ``u`` is not a key."""
+    counts = np.array([len(lists.get(u, ())) for u in range(num_users)], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    rows = [np.asarray(lists[u], dtype=np.int64) for u in sorted(lists)]
+    return CSR(num_users, num_items, indptr, np.concatenate([np.empty(0, dtype=np.int64), *rows]))
 
 
 def touched_sets(log: BehaviorLog) -> list[set[int]]:

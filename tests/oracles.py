@@ -8,6 +8,7 @@ to one of these, a disagreement means a real defect, not a shared bug.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import product
 
@@ -309,13 +310,12 @@ def _lines(path: str):
                 yield lineno, f"{path}:{lineno}", line.split("\t")
 
 
-def parse_behavior_oracle(path: str, bounds=None, one_per_user: bool = False, warnings: list | None = None):
+def parse_behavior_oracle(path: str, warnings: list | None = None):
     """A behavior file, record by record: ``(records, num_users, num_items,
     dropped, deduped)`` with records as ``(initiator, item, participants,
     success)`` tuples, or the first bad line's ``IngestError``. The warning
     for each dropped record is appended to ``warnings``, in line order."""
     records = []
-    first_line: dict[int, int] = {}
     dropped = deduped = 0
     for lineno, where, fields in _lines(path):
         if len(fields) != 4:
@@ -330,11 +330,6 @@ def parse_behavior_oracle(path: str, bounds=None, one_per_user: bool = False, wa
             participants = [_id_token(t, where) for t in fields[2].split(",")]
         if fields[3] not in ("0", "1"):
             raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
-        if bounds is not None:
-            checks = [("user", initiator, bounds[0]), ("item", item, bounds[1])]
-            for what, value, bound in checks + [("user", p, bounds[0]) for p in participants]:
-                if value >= bound:
-                    raise IngestError(f"{where}: {what} id {value} out of range [0, {bound})")
         seen = list(dict.fromkeys(participants))
         deduped += len(participants) - len(seen)
         if initiator in seen:
@@ -342,15 +337,10 @@ def parse_behavior_oracle(path: str, bounds=None, one_per_user: bool = False, wa
                 warnings.append(f"{where}: initiator {initiator} listed as participant, record dropped")
             dropped += 1
             continue
-        if one_per_user:
-            first = first_line.setdefault(initiator, lineno)
-            if first != lineno:
-                raise IngestError(f"{where}: user {initiator} listed twice (first on line {first})")
         records.append((initiator, item, tuple(seen), fields[3] == "1"))
-    if bounds is None:
-        users = [r[0] for r in records] + [p for r in records for p in r[2]]
-        bounds = (max(users, default=-1) + 1, max([r[1] for r in records], default=-1) + 1)
-    return records, bounds[0], bounds[1], dropped, deduped
+    users = [r[0] for r in records] + [p for r in records for p in r[2]]
+    num_items = max([r[1] for r in records], default=-1) + 1
+    return records, max(users, default=-1) + 1, num_items, dropped, deduped
 
 
 def parse_social_oracle(path: str) -> list[tuple[int, int]]:
@@ -363,40 +353,15 @@ def parse_social_oracle(path: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def parse_negatives_oracle(path: str, num_users: int, num_items: int) -> dict[int, list[int]]:
-    """A negatives file, user by user, or the first bad line's ``IngestError``.
-
-    A list whose tokens are all int64 integers is range-checked as a whole,
-    so its first id outside ``[0, num_items)`` is named, negative or not;
-    otherwise the first token that is not an id is.
-    """
-    negatives: dict[int, list[int]] = {}
-    first_line: dict[int, int] = {}
-    for lineno, where, fields in _lines(path):
-        if len(fields) != 2:
-            raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
-        u = _id_token(fields[0], where)
-        if u >= num_users:
-            raise IngestError(f"{where}: user id {u} out of range [0, {num_users})")
-        first = first_line.setdefault(u, lineno)
-        if first != lineno:
-            raise IngestError(f"{where}: user {u} listed twice (first on line {first})")
-        tokens = fields[1].split(",")
-        items = []
-        for tok in tokens:
-            try:
-                value = int(tok)
-            except ValueError:
-                value = None
-            if value is None or not -INT64_MAX - 1 <= value <= INT64_MAX:
-                for earlier in tokens:
-                    _id_token(earlier, where)
-            items.append(value)
-        for value in items:
-            if not 0 <= value < num_items:
-                raise IngestError(f"{where}: item id {value} out of range [0, {num_items})")
-        negatives[u] = items
-    return negatives
+def negatives_digest_oracle(negatives: dict) -> str:
+    """The frozen-negatives digest of a ``{user: ids}`` dict, one user at a time."""
+    h = hashlib.sha256()
+    for u in sorted(negatives):
+        h.update(str(u).encode())
+        h.update(b":")
+        h.update(np.ascontiguousarray(negatives[u], dtype=np.int64).tobytes())
+        h.update(b";")
+    return h.hexdigest()
 
 
 def l2_oracle(tensors: dict[str, np.ndarray], coeff: float) -> float:

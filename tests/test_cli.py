@@ -8,10 +8,21 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gbrec.cli import main
-from gbrec.data import IngestError, load_split_dir, user_interactions
+from gbrec.data import (
+    BehaviorLog,
+    DatasetSplit,
+    DatasetStats,
+    IngestError,
+    SocialGraph,
+    load_split_dir,
+    save_split_dir,
+    user_interactions,
+)
+from gbrec.kernels import CSR
 from gbrec.model import Hyperparams, init_flat_params, init_params
 from gbrec.trainer import save_checkpoint
 
@@ -156,13 +167,25 @@ def test_recommend_reads_only_the_training_files(pipeline, tmp_path, capsys):
     argv = ["recommend", "--checkpoint", pipeline["checkpoint"], "--user", "0", "--k", "5"]
     code, full, _ = run(capsys, [*argv, "--data", pipeline["datadir"]])
     assert code == 0
+    # no .tsv file and no held-out array or negatives: the training side alone
     datadir = str(tmp_path / "data")
-    shutil.copytree(pipeline["datadir"], datadir)
-    for name in ("validation.tsv", "test.tsv", "negatives.tsv"):
-        os.remove(os.path.join(datadir, name))
+    os.makedirs(datadir)
+    shutil.copy(os.path.join(pipeline["datadir"], "stats.json"), datadir)
+    _rewrite_npz(
+        os.path.join(pipeline["datadir"], "split.npz"), os.path.join(datadir, "split.npz"),
+        lambda a: [a.pop(k) for k in list(a) if not k.startswith(("train_", "social_"))],
+    )
     code, out, err = run(capsys, [*argv, "--data", datadir])
     assert code == 0, err
     assert out == full
+
+
+def _rewrite_npz(src, dst, change):
+    """Copy the arrays of ``src`` to ``dst`` through ``change(arrays)``."""
+    with np.load(src, allow_pickle=False) as npz:
+        arrays = {name: npz[name].copy() for name in npz.files}
+    change(arrays)
+    np.savez(dst, **arrays)
 
 
 def _second_line(text, replacement):
@@ -177,56 +200,98 @@ def _drop_num_items(text):
     return json.dumps(payload)
 
 
+def _set(name, at, value):
+    def change(a):
+        a[name][at] = value
+    return change
+
+
+def _replace(name, fn):
+    def change(a):
+        a[name] = fn(a[name])
+    return change
+
+
+def _repeat_first(name):
+    """The array's second entry set to its first."""
+    return _replace(name, lambda x: np.concatenate([x[:1], x[:1], x[2:]]))
+
+
+def _with_an_id_past_int64(ids):
+    ids = ids.astype(np.uint64)
+    ids[1] = 2**64 - 1
+    return ids
+
+
+def _empty_row_of_first_test_user(a):
+    u = a["test_initiator"][0]
+    ptr, ids = a["negatives_indptr"], a["negatives_indices"]
+    a["negatives_indices"] = np.delete(ids, np.arange(ptr[u], ptr[u + 1]))
+    ptr[u + 1 :] -= ptr[u + 1] - ptr[u]
+
+
 @pytest.mark.parametrize(
     "name, corrupt, where",
     [
-        ("negatives.tsv", lambda t: _second_line(t, "1 2,3"), "negatives.tsv:2"),
-        ("negatives.tsv", lambda t: _second_line(t, "1\t2,x,3"), "negatives.tsv:2"),
-        ("negatives.tsv", lambda t: _second_line(t, "1\t2,12"), "negatives.tsv:2"),
-        ("negatives.tsv", lambda t: _second_line(t, "1\t-1,2"), "negatives.tsv:2"),
+        ("split.npz", _replace("train_item", lambda x: x[:-1]), "split.npz: train_item holds"),
+        ("split.npz", _replace("negatives_indices", lambda x: x.astype(np.float64)), "split.npz: negatives_indices: float64 array"),
+        ("split.npz", _set("negatives_indices", 1, 12), "split.npz: negatives_indices[1]: item id 12 out of range [0, 12)"),
+        ("split.npz", _set("negatives_indices", 1, -1), "split.npz: negatives_indices[1]: item id -1 out of range [0, 12)"),
         ("stats.json", _drop_num_items, "stats.json: missing key 'num_items'"),
-        ("negatives.tsv", lambda t: _second_line(t, "1\t2,99999999999999999999"), "negatives.tsv:2: id 99999999999999999999 too large"),
-        ("social.tsv", lambda t: t + "1\t30\n", "social.tsv: user id 30 out of range"),
-        ("train.tsv", lambda t: _second_line(t, "1\t99\t-\t1"), "train.tsv:2: item id 99 out of range [0, 12)"),
-        ("train.tsv", lambda t: _second_line(t, "1\t2\t5,30\t1"), "train.tsv:2: user id 30 out of range [0, 30)"),
-        ("validation.tsv", lambda t: _second_line(t, "30\t2\t-\t0"), "validation.tsv:2: user id 30 out of range [0, 30)"),
-        ("validation.tsv", lambda t: "7\t1\t-\t1\n7\t2\t-\t0\n" + t, "validation.tsv:2: user 7 listed twice (first on line 1)"),
-        ("test.tsv", lambda t: "7\t1\t-\t1\n7\t2\t-\t0\n" + t, "test.tsv:2: user 7 listed twice (first on line 1)"),
-        ("negatives.tsv", lambda t: "7\t1,2\n7\t1,2\n" + t, "negatives.tsv:2: user 7 listed twice (first on line 1)"),
-        ("negatives.tsv", lambda t: t.split("\n", 1)[1], "negatives.tsv: no line for user"),
+        ("split.npz", _replace("negatives_indices", _with_an_id_past_int64), "split.npz: negatives_indices: uint64 array"),
+        ("split.npz", _replace("social_pairs", lambda x: np.r_[x, [[1, 30]]]), ("split.npz: social_pairs[", ", 1]: user id 30 out of range [0, 30)")),
+        ("split.npz", _set("train_item", 1, 99), "split.npz: train_item[1]: item id 99 out of range [0, 12)"),
+        ("split.npz", _set("train_part_indices", 1, 30), "split.npz: train_part_indices[1]: user id 30 out of range [0, 30)"),
+        ("split.npz", _set("validation_initiator", 1, 30), "split.npz: validation_initiator[1]: user id 30 out of range [0, 30)"),
+        ("split.npz", _repeat_first("validation_initiator"), ("split.npz: validation_initiator[1]: user", "listed twice")),
+        ("split.npz", _repeat_first("test_initiator"), ("split.npz: test_initiator[1]: user", "listed twice")),
+        ("split.npz", _repeat_first("negatives_indices"), ("split.npz: negatives_indices[1]: user", "negatives are not sorted and distinct")),
+        ("split.npz", _empty_row_of_first_test_user, "split.npz: negatives_indptr: no negatives for user"),
+        ("split.npz", _replace("test_initiator", lambda x: np.r_[x[1], x[0], x[2:]]), ("split.npz: test_initiator[1]: user", "out of ascending order")),
+        ("split.npz", _replace("negatives_indptr", lambda x: np.r_[x[:3], x[2] - 1, x[4:]]), "split.npz: negatives_indptr does not rise"),
+        ("split.npz", None, "split.npz: no such file; write this split dir again with gbrec prepare"),
     ],
     ids=[
-        "no-tab", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key", "item-past-int64",
-        "social-past-range", "train-item-past-range", "train-participant-past-range", "validation-user-past-range",
-        "validation-user-twice", "test-user-twice", "negatives-user-twice", "negatives-missing-held-out-user",
+        "train-column-short", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key",
+        "item-past-int64", "social-past-range", "train-item-past-range", "train-participant-past-range",
+        "validation-user-past-range", "validation-user-twice", "test-user-twice", "negatives-id-twice",
+        "negatives-missing-held-out-user", "test-users-out-of-order", "negatives-offsets-fall", "no-split-npz",
     ],
 )
 def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, name, corrupt, where):
     datadir = str(tmp_path / "data")
     shutil.copytree(pipeline["datadir"], datadir)
     path = os.path.join(datadir, name)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corrupt(text))
+    if corrupt is None:
+        os.remove(path)
+    elif name == "split.npz":
+        _rewrite_npz(path, path, corrupt)
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(corrupt(text))
 
-    with pytest.raises(IngestError, match=re.escape(where)):
+    parts = where if isinstance(where, tuple) else (where,)  # each must appear, in order
+    with pytest.raises(IngestError, match=".*".join(map(re.escape, parts))):
         load_split_dir(datadir)
     code, out, err = run(capsys, ["evaluate", "--checkpoint", pipeline["checkpoint"], "--data", datadir])
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert where in err
+    assert all(part in err for part in parts)
 
 
 def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     # 20,000 items: far more output than the pipe holds once the reader is gone
     num_items = 20_000
     datadir = tmp_path / "data"
-    datadir.mkdir()
-    (datadir / "stats.json").write_text(json.dumps({"num_users": 2, "num_items": num_items}))
-    (datadir / "train.tsv").write_text("0\t0\t1\t1\n")
-    (datadir / "social.tsv").write_text("0\t1\n")
+    train = BehaviorLog.from_rows([(0, 0, 1, 1)], [1], 2, num_items)
+    negatives = CSR(2, num_items, np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.int64))
+    split = DatasetSplit(train, train.take([]), train.take([]), negatives, 2, num_items)
+    save_split_dir(
+        str(datadir), split, SocialGraph.from_edges(2, np.array([[0, 1]])), DatasetStats(2, num_items, 1, 1, 0, 1), 0
+    )
     checkpoint = str(tmp_path / "checkpoint.bin")
     save_checkpoint(checkpoint, "gbmf", init_flat_params(2, num_items, 4, seed=0), Hyperparams(dim=4))
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

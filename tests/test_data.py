@@ -19,7 +19,6 @@ from gbrec.data import (
     ingest,
     load_split_dir,
     parse_behavior_file,
-    parse_negatives_file,
     parse_social_file,
     sample_negatives,
     save_split_dir,
@@ -115,9 +114,9 @@ ODD_IDS = st.sampled_from(
 
 @st.composite
 def tsv_files(draw, kind):
-    """Lines of a behavior, negatives or social file: plain ids or odd tokens
-    too, and well-formed lines or bad field counts, flags and participant
-    fields and empty lines too."""
+    """Lines of a behavior or social file: plain ids or odd tokens too, and
+    well-formed lines or bad field counts, flags and participant fields and
+    empty lines too."""
     odd_ids, odd_lines = draw(st.booleans()), draw(st.booleans())
     ids = st.one_of(PLAIN_IDS, ODD_IDS) if odd_ids else PLAIN_IDS
     lists = st.lists(ids, min_size=1, max_size=5).map(",".join)
@@ -128,7 +127,7 @@ def tsv_files(draw, kind):
         if kind == "behaviors":
             fields = [draw(ids), draw(ids), draw(participants), draw(flags)]
         else:
-            fields = [draw(ids), draw(lists if kind == "negatives" else ids)]
+            fields = [draw(ids), draw(ids)]
         if odd_lines and draw(st.integers(0, 4)) == 0:
             fields = draw(st.sampled_from([fields[:-1], fields + ["1"], ["1,2"] + fields[1:], []]))
         lines.append("\t".join(fields))
@@ -159,21 +158,17 @@ def _outcome(fn, *args, **kwargs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    text=tsv_files("behaviors"),
-    bounds=st.sampled_from([None, (8, 8)]) | st.tuples(st.integers(1, 8), st.integers(1, 8)),
-    one_per_user=st.booleans(),
-)
-def test_parse_behavior_file_equals_the_token_parse(text, bounds, one_per_user):
+@given(text=tsv_files("behaviors"))
+def test_parse_behavior_file_equals_the_token_parse(text):
     path = _write_temp(text)
     try:
         want_warnings = []
-        want = _outcome(oracles.parse_behavior_oracle, path, bounds, one_per_user, want_warnings)
+        want = _outcome(oracles.parse_behavior_oracle, path, want_warnings)
         logger = logging.getLogger("gbrec.data")
         handler = _Messages()
         logger.addHandler(handler)
         try:
-            got = _outcome(parse_behavior_file, path, bounds, one_per_user)
+            got = _outcome(parse_behavior_file, path)
         finally:
             logger.removeHandler(handler)
     finally:
@@ -185,21 +180,6 @@ def test_parse_behavior_file_equals_the_token_parse(text, bounds, one_per_user):
         )
     assert got == want
     assert handler.messages == want_warnings
-
-
-@settings(max_examples=200, deadline=None)
-@given(text=tsv_files("negatives"), num_users=st.integers(1, 8), num_items=st.integers(1, 8))
-def test_parse_negatives_file_equals_the_token_parse(text, num_users, num_items):
-    path = _write_temp(text)
-    try:
-        want = _outcome(oracles.parse_negatives_oracle, path, num_users, num_items)
-        got = _outcome(parse_negatives_file, path, num_users, num_items)
-    finally:
-        os.unlink(path)
-    if not isinstance(got, str):
-        assert all(items.dtype == np.int64 for items in got.values())
-        got = {u: items.tolist() for u, items in got.items()}
-    assert got == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -358,10 +338,13 @@ def test_write_then_parse_keeps_what_the_parser_accepts(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "b.tsv")
         write_behaviors(path, helpers.from_records(records, num_users, num_items))
-        parsed, got_dropped, got_deduped = parse_behavior_file(path, (num_users, num_items))
+        parsed, got_dropped, got_deduped = parse_behavior_file(path)
     assert helpers.records_of(parsed) == want
     assert (got_dropped, got_deduped) == (dropped, deduped)
-    assert (parsed.num_users, parsed.num_items) == (num_users, num_items)
+    # the ids read span the log
+    users = [u for r in want for u in (r.initiator, *r.participants)]
+    items = [r.item for r in want]
+    assert (parsed.num_users, parsed.num_items) == (max(users, default=-1) + 1, max(items, default=-1) + 1)
 
 
 def test_social_round_trip(tmp_path, rng):
@@ -409,13 +392,13 @@ def test_writers_equal_the_line_by_line_writers(case):
     records, num_users, num_items, pairs, negatives, original, chunk = case
     logb = helpers.from_records([BehaviorRecord(*r) for r in records], num_users, num_items)
     social = SocialGraph.from_edges(num_users, np.array(pairs, dtype=np.int64))
-    negatives = {u: np.array(items, dtype=np.int64) for u, items in negatives.items()}
+    negatives_csr = helpers.negatives_csr(negatives, num_users, num_items)
     original = np.array(original, dtype=np.int64)
     writers = [
         (lambda p: write_behaviors(p, logb), lambda p: oracles.write_behaviors_oracle(p, records)),
         (lambda p: write_social(p, social), lambda p: oracles.write_pairs_oracle(p, social.undirected_pairs().tolist())),
         (
-            lambda p: write_negatives(p, negatives, num_items),
+            lambda p: write_negatives(p, negatives_csr),
             lambda p: oracles.write_negatives_oracle(p, negatives),
         ),
         (lambda p: write_id_map(p, original), lambda p: oracles.write_pairs_oracle(p, enumerate(original.tolist()))),
@@ -510,7 +493,7 @@ def test_split_negatives_are_untouched_sorted_and_capped(rng):
     split = split_leave_one_out(log, seed=1, num_negatives=4)
     touched = helpers.touched_sets(log)
     for u in helpers.held_out(split.test):
-        negs = split.eval_negatives[u]
+        negs = split.eval_negatives.neighbors(u)
         complement = sorted(set(range(10)) - touched[u])
         assert len(negs) == min(4, len(complement))
         assert set(negs) <= set(complement)
@@ -523,7 +506,7 @@ def test_split_negatives_cap_at_full_complement():
     records = [BehaviorRecord(0, i, (), True) for i in range(4)]
     log = helpers.from_records(records, 1, 6)
     split = split_leave_one_out(log, seed=0, num_negatives=999)
-    np.testing.assert_array_equal(split.eval_negatives[0], [4, 5])
+    np.testing.assert_array_equal(split.eval_negatives.neighbors(0), [4, 5])
 
 
 def test_split_deterministic_by_seed(rng):
@@ -534,8 +517,8 @@ def test_split_deterministic_by_seed(rng):
     assert {u: r.item for u, r in helpers.held_out(a.test).items()} == {
         u: r.item for u, r in helpers.held_out(b.test).items()
     }
-    for u in a.eval_negatives:
-        np.testing.assert_array_equal(a.eval_negatives[u], b.eval_negatives[u])
+    np.testing.assert_array_equal(a.eval_negatives.indptr, b.eval_negatives.indptr)
+    np.testing.assert_array_equal(a.eval_negatives.indices, b.eval_negatives.indices)
 
 
 @st.composite
@@ -561,10 +544,12 @@ def test_split_equals_the_record_loop(world):
     assert helpers.records_of(split.train) == train
     assert helpers.records_of(split.validation) == [validation[u] for u in sorted(validation)]
     assert helpers.records_of(split.test) == [test[u] for u in sorted(test)]
-    assert sorted(split.eval_negatives) == sorted(negatives)
+    got = helpers.negative_lists(split.eval_negatives)
+    assert sorted(got) == sorted(negatives)
     for u, want in negatives.items():
-        assert split.eval_negatives[u].dtype == np.int64
-        np.testing.assert_array_equal(split.eval_negatives[u], want)
+        assert got[u].dtype == np.int64
+        np.testing.assert_array_equal(got[u], want)
+    assert (split.eval_negatives.num_rows, split.eval_negatives.num_cols) == (num_users, num_items)
     assert (split.num_users, split.num_items) == (num_users, num_items)
 
 
@@ -572,7 +557,7 @@ def split_parts(split):
     """A split's held-out records and negatives, comparable with ``==``."""
     return (
         helpers.records_of(split.train), helpers.records_of(split.validation), helpers.records_of(split.test),
-        {u: ids.tolist() for u, ids in split.eval_negatives.items()},
+        {u: ids.tolist() for u, ids in helpers.negative_lists(split.eval_negatives).items()},
     )
 
 
@@ -597,7 +582,8 @@ def test_split_negatives_are_uniform_over_the_untouched_items():
     log = helpers.from_records(records, 20, 6)
     counts = np.zeros((6, 6), dtype=np.int64)
     for seed in range(300):
-        for negs in split_leave_one_out(log, seed=seed, num_negatives=2).eval_negatives.values():
+        split = split_leave_one_out(log, seed=seed, num_negatives=2)
+        for negs in helpers.negative_lists(split.eval_negatives).values():
             counts[negs[0], negs[1]] += 1
     pairs = counts[np.triu_indices(6, 1)]
     assert counts.sum() == 6000 and counts[:2].sum() == 0
@@ -627,8 +613,8 @@ def test_split_rows_hold_min_k_untouched_when_keys_tie(monkeypatch, num_negative
     monkeypatch.setattr(data.np.random, "default_rng", TiedKeys)
     split = split_leave_one_out(log, seed=0, num_negatives=num_negatives)
     touched = helpers.touched_sets(log)
-    assert sorted(split.eval_negatives) == list(range(8))
-    for u, negs in split.eval_negatives.items():
+    assert sorted(helpers.negative_lists(split.eval_negatives)) == list(range(8))
+    for u, negs in helpers.negative_lists(split.eval_negatives).items():
         untouched = set(range(8)) - touched[u]
         assert negs.tolist() == sorted(set(negs.tolist()))
         assert set(negs.tolist()) <= untouched and len(negs) == min(num_negatives, len(untouched))
@@ -639,7 +625,8 @@ def test_split_warns_once_per_user_who_touched_every_item(caplog):
     with caplog.at_level(logging.WARNING, logger="gbrec.data"):
         split = split_leave_one_out(helpers.from_records(records, 2, 3), seed=0)
     assert [r.getMessage() for r in caplog.records] == ["user 0 interacted with every item; excluded from evaluation"]
-    assert sorted(split.eval_negatives) == [1] and helpers.records_of(split.test)[0].initiator == 1
+    assert sorted(helpers.negative_lists(split.eval_negatives)) == [1]
+    assert helpers.records_of(split.test)[0].initiator == 1
 
 
 def test_split_rejects_fewer_than_one_negative():
@@ -793,9 +780,8 @@ def test_split_dir_round_trip(tmp_path, rng):
     assert helpers.records_of(loaded.train) == helpers.records_of(split.train)
     assert helpers.held_out(loaded.test) == helpers.held_out(split.test)
     assert helpers.held_out(loaded.validation) == helpers.held_out(split.validation)
-    assert sorted(loaded.eval_negatives) == sorted(split.eval_negatives)
-    for u in split.eval_negatives:
-        np.testing.assert_array_equal(loaded.eval_negatives[u], split.eval_negatives[u])
+    np.testing.assert_array_equal(loaded.eval_negatives.indptr, split.eval_negatives.indptr)
+    np.testing.assert_array_equal(loaded.eval_negatives.indices, split.eval_negatives.indices)
     np.testing.assert_array_equal(social2.indptr, social.indptr)
     np.testing.assert_array_equal(social2.indices, social.indices)
     assert stats2["num_behaviors"] == stats.num_behaviors

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbrec.data import split_leave_one_out
 from gbrec.evaluate import (
     RANK_BLOCK,
     MetricReport,
@@ -111,7 +112,7 @@ def test_report_serialization():
 
 def test_evaluate_ranking_orders_users_and_ranks_test_items():
     records = helpers.from_records([BehaviorRecord(3, 0, (), True), BehaviorRecord(1, 1, (), True)])
-    negatives = {3: np.array([2, 4]), 1: np.array([2, 4])}
+    negatives = helpers.negatives_csr({3: [2, 4], 1: [2, 4]}, 4, 5)
     table = {
         # user 1: test item 1 scores below item 2 -> rank 1
         (1, 1): 1.0, (1, 2): 2.0, (1, 4): 0.0,
@@ -157,8 +158,8 @@ def ranking_worlds(draw):
     records = helpers.from_records(
         [BehaviorRecord(u, i, (), True) for u, i in zip(users.tolist(), items.tolist())], num_users, num_items
     )
-    negatives = {u: rng.choice(num_items, size=rng.integers(num_items + 1), replace=False) for u in users.tolist()}
-    return emb, records, negatives
+    lists = {u: rng.choice(num_items, size=rng.integers(num_items + 1), replace=False) for u in users.tolist()}
+    return emb, records, helpers.negatives_csr(lists, num_users, num_items)
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,7 +173,7 @@ def test_blocked_ranking_equals_the_rank_of_each_user(world):
     report = evaluate_ranking(emb.score_users, records, negatives, (1, 3))
     want = []
     for u, item in zip(records.initiator.tolist(), records.item.tolist()):
-        scores = emb.score_items(u, np.concatenate([[item], negatives[u]]))
+        scores = emb.score_items(u, np.concatenate([[item], negatives.neighbors(u)]))
         want.append(rank_from_scores(float(scores[0]), scores[1:]))
     np.testing.assert_array_equal(report.ranks, want)
     by_user = [emb.all_item_scores(u) for u in records.initiator.tolist()]
@@ -183,15 +184,29 @@ def test_blocked_ranking_equals_the_rank_of_each_user(world):
 # frozen-negatives digest
 
 
+def digest(lists: dict) -> str:
+    return negatives_digest(helpers.negatives_csr(lists, 8, 6))
+
+
 def test_negatives_digest_is_order_independent_and_content_sensitive():
-    a = {0: np.array([1, 2, 3]), 5: np.array([4])}
-    b = {5: np.array([4]), 0: np.array([1, 2, 3])}  # same content, other insert order
-    assert negatives_digest(a) == negatives_digest(b)
-    c = {0: np.array([1, 2, 4]), 5: np.array([4])}
-    assert negatives_digest(a) != negatives_digest(c)
-    d = {0: np.array([1, 2]), 5: np.array([3, 4])}  # same multiset, different owner
-    assert negatives_digest(a) != negatives_digest(d)
-    assert len(negatives_digest(a)) == 64
+    a = {0: [1, 2, 3], 5: [4]}
+    b = {5: [4], 0: [1, 2, 3]}  # same content, other insert order
+    assert digest(a) == digest(b)
+    c = {0: [1, 2, 4], 5: [4]}
+    assert digest(a) != digest(c)
+    d = {0: [1, 2], 5: [3, 4]}  # same multiset, different owner
+    assert digest(a) != digest(d)
+    assert len(digest(a)) == 64
+    assert digest(a) == oracles.negatives_digest_oracle(a)
+
+
+def test_negatives_digest_of_a_drawn_split_keeps_the_per_user_value():
+    # the digest gbbench recomputes from negatives.tsv, user by user
+    records = helpers.make_records(np.random.default_rng(2), 40, 30, 400)
+    split = split_leave_one_out(helpers.from_records(records, 40, 30), seed=6, num_negatives=12)
+    lists = helpers.negative_lists(split.eval_negatives)
+    assert len(lists) > 20
+    assert negatives_digest(split.eval_negatives) == oracles.negatives_digest_oracle(lists)
 
 
 # ---------------------------------------------------------------------------

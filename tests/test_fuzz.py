@@ -1,21 +1,27 @@
-"""Truncated and bit-flipped checkpoints and ``stats.json`` files.
+"""Truncated and bit-flipped checkpoints, ``stats.json`` and ``split.npz`` files.
 
 Whatever byte a file is cut at and whichever single bit is flipped, the
 loaders raise only their own error (``CheckpointError``, ``IngestError``) or
 load, and ``gbrec evaluate`` either completes or exits 1 or 2 with one line
 on standard error and nothing on standard output. A flip inside the tensor
-payload can leave a checkpoint that loads: the format carries no digest.
+payload can leave a checkpoint that loads: the format carries no digest. A
+``split.npz`` that loads after a flip holds exactly the arrays it held
+before: each member's CRC-32 covers its header and data.
 """
 
+import io
 import os
 import shutil
+import struct
+import zipfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gbrec.cli import main
-from gbrec.data import IngestError, load_split_dir
+from gbrec.data import IngestError, load_split_dir, load_train_dir
 from gbrec.model import Hyperparams, init_flat_params, init_params
 from gbrec.trainer import CheckpointError, load_checkpoint, save_checkpoint
 
@@ -46,7 +52,9 @@ def world(tmp_path_factory):
             blobs[name] = fh.read()
     with open(os.path.join(data, "stats.json"), "rb") as fh:
         stats = fh.read()
-    return {"data": data, "checkpoints": blobs, "stats": stats}
+    with open(os.path.join(data, "split.npz"), "rb") as fh:
+        npz = fh.read()
+    return {"data": data, "checkpoints": blobs, "stats": stats, "npz": npz, "split": split_arrays(data)}
 
 
 def header_bytes(blob: bytes) -> int:
@@ -180,3 +188,92 @@ def test_a_bit_flipped_stats_file_loads_or_fails_with_one_ingest_error(world, tm
     loaded = load_or_ingest_error(data)
     code = evaluate(capsys, gbmf_checkpoint(world, tmp_path), data)
     assert code == 1 or loaded
+
+
+# ---------------------------------------------------------------------------
+# split.npz
+
+
+def log_arrays(logb) -> list[np.ndarray]:
+    return [logb.initiator, logb.item, logb.success, logb.part_indptr, logb.part_indices]
+
+
+def split_arrays(data: str) -> list[np.ndarray]:
+    """Every array ``load_split_dir`` and ``load_train_dir`` return, in a fixed order."""
+    split, social, _ = load_split_dir(data)
+    train, train_social, _ = load_train_dir(data)
+    out = [*log_arrays(split.train), *log_arrays(split.validation), *log_arrays(split.test)]
+    out += [split.eval_negatives.indptr, split.eval_negatives.indices, social.indptr, social.indices]
+    return out + [*log_arrays(train), train_social.indptr, train_social.indices]
+
+
+def with_npz(world, tmp_path, blob: bytes) -> str:
+    data = str(tmp_path / "data")
+    if not os.path.isdir(data):
+        shutil.copytree(world["data"], data)
+    with open(os.path.join(data, "split.npz"), "wb") as fh:
+        fh.write(blob)
+    return data
+
+
+def loads_as_before(world, data: str) -> bool:
+    """Whether both loaders read the split dir, which must then hold the
+    arrays it held before; any failure must be one IngestError."""
+    try:
+        arrays = split_arrays(data)
+    except IngestError:
+        return False
+    assert len(arrays) == len(world["split"])
+    for got, want in zip(arrays, world["split"]):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    return True
+
+
+# where a cut or a flip lands: the whole file; the zip's central directory
+# and end record; or the start of one member, its local header and .npy
+# header (30 bytes, its name, 128 bytes); two thirds of the draws land where
+# the parsing is
+NPZ_REGIONS = ("anywhere", "directory", "member")
+
+
+@st.composite
+def npz_cuts(draw):
+    """A region, a member and a fraction of that region."""
+    region = draw(st.sampled_from(NPZ_REGIONS))
+    return region, draw(st.integers(0, 17)), draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+def npz_position(blob: bytes, case, unit: int) -> int:
+    """The byte (``unit`` 1) or bit (``unit`` 8) at ``case`` (see ``npz_cuts``)."""
+    region, member, fraction = case
+    if region == "anywhere":
+        lo, hi = 0, len(blob)
+    elif region == "directory":
+        lo, hi = struct.unpack_from("<I", blob, len(blob) - 6)[0], len(blob)
+    else:
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            infos = zf.infolist()
+        lo = infos[member % len(infos)].header_offset
+        hi = min(lo + 200, len(blob))
+    return lo * unit + int(fraction * (hi - lo) * unit)
+
+
+@FUZZ
+@given(case=npz_cuts())
+@example(case=("anywhere", 0, 0.0))
+@example(case=("directory", 0, 0.9999))
+def test_a_truncated_split_npz_fails_with_one_ingest_error(world, tmp_path, capsys, case):
+    blob = world["npz"]
+    path = with_npz(world, tmp_path, blob[: npz_position(blob, case, 1)])
+    assert not loads_as_before(world, path)  # the zip's end record is gone
+    assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), path) == 1
+
+
+@FUZZ
+@given(case=npz_cuts())
+def test_a_bit_flipped_split_npz_loads_as_before_or_fails_with_one_ingest_error(world, tmp_path, capsys, case):
+    blob = world["npz"]
+    path = with_npz(world, tmp_path, flip(blob, npz_position(blob, case, 8)))
+    loaded = loads_as_before(world, path)
+    assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), path) == (0 if loaded else 1)
