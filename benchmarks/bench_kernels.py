@@ -6,9 +6,9 @@
 * ``gap_user_side`` -- the user side of the score gap's backward pass: one
   call that scatters ``scale[i] * (table[lo[i]] - table[hi[i]])`` into several
   targets sharing the index ``users``, gathering both rows, subtracting and
-  scaling each column block inside the kernel;
+  scaling each column inside the kernel;
 * ``gap_item_side`` -- its item side: one call that gathers
-  ``scale[i] * table[users[i]]`` once per column block, adds it at ``lo[i]``
+  ``scale[i] * table[users[i]]`` once per column, adds it at ``lo[i]``
   and subtracts it at ``hi[i]``, for several targets;
 * ``mean`` -- ``CSR.mean`` and ``CSR.mean_adjoint`` of a ``--rows`` x
   ``--cols`` graph with ``--entries`` stored entries, on the sparse path and
@@ -20,8 +20,8 @@
   ``EmbeddingSet.dense_score_pass`` picks.
 
 The first four roles time the sparse kernel alone. Prints the best of
-``--repeats`` per-call times for each role, with the kernel's block width
-``kernels.BLOCK``; tables are float32, as in training. Usage::
+``--repeats`` per-call times for each role; tables are float32, as in
+training. Usage::
 
     python3 benchmarks/bench_kernels.py [--role ROLE ...] [--rows 200000] [--cols 30000]
         [--degree 20 | --entries N] [--dim 32] [--terms 500000]
@@ -149,7 +149,7 @@ def main() -> int:
 
         print(
             f"rows={args.rows} cols={args.cols} nnz={indices.shape[0]} dim={args.dim} "
-            f"terms={args.terms} targets={args.targets} block={kernels.BLOCK}"
+            f"terms={args.terms} targets={args.targets}"
         )
         fns = {
             "segment_sum": lambda: kernels.segment_sum(indptr, indices, src),

@@ -126,8 +126,7 @@ def cmd_prepare(args) -> int:
 def cmd_train(args) -> int:
     hp = load_typed(Hyperparams, args.config, _overrides(args, HP_KEYS))
     split, social, _stats = load_split_dir(args.data)
-    dtype = np.float64 if args.float64 else np.float32
-    result = train_model(args.model, split, social, hp, args.seed, dtype=dtype)
+    result = train_model(args.model, split, social, hp, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     ckpt_path = os.path.join(args.outdir, "checkpoint.bin")
     log_path = os.path.join(args.outdir, "training_log.jsonl")
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=MODEL_TYPES, default="gbgcn")
     p.add_argument("--config", default=None, help="key=value hyperparameter file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--float64", action="store_true", help="train in 64-bit precision")
     _add_dataclass_flags(p, Hyperparams, choices={"activation": ACTIVATIONS})
     p.set_defaults(func=cmd_train)
 

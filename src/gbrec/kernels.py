@@ -15,23 +15,21 @@ alone, so no caller knows which one ran:
   rounds it as it sums;
 * sparse, otherwise: the one reduction kernel below.
 
-Every sparse reduction runs on one kernel, ``_block_sums``. Given a
+Every sparse reduction runs on one kernel, ``_column_sums``. Given a
 destination index ``dest``, a gather index and sources ``(table, scale)``,
 it sums the float64 rows ``scale[i] * table[gather[i]]`` into destination
-rows ``dest[i]``. It works on blocks of up to ``BLOCK`` columns: a block's
-rows are flattened in row order and summed by one ``np.bincount`` keyed
-``dest[i] * m + j`` for column ``j`` of an ``m``-column block. The key is
-built once per index and shared by every source and every block. bincount
-adds its weights in index order in float64, so each (destination, column)
-pair is a sequential float64 sum of its terms in index order: the same sum,
-bit for bit, as a plain loop, whatever the block width. Each sum is rounded
-to the output dtype once.
+rows ``dest[i]``, one column at a time: each column is read once in float64,
+gathered into one reused buffer, scaled, and summed by one ``np.bincount``
+keyed by ``dest`` itself. bincount adds its weights in index order in
+float64, so each (destination, column) pair is a sequential float64 sum of
+its terms in index order: the same sum, bit for bit, as a plain loop. Each
+sum is rounded to the output dtype once.
 
 * ``segment_sum`` and ``segment_mean`` run it with ``dest`` the row of each
   CSR entry and ``gather`` its column.
 * ``scatter_add_rows`` runs it with the scatter index as ``dest``, for every
   target that shares that index in one call, gathering and scaling each
-  block itself, so no gathered-and-scaled copy of a whole table is made.
+  column itself, so no gathered-and-scaled copy of a whole table is made.
 
 ``scatter_add_rows`` has two signed forms, one per side of the score gap's
 backward pass:
@@ -55,11 +53,6 @@ from functools import cached_property
 
 import numpy as np
 
-# columns summed per np.bincount, chosen by measurement: with the gather
-# fused in, 1 and 4 train equally fast, 4 has the fastest segment sums and 16
-# is slower and larger (its key and block buffer each cost rows * 128 bytes)
-BLOCK = 4
-
 # a graph's products run dense when it stores at least DENSE_MIN_FILL of its
 # cells and has fewer than DENSE_MAX_CELLS cells. Per call (benchmarks/
 # bench_kernels.py --role mean, widths 16 and 48, 100k-500k cells) the dense
@@ -81,62 +74,48 @@ def backend_name() -> str:
 # the one kernel
 
 
-def _flat_key(dest: np.ndarray, m: int) -> np.ndarray:
-    """``dest[i] * m + j`` for every row ``i`` and column ``j < m``, in row order."""
-    key = np.repeat(np.asarray(dest, dtype=np.int64) * m, m)
-    rows = key.reshape(-1, m)
-    rows += np.arange(m)
-    return key
-
-
 def _check_range(index: np.ndarray | None, bound: int, what: str) -> None:
     if index is not None and index.shape[0] and (index.min() < 0 or index.max() >= bound):
         raise IndexError(f"{what} out of range [0, {bound})")
 
 
-def _block_sums(dest, n_rows, gather, sources, minus_gather=None, minus_dest=None):
-    """Yield ``(s, cols, sums)``: float64 ``sums[r] = sum of row[i, cols]`` over
-    the ``i`` with ``dest[i] == r``, in index order, minus the same sum over the
+def _column_sums(dest, n_rows, gather, sources, minus_gather=None, minus_dest=None):
+    """Yield ``(s, j, sums)``: float64 ``sums[r] = sum of row[i, j]`` over the
+    ``i`` with ``dest[i] == r``, in index order, minus the same sum over the
     ``i`` with ``minus_dest[i] == r`` when it is given, for source ``s``.
 
     ``sources`` holds ``(table, scale)`` pairs, and ``row[i]`` is
     ``scale[i] * (table[gather[i]] - table[minus_gather[i]])``: ``gather`` None
     reads ``table[i]``, ``minus_gather`` None subtracts nothing and ``scale``
-    None scales by one. Each block of a table is padded with zero columns to
-    the key's width and read in float64, so each gather writes straight into
-    one reused buffer; the padding's sums are dropped.
+    None scales by one. Each column of a table is read once in float64, and
+    each gather writes straight into one reused buffer.
     """
     n_src = min(table.shape[0] for table, _ in sources)
     _check_range(gather, n_src, "gather index")
     _check_range(minus_gather, n_src, "subtracted gather index")
-    m = max(1, min(BLOCK, max(table.shape[1] for table, _ in sources)))
-    key = _flat_key(dest, m)
-    minus_key = None if minus_dest is None else _flat_key(minus_dest, m)
-    buf = np.empty((dest.shape[0], m), dtype=np.float64)
+    buf = np.empty(dest.shape[0], dtype=np.float64)
     minus_buf = None if minus_gather is None else np.empty_like(buf)
     for s, (table, scale) in enumerate(sources):
-        for c0 in range(0, table.shape[1], m):
-            cols = slice(c0, min(c0 + m, table.shape[1]))
-            block = np.zeros((table.shape[0], m), dtype=np.float64)
-            block[:, : cols.stop - c0] = table[:, cols]
+        for j in range(table.shape[1]):
+            col = table[:, j].astype(np.float64)
             # gathers are in range (checked above), so "clip" only spares a second buffer
-            rows = block if gather is None else np.take(block, gather, axis=0, out=buf, mode="clip")
+            rows = col if gather is None else np.take(col, gather, out=buf, mode="clip")
             if minus_gather is not None:
-                rows -= np.take(block, minus_gather, axis=0, out=minus_buf, mode="clip")
+                rows -= np.take(col, minus_gather, out=minus_buf, mode="clip")
             if scale is not None:
-                rows *= scale[:, None]
-            sums = np.bincount(key, weights=rows.ravel(), minlength=n_rows * m)
-            if minus_key is not None:
-                sums -= np.bincount(minus_key, weights=rows.ravel(), minlength=n_rows * m)
-            yield s, cols, sums.reshape(n_rows, m)[:, : cols.stop - c0]
+                rows *= scale
+            sums = np.bincount(dest, weights=rows, minlength=n_rows)
+            if minus_dest is not None:
+                sums -= np.bincount(minus_dest, weights=rows, minlength=n_rows)
+            yield s, j, sums
 
 
 def _segment_sum64(indptr, indices, src):
     n_rows = indptr.shape[0] - 1
     dest = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
     out = np.empty((n_rows, src.shape[1]), dtype=np.float64)
-    for _, cols, sums in _block_sums(dest, n_rows, indices, [(src, None)]):
-        out[:, cols] = sums
+    for _, j, sums in _column_sums(dest, n_rows, indices, [(src, None)]):
+        out[:, j] = sums
     return out
 
 
@@ -190,9 +169,9 @@ def scatter_add_rows(
     _check_range(idx, n_rows, "scatter index")
     _check_range(minus_idx, n_rows, "subtracted scatter index")
     sources = [(table, scale) for _, table, scale in targets]
-    for s, cols, sums in _block_sums(idx, n_rows, gather, sources, minus_gather, minus_idx):
+    for s, j, sums in _column_sums(idx, n_rows, gather, sources, minus_gather, minus_idx):
         out = targets[s][0]
-        out[:, cols] += sums.astype(out.dtype)
+        out[:, j] += sums.astype(out.dtype)
 
 
 # ---------------------------------------------------------------------------

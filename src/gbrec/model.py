@@ -202,9 +202,6 @@ class ModelParams:
     def tensors(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(**{k: v.astype(dtype) for k, v in self.tensors().items()})
-
     def copy(self) -> "ModelParams":
         return ModelParams(**{k: v.copy() for k, v in self.tensors().items()})
 
@@ -223,9 +220,6 @@ class FlatParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {"user_emb": self.user_emb, "item_emb": self.item_emb}
-
-    def astype(self, dtype) -> "FlatParams":
-        return FlatParams(self.user_emb.astype(dtype), self.item_emb.astype(dtype))
 
     def copy(self) -> "FlatParams":
         return FlatParams(self.user_emb.copy(), self.item_emb.copy())
@@ -305,10 +299,6 @@ def propagate_in_view(
     return user_layers, item_layers
 
 
-def concat_layers(layers: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(layers, axis=1)
-
-
 @dataclass
 class Views:
     user_launch: np.ndarray
@@ -316,15 +306,12 @@ class Views:
     user_join: np.ndarray
     item_join: np.ndarray
 
-    def get(self, slot: str) -> np.ndarray:
-        return getattr(self, slot)
-
 
 @dataclass
 class BranchState:
     mean_in: np.ndarray   # neighborhood mean fed to the affine map
     pre_act: np.ndarray
-    act_out: np.ndarray   # activation output before empty-row masking
+    act_out: np.ndarray   # activation output, empty rows masked to zero
     mask: np.ndarray      # rows with a non-empty neighborhood
 
 
@@ -342,12 +329,12 @@ def propagate_cross_view(
     branches: dict[str, BranchState] = {}
     for spec in BRANCHES:
         adj = spec.csr(bundle)
-        a = adj.mean(view0.get(spec.source))
+        a = adj.mean(getattr(view0, spec.source))
         z = a @ getattr(params, "w_" + spec.suffix) + getattr(params, "b_" + spec.suffix)
         s = activate(z, hp.activation, hp.activation_slope)
         mask = adj.degrees > 0
         s[~mask] = 0  # empty neighborhood contributes nothing, not activation(bias)
-        branches[spec.name] = BranchState(a, z, s.copy(), mask)
+        branches[spec.name] = BranchState(a, z, s, mask)
         acc[spec.target] += s
     return Views(**acc), branches
 
@@ -538,12 +525,6 @@ class ForwardState:
     hp: Hyperparams
     bundle: HeteroGraphBundle
     social: SocialGraph
-    launch_user_layers: list[np.ndarray]
-    launch_item_layers: list[np.ndarray]
-    join_user_layers: list[np.ndarray]
-    join_item_layers: list[np.ndarray]
-    view0: Views
-    view1: Views
     branches: dict[str, BranchState]
     emb: EmbeddingSet
 
@@ -554,7 +535,7 @@ def forward(
     """Full propagation pass producing scoreable final embeddings."""
     lu, li = propagate_in_view(bundle.launch, params.user_emb, params.item_emb, hp.num_layers)
     ju, ji = propagate_in_view(bundle.join, params.user_emb, params.item_emb, hp.num_layers)
-    view0 = Views(concat_layers(lu), concat_layers(li), concat_layers(ju), concat_layers(ji))
+    view0 = Views(*(np.concatenate(layers, axis=1) for layers in (lu, li, ju, ji)))
     view1, branches = propagate_cross_view(bundle, view0, params, hp)
     emb = EmbeddingSet(
         user_launch=[view0.user_launch, view1.user_launch],
@@ -566,9 +547,7 @@ def forward(
         alpha=hp.alpha,
         renormalize_alpha=hp.renormalize_alpha,
     )
-    return ForwardState(
-        params, hp, bundle, social, lu, li, ju, ji, view0, view1, branches, emb
-    )
+    return ForwardState(params, hp, bundle, social, branches, emb)
 
 
 def flat_embeddings(
@@ -607,7 +586,7 @@ def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray
     branches, then in-view smoothing layer by layer down to the raw tables.
     """
     hp, params, bundle = state.hp, state.params, state.bundle
-    dtype = state.view0.user_launch.dtype
+    dtype = params.user_emb.dtype
     _fold_friend_mean(adj, state.social, dtype)
 
     slots = ("user_launch", "item_launch", "user_join", "item_join")

@@ -34,9 +34,9 @@ Record ``t``'s draws thus start at stream position
 ``rng.random(n)`` yields the doubles of ``n`` scalar calls, ``simulate`` makes
 these draws in bulk and leaves the generator where the scalar draws would.
 
-``success_probability`` computes the exact Poisson-binomial tail over a
-user's full friend set, and ``oracle_topk`` ranks items by it -- the ground
-truth that recovery tests compare against.
+``PlantedModel.success_probability`` computes the exact Poisson-binomial
+tail over a user's full friend set, and ``oracle_topk`` ranks items by it --
+the ground truth that recovery tests compare against.
 """
 
 from __future__ import annotations
@@ -160,10 +160,6 @@ def poisson_binomial_tail(probs: np.ndarray, threshold: int) -> float:
         dp[1:] = dp[1:] * (1.0 - p) + dp[:-1] * p
         dp[0] *= 1.0 - p
     return float(min(1.0, max(0.0, 1.0 - dp.sum())))
-
-
-def success_probability(planted: PlantedModel, user: int, item: int) -> float:
-    return planted.success_probability(user, item)
 
 
 def oracle_topk(planted: PlantedModel, user: int, k: int) -> list[int]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .baselines import flatten_interactions
 from .data import BehaviorLog, DatasetSplit, SocialGraph, sample_negatives, user_interactions
 from .evaluate import evaluate_ranking
 from .graphs import HeteroGraphBundle, build_graphs
@@ -320,8 +321,6 @@ def train_model(
     bundle: HeteroGraphBundle | None = None,
 ) -> TrainResult:
     """Pretrain + finetune one of {gbgcn, gbmf, mf} on a prepared split."""
-    from .baselines import flatten_interactions  # local import avoids a cycle
-
     if model_type not in MODEL_TYPE_CODES:
         raise ValueError(f"unknown model type {model_type!r}")
     hp_eff = hp

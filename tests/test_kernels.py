@@ -5,8 +5,6 @@ Bit-exact tests of the sparse kernel pin the sparse path with the
 a stated tolerance under ``dense_products``.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -43,18 +41,6 @@ def spread_values(rng, shape, dtype):
 
 
 DTYPES = st.sampled_from([np.float32, np.float64])
-BLOCKS = st.sampled_from([1, 4, 16])
-
-
-@contextmanager
-def block_width(m):
-    """Run the kernel with ``kernels.BLOCK`` set to ``m``, so the same-bits
-    argument is checked for blocks other than the measured one."""
-    saved, kernels.BLOCK = kernels.BLOCK, m
-    try:
-        yield
-    finally:
-        kernels.BLOCK = saved
 
 
 def loop_mean_adjoint(g, d, dtype=np.float64):
@@ -78,10 +64,9 @@ FIXTURED = [HealthCheck.function_scoped_fixture]
     n_edges=st.integers(0, 60),
     dim=st.integers(1, 20),
     dtype=DTYPES,
-    block=BLOCKS,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_segment_sum_and_mean_equal_a_sequential_float64_loop(sparse_products, n_rows, n_cols, n_edges, dim, dtype, block, seed):
+def test_segment_sum_and_mean_equal_a_sequential_float64_loop(sparse_products, n_rows, n_cols, n_edges, dim, dtype, seed):
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, n_rows, size=n_edges)
     cols = rng.integers(0, n_cols, size=n_edges)
@@ -92,10 +77,9 @@ def test_segment_sum_and_mean_equal_a_sequential_float64_loop(sparse_products, n
     d = spread_values(rng, (n_rows, dim), np.float64)
 
     sums = loop_segment_sum(g.indptr, g.indices, src)
-    with block_width(block):
-        got = kernels.segment_sum(g.indptr, g.indices, src)
-        mean = g.mean(src)
-        adjoint = g.mean_adjoint(d, dtype)
+    got = kernels.segment_sum(g.indptr, g.indices, src)
+    mean = g.mean(src)
+    adjoint = g.mean_adjoint(d, dtype)
     assert got.dtype == dtype
     np.testing.assert_array_equal(got, sums.astype(dtype))
 
@@ -191,7 +175,7 @@ def test_scatter_add_rows_is_a_float64_sum_rounded_once(case):
     np.testing.assert_array_equal(out, expected)
 
 
-WIDTHS = [1, 15, 16, 17, 48]  # one column, a block's edges, and a partial last block
+WIDTHS = [1, 15, 16, 17, 48]  # from one column to 48, the width of a GBGCN embedding block on the desk world
 F32, F64 = np.float32, np.float64
 
 
@@ -210,17 +194,17 @@ def multi_scatter_cases(draw):
             max_size=3,
         )
     )
-    return n_rows, n_src, idx, gather, targets, draw(BLOCKS), draw(st.integers(0, 2**32 - 1))
+    return n_rows, n_src, idx, gather, targets, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=multi_scatter_cases())
-@example(case=(4, 3, [], [], [(17, F32, F32, F64)], 16, 0))
-@example(case=(4, 3, [0, 3, 0, 3, 0], [2, 0, 2, 2, 0], [(48, F32, F32, F64), (16, F32, F64, None)], 16, 1))
-@example(case=(1, 5, [0, 0, 0, 0], None, [(1, F64, F32, F32), (15, F32, F32, F64)], 16, 2))
-@example(case=(6, 6, [5, 0, 5, 5], [0, 5, 5, 0], [(17, F32, F32, F32), (48, F64, F64, F64)], 4, 3))
+@example(case=(4, 3, [], [], [(17, F32, F32, F64)], 0))
+@example(case=(4, 3, [0, 3, 0, 3, 0], [2, 0, 2, 2, 0], [(48, F32, F32, F64), (16, F32, F64, None)], 1))
+@example(case=(1, 5, [0, 0, 0, 0], None, [(1, F64, F32, F32), (15, F32, F32, F64)], 2))
+@example(case=(6, 6, [5, 0, 5, 5], [0, 5, 5, 0], [(17, F32, F32, F32), (48, F64, F64, F64)], 3))
 def test_multi_target_scatter_equals_a_sequential_float64_loop(case):
-    n_rows, n_src, idx, gather, targets, block, seed = case
+    n_rows, n_src, idx, gather, targets, seed = case
     rng = np.random.default_rng(seed)
     idx = np.asarray(idx, dtype=np.int64)
     if gather is not None:
@@ -234,8 +218,7 @@ def test_multi_target_scatter_equals_a_sequential_float64_loop(case):
         expected.append(oracles.signed_scatter_oracle(out, idx, table, scale, gather))
         args.append((out, table, scale))
 
-    with block_width(block):
-        kernels.scatter_add_rows(args, idx, gather)
+    kernels.scatter_add_rows(args, idx, gather)
     for (out, _, _), want, (_, out_dtype, _, _) in zip(args, expected, targets):
         assert out.dtype == out_dtype
         np.testing.assert_array_equal(out, want)
@@ -266,19 +249,19 @@ def signed_scatter_cases(draw):
             max_size=3,
         )
     )
-    return n_rows, n_src, idx, gather, minus_gather, minus_idx, tie, targets, draw(BLOCKS), draw(st.integers(0, 2**32 - 1))
+    return n_rows, n_src, idx, gather, minus_gather, minus_idx, tie, targets, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=signed_scatter_cases())
-@example(case=(3, 3, [], [], [], None, False, [(17, F32, F32, F64)], 4, 0))
-@example(case=(3, 3, [], [], None, [], False, [(17, F32, F32, F64)], 4, 0))
-@example(case=(4, 5, [0, 3, 0, 3], [4, 1, 4, 0], [2, 2, 0, 0], None, False, [(48, F32, F32, F64), (1, F64, F64, F32)], 4, 1))
-@example(case=(4, 5, [2, 2, 1, 2], [0, 4, 4, 0], None, [2, 1, 1, 0], False, [(17, F32, F32, F64), (16, F64, F32, None)], 16, 2))
-@example(case=(2, 3, [1, 0, 1], [2, 2, 0], [2, 2, 0], None, True, [(15, F32, F32, F64)], 4, 3))
-@example(case=(2, 3, [1, 1, 1], [2, 0, 1], None, [1, 1, 1], True, [(15, F32, F32, F64)], 1, 4))
+@example(case=(3, 3, [], [], [], None, False, [(17, F32, F32, F64)], 0))
+@example(case=(3, 3, [], [], None, [], False, [(17, F32, F32, F64)], 0))
+@example(case=(4, 5, [0, 3, 0, 3], [4, 1, 4, 0], [2, 2, 0, 0], None, False, [(48, F32, F32, F64), (1, F64, F64, F32)], 1))
+@example(case=(4, 5, [2, 2, 1, 2], [0, 4, 4, 0], None, [2, 1, 1, 0], False, [(17, F32, F32, F64), (16, F64, F32, None)], 2))
+@example(case=(2, 3, [1, 0, 1], [2, 2, 0], [2, 2, 0], None, True, [(15, F32, F32, F64)], 3))
+@example(case=(2, 3, [1, 1, 1], [2, 0, 1], None, [1, 1, 1], True, [(15, F32, F32, F64)], 4))
 def test_signed_scatter_equals_the_loop_oracle(case):
-    n_rows, n_src, idx, gather, minus_gather, minus_idx, tie, targets, block, seed = case
+    n_rows, n_src, idx, gather, minus_gather, minus_idx, tie, targets, seed = case
     rng = np.random.default_rng(seed)
     as_index = lambda a: None if a is None else np.asarray(a, dtype=np.int64)
     idx, gather, minus_gather, minus_idx = map(as_index, (idx, gather, minus_gather, minus_idx))
@@ -291,8 +274,7 @@ def test_signed_scatter_equals_the_loop_oracle(case):
         before.append(out.copy())
         args.append((out, table, scale))
 
-    with block_width(block):
-        kernels.scatter_add_rows(args, idx, gather, minus_gather=minus_gather, minus_idx=minus_idx)
+    kernels.scatter_add_rows(args, idx, gather, minus_gather=minus_gather, minus_idx=minus_idx)
     for (out, _, _), want, old, (_, out_dtype, _, _) in zip(args, expected, before, targets):
         assert out.dtype == out_dtype
         np.testing.assert_array_equal(out, want)
@@ -392,4 +374,4 @@ def test_float32_inputs_accumulate_in_float64():
 
 
 def test_backend_name_is_known():
-    assert kernels.backend_name() in ("numba", "numpy")
+    assert kernels.backend_name() == "numpy"

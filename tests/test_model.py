@@ -19,7 +19,6 @@ from gbrec.model import (
     ModelParams,
     activate,
     activate_grad,
-    concat_layers,
     flat_embeddings,
     forward,
     init_flat_params,
@@ -57,7 +56,7 @@ def test_in_view_layers_hand_example():
     np.testing.assert_array_equal(items[1], [[3.0], [2.0]])    # means of raw users
     np.testing.assert_array_equal(users[2], [[2.5], [3.0]])    # means of layer-1 items
     np.testing.assert_array_equal(items[2], [[10.0], [12.0]])  # means of layer-1 users
-    np.testing.assert_array_equal(concat_layers(users), [[2.0, 12.0, 2.5], [4.0, 8.0, 3.0]])
+    np.testing.assert_array_equal(np.concatenate(users, axis=1), [[2.0, 12.0, 2.5], [4.0, 8.0, 3.0]])
 
 
 def test_in_view_empty_neighborhood_stays_zero():
