@@ -35,27 +35,33 @@ FALSE_WORDS = ("0", "false", "no", "off")
 
 
 def parse_kv_file(path: str) -> dict[str, str]:
-    """Read a key=value file; raises ConfigError with file:line on bad syntax."""
+    """Read a key=value file; raises ConfigError with file:line on bad syntax
+    or a line that is not UTF-8. Lines end in ``\\n``, ``\\r\\n`` or ``\\r``."""
     out: dict[str, str] = {}
     problems: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                problems.append(f"{path}:{lineno}: expected key = value, got {line!r}")
-                continue
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                problems.append(f"{path}:{lineno}: empty key")
-                continue
-            if key in out:
-                problems.append(f"{path}:{lineno}: duplicate key {key!r}")
-                continue
-            out[key] = value
+    with open(path, "rb") as fh:
+        lines = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            problems.append(f"{path}:{lineno}: not valid UTF-8")
+            continue
+        if not line:
+            continue
+        if "=" not in line:
+            problems.append(f"{path}:{lineno}: expected key = value, got {line!r}")
+            continue
+        key, value = line.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            problems.append(f"{path}:{lineno}: empty key")
+            continue
+        if key in out:
+            problems.append(f"{path}:{lineno}: duplicate key {key!r}")
+            continue
+        out[key] = value
     if problems:
         raise ConfigError(problems)
     return out

@@ -1,10 +1,17 @@
 """Behavior-log ingestion, leave-one-out splitting, and negative sampling.
 
-File grammar (tab-separated, UTF-8, one record per line):
+File grammar (bytes, one record per line, fields split by one tab):
 
 * behaviors: ``initiator<TAB>item<TAB>p1,p2,...<TAB>success`` where the
-  participant field is ``-`` when nobody joined and success is 0 or 1.
+  participant field is ``-`` when nobody joined and success is ``0`` or
+  ``1``.
 * social:    ``user_a<TAB>user_b`` (undirected friendship).
+
+An id is ASCII digits, leading zeros allowed, with a value of at most
+2^63 - 1: no sign, blank or other byte. Lines end in ``\\n``, ``\\r\\n`` or
+``\\r``; empty lines are skipped, and the last line needs no line end. The
+first line off this grammar, whatever bytes it holds, is one ``IngestError``
+naming the file, the line and what breaks it.
 
 Ingestion remaps arbitrary non-negative integer ids onto dense 0..P-1 /
 0..Q-1 ranges (sorted by original id, so already-dense files map to
@@ -26,8 +33,8 @@ import json
 import logging
 import math
 import os
+import re
 import tokenize
-import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -46,6 +53,21 @@ SPLIT_BLOCK_CELLS = 1 << 16
 # tokens the text writers format at once
 WRITE_CHUNK_TOKENS = 1 << 14
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+# the raw-file grammar: a search for the start of the first line that is
+# neither empty nor a line of its file kind. An id is ASCII digits; its value
+# is bounded when it is read (see _read_lines). Each line is tried on its own:
+# one match of every line, as (?:line\n)*, would hold state for each line,
+# about 40 bytes per byte of the file
+_ID = rb"[0-9]+"
+BEHAVIOR_LINES = re.compile(rb"^(?!(?:%s\t%s\t(?:-|%s(?:,%s)*)\t[01])?$)" % (_ID, _ID, _ID, _ID), re.MULTILINE)
+SOCIAL_LINES = re.compile(rb"^(?!(?:%s\t%s)?$)" % (_ID, _ID), re.MULTILINE)
+# per byte of a good line: its ids number one more than its tabs and commas,
+# less its dash (an empty participant list)
+ID_STEPS = np.zeros(256, dtype=np.int8)
+ID_STEPS[[ord("\t"), ord(",")]] = 1
+ID_STEPS[ord("-")] = -1
+BLANKS = bytes.maketrans(b",-", b"  ")
 
 
 class IngestError(ValueError):
@@ -70,15 +92,6 @@ class BehaviorLog:
     part_indices: np.ndarray
     num_users: int
     num_items: int
-
-    @classmethod
-    def from_rows(cls, rows, participants, num_users: int, num_items: int) -> "BehaviorLog":
-        """Build from ``(initiator, item, success, participant count)`` rows and
-        every record's participants concatenated, both in record order."""
-        initiator, item, success, counts = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
-        part_indptr = np.concatenate([[0], np.cumsum(counts)])
-        participants = np.array(participants, dtype=np.int64)
-        return cls(initiator, item, success.astype(bool), part_indptr, participants, num_users, num_items)
 
     def __len__(self) -> int:
         return self.initiator.shape[0]
@@ -169,117 +182,89 @@ class DatasetStats:
         return "\n".join(f"{k}={v}" for k, v in self.to_dict().items())
 
 
-def _parse_int(tok: str, where: str) -> int:
-    try:
-        value = int(tok)
-    except ValueError:
-        raise IngestError(f"{where}: not an integer: {tok!r}") from None
-    if value < 0:
-        raise IngestError(f"{where}: negative id: {value}")
-    if value > INT64_MAX:
+def _check_id_token(tok: str, where: str) -> None:
+    """Raise the located error of a token that is not an id. An id is ASCII
+    digits, leading zeros allowed, with a value of at most ``INT64_MAX``."""
+    digits = tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise IngestError(f"{where}: not an integer: {tok!r}")
+    value = digits.lstrip("0") or "0"
+    if digits != tok:
+        raise IngestError(f"{where}: negative id: -{value}")
+    if len(value) > len(str(INT64_MAX)) or int(value) > INT64_MAX:
         raise IngestError(f"{where}: id {value} too large (max {INT64_MAX})")
-    return value
 
 
-def _c_parse(fields) -> np.ndarray | None:
-    """Every id of the comma-separated ``fields``, in order, from one C-level
-    ``np.fromstring`` call; None when some token is not a plain decimal id
-    below ``INT64_MAX``, and the caller parses the lines token by token
-    instead.
-
-    ``np.fromstring`` reads ``"-"``, ``"+ 5"`` and blanks as ids, stops at a
-    trailing comma and saturates past int64. So only ASCII digits and commas
-    pass, the ids must number one more than the commas, and a saturated id
-    fails the bound.
-    """
-    if not fields:
-        return np.empty(0, dtype=np.int64)
-    text = ",".join(fields)
-    if not text.isascii() or text.encode().translate(None, b"0123456789,"):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # unmatched data: a warning in older NumPy, an error in newer
-        try:
-            ids = np.fromstring(text, dtype=np.int64, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    if ids.shape[0] != text.count(",") + 1 or ids.max() >= INT64_MAX:
-        return None
-    return ids
-
-
-def _c_column(fields) -> np.ndarray | None:
-    """``_c_parse`` of fields that hold one id each."""
-    ids = _c_parse(fields)
-    return ids if ids is not None and ids.shape[0] == len(fields) else None
-
-
-def _numbered_fields(path: str) -> tuple[list[int], list[list[str]]]:
-    """Line numbers and tab-separated fields of the non-empty lines of ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return [n for n, line in enumerate(lines, 1) if line], [line.split("\t") for line in lines if line]
-
-
-def _behavior_columns(fields: list[list[str]]) -> BehaviorLog | None:
-    """The records of lines that are all plain, as read (participants not yet
-    deduplicated), with one C-level parse per id column; None if any line
-    needs the per-token parse. An empty participant field is an empty token,
-    which the C parse rejects."""
-    if any(len(f) != 4 for f in fields):
-        return None
-    initiator, item, parts, success = zip(*fields) if fields else ((), (), (), ())
-    if not set(success) <= {"0", "1"}:
-        return None
-    ids = (_c_column(initiator), _c_column(item), _c_parse([p for p in parts if p != "-"]))
-    if any(col is None for col in ids):
-        return None
-    counts = [0 if p == "-" else p.count(",") + 1 for p in parts]
-    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    return BehaviorLog(ids[0], ids[1], np.array([s == "1" for s in success], dtype=bool), indptr, ids[2], 0, 0)
-
-
-def _parse_behavior_line(fields: list[str], where: str):
-    """One line's ``(initiator, item, success, participants)``, token by token,
-    or its located error."""
+def _check_behavior_line(fields: list[str], where: str) -> None:
+    """Raise the located error of a behavior line that breaks the grammar."""
     if len(fields) != 4:
         raise IngestError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
-    initiator = _parse_int(fields[0], where)
-    item = _parse_int(fields[1], where)
-    if fields[2] == "-":
-        participants: list[int] = []
-    elif fields[2] == "":
+    _check_id_token(fields[0], where)
+    _check_id_token(fields[1], where)
+    if fields[2] == "":
         raise IngestError(f"{where}: empty participant field (use '-')")
-    else:
-        participants = [_parse_int(t, where) for t in fields[2].split(",")]
+    if fields[2] != "-":
+        for tok in fields[2].split(","):
+            _check_id_token(tok, where)
     if fields[3] not in ("0", "1"):
         raise IngestError(f"{where}: success flag must be 0 or 1, got {fields[3]!r}")
-    return initiator, item, fields[3] == "1", participants
+
+
+def _read_lines(path: str, grammar: re.Pattern) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+    """The good lines of ``path``: every id on them, in order; the number of
+    ids on each non-empty one, and its line number; and then the first bad
+    line as ``(fields, "path:line")``, or None.
+
+    The file is read as bytes, with ``\\r\\n`` and ``\\r`` read as ``\\n``. The
+    good lines are the lines before the one that ``grammar`` finds, up to the
+    first that holds an id past ``INT64_MAX``. One uint64 ``np.fromstring``
+    reads every id of those lines, with commas and the dash of an empty
+    participant list read as blanks; an id too long for uint64 reads as
+    2^64 - 1, so it fails the bound too. The bad line is decoded with
+    ``backslashreplace``, so its error can name any byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    stop = grammar.search(data)
+    end = stop.start() if stop else len(data)
+    good = np.frombuffer(data, dtype=np.uint8, count=end)
+    ends = np.flatnonzero(good == ord("\n"))
+    starts = np.r_[0, ends + 1][:-1]
+    full = np.flatnonzero(ends > starts)
+    counts = np.add.reduceat(ID_STEPS[good], starts[full], dtype=np.int64) + 1
+    last = np.cumsum(counts)
+    ids = np.empty(0, dtype=np.uint64)
+    if full.size:  # np.fromstring reads a text of blanks alone as one 0
+        ids = np.fromstring(data[:end].translate(BLANKS), dtype=np.uint64, sep=" ")
+    over = np.flatnonzero(ids > INT64_MAX)
+    if over.size:  # the good lines end before the line of the first id past the bound
+        k = int(np.searchsorted(last, over[0], side="right"))
+        end = starts[full[k]]
+        ids, counts, full = ids[: last[k] - counts[k]], counts[:k], full[:k]
+    bad = None
+    if end < len(data):
+        lineno = data.count(b"\n", 0, end) + 1
+        bad = data[end : data.index(b"\n", end)].decode("utf-8", "backslashreplace").split("\t"), f"{path}:{lineno}"
+    return ids.astype(np.int64), counts, full + 1, bad
 
 
 def parse_behavior_file(path: str) -> tuple[BehaviorLog, int, int]:
     """Parse without remapping. Returns (log, dropped_records,
     deduped_participants); the log spans ids up to the largest one read.
 
-    Each id column is parsed by one C-level call. If any line is not plain
-    (a blank or a sign in an id, say, or a bad line), every line is parsed
-    token by token up to the first bad one; the lines before it are kept,
-    dropped and deduplicated as in a clean file, and then its error is raised.
+    The lines before the first bad one are kept, dropped and deduplicated as
+    in a clean file, and then its error is raised.
     """
-    linenos, fields = _numbered_fields(path)
-    raw = _behavior_columns(fields)
-    error = None
-    if raw is None:
-        rows, parts = [], []
-        for lineno, line_fields in zip(linenos, fields):
-            try:
-                initiator, item, success, participants = _parse_behavior_line(line_fields, f"{path}:{lineno}")
-            except IngestError as exc:
-                error = exc
-                break
-            rows.append((initiator, item, success, len(participants)))
-            parts.extend(participants)
-        raw = BehaviorLog.from_rows(rows, parts, 0, 0)
+    ids, counts, linenos, bad = _read_lines(path, BEHAVIOR_LINES)
+    last = np.cumsum(counts) - 1  # each line's success flag
+    first = last - counts + 1  # each line's initiator
+    listed = np.ones(ids.shape[0], dtype=bool)
+    listed[first] = listed[first + 1] = listed[last] = False
+    part_indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts - 3, out=part_indptr[1:])
+    raw = BehaviorLog(ids[first], ids[first + 1], ids[last] == 1, part_indptr, ids[listed], 0, 0)
 
     # participants: first occurrences per record, in order; a stable sort by
     # (record, id) puts each repeat right after the occurrence it repeats
@@ -294,8 +279,8 @@ def parse_behavior_file(path: str) -> tuple[BehaviorLog, int, int]:
     kept = np.flatnonzero(~dropped)
     for i in np.flatnonzero(dropped).tolist():
         log.warning("%s: initiator %d listed as participant, record dropped", f"{path}:{linenos[i]}", raw.initiator[i])
-    if error is not None:
-        raise error
+    if bad is not None:
+        _check_behavior_line(*bad)
 
     keep = ~repeat & ~dropped[rec]
     part_indptr = np.zeros(kept.shape[0] + 1, dtype=np.int64)
@@ -308,21 +293,15 @@ def parse_behavior_file(path: str) -> tuple[BehaviorLog, int, int]:
 
 
 def parse_social_file(path: str) -> np.ndarray:
-    """``(E, 2)`` id pairs; each column is parsed by one C-level call, or,
-    if any line is not plain, every line token by token."""
-    linenos, fields = _numbered_fields(path)
-    if all(len(f) == 2 for f in fields):
-        a, b = zip(*fields) if fields else ((), ())
-        pairs = (_c_column(a), _c_column(b))
-        if pairs[0] is not None and pairs[1] is not None:
-            return np.stack(pairs, axis=1)
-    rows: list[tuple[int, int]] = []
-    for lineno, line_fields in zip(linenos, fields):
-        where = f"{path}:{lineno}"
-        if len(line_fields) != 2:
-            raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(line_fields)}")
-        rows.append((_parse_int(line_fields[0], where), _parse_int(line_fields[1], where)))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    """``(E, 2)`` id pairs, or the first bad line's error."""
+    ids, _, _, bad = _read_lines(path, SOCIAL_LINES)
+    if bad is not None:
+        fields, where = bad
+        if len(fields) != 2:
+            raise IngestError(f"{where}: expected 2 tab-separated fields, got {len(fields)}")
+        for tok in fields:
+            _check_id_token(tok, where)
+    return ids.reshape(-1, 2)
 
 
 def ingest(behavior_path: str, social_path: str | None) -> tuple[BehaviorLog, SocialGraph, DatasetStats]:

@@ -21,7 +21,10 @@ def from_records(records, num_users: int | None = None, num_items: int | None = 
     if num_items is None:
         num_items = 1 + max((r.item for r in records), default=-1)
     rows = [(r.initiator, r.item, r.success, len(r.participants)) for r in records]
-    return BehaviorLog.from_rows(rows, [p for r in records for p in r.participants], num_users, num_items)
+    initiator, item, success, counts = np.array(rows, dtype=np.int64).reshape(-1, 4).T.copy()
+    participants = np.array([p for r in records for p in r.participants], dtype=np.int64)
+    part_indptr = np.concatenate([[0], np.cumsum(counts)])
+    return BehaviorLog(initiator, item, success.astype(bool), part_indptr, participants, num_users, num_items)
 
 
 def records_of(log: BehaviorLog) -> list[BehaviorRecord]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -290,24 +291,25 @@ INT64_MAX = 2**63 - 1
 
 
 def _id_token(tok: str, where: str) -> int:
-    try:
-        value = int(tok)
-    except ValueError:
-        raise IngestError(f"{where}: not an integer: {tok!r}") from None
-    if value < 0:
-        raise IngestError(f"{where}: negative id: {value}")
-    if value > INT64_MAX:
-        raise IngestError(f"{where}: id {value} too large (max {INT64_MAX})")
-    return value
+    """An id is ASCII digits, leading zeros allowed, with a value of at most INT64_MAX."""
+    if not re.fullmatch("-?[0-9]+", tok):
+        raise IngestError(f"{where}: not an integer: {tok!r}")
+    if tok[0] == "-":
+        raise IngestError(f"{where}: negative id: -{int(tok[1:])}")
+    if int(tok) > INT64_MAX:
+        raise IngestError(f"{where}: id {int(tok)} too large (max {INT64_MAX})")
+    return int(tok)
 
 
 def _lines(path: str):
-    """``(line number, "path:line", tab-separated fields)`` of each non-empty line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if line:
-                yield lineno, f"{path}:{lineno}", line.split("\t")
+    """``(line number, "path:line", tab-separated fields)`` of each non-empty
+    line, with ``\\r\\n`` and ``\\r`` read as ``\\n`` and each byte that is not
+    UTF-8 read as its ``\\xNN`` escape."""
+    with open(path, "rb") as fh:
+        text = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n").decode("utf-8", "backslashreplace")
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line:
+            yield lineno, f"{path}:{lineno}", line.split("\t")
 
 
 def parse_behavior_oracle(path: str, warnings: list | None = None):

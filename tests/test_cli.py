@@ -286,7 +286,8 @@ def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     # 20,000 items: far more output than the pipe holds once the reader is gone
     num_items = 20_000
     datadir = tmp_path / "data"
-    train = BehaviorLog.from_rows([(0, 0, 1, 1)], [1], 2, num_items)
+    # user 0 launched item 0, and user 1 joined
+    train = BehaviorLog(np.array([0]), np.array([0]), np.array([True]), np.array([0, 1]), np.array([1]), 2, num_items)
     negatives = CSR(2, num_items, np.zeros(3, dtype=np.int64), np.empty(0, dtype=np.int64))
     split = DatasetSplit(train, train.take([]), train.take([]), negatives, 2, num_items)
     save_split_dir(
@@ -459,7 +460,14 @@ def test_missing_input_exits_1(tmp_path, capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("name, line", [("behaviors.tsv", "5\t99999999999999999999\t-\t1"), ("social.tsv", "99999999999999999999\t1")])
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("behaviors.tsv", "5\t99999999999999999999\t-\t1"),
+        ("social.tsv", "99999999999999999999\t1"),
+        ("behaviors.tsv", "5\t9223372036854775808\t-\t1"),  # fits uint64: only the bound stops it
+    ],
+)
 def test_prepare_rejects_an_id_past_int64(pipeline, tmp_path, capsys, name, line):
     paths = {}
     for key in ("behaviors", "social"):
@@ -475,7 +483,8 @@ def test_prepare_rejects_an_id_past_int64(pipeline, tmp_path, capsys, name, line
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1
-    assert f"{name}:2: id 99999999999999999999 too large" in err
+    big = max(line.split("\t"), key=len)
+    assert f"{name}:2: id {big} too large" in err
 
 
 def test_config_file_feeds_train(pipeline, tmp_path, capsys):

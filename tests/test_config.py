@@ -2,6 +2,7 @@
 
 import pytest
 
+from gbrec.cli import main
 from gbrec.config import (
     FALSE_WORDS,
     TRUE_WORDS,
@@ -58,6 +59,23 @@ def test_parse_collects_all_syntax_problems_with_locations(tmp_path):
 def test_parse_value_may_contain_equals(tmp_path):
     path = write(tmp_path, "note = a=b\n")
     assert parse_kv_file(path) == {"note": "a=b"}
+
+
+def test_parse_locates_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"dim = 16\r\nalpha = \xff\rbeta = 0.1\n= \x90\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_kv_file(str(path))
+    assert exc.value.problems == [f"{path}:2: not valid UTF-8", f"{path}:4: not valid UTF-8"]
+
+
+def test_train_with_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"dim = 8\nepochs = \xff\n")
+    code = main(["train", "--data", str(tmp_path / "no-data"), "--outdir", str(tmp_path / "m"), "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: invalid configuration:\n  {path}:2: not valid UTF-8\n"
 
 
 # ---------------------------------------------------------------------------

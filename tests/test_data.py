@@ -78,6 +78,13 @@ def test_parse_behavior_drops_record_when_initiator_joins_itself(tmp_path):
         ("1\t2\t\t1", "empty participant"),
         ("1\t2\t-\t2", "success flag"),
         ("1\t2\t3,y\t0", "not an integer"),
+        ("+5\t2\t-\t1", "not an integer: '\\+5'"),
+        (" 5\t2\t-\t1", "not an integer: ' 5'"),
+        ("1_0\t2\t-\t1", "not an integer: '1_0'"),
+        ("\u0663\t2\t-\t1", "not an integer: '\u0663'"),
+        ("1\t2\t-0\t1", "negative id: -0$"),
+        # past the digits that int() reads from text
+        pytest.param("1" * 5000 + "\t2\t-\t1", "id 1{5000} too large", id="5000-digit-id"),
     ],
 )
 def test_parse_behavior_rejects_malformed(tmp_path, line, fragment):
@@ -100,7 +107,7 @@ def test_parse_social(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the C-level id parse against the token-by-token oracles
+# the bulk parse against the token-by-token oracles
 
 # ids of a small space, so repeats, self-joins and out-of-range ids are common
 PLAIN_IDS = st.integers(0, 7).map(str)
@@ -110,19 +117,23 @@ ODD_IDS = st.sampled_from(
     [" 5", "+5", "5 ", "1_0", "٣", "", "-3", "-0", "007", "+ 5", "-", " ", "1.0", "x",
      "99999999999999999999", "-99999999999999999999", "9223372036854775807"]
 )
+# bytes that are not UTF-8 or not text, each put into a line at a drawn place
+ODD_BYTES = st.sampled_from([b"\x90", b"\xff", b"\x00"])
 
 
 @st.composite
 def tsv_files(draw, kind):
-    """Lines of a behavior or social file: plain ids or odd tokens too, and
+    """The bytes of a behavior or social file: plain ids or odd tokens too,
     well-formed lines or bad field counts, flags and participant fields and
-    empty lines too."""
-    odd_ids, odd_lines = draw(st.booleans()), draw(st.booleans())
+    empty lines too, and, with odd bytes, stray non-UTF-8 and NUL bytes,
+    ``\\r\\n`` and ``\\r`` line ends and no final line end."""
+    odd_ids, odd_lines, odd_bytes = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
     ids = st.one_of(PLAIN_IDS, ODD_IDS) if odd_ids else PLAIN_IDS
     lists = st.lists(ids, min_size=1, max_size=5).map(",".join)
     flags = st.sampled_from(["0", "1", "2", "", "01"] if odd_lines else ["0", "1"])
     participants = st.sampled_from(["-", ""] if odd_lines else ["-"]) | lists
-    lines = []
+    ends = st.sampled_from([b"\n", b"\r\n", b"\r"] if odd_bytes else [b"\n"])
+    text = b""
     for _ in range(draw(st.integers(0, 8))):
         if kind == "behaviors":
             fields = [draw(ids), draw(ids), draw(participants), draw(flags)]
@@ -130,12 +141,18 @@ def tsv_files(draw, kind):
             fields = [draw(ids), draw(ids)]
         if odd_lines and draw(st.integers(0, 4)) == 0:
             fields = draw(st.sampled_from([fields[:-1], fields + ["1"], ["1,2"] + fields[1:], []]))
-        lines.append("\t".join(fields))
-    return "".join(line + "\n" for line in lines)
+        line = "\t".join(fields).encode()
+        if odd_bytes and draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(ODD_BYTES) + line[at:]
+        text += line + draw(ends)
+    if odd_bytes and draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    return text
 
 
-def _write_temp(text):
-    fh = tempfile.NamedTemporaryFile("w", encoding="utf-8", suffix=".tsv", delete=False)
+def _write_temp(text: bytes):
+    fh = tempfile.NamedTemporaryFile("wb", suffix=".tsv", delete=False)
     with fh:
         fh.write(text)
     return fh.name

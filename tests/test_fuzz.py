@@ -1,4 +1,5 @@
-"""Truncated and bit-flipped checkpoints, ``stats.json`` and ``split.npz`` files.
+"""Truncated and bit-flipped checkpoints, ``stats.json`` and ``split.npz``
+files, and damaged raw files and config files.
 
 Whatever byte a file is cut at and whichever single bit is flipped, the
 loaders raise only their own error (``CheckpointError``, ``IngestError``) or
@@ -7,6 +8,11 @@ on standard error and nothing on standard output. A flip inside the tensor
 payload can leave a checkpoint that loads: the format carries no digest. A
 ``split.npz`` that loads after a flip holds exactly the arrays it held
 before: each member's CRC-32 covers its header and data.
+
+A ``behaviors.tsv`` or ``social.tsv`` cut at any byte, with any bit flipped
+or with any byte replaced, is prepared, or is one error line naming that
+file, with exit code 1. A config file damaged the same way trains, or is one
+``ConfigError`` whose every problem names that file, with exit code 2.
 """
 
 import io
@@ -54,7 +60,13 @@ def world(tmp_path_factory):
         stats = fh.read()
     with open(os.path.join(data, "split.npz"), "rb") as fh:
         npz = fh.read()
-    return {"data": data, "checkpoints": blobs, "stats": stats, "npz": npz, "split": split_arrays(data)}
+    raw_files = {}
+    for path in (behaviors, social):
+        with open(path, "rb") as fh:
+            raw_files[os.path.basename(path)] = fh.read()
+    return {
+        "data": data, "checkpoints": blobs, "stats": stats, "npz": npz, "split": split_arrays(data), "raw": raw_files,
+    }
 
 
 def header_bytes(blob: bytes) -> int:
@@ -277,3 +289,76 @@ def test_a_bit_flipped_split_npz_loads_as_before_or_fails_with_one_ingest_error(
     path = with_npz(world, tmp_path, flip(blob, npz_position(blob, case, 8)))
     loaded = loads_as_before(world, path)
     assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), path) == (0 if loaded else 1)
+
+
+# ---------------------------------------------------------------------------
+# raw files and config files
+
+
+@st.composite
+def damages(draw):
+    """How a file is damaged (``cut``, ``flip`` or ``replace``), where, as a
+    fraction of its length, and with which bit or byte."""
+    how = draw(st.sampled_from(["cut", "flip", "replace"]))
+    return how, draw(st.floats(0.0, 1.0, exclude_max=True)), draw(st.integers(0, 255))
+
+
+def damage(blob: bytes, case) -> bytes:
+    how, fraction, value = case
+    at = int(fraction * len(blob))
+    if how == "cut":
+        return blob[:at]
+    if how == "flip":
+        return flip(blob, 8 * at + value % 8)
+    return blob[:at] + bytes([value]) + blob[at + 1 :]
+
+
+@FUZZ
+@given(name=st.sampled_from(["behaviors.tsv", "social.tsv"]), case=damages())
+@example(name="behaviors.tsv", case=("replace", 0.5, 0x90))
+@example(name="social.tsv", case=("flip", 0.5, 7))
+@example(name="behaviors.tsv", case=("cut", 0.5, 0))
+def test_a_damaged_raw_file_prepares_or_fails_with_one_located_error(world, tmp_path, capsys, name, case):
+    paths = {}
+    for raw_name, blob in world["raw"].items():
+        paths[raw_name] = str(tmp_path / raw_name)
+        with open(paths[raw_name], "wb") as fh:
+            fh.write(damage(blob, case) if raw_name == name else blob)
+    capsys.readouterr()
+    code = main(
+        ["prepare", paths["behaviors.tsv"], paths["social.tsv"], "--outdir", str(tmp_path / "data"),
+         "--seed", "3", "--negatives", "8"]
+    )
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {paths[name]}:"), err
+
+
+# every key is also a flag of TRAIN_ARGS, which overrides it: the run stays
+# small whatever the damage leaves, and only the file's own problems remain
+CONFIG = b"# the flags override every key\ndim = 4\npretrain_epochs = 1\n\nepochs = 1\nbatch_size = 64\n"
+
+
+@FUZZ
+@given(case=damages())
+@example(case=("replace", 0.5, 0xFF))
+@example(case=("flip", 0.3, 7))
+def test_a_damaged_config_file_trains_or_fails_with_one_located_config_error(world, tmp_path, capsys, case):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(damage(CONFIG, case))
+    outdir = tmp_path / "model"
+    shutil.rmtree(outdir, ignore_errors=True)
+    capsys.readouterr()
+    code = main(
+        ["train", "--data", world["data"], "--outdir", str(outdir), "--model", "gbmf", "--config", str(path),
+         *TRAIN_ARGS]
+    )
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code:
+        assert out == ""
+        head, *problems = err.splitlines()
+        assert head == "error: invalid configuration:" and problems, err
+        assert all(p.startswith(f"  {path}") for p in problems), err
