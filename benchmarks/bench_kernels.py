@@ -31,11 +31,17 @@ training. Usage::
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
 
 import numpy as np
 
 from gbrec import kernels, model
+
+# the test suite's switch between the sparse and the dense products
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+from conftest import forced_products  # noqa: E402
 
 ROLES = ("segment_sum", "scatter", "gap_user_side", "gap_item_side", "mean", "score_pass")
 DENSE_LIMIT = 1 << 24  # cells past which the mean role times no dense matrix (64 MB in float32)
@@ -64,11 +70,11 @@ def best_of(fn, repeats: int = 5) -> float:
 def time_paths(name: str, fns: dict, picked: str, repeats: int, dense_ok: bool = True) -> None:
     """Print one line per function: its sparse time, its dense time and the path the rule picks."""
     for label, fn in fns.items():
-        with model.forced_products("sparse"):
+        with forced_products("sparse"):
             sparse = f"{best_of(fn, repeats) * 1e3:8.2f} ms"
         dense = "skipped"
         if dense_ok:
-            with model.forced_products("dense"):
+            with forced_products("dense"):
                 fn()  # builds and caches the dense matrix, as the first call of a run does
                 dense = f"{best_of(fn, repeats) * 1e3:8.2f} ms"
         print(f"{name + '.' + label:<17} sparse {sparse}  dense {dense:>11}  picks {picked}")

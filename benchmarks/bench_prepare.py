@@ -33,14 +33,11 @@ import sys
 import tempfile
 import time
 
-from gbrec.data import (
-    DEFAULT_EVAL_NEGATIVES,
-    SPLIT_FILE,
+from gbrec.data import DEFAULT_EVAL_NEGATIVES, SPLIT_FILE, load_split_dir, load_train_dir
+from gbrec.rawdata import (
     _split_arrays,
     _write_npz,
     ingest,
-    load_split_dir,
-    load_train_dir,
     save_split_dir,
     split_leave_one_out,
     write_behaviors,

@@ -25,8 +25,9 @@ import time
 
 import numpy as np
 
-from gbrec.data import write_behaviors
-from gbrec.synthetic import SynthConfig, build_planted, simulate
+from gbrec.config import SynthConfig
+from gbrec.rawdata import write_behaviors
+from gbrec.synthetic import build_planted, simulate
 
 
 def main() -> int:

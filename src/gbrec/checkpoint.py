@@ -1,0 +1,137 @@
+"""Binary checkpoints: one trained model's tensors and hyperparameters.
+
+Layout, little-endian: the magic ``GBGC``; six uint32s (format version, model
+type code, users P, items Q, embedding width d, layers L, which is 0 for the
+flat models); two uint32s (the length of the hyperparameter JSON, and header
+flags, always 0); the hyperparameters as compact sorted JSON; then every
+tensor of the model type, in ``TENSOR_FIELDS`` or ``FLAT_TENSOR_FIELDS``
+order, as float32. Reading checks every field, and every failure is one
+``CheckpointError`` naming the file.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from .config import CheckpointError, Hyperparams
+from .model import FLAT_TENSOR_FIELDS, TENSOR_FIELDS, FlatParams, ModelParams
+
+MODEL_TYPE_CODES = {"gbgcn": 0, "gbmf": 1, "mf": 2}
+CODE_TO_MODEL_TYPE = {v: k for k, v in MODEL_TYPE_CODES.items()}
+CHECKPOINT_MAGIC = b"GBGC"
+CHECKPOINT_VERSION = 1
+
+
+def _tensor_fields(model_type: str) -> tuple[str, ...]:
+    return TENSOR_FIELDS if model_type == "gbgcn" else FLAT_TENSOR_FIELDS
+
+
+@dataclass
+class Checkpoint:
+    model_type: str
+    params: object
+    hp: Hyperparams
+
+
+def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams) -> None:
+    if model_type not in MODEL_TYPE_CODES:
+        raise ValueError(f"unknown model type {model_type!r}")
+    P, d = params.user_emb.shape
+    Q = params.item_emb.shape[0]
+    L = hp.num_layers if model_type == "gbgcn" else 0
+    hp_json = json.dumps(hp.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+    buf = bytearray()
+    buf += CHECKPOINT_MAGIC
+    buf += struct.pack("<IIIIII", CHECKPOINT_VERSION, MODEL_TYPE_CODES[model_type], P, Q, d, L)
+    buf += struct.pack("<II", len(hp_json), 0)
+    buf += hp_json
+    for name in _tensor_fields(model_type):
+        buf += np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(bytes(buf))
+
+
+def _has_field_type(value, template) -> bool:
+    """JSON ``value`` fits the type of a ``Hyperparams`` default (ints pass as floats)."""
+    if isinstance(template, bool) or isinstance(value, bool):
+        return isinstance(template, bool) and isinstance(value, bool)
+    if isinstance(template, tuple):
+        return isinstance(value, list) and all(isinstance(k, int) and not isinstance(k, bool) for k in value)
+    if isinstance(template, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(template))
+
+
+def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int) -> Hyperparams:
+    """The stored hyperparameters, checked for type, for ``validate()`` and
+    against the header's ``d`` and ``L``; every problem is one CheckpointError."""
+    try:
+        values = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: hyperparameters are not JSON ({exc})") from None
+    if not isinstance(values, dict):
+        raise CheckpointError(f"{path}: hyperparameters are not a JSON object")
+    defaults = vars(Hyperparams())
+    problems = [
+        f"{name} must be {type(defaults[name]).__name__}, got {value!r}"
+        for name, value in values.items()
+        if name in defaults and not _has_field_type(value, defaults[name])
+    ]
+    if not problems:
+        hp = Hyperparams.from_dict(values)
+        problems = hp.validate()
+        if hp.dim != d:
+            problems.append(f"dim {hp.dim} does not match the header's d = {d}")
+        if model_type == "gbgcn" and hp.num_layers != L:
+            problems.append(f"num_layers {hp.num_layers} does not match the header's L = {L}")
+    if problems:
+        raise CheckpointError(f"{path}: bad hyperparameters: " + "; ".join(problems))
+    return hp
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(blob):
+            raise CheckpointError(f"{path}: truncated checkpoint")
+        out = blob[off : off + n]
+        off += n
+        return out
+
+    if take(4) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+    version, code, P, Q, d, L = struct.unpack("<IIIIII", take(24))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    if code not in CODE_TO_MODEL_TYPE:
+        raise CheckpointError(f"{path}: unknown model type code {code}")
+    model_type = CODE_TO_MODEL_TYPE[code]
+    hp_len, flags = struct.unpack("<II", take(8))
+    if flags:
+        raise CheckpointError(f"{path}: unsupported header flags {flags:#x}")
+    hp = _checked_hyperparams(path, take(hp_len), model_type, d, L)
+
+    width = (L + 1) * d
+    shapes = {"user_emb": (P, d), "item_emb": (Q, d)}
+    for name in TENSOR_FIELDS[2:]:
+        shapes[name] = (width,) if name.startswith("b_") else (width, width)
+
+    tensors = {}
+    for name in _tensor_fields(model_type):
+        shape = shapes[name]
+        count = int(np.prod(shape))
+        tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * count), dtype="<f4").reshape(shape))
+        if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
+            raise CheckpointError(f"{path}: {name} holds a non-finite value")
+    params = ModelParams(**tensors) if model_type == "gbgcn" else FlatParams(**tensors)
+    if off != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+    return Checkpoint(model_type, params, hp)

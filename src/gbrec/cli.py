@@ -4,6 +4,12 @@ One orchestration layer over the library; no modelling logic lives here.
 Results go to standard output, diagnostics to standard error, and the exit
 code is 0 exactly when the command completed. Every command is deterministic
 given its inputs and the seed, with BLAS at one thread.
+
+Each command imports the modules it runs when it starts, so a command
+compiles and loads only its own code: ``recommend`` with a flat checkpoint
+never loads the trainer, the loss or the graphs, and ``synth`` never loads
+the model. At the top are only the parser's needs (the two configurations in
+``config``) and ``data``, which every command reads or writes through.
 """
 
 from __future__ import annotations
@@ -18,29 +24,18 @@ from dataclasses import fields as dc_fields
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, coerce_value, load_typed
-from .data import (
-    DEFAULT_EVAL_NEGATIVES,
-    IngestError,
-    ingest,
-    load_split_dir,
-    load_train_dir,
-    save_split_dir,
-    split_leave_one_out,
-    user_interactions,
-)
-from .evaluate import evaluate_ranking, negatives_digest
-from .graphs import build_graphs
-from .model import ACTIVATIONS, MODEL_TYPES, Hyperparams, flat_embeddings, forward
-from .synthetic import SynthConfig, generate
-from .trainer import (
+from .config import (
+    ACTIVATIONS,
+    MODEL_TYPES,
     CheckpointError,
+    ConfigError,
+    Hyperparams,
+    SynthConfig,
     TrainingError,
-    load_checkpoint,
-    save_checkpoint,
-    train_model,
-    write_training_log,
+    coerce_value,
+    load_typed,
 )
+from .data import DEFAULT_EVAL_NEGATIVES, IngestError, load_split_dir, load_train_dir, user_interactions
 
 log = logging.getLogger("gbrec.cli")
 
@@ -88,6 +83,8 @@ def _overrides(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 
 def _embeddings_from_checkpoint(ckpt, train, social):
+    from .model import flat_embeddings, forward
+
     P = ckpt.params.user_emb.shape[0]
     Q = ckpt.params.item_emb.shape[0]
     if P != train.num_users or Q != train.num_items:
@@ -96,6 +93,8 @@ def _embeddings_from_checkpoint(ckpt, train, social):
             f"{train.num_users} x {train.num_items}"
         )
     if ckpt.model_type == "gbgcn":
+        from .graphs import build_graphs
+
         bundle = build_graphs(train, ckpt.hp.failed_participant_edges)
         return forward(bundle, social, ckpt.params, ckpt.hp).emb
     return flat_embeddings(
@@ -108,6 +107,9 @@ def _embeddings_from_checkpoint(ckpt, train, social):
 
 
 def cmd_prepare(args) -> int:
+    from .evaluate import negatives_digest
+    from .rawdata import ingest, save_split_dir, split_leave_one_out
+
     if args.negatives < 1:
         print(f"error: --negatives must be >= 1, got {args.negatives}", file=sys.stderr)
         return 2
@@ -124,6 +126,9 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .checkpoint import save_checkpoint
+    from .trainer import train_model, write_training_log
+
     hp = load_typed(Hyperparams, args.config, _overrides(args, HP_KEYS))
     split, social, _stats = load_split_dir(args.data)
     result = train_model(args.model, split, social, hp, args.seed)
@@ -140,6 +145,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .checkpoint import load_checkpoint
+    from .evaluate import evaluate_ranking, negatives_digest
+
     if args.ks is not None and min(args.ks) < 1:
         print(f"error: --ks must be >= 1, got {min(args.ks)}", file=sys.stderr)
         return 2
@@ -165,6 +173,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    from .checkpoint import load_checkpoint
+
     if args.k < 1:
         print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
         return 2
@@ -183,6 +193,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synthetic import generate
+
     cfg = load_typed(SynthConfig, args.config, _overrides(args, SYNTH_KEYS))
     result = generate(cfg, args.seed, args.outdir)
     for key, value in result.counters.items():

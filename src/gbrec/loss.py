@@ -23,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from .config import Hyperparams
 from .data import BehaviorLog, SocialGraph
-from .model import EmbeddingSet, Hyperparams, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
+from .model import EmbeddingSet, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
 
 
 def softplus(x):

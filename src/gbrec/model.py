@@ -29,20 +29,18 @@ needed); every reduction has a fixed order, keeping runs reproducible.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .config import finite_first
-from .data import SocialGraph
-from .graphs import HeteroGraphBundle
+from .config import Hyperparams
 from .kernels import CSR
 
-ACTIVATIONS = ("leaky_relu", "identity", "tanh")
-MODEL_TYPES = ("gbgcn", "gbmf", "mf")
+if TYPE_CHECKING:  # annotations only: a flat scorer needs neither module
+    from .data import SocialGraph
+    from .graphs import HeteroGraphBundle
 
 # terms per chunk of EmbeddingSet.score_gaps, so its gathered rows stay in
 # cache: at width 48, chunks of 4096 or more score a desk batch 2-3x slower
@@ -58,101 +56,6 @@ SCORE_CHUNK = 2048
 # neither scorer runs measurably slower dense; desk batches have about 2
 # cells per term, gbmf-wide's about 58
 SCORE_DENSE_RATIO = 16
-
-
-@contextmanager
-def forced_products(path: str):
-    """Run every graph mean and every composite score pass on ``path``
-    ("sparse" or "dense"), whatever the shape rules pick, by setting the
-    rules' constants for the duration. This is the one place that knows which
-    constants force which path."""
-    global SCORE_DENSE_RATIO
-    saved = kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO
-    if path == "dense":
-        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO = 0.0, float("inf"), float("inf")
-    elif path == "sparse":
-        kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO = 0, 0
-    else:
-        raise ValueError(f"path must be 'sparse' or 'dense', got {path!r}")
-    try:
-        yield
-    finally:
-        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, SCORE_DENSE_RATIO = saved
-
-
-@dataclass
-class Hyperparams:
-    dim: int = 32
-    num_layers: int = 2
-    alpha: float = 0.6
-    beta: float = 0.05
-    activation: str = "leaky_relu"
-    activation_slope: float = 0.2
-    neg_ratio: int = 1
-    l2_coeff: float = 1e-5
-    social_reg_coeff: float = 1e-5
-    batch_size: int = 4096
-    epochs: int = 500
-    pretrain_epochs: int = 50
-    pretrain_lr: float = 1e-3
-    # the ranking loss sums over batch terms, so workable rates scale inversely
-    # with batch size; 1e-2 trains stably at batch_size=4096 on desk-scale data
-    finetune_lr: float = 1e-2
-    role_scores: bool = False
-    renormalize_alpha: bool = False
-    failed_participant_edges: bool = True
-    eval_ks: tuple[int, ...] = (3, 5, 10, 20)
-
-    def validate(self) -> list[str]:
-        """Collect every config problem instead of stopping at the first."""
-        return finite_first(self, self._range_problems())
-
-    def _range_problems(self) -> list[str]:
-        problems = []
-        if self.dim < 1:
-            problems.append(f"dim must be >= 1, got {self.dim}")
-        if self.num_layers < 0:
-            problems.append(f"num_layers must be >= 0, got {self.num_layers}")
-        if not 0.0 <= self.alpha <= 1.0:
-            problems.append(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta < 0:
-            problems.append(f"beta must be >= 0, got {self.beta}")
-        if self.activation not in ACTIVATIONS:
-            problems.append(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.activation_slope < 0:
-            problems.append(f"activation_slope must be >= 0, got {self.activation_slope}")
-        if self.neg_ratio < 1:
-            problems.append(f"neg_ratio must be >= 1, got {self.neg_ratio}")
-        if self.l2_coeff < 0:
-            problems.append(f"l2_coeff must be >= 0, got {self.l2_coeff}")
-        if self.social_reg_coeff < 0:
-            problems.append(f"social_reg_coeff must be >= 0, got {self.social_reg_coeff}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            problems.append(f"epochs must be >= 0, got {self.epochs}")
-        if self.pretrain_epochs < 0:
-            problems.append(f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        if self.pretrain_lr <= 0:
-            problems.append(f"pretrain_lr must be > 0, got {self.pretrain_lr}")
-        if self.finetune_lr <= 0:
-            problems.append(f"finetune_lr must be > 0, got {self.finetune_lr}")
-        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
-            problems.append(f"eval_ks must be positive integers, got {self.eval_ks}")
-        return problems
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        out["eval_ks"] = list(self.eval_ks)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparams":
-        known = {f.name for f in dc_fields(cls)}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        if "eval_ks" in kwargs:
-            kwargs["eval_ks"] = tuple(int(k) for k in kwargs["eval_ks"])
-        return cls(**kwargs)
 
 
 # six cross-view branches: (name, target slot, source slot, bundle graph,

@@ -44,67 +44,13 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import finite_first
-from .data import BehaviorLog, SocialGraph, write_behaviors, write_social
-
-
-@dataclass
-class SynthConfig:
-    num_users: int = 500
-    num_items: int = 200
-    latent_dim: int = 8
-    num_records: int = 20000
-    mean_friends: float = 8.0
-    activity_concentration: float = 2.0
-    item_temp: float = 0.2
-    join_scale: float = 4.0
-    join_bias: float = -1.0
-    success_threshold: int = 2
-    role_correlation: float = 0.5
-    launch_social_mix: float = 0.5
-
-    def validate(self) -> list[str]:
-        # inf would also overflow the generator
-        return finite_first(self, self._range_problems())
-
-    def _range_problems(self) -> list[str]:
-        problems = []
-        if self.num_users < 2:
-            problems.append(f"num_users must be >= 2, got {self.num_users}")
-        if self.num_items < 2:
-            problems.append(f"num_items must be >= 2, got {self.num_items}")
-        if self.latent_dim < 1:
-            problems.append(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.num_records < max(self.num_users, self.num_items):
-            problems.append(
-                "num_records must be >= max(num_users, num_items) so every id can appear, "
-                f"got {self.num_records}"
-            )
-        if self.mean_friends < 0:
-            problems.append(f"mean_friends must be >= 0, got {self.mean_friends}")
-        if self.activity_concentration <= 0:
-            problems.append(f"activity_concentration must be > 0, got {self.activity_concentration}")
-        if self.item_temp <= 0:
-            problems.append(f"item_temp must be > 0, got {self.item_temp}")
-        if self.success_threshold < 0:
-            problems.append(f"success_threshold must be >= 0, got {self.success_threshold}")
-        if not 0.0 <= self.role_correlation <= 1.0:
-            problems.append(f"role_correlation must be in [0, 1], got {self.role_correlation}")
-        if not 0.0 <= self.launch_social_mix <= 1.0:
-            problems.append(f"launch_social_mix must be in [0, 1], got {self.launch_social_mix}")
-        return problems
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f.name for f in dc_fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
+from .config import SynthConfig
+from .data import BehaviorLog, SocialGraph
+from .rawdata import write_behaviors, write_social
 
 
 @dataclass

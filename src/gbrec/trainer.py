@@ -1,4 +1,4 @@
-"""Two-stage training, hand-rolled optimizers, and binary checkpoints.
+"""Two-stage training and hand-rolled optimizers.
 
 Stage one pretrains the raw embedding tables through the propagation-free
 scorer with an adaptive-moment optimizer, then rescales every embedding row
@@ -17,13 +17,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import struct
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import flatten_interactions
+# bound here for gbbench/checks.py and gbbench/selftest.py, which import them from trainer
+from .checkpoint import load_checkpoint, save_checkpoint  # noqa: F401
+from .config import MODEL_TYPES, Hyperparams, TrainingError
 from .data import BehaviorLog, DatasetSplit, SocialGraph, sample_negatives, user_interactions
 from .evaluate import evaluate_ranking
 from .graphs import HeteroGraphBundle, build_graphs
@@ -40,9 +42,6 @@ from .loss import (
 from .model import (
     FLAT_TENSOR_FIELDS,
     TENSOR_FIELDS,
-    FlatParams,
-    Hyperparams,
-    ModelParams,
     ScoreAdjoint,
     backward,
     flat_backward,
@@ -53,19 +52,6 @@ from .model import (
 )
 
 log = logging.getLogger(__name__)
-
-MODEL_TYPE_CODES = {"gbgcn": 0, "gbmf": 1, "mf": 2}
-CODE_TO_MODEL_TYPE = {v: k for k, v in MODEL_TYPE_CODES.items()}
-CHECKPOINT_MAGIC = b"GBGC"
-CHECKPOINT_VERSION = 1
-
-
-class TrainingError(RuntimeError):
-    pass
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +307,7 @@ def train_model(
     bundle: HeteroGraphBundle | None = None,
 ) -> TrainResult:
     """Pretrain + finetune one of {gbgcn, gbmf, mf} on a prepared split."""
-    if model_type not in MODEL_TYPE_CODES:
+    if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type {model_type!r}")
     hp_eff = hp
     train_log = split.train
@@ -348,119 +334,3 @@ def train_model(
             adapter = FlatModel(social, hp_eff)
         params = finetune_stage(adapter, params, train_log, interactions, split, hp_eff, seed, entries)
     return TrainResult(model_type, params, hp_eff, entries)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: magic, version, model tag, dims, hyperparams, flags (always 0),
-# f32 tensors
-
-
-def _tensor_fields(model_type: str) -> tuple[str, ...]:
-    return TENSOR_FIELDS if model_type == "gbgcn" else FLAT_TENSOR_FIELDS
-
-
-@dataclass
-class Checkpoint:
-    model_type: str
-    params: object
-    hp: Hyperparams
-
-
-def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams) -> None:
-    if model_type not in MODEL_TYPE_CODES:
-        raise ValueError(f"unknown model type {model_type!r}")
-    P, d = params.user_emb.shape
-    Q = params.item_emb.shape[0]
-    L = hp.num_layers if model_type == "gbgcn" else 0
-    hp_json = json.dumps(hp.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<IIIIII", CHECKPOINT_VERSION, MODEL_TYPE_CODES[model_type], P, Q, d, L)
-    buf += struct.pack("<II", len(hp_json), 0)
-    buf += hp_json
-    for name in _tensor_fields(model_type):
-        buf += np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
-
-
-def _has_field_type(value, template) -> bool:
-    """JSON ``value`` fits the type of a ``Hyperparams`` default (ints pass as floats)."""
-    if isinstance(template, bool) or isinstance(value, bool):
-        return isinstance(template, bool) and isinstance(value, bool)
-    if isinstance(template, tuple):
-        return isinstance(value, list) and all(isinstance(k, int) and not isinstance(k, bool) for k in value)
-    if isinstance(template, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(template))
-
-
-def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int) -> Hyperparams:
-    """The stored hyperparameters, checked for type, for ``validate()`` and
-    against the header's ``d`` and ``L``; every problem is one CheckpointError."""
-    try:
-        values = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise CheckpointError(f"{path}: hyperparameters are not JSON ({exc})") from None
-    if not isinstance(values, dict):
-        raise CheckpointError(f"{path}: hyperparameters are not a JSON object")
-    defaults = vars(Hyperparams())
-    problems = [
-        f"{name} must be {type(defaults[name]).__name__}, got {value!r}"
-        for name, value in values.items()
-        if name in defaults and not _has_field_type(value, defaults[name])
-    ]
-    if not problems:
-        hp = Hyperparams.from_dict(values)
-        problems = hp.validate()
-        if hp.dim != d:
-            problems.append(f"dim {hp.dim} does not match the header's d = {d}")
-        if model_type == "gbgcn" and hp.num_layers != L:
-            problems.append(f"num_layers {hp.num_layers} does not match the header's L = {L}")
-    if problems:
-        raise CheckpointError(f"{path}: bad hyperparameters: " + "; ".join(problems))
-    return hp
-
-
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    version, code, P, Q, d, L = struct.unpack("<IIIIII", take(24))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    if code not in CODE_TO_MODEL_TYPE:
-        raise CheckpointError(f"{path}: unknown model type code {code}")
-    model_type = CODE_TO_MODEL_TYPE[code]
-    hp_len, flags = struct.unpack("<II", take(8))
-    if flags:
-        raise CheckpointError(f"{path}: unsupported header flags {flags:#x}")
-    hp = _checked_hyperparams(path, take(hp_len), model_type, d, L)
-
-    width = (L + 1) * d
-    shapes = {"user_emb": (P, d), "item_emb": (Q, d)}
-    for name in TENSOR_FIELDS[2:]:
-        shapes[name] = (width,) if name.startswith("b_") else (width, width)
-
-    tensors = {}
-    for name in _tensor_fields(model_type):
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * count), dtype="<f4").reshape(shape))
-        if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
-            raise CheckpointError(f"{path}: {name} holds a non-finite value")
-    params = ModelParams(**tensors) if model_type == "gbgcn" else FlatParams(**tensors)
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return Checkpoint(model_type, params, hp)

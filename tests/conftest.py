@@ -1,7 +1,28 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from gbrec import model
+from gbrec import kernels, model
+
+
+@contextmanager
+def forced_products(path: str):
+    """Run every graph mean and every composite score pass on ``path``
+    ("sparse" or "dense"), whatever the shape rules pick, by setting the
+    rules' constants for the duration. This is the one place that knows which
+    constants force which path."""
+    saved = kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO
+    if path == "dense":
+        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO = 0.0, float("inf"), float("inf")
+    elif path == "sparse":
+        kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO = 0, 0
+    else:
+        raise ValueError(f"path must be 'sparse' or 'dense', got {path!r}")
+    try:
+        yield
+    finally:
+        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO = saved
 
 
 @pytest.fixture
@@ -13,7 +34,7 @@ def rng():
 def sparse_products():
     """Run every graph mean and every score pass on the sparse kernel, whatever
     the shape rules pick, so a test of that kernel's bits tests that kernel."""
-    with model.forced_products("sparse"):
+    with forced_products("sparse"):
         yield
 
 
@@ -21,5 +42,5 @@ def sparse_products():
 def dense_products():
     """Run every graph mean and every composite score pass with at least one
     term as a dense product, whatever the shape rules pick."""
-    with model.forced_products("dense"):
+    with forced_products("dense"):
         yield

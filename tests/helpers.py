@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from gbrec.config import Hyperparams
 from gbrec.data import BehaviorLog, SocialGraph, user_interactions
 from gbrec.graphs import build_graphs
 from gbrec.kernels import CSR
 from gbrec.loss import BehaviorRecord
-from gbrec.model import Hyperparams, init_params
+from gbrec.model import init_params
 
 import oracles
 

@@ -22,24 +22,24 @@ import numpy as np
 import pytest
 
 from gbrec.baselines import mf_score
-from gbrec.data import SocialGraph, ingest, split_leave_one_out
+from gbrec.checkpoint import load_checkpoint, save_checkpoint
+from gbrec.config import Hyperparams, SynthConfig
+from gbrec.data import SocialGraph
 from gbrec.evaluate import compute_metrics, evaluate_ranking, rank_from_scores
 from gbrec.graphs import build_graphs
 from gbrec.loss import BehaviorRecord, loss_failed, loss_success
 from gbrec.model import (
     BRANCHES,
-    Hyperparams,
     forward,
     init_flat_params,
     init_params,
 )
-from gbrec.synthetic import SynthConfig, generate
+from gbrec.rawdata import ingest, split_leave_one_out
+from gbrec.synthetic import generate
 from gbrec.trainer import (
     FlatModel,
     GCNModel,
-    load_checkpoint,
     loss_and_grads,
-    save_checkpoint,
     train_model,
 )
 

@@ -11,20 +11,20 @@ import sys
 import numpy as np
 import pytest
 
+from gbrec.checkpoint import save_checkpoint
 from gbrec.cli import main
+from gbrec.config import Hyperparams
 from gbrec.data import (
     BehaviorLog,
     DatasetSplit,
-    DatasetStats,
     IngestError,
     SocialGraph,
     load_split_dir,
-    save_split_dir,
     user_interactions,
 )
 from gbrec.kernels import CSR
-from gbrec.model import Hyperparams, init_flat_params, init_params
-from gbrec.trainer import save_checkpoint
+from gbrec.model import init_flat_params, init_params
+from gbrec.rawdata import DatasetStats, save_split_dir
 
 
 SYNTH_ARGS = [
@@ -282,6 +282,12 @@ def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, 
     assert all(part in err for part in parts)
 
 
+def child_env() -> dict:
+    """The environment of a child ``python`` that imports this checkout's gbrec."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     # 20,000 items: far more output than the pipe holds once the reader is gone
     num_items = 20_000
@@ -295,11 +301,9 @@ def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     )
     checkpoint = str(tmp_path / "checkpoint.bin")
     save_checkpoint(checkpoint, "gbmf", init_flat_params(2, num_items, 4, seed=0), Hyperparams(dim=4))
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["recommend", "--checkpoint", checkpoint, "--data", str(datadir), "--user", "1", "--k", str(num_items)]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gbrec.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        [sys.executable, "-m", "gbrec.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -308,6 +312,66 @@ def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     assert proc.wait(timeout=120) == 1
     assert first.count(b"\t") == 1
     assert err == b""
+
+
+# each command runs in a child process, which then writes the gbrec modules it
+# loaded to the file named by its first argument
+LOADED_MODULES = (
+    "import json, sys\n"
+    "from gbrec.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    json.dump(sorted(m for m in sys.modules if m.split('.')[0] == 'gbrec'), fh)\n"
+    "sys.exit(code)\n"
+)
+EVERY_COMMAND = {"gbrec", "gbrec.cli", "gbrec.config", "gbrec.data", "gbrec.kernels"}
+TRAINING = {"baselines", "checkpoint", "evaluate", "graphs", "loss", "model", "trainer"}
+COMMAND_MODULES = {
+    "synth": {"rawdata", "synthetic"},
+    "prepare": {"rawdata", "evaluate"},
+    "train-gbgcn": TRAINING,
+    "train-gbmf": TRAINING,
+    "evaluate-gbgcn": {"checkpoint", "evaluate", "graphs", "model"},
+    "evaluate-gbmf": {"checkpoint", "evaluate", "model"},
+    "recommend-gbgcn": {"checkpoint", "graphs", "model"},
+    "recommend-gbmf": {"checkpoint", "model"},
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """Every command of a tiny pipeline, each in its own process: the gbrec
+    modules that each one loaded."""
+    root = tmp_path_factory.mktemp("imports")
+    raw, data = str(root / "raw"), str(root / "data")
+    small = ["--dim", "4", "--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "64"]
+    steps = {
+        "synth": ["synth", "--outdir", raw, "--seed", "1", *SYNTH_ARGS],
+        "prepare": ["prepare", os.path.join(raw, "behaviors.tsv"), os.path.join(raw, "social.tsv"),
+                    "--outdir", data, "--negatives", "8"],
+    }
+    for model in ("gbgcn", "gbmf"):
+        ckpt = str(root / model / "checkpoint.bin")
+        steps[f"train-{model}"] = ["train", "--data", data, "--outdir", str(root / model), "--model", model, *small]
+        steps[f"evaluate-{model}"] = ["evaluate", "--data", data, "--checkpoint", ckpt]
+        steps[f"recommend-{model}"] = ["recommend", "--data", data, "--checkpoint", ckpt, "--user", "0"]
+    loaded = {}
+    for name, argv in steps.items():
+        out = str(root / f"{name}.json")
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, out, *argv], capture_output=True, env=child_env(), timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        with open(out, encoding="utf-8") as fh:
+            loaded[name] = set(json.load(fh))
+    return loaded
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_its_own_modules(loaded_modules, command):
+    # a module imported at the top of another, where one command needs it,
+    # loads it for every command: this names the command that then loads too much
+    assert loaded_modules[command] == EVERY_COMMAND | {f"gbrec.{m}" for m in COMMAND_MODULES[command]}
 
 
 def _with_hyperparams(src, dst, **changes):

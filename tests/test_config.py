@@ -7,11 +7,12 @@ from gbrec.config import (
     FALSE_WORDS,
     TRUE_WORDS,
     ConfigError,
+    Hyperparams,
+    SynthConfig,
     coerce_value,
     load_typed,
     parse_kv_file,
 )
-from gbrec.model import Hyperparams
 
 
 def write(tmp_path, text):
@@ -163,3 +164,29 @@ def test_load_collects_unknown_keys_bad_types_and_range_problems(tmp_path):
     assert any("beta" in p for p in problems)
     assert len(problems) == 5
     assert str(exc.value).startswith("invalid configuration:")
+
+
+def test_a_range_problem_names_the_file_that_set_the_value(tmp_path):
+    # num_layers comes from the file but a flag replaces it, and beta from the flags alone
+    path = write(tmp_path, "dim = 0\nalpha = inf\nnum_layers = -1\n")
+    with pytest.raises(ConfigError) as exc:
+        load_typed(Hyperparams, path, {"num_layers": -2, "beta": -1.0})
+    assert exc.value.problems == [
+        f"{path}: alpha must be finite, got inf",
+        f"{path}: dim must be >= 1, got 0",
+        "num_layers must be >= 0, got -2",
+        "beta must be >= 0, got -1.0",
+    ]
+    path = write(tmp_path, "num_users = 1\n")
+    with pytest.raises(ConfigError) as exc:
+        load_typed(SynthConfig, path)
+    assert exc.value.problems == [f"{path}: num_users must be >= 2, got 1"]
+
+
+def test_train_with_an_out_of_range_config_value_names_the_file_and_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_text("dim = 0\n", encoding="utf-8")
+    code = main(["train", "--data", str(tmp_path / "no-data"), "--outdir", str(tmp_path / "m"), "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: invalid configuration:\n  {path}: dim must be >= 1, got 0\n"

@@ -10,17 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbrec import data
-from gbrec.data import (
+from gbrec import data, rawdata
+from gbrec.data import IngestError, SocialGraph, load_split_dir, sample_negatives
+from gbrec.rawdata import (
     INT64_MAX,
     DatasetStats,
-    IngestError,
-    SocialGraph,
     ingest,
-    load_split_dir,
     parse_behavior_file,
     parse_social_file,
-    sample_negatives,
     save_split_dir,
     split_leave_one_out,
     write_behaviors,
@@ -181,7 +178,7 @@ def test_parse_behavior_file_equals_the_token_parse(text):
     try:
         want_warnings = []
         want = _outcome(oracles.parse_behavior_oracle, path, want_warnings)
-        logger = logging.getLogger("gbrec.data")
+        logger = logging.getLogger("gbrec.rawdata")
         handler = _Messages()
         logger.addHandler(handler)
         try:
@@ -399,7 +396,7 @@ def written_files(draw):
         )
     )
     original = draw(st.lists(st.integers(0, INT64_MAX), max_size=8, unique=True).map(sorted))
-    chunk = draw(st.sampled_from([1, 2, 5, data.WRITE_CHUNK_TOKENS]))
+    chunk = draw(st.sampled_from([1, 2, 5, rawdata.WRITE_CHUNK_TOKENS]))
     return records, num_users, num_items, pairs, negatives, original, chunk
 
 
@@ -420,8 +417,8 @@ def test_writers_equal_the_line_by_line_writers(case):
         ),
         (lambda p: write_id_map(p, original), lambda p: oracles.write_pairs_oracle(p, enumerate(original.tolist()))),
     ]
-    saved = data.WRITE_CHUNK_TOKENS
-    data.WRITE_CHUNK_TOKENS = chunk
+    saved = rawdata.WRITE_CHUNK_TOKENS
+    rawdata.WRITE_CHUNK_TOKENS = chunk
     try:
         with tempfile.TemporaryDirectory() as tmp:
             got, want = os.path.join(tmp, "got"), os.path.join(tmp, "want")
@@ -431,7 +428,7 @@ def test_writers_equal_the_line_by_line_writers(case):
                 with open(got, "rb") as a, open(want, "rb") as b:
                     assert a.read() == b.read()
     finally:
-        data.WRITE_CHUNK_TOKENS = saved
+        rawdata.WRITE_CHUNK_TOKENS = saved
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +581,7 @@ def test_split_is_the_same_for_any_block_size(monkeypatch, cells):
     records = helpers.make_records(np.random.default_rng(8), 40, 30, 400)
     log = helpers.from_records(records, 40, 30)
     want = split_parts(split_leave_one_out(log, seed=6, num_negatives=12))
-    monkeypatch.setattr(data, "SPLIT_BLOCK_CELLS", cells)
+    monkeypatch.setattr(rawdata, "SPLIT_BLOCK_CELLS", cells)
     assert split_parts(split_leave_one_out(log, seed=6, num_negatives=12)) == want
 
 
@@ -627,7 +624,7 @@ def test_split_rows_hold_min_k_untouched_when_keys_tie(monkeypatch, num_negative
     # exactly min(k, untouched) distinct untouched items, sorted
     records = [BehaviorRecord(u, i, (), True) for u in range(8) for i in range(max(u, 2))]
     log = helpers.from_records(records, 8, 8)
-    monkeypatch.setattr(data.np.random, "default_rng", TiedKeys)
+    monkeypatch.setattr(rawdata.np.random, "default_rng", TiedKeys)
     split = split_leave_one_out(log, seed=0, num_negatives=num_negatives)
     touched = helpers.touched_sets(log)
     assert sorted(helpers.negative_lists(split.eval_negatives)) == list(range(8))
@@ -639,7 +636,7 @@ def test_split_rows_hold_min_k_untouched_when_keys_tie(monkeypatch, num_negative
 
 def test_split_warns_once_per_user_who_touched_every_item(caplog):
     records = [BehaviorRecord(0, i, (), True) for i in range(3)] + [BehaviorRecord(1, 0, (), True)] * 2
-    with caplog.at_level(logging.WARNING, logger="gbrec.data"):
+    with caplog.at_level(logging.WARNING, logger="gbrec.rawdata"):
         split = split_leave_one_out(helpers.from_records(records, 2, 3), seed=0)
     assert [r.getMessage() for r in caplog.records] == ["user 0 interacted with every item; excluded from evaluation"]
     assert sorted(helpers.negative_lists(split.eval_negatives)) == [1]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbrec.data import split_leave_one_out
 from gbrec.evaluate import (
     RANK_BLOCK,
     MetricReport,
@@ -19,6 +18,7 @@ from gbrec.evaluate import (
 )
 from gbrec.loss import BehaviorRecord
 from gbrec.model import EmbeddingSet
+from gbrec.rawdata import split_leave_one_out
 
 import helpers
 import oracles

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbrec.config import SynthConfig
 from gbrec.data import SocialGraph
 from gbrec.graphs import build_graphs
 from gbrec.kernels import CSR
 from gbrec.loss import BehaviorRecord
-from gbrec.synthetic import SynthConfig, build_planted, simulate
+from gbrec.synthetic import build_planted, simulate
 
 import helpers
 

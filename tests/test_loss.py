@@ -23,7 +23,7 @@ from gbrec.loss import (
     softplus,
     total_loss,
 )
-from gbrec.model import Hyperparams, flat_embeddings, forward
+from gbrec.model import forward
 
 import helpers
 import oracles

@@ -8,6 +8,7 @@ normalized-adjacency oracle on random instances.
 import numpy as np
 import pytest
 
+from gbrec.config import Hyperparams
 from gbrec.data import SocialGraph
 from gbrec.graphs import HeteroGraphBundle
 from gbrec.kernels import CSR
@@ -15,7 +16,6 @@ from gbrec.model import (
     BRANCHES,
     SCORE_CHUNK,
     EmbeddingSet,
-    Hyperparams,
     ModelParams,
     activate,
     activate_grad,

@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbrec import synthetic
-from gbrec.data import ingest
+from gbrec.config import SynthConfig
+from gbrec.rawdata import ingest
 from gbrec.synthetic import (
     PlantedModel,
-    SynthConfig,
     build_planted,
     generate,
     load_planted,

@@ -7,23 +7,22 @@ import pytest
 
 from gbrec import kernels
 from gbrec import trainer
-from gbrec.data import DatasetSplit, split_leave_one_out, user_interactions
+from gbrec.checkpoint import load_checkpoint, save_checkpoint
+from gbrec.config import CheckpointError, Hyperparams, TrainingError
+from gbrec.data import DatasetSplit, user_interactions
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
-from gbrec.model import Hyperparams, init_flat_params, init_params
+from gbrec.model import init_flat_params, init_params
+from gbrec.rawdata import split_leave_one_out
 from gbrec.trainer import (
     SGD,
     Adam,
-    CheckpointError,
     FlatModel,
     GCNModel,
-    TrainingError,
     finetune_stage,
-    load_checkpoint,
     loss_and_grads,
     normalize_embedding_rows,
     pretrain_stage,
-    save_checkpoint,
     train_model,
     training_log_hash,
     write_training_log,
