@@ -13,7 +13,10 @@ propagation:
 * ``gbmf``: the same embedding tables, but keeping the group-buying
   supervision -- original records, the composite two-role scoring rule, and
   the failure-flipped terms. Equivalent to the full model with propagation
-  removed.
+  removed. Over raw embeddings the two-role score ``(1-alpha) <user, item> +
+  alpha <friend mean, item>`` is one inner product ``<q[user], item>`` with
+  the query row ``q = (1-alpha) user_emb + alpha social.mean(user_emb)``,
+  and ``model.flat_embeddings`` scores it that way.
 
 Both reuse the trainer's optimizers and the evaluator verbatim, so metric
 deltas against the graph model reflect the model change only.

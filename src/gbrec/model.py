@@ -22,6 +22,14 @@ term otherwise. Desk-scale graphs and batches take the dense products:
 5. prediction for (user m, item n): a (1-alpha)-weighted launch-view inner
    product plus alpha times the mean of friends' join-view inner products.
 
+The flat scorer (gbmf, mf and GBGCN's pretraining) scores raw embeddings,
+where the launch and join item tables are both ``item_emb``. Its score is then
+one inner product ``<q[m], item_emb[n]>`` with the query row ``q = coef *
+user_emb + alpha * social.mean(user_emb)``, ``coef`` being each user's launch
+weight; ``flat_embeddings`` builds ``q`` once per batch, so every flat score,
+gap and adjoint is one product, and ``flat_backward`` chains ``q``'s adjoint
+back to ``user_emb``.
+
 The backward pass mirrors the forward stage by stage over the saved
 intermediates (the graph is static, so no general-purpose autodiff is
 needed); every reduction has a fixed order, keeping runs reproducible.
@@ -30,6 +38,7 @@ needed); every reduction has a fixed order, keeping runs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -49,12 +58,13 @@ SCORE_CHUNK = 2048
 # the score pass runs through one P x Q score matrix when P * Q <=
 # SCORE_DENSE_RATIO * terms, and term by term otherwise. Measured with
 # benchmarks/bench_kernels.py --role score_pass (gaps plus backward, on
-# 500 x 200 and 1000 x 500): the flat scorer (one block of width 16) breaks
-# even near 16 cells per term and runs 1.6-2.7x slower dense at 32; GBGCN's
-# two blocks of width 48 run dense 1.6-4x faster up to 32 and break even
-# between 32 and 128. The ratio sits at the flat scorer's break-even, so
-# neither scorer runs measurably slower dense; desk batches have about 2
-# cells per term, gbmf-wide's about 58
+# 500 x 200 and 1000 x 500): the flat scorer (one query block of width 16,
+# --blocks 1) runs dense 1.6-1.8x faster at 8 cells per term, breaks even
+# between 12 and 16 (dense 1.0-1.2x slower at 16), and runs 1.4-2x slower
+# dense at 24 and 1.7-2.9x at 32; GBGCN's two blocks of width 48 run dense
+# 1.6-4x faster up to 32 and break even between 32 and 128. The ratio sits at
+# the flat scorer's break-even, so neither scorer runs much slower dense;
+# desk batches have about 2 cells per term, gbmf-wide's about 58
 SCORE_DENSE_RATIO = 16
 
 
@@ -242,6 +252,21 @@ def propagate_cross_view(
     return Views(**acc), branches
 
 
+def launch_weights(has_friends: np.ndarray, alpha: float, renormalize_alpha: bool, dtype) -> np.ndarray:
+    """Each user's weight on the launch term in ``dtype``: ``1 - alpha``, or 1
+    for a friendless user under ``renormalize_alpha``."""
+    dtype = np.dtype(dtype)
+    coef = np.full(has_friends.shape[0], 1.0 - alpha, dtype=dtype)
+    if renormalize_alpha:
+        coef[~has_friends] = dtype.type(1.0)
+    return coef
+
+
+def _block_sum(products):
+    """The sum of per-block products, with no zero to start from."""
+    return reduce(np.add, products)
+
+
 @dataclass
 class EmbeddingSet:
     """Final embeddings as per-stage blocks plus the scoring rule.
@@ -251,6 +276,8 @@ class EmbeddingSet:
     friends' join-view blocks -- zero rows for friendless users, which makes
     the social term vanish for them. ``renormalize_alpha`` optionally scores
     friendless users with an unweighted launch term instead of (1-alpha).
+    A set with no friend-mean blocks has ``alpha`` 0, so every launch weight
+    is 1 and it scores by its launch products alone.
     """
 
     user_launch: list[np.ndarray]
@@ -264,11 +291,10 @@ class EmbeddingSet:
     _coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.friend_mean and self.alpha != 0.0:
+            raise ValueError(f"a set without friend-mean blocks needs alpha 0, got {self.alpha}")
         dtype = self.user_launch[0].dtype
-        coef = np.full(self.num_users, 1.0 - self.alpha, dtype=dtype)
-        if self.renormalize_alpha:
-            coef[~self.has_friends] = dtype.type(1.0)
-        self._coef = coef
+        self._coef = launch_weights(self.has_friends, self.alpha, self.renormalize_alpha, dtype)
         self._alpha_t = dtype.type(self.alpha)
 
     @property
@@ -281,26 +307,20 @@ class EmbeddingSet:
 
     def score_items(self, user: int, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        dtype = self.user_launch[0].dtype
-        launch = np.zeros(items.shape[0], dtype=dtype)
-        for bu, bi in zip(self.user_launch, self.item_launch):
-            launch = launch + bi[items] @ bu[user]
-        join = np.zeros(items.shape[0], dtype=dtype)
-        for fm, bj in zip(self.friend_mean, self.item_join):
-            join = join + bj[items] @ fm[user]
+        launch = _block_sum(bi[items] @ bu[user] for bu, bi in zip(self.user_launch, self.item_launch))
+        if not self.friend_mean:
+            return launch
+        join = _block_sum(bj[items] @ fm[user] for fm, bj in zip(self.friend_mean, self.item_join))
         return self._coef[user] * launch + self._alpha_t * join
 
     def score_users(self, users: np.ndarray) -> np.ndarray:
         """Every item's score for each of ``users``: a ``(len(users), num_items)``
         matrix, one matmul per block, by the arithmetic of ``score_items``."""
         users = np.asarray(users, dtype=np.int64)
-        dtype = self.user_launch[0].dtype
-        launch = np.zeros((users.shape[0], self.num_items), dtype=dtype)
-        for bu, bi in zip(self.user_launch, self.item_launch):
-            launch = launch + bu[users] @ bi.T
-        join = np.zeros((users.shape[0], self.num_items), dtype=dtype)
-        for fm, bj in zip(self.friend_mean, self.item_join):
-            join = join + fm[users] @ bj.T
+        launch = _block_sum(bu[users] @ bi.T for bu, bi in zip(self.user_launch, self.item_launch))
+        if not self.friend_mean:
+            return launch
+        join = _block_sum(fm[users] @ bj.T for fm, bj in zip(self.friend_mean, self.item_join))
         return self._coef[users, None] * launch + self._alpha_t * join
 
     def dense_score_pass(self, terms: int) -> bool:
@@ -316,9 +336,10 @@ class EmbeddingSet:
 
     def score_gaps(self, users: np.ndarray, lo: np.ndarray, hi: np.ndarray, join_view: bool = False) -> np.ndarray:
         """Each term's float64 gap ``score(u, lo) - score(u, hi)``, ``SCORE_CHUNK`` terms at a time:
-        ``coef[u] * sum_b <bu_b[u], bi_b[lo] - bi_b[hi]> + alpha * sum_b <fm_b[u], bj_b[lo] - bj_b[hi]>``,
-        or with ``join_view`` the role-scored variant's ``sum_b <uj_b[u], bj_b[lo] - bj_b[hi]>``.
-        Each user row is gathered once; the inner products run in the blocks' dtype.
+        ``coef[u] * sum_b <bu_b[u], bi_b[lo] - bi_b[hi]> + alpha * sum_b <fm_b[u], bj_b[lo] - bj_b[hi]>``
+        (the launch sum alone without friend-mean blocks), or with ``join_view`` the role-scored
+        variant's ``sum_b <uj_b[u], bj_b[lo] - bj_b[hi]>``. Each product gathers its rows once
+        and runs in the blocks' dtype.
         A composite pass that ``dense_score_pass`` picks is ``S[u, lo] - S[u, hi]``
         over ``S = score_users(every user)``, in the blocks' dtype.
         """
@@ -328,22 +349,17 @@ class EmbeddingSet:
         if join_view:
             groups = [(self.user_join, self.item_join)]
         else:
-            groups = [(self.user_launch, self.item_launch), (self.friend_mean, self.item_join)]
-        # one (group, user block, item block) per inner product; in the flat
-        # scorer the join item block is the launch item block, so consecutive
-        # products share one row difference per chunk
-        products = [(g, bu, bi) for g, (ubs, ibs) in enumerate(groups) for bu, bi in zip(ubs, ibs)]
+            groups = [(self.user_launch, self.item_launch)]
+            if self.friend_mean:
+                groups.append((self.friend_mean, self.item_join))
         gap = np.empty(users.shape[0], dtype=np.float64)
         for c0 in range(0, users.shape[0], SCORE_CHUNK):
             u, l, h = (a[c0 : c0 + SCORE_CHUNK] for a in (users, lo, hi))
-            dots = [np.zeros(u.shape[0], dtype=self.user_launch[0].dtype) for _ in groups]
-            block = diff = None
-            for g, bu, bi in products:
-                if bi is not block:
-                    diff = None  # free the last difference before building the next
-                    block, diff = bi, bi[l] - bi[h]
-                dots[g] += np.einsum("nd,nd->n", bu[u], diff)
-            gap[c0 : c0 + SCORE_CHUNK] = dots[0] if join_view else self._coef[u] * dots[0] + self._alpha_t * dots[1]
+            dots = [
+                _block_sum(np.einsum("nd,nd->n", bu[u], bi[l] - bi[h]) for bu, bi in zip(ubs, ibs))
+                for ubs, ibs in groups
+            ]
+            gap[c0 : c0 + SCORE_CHUNK] = dots[0] if len(dots) == 1 else self._coef[u] * dots[0] + self._alpha_t * dots[1]
         return gap
 
 
@@ -371,7 +387,7 @@ def score_pairs_backward(
     """Accumulate d(loss)/d(blocks) for composite-scored gaps ``score(u, lo) - score(u, hi)``:
     one signed scatter per side, of ``dgap * (table[lo] - table[hi])`` into ``users``
     and of ``dgap * table[users]`` into ``lo`` minus ``hi``, gathering inside the kernel.
-    A pass that ``emb.dense_score_pass`` picks runs as four products instead.
+    A pass that ``emb.dense_score_pass`` picks runs as two products per block instead.
     """
     if emb.dense_score_pass(users.shape[0]):
         _score_pairs_backward_dense(emb, users, hi, lo, dgap, adj)
@@ -395,17 +411,20 @@ def _score_pairs_backward_dense(
     subtracted in float64. Each block's adjoint is then one product in the
     blocks' dtype: ``(coef W) @ item`` and ``(coef W).T @ user`` for the launch
     blocks, ``(alpha W) @ item_join`` and ``(alpha W).T @ friend_mean`` for the
-    friend blocks.
+    friend blocks. A set without friend blocks has every ``coef`` 1, and takes
+    ``W`` as it is.
     """
     cells = emb.num_users * emb.num_items
     key = users * emb.num_items
     w = np.bincount(key + lo, dgap, minlength=cells) - np.bincount(key + hi, dgap, minlength=cells)
     w = w.reshape(emb.num_users, emb.num_items)
     dtype = emb.user_launch[0].dtype
-    wl = (emb._coef[:, None] * w).astype(dtype)
+    wl = (emb._coef[:, None] * w if emb.friend_mean else w).astype(dtype)
     for d_u, d_i, bu, bi in zip(adj.d_user_launch, adj.d_item_launch, emb.user_launch, emb.item_launch):
         d_u += wl @ bi
         d_i += wl.T @ bu
+    if not emb.friend_mean:
+        return
     wj = (emb.alpha * w).astype(dtype)
     for d_fm, d_ij, fm, bj in zip(adj.d_friend_mean, adj.d_item_join, emb.friend_mean, emb.item_join):
         d_fm += wj @ bj
@@ -454,32 +473,40 @@ def forward(
 
 
 def flat_embeddings(
-    user_emb: np.ndarray, item_emb: np.ndarray, social: SocialGraph, alpha: float, renormalize_alpha: bool = False
+    user_emb: np.ndarray, item_emb: np.ndarray, social: SocialGraph, alpha: float, renormalize_alpha: bool = False,
+    friend_mean: np.ndarray | None = None,
 ) -> EmbeddingSet:
     """Propagation-free scorer over raw embeddings (pretraining and MF baselines).
 
-    With ``alpha`` 0 the friend term has no weight, so no friend mean is built.
+    Its one launch block is the query row ``q = coef * user_emb + alpha *
+    social.mean(user_emb)`` (``coef`` from ``launch_weights``) and its launch
+    item block is ``item_emb``, with no friend-mean blocks and alpha 0 inside
+    the set: each score is the one product ``<q[u], item_emb[i]>``. The
+    join-view blocks, which only the role-scored variant reads, are the raw
+    tables. ``friend_mean`` is ``social.mean(user_emb)`` when the caller
+    already holds it. With ``alpha`` 0 the friend term has no weight, so no
+    friend mean is built and ``q`` is ``user_emb`` itself.
     """
+    has_friends = social.degrees > 0
+    query = user_emb
+    if alpha != 0.0:
+        if friend_mean is None:
+            friend_mean = social.mean(user_emb)
+        coef = launch_weights(has_friends, alpha, renormalize_alpha, user_emb.dtype)
+        query = coef[:, None] * user_emb + user_emb.dtype.type(alpha) * friend_mean
     return EmbeddingSet(
-        user_launch=[user_emb],
+        user_launch=[query],
         item_launch=[item_emb],
         user_join=[user_emb],
         item_join=[item_emb],
-        friend_mean=[social.mean(user_emb)] if alpha != 0.0 else [],
-        has_friends=social.degrees > 0,
-        alpha=alpha,
-        renormalize_alpha=renormalize_alpha,
+        friend_mean=[],
+        has_friends=has_friends,
+        alpha=0.0,
     )
 
 
 # ---------------------------------------------------------------------------
 # backward
-
-
-def _fold_friend_mean(adj: ScoreAdjoint, social: SocialGraph, dtype) -> None:
-    """Route friend-mean adjoints back onto the friends' join-view rows."""
-    for d_fm, d_uj in zip(adj.d_friend_mean, adj.d_user_join):
-        d_uj += social.mean_adjoint(d_fm, dtype)
 
 
 def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
@@ -490,7 +517,9 @@ def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray
     """
     hp, params, bundle = state.hp, state.params, state.bundle
     dtype = params.user_emb.dtype
-    _fold_friend_mean(adj, state.social, dtype)
+    # route friend-mean adjoints back onto the friends' join-view rows
+    for d_fm, d_uj in zip(adj.d_friend_mean, adj.d_user_join):
+        d_uj += state.social.mean_adjoint(d_fm, dtype)
 
     slots = ("user_launch", "item_launch", "user_join", "item_join")
     d0 = {slot: getattr(adj, "d_" + slot)[0] for slot in slots}
@@ -517,8 +546,21 @@ def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray
         grads["item_emb"] += di[0]
 
 
-def flat_backward(adj: ScoreAdjoint, social: SocialGraph, grads: dict[str, np.ndarray]) -> None:
-    dtype = adj.d_user_launch[0].dtype
-    _fold_friend_mean(adj, social, dtype)
-    grads["user_emb"] += adj.d_user_launch[0] + adj.d_user_join[0]
+def flat_backward(
+    adj: ScoreAdjoint, social: SocialGraph, alpha: float, renormalize_alpha: bool, grads: dict[str, np.ndarray]
+) -> None:
+    """Accumulate the raw tables' gradients from a ``flat_embeddings`` set's adjoints.
+
+    The query rows' adjoint ``S`` (best held in float64) reaches ``user_emb``
+    as ``coef * S`` on each user's own row plus ``social.mean_adjoint(alpha *
+    S)`` on their friends' rows, each rounded once; the join-view user block
+    is ``user_emb`` and both item blocks are ``item_emb``.
+    """
+    dtype = grads["user_emb"].dtype
+    s = adj.d_user_launch[0]
+    coef = launch_weights(social.degrees > 0, alpha, renormalize_alpha, dtype)
+    d_user = (coef[:, None] * s).astype(dtype)
+    if alpha != 0.0:
+        d_user += social.mean_adjoint(dtype.type(alpha) * s, dtype)
+    grads["user_emb"] += d_user + adj.d_user_join[0]
     grads["item_emb"] += adj.d_item_launch[0] + adj.d_item_join[0]

@@ -19,6 +19,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .loss import (
 from .model import (
     FLAT_TENSOR_FIELDS,
     TENSOR_FIELDS,
+    EmbeddingSet,
     ScoreAdjoint,
     backward,
     flat_backward,
@@ -113,12 +115,23 @@ class GCNModel:
     def embeddings(self, state):
         return state.emb
 
+    def adjoint(self, emb: EmbeddingSet) -> ScoreAdjoint:
+        return ScoreAdjoint.zeros(emb)
+
     def backward(self, state, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
         backward(state, adj, grads)
 
     def user_friend_mean(self, state) -> None:
         """The friend means here are of propagated blocks, not of ``user_emb``."""
         return None
+
+
+class FlatState(NamedTuple):
+    """A flat batch's forward: its scorer, and the friend mean of ``user_emb``
+    that the scorer's query rows hold (None when alpha is 0)."""
+
+    emb: EmbeddingSet
+    friend_mean: np.ndarray | None
 
 
 class FlatModel:
@@ -128,20 +141,29 @@ class FlatModel:
         self.social = social
         self.hp = hp
 
-    def forward(self, params):
-        return flat_embeddings(
-            params.user_emb, params.item_emb, self.social, self.hp.alpha, self.hp.renormalize_alpha
+    def forward(self, params) -> FlatState:
+        fm = self.social.mean(params.user_emb) if self.hp.alpha != 0.0 else None
+        emb = flat_embeddings(
+            params.user_emb, params.item_emb, self.social, self.hp.alpha, self.hp.renormalize_alpha, fm
         )
+        return FlatState(emb, fm)
 
-    def embeddings(self, state):
-        return state
+    def embeddings(self, state: FlatState) -> EmbeddingSet:
+        return state.emb
 
-    def backward(self, state, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
-        flat_backward(adj, self.social, grads)
+    def adjoint(self, emb: EmbeddingSet) -> ScoreAdjoint:
+        """Zero adjoints, the query rows' in float64: ``flat_backward`` scales
+        and spreads them before they are rounded to the tables' dtype."""
+        adj = ScoreAdjoint.zeros(emb)
+        adj.d_user_launch = [np.zeros(q.shape) for q in emb.user_launch]
+        return adj
 
-    def user_friend_mean(self, state) -> np.ndarray | None:
-        """``social.mean(user_emb)``, built by the scorer unless alpha is 0."""
-        return state.friend_mean[0] if state.friend_mean else None
+    def backward(self, state: FlatState, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
+        flat_backward(adj, self.social, self.hp.alpha, self.hp.renormalize_alpha, grads)
+
+    def user_friend_mean(self, state: FlatState) -> np.ndarray | None:
+        """``social.mean(user_emb)``, built once for the scorer unless alpha is 0."""
+        return state.friend_mean
 
 
 def loss_and_grads(
@@ -155,7 +177,7 @@ def loss_and_grads(
     tensors = {name: getattr(params, name) for name in adapter.trainable}
     resid = social_residual(params.user_emb, social, hp.social_reg_coeff, adapter.user_friend_mean(state))
     bd = breakdown_from_terms(terms, gap, tensors, resid, hp)
-    adj = ScoreAdjoint.zeros(emb)
+    adj = adapter.adjoint(emb)
     loss_terms_backward(terms, gap, emb, adj, hp.role_scores)
     grads = {name: np.zeros_like(tensors[name]) for name in adapter.trainable}
     adapter.backward(state, adj, grads)

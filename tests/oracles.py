@@ -99,8 +99,11 @@ def dense_forward_oracle(
     }
 
 
-def composite_score_oracle(blocks: dict, friends_of, alpha: float, user: int, item: int) -> float:
-    """Two-role prediction with an explicit loop over the user's friends."""
+def composite_score_oracle(
+    blocks: dict, friends_of, alpha: float, user: int, item: int, renormalize_alpha: bool = False
+) -> float:
+    """Two-role prediction with an explicit loop over the user's friends; under
+    ``renormalize_alpha`` a friendless user scores by the launch product alone."""
     ul = np.concatenate([b[user] for b in blocks["user_launch"]])
     il = np.concatenate([b[item] for b in blocks["item_launch"]])
     own = float(ul @ il)
@@ -112,6 +115,8 @@ def composite_score_oracle(blocks: dict, friends_of, alpha: float, user: int, it
             uj = np.concatenate([b[int(f)] for b in blocks["user_join"]])
             social += float(uj @ ij)
         social /= len(fr)
+    elif renormalize_alpha:
+        return own
     return (1.0 - alpha) * own + alpha * social
 
 

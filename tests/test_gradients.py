@@ -93,11 +93,23 @@ def test_flat_model_gradients_match_finite_differences_on_the_sparse_path(sparse
 
 
 def test_flat_model_gradients_without_the_friend_term():
-    # alpha 0 is what mf trains: the scorer builds no friend-mean blocks
+    # alpha 0 is what mf trains: the scorer builds no friend mean, and its query rows are user_emb
     fixture = flat_fixture(alpha=0.0)
     adapter, params = fixture[:2]
-    assert adapter.forward(params).friend_mean == []
+    state = adapter.forward(params)
+    assert state.friend_mean is None and state.emb.user_launch[0] is params.user_emb
     check_against_fd(*fixture)
+
+
+def test_flat_model_gradients_renormalized_alpha_variant():
+    # a friendless user's query row takes launch weight 1, the others 1 - alpha
+    fixture = flat_fixture(renormalize_alpha=True)
+    assert (fixture[-1].degrees == 0).any()
+    check_against_fd(*fixture)
+
+
+def test_flat_model_gradients_renormalized_alpha_variant_on_the_sparse_path(sparse_products):
+    check_against_fd(*flat_fixture(renormalize_alpha=True))
 
 
 def test_flat_model_gradients_role_scored_variant():

@@ -8,6 +8,8 @@ normalized-adjacency oracle on random instances.
 import numpy as np
 import pytest
 
+from conftest import forced_products
+from gbrec.baselines import gbmf_score
 from gbrec.config import Hyperparams
 from gbrec.data import SocialGraph
 from gbrec.graphs import HeteroGraphBundle
@@ -16,6 +18,7 @@ from gbrec.model import (
     BRANCHES,
     SCORE_CHUNK,
     EmbeddingSet,
+    FlatParams,
     ModelParams,
     activate,
     activate_grad,
@@ -315,6 +318,15 @@ def test_alpha_zero_drops_social_term_exactly():
     assert emb1.predict(0, 1) == 378.5
 
 
+def test_a_set_without_friend_blocks_scores_with_alpha_zero():
+    # it scores by its launch products alone, which is right only at alpha 0
+    blocks = {slot: [np.ones((2, 1))] for slot in ("user_launch", "item_launch", "user_join", "item_join")}
+    with pytest.raises(ValueError, match="alpha 0"):
+        EmbeddingSet(**blocks, friend_mean=[], has_friends=np.array([True, False]), alpha=0.6)
+    emb = EmbeddingSet(**blocks, friend_mean=[], has_friends=np.array([True, False]), alpha=0.0, renormalize_alpha=True)
+    np.testing.assert_array_equal(emb.score_users(np.arange(2)), np.ones((2, 2)))
+
+
 def test_renormalize_alpha_for_friendless_users():
     blocks = {
         "user_launch": [np.array([[2.0], [4.0]])],
@@ -335,32 +347,86 @@ def test_renormalize_alpha_for_friendless_users():
     assert renorm.predict(1, 0) == 32.0
 
 
+def flat_scorer_case(alpha, renormalize, ints=False):
+    """The flat scorer over 40 users, a quarter of them friendless, x 25 items,
+    2 * SCORE_CHUNK + 5 terms, and each user's float64 score table from the
+    friend loop. Every user has 0, 1, 2 or 4 friends; with ``ints`` every
+    embedding is a small integer too, so at alpha 0.5 every float32 score is exact."""
+    rng = np.random.default_rng(17)
+    num_users, num_items, dim = 40, 25, 16
+    # per 6 users b..b+5: b has 4 friends, b+1 and b+2 have 2, b+3 and b+4 have 1, b+5 none
+    pairs = [(b, b + f) for b in range(0, 36, 6) for f in range(1, 5)] + [(b + 1, b + 2) for b in range(0, 36, 6)]
+    social = SocialGraph.from_edges(num_users, np.array(pairs))
+    if ints:
+        draw = lambda rows: rng.integers(-2, 3, size=(rows, dim)).astype(np.float32)
+    else:
+        draw = lambda rows: rng.standard_normal((rows, dim)).astype(np.float32)
+    user_emb, item_emb = draw(num_users), draw(num_items)
+    emb = flat_embeddings(user_emb, item_emb, social, alpha, renormalize)
+    blocks = {"user_launch": [user_emb.astype(np.float64)], "item_launch": [item_emb.astype(np.float64)]}
+    blocks["user_join"], blocks["item_join"] = blocks["user_launch"], blocks["item_launch"]
+    want = np.array([
+        [oracles.composite_score_oracle(blocks, social.friends, alpha, u, i, renormalize) for i in range(num_items)]
+        for u in range(num_users)
+    ])
+    n = 2 * SCORE_CHUNK + 5
+    users, lo, hi = rng.integers(0, num_users, n), rng.integers(0, num_items, n), rng.integers(0, num_items, n)
+    return emb, want, (users, lo, hi), (user_emb, item_emb, social)
+
+
+# the flat scorer rounds its query row q = coef * U + alpha * FM to float32,
+# then sums 16 float32 products per score. Against the float64 loop oracle
+# the norm-relative error measured on these cases is at most 8.8e-8 for
+# score_users, 7.4e-8 for score_items, 5.8e-8 for predict and gbmf_score and
+# 9.0e-8 for the gaps on either path; unit roundoff is 6e-8
+FLAT_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("alpha,renormalize", [(0.0, False), (0.6, False), (0.6, True)])
+def test_flat_scorer_matches_the_loop_oracle(alpha, renormalize):
+    emb, want, (users, lo, hi), (user_emb, item_emb, social) = flat_scorer_case(alpha, renormalize)
+    everyone = np.arange(emb.num_users)
+    assert oracles.relative_error(emb.score_users(everyone), want) <= FLAT_RTOL
+    by_items = np.array([emb.score_items(u, np.arange(emb.num_items)) for u in everyone])
+    assert oracles.relative_error(by_items, want) <= FLAT_RTOL
+    cells = [(u, i) for u in (0, 4, 9, 39) for i in (0, 7, 24)]
+    pick = want[tuple(zip(*cells))]
+    assert oracles.relative_error(np.array([emb.predict(u, i) for u, i in cells]), pick) <= FLAT_RTOL
+    if not renormalize:  # gbmf_score has no renormalized variant
+        params = FlatParams(user_emb, item_emb)
+        got = np.array([gbmf_score(params, social, alpha, u, i) for u, i in cells])
+        assert oracles.relative_error(got, pick) <= FLAT_RTOL
+    for path in ("sparse", "dense"):
+        with forced_products(path):
+            gaps = emb.score_gaps(users, lo, hi)
+        assert gaps.dtype == np.float64
+        assert oracles.relative_error(gaps, want[users, lo] - want[users, hi]) <= FLAT_RTOL, path
+
+
 def flat_gap_case(rng, alpha):
     """The flat scorer over 2 * SCORE_CHUNK + 5 terms, and each term's gap from
-    separate row differences per product, chunk by chunk, in float32."""
+    the float32 query row ``(1 - alpha) * U + alpha * FM`` against the separate
+    row difference of its two items, chunk by chunk, in float32."""
     social = SocialGraph.from_edges(30, rng.integers(0, 30, size=(60, 2)))
     user_emb = rng.standard_normal((30, 6)).astype(np.float32)
     item_emb = rng.standard_normal((12, 6)).astype(np.float32)
     emb = flat_embeddings(user_emb, item_emb, social, alpha)
     n = 2 * SCORE_CHUNK + 5
     users, lo, hi = rng.integers(0, 30, n), rng.integers(0, 12, n), rng.integers(0, 12, n)
-    friend_mean = social.mean(user_emb)
+    query = user_emb
+    if alpha:
+        query = np.float32(1 - alpha) * user_emb + np.float32(alpha) * social.mean(user_emb)
     want = np.empty(n)
     for c0 in range(0, n, SCORE_CHUNK):
         u, l, h = (a[c0 : c0 + SCORE_CHUNK] for a in (users, lo, hi))
-        launch = np.zeros(u.shape[0], dtype=np.float32)
-        launch += np.einsum("nd,nd->n", user_emb[u], item_emb[l] - item_emb[h])
-        join = np.zeros(u.shape[0], dtype=np.float32)
-        if alpha:
-            join += np.einsum("nd,nd->n", friend_mean[u], item_emb[l] - item_emb[h])
-        want[c0 : c0 + SCORE_CHUNK] = np.float32(1 - alpha) * launch + np.float32(alpha) * join
+        want[c0 : c0 + SCORE_CHUNK] = np.einsum("nd,nd->n", query[u], item_emb[l] - item_emb[h])
     return emb, users, lo, hi, want
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.6])
 def test_flat_score_gaps_match_separate_differences_bit_for_bit(sparse_products, rng, alpha):
-    # the flat scorer's join item block is its launch item block, and the one
-    # row difference per chunk must give the bits of building it per product
+    # the flat scorer is one query block against one item block, and each
+    # chunk's one row difference must give the bits of building it by hand
     emb, users, lo, hi, want = flat_gap_case(rng, alpha)
     np.testing.assert_array_equal(emb.score_gaps(users, lo, hi), want)
 
@@ -372,6 +438,17 @@ def test_dense_flat_score_gaps_match_separate_differences(dense_products, rng, a
     emb, users, lo, hi, want = flat_gap_case(rng, alpha)
     got = emb.score_gaps(users, lo, hi)
     assert oracles.relative_error(got, want) <= 1e-6
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_flat_score_users_rows_are_score_items_bit_for_bit(renormalize):
+    # exact scores, so this holds whatever order BLAS sums in: both entry
+    # points must do the same arithmetic, the oracle's
+    emb, want, _, _ = flat_scorer_case(0.5, renormalize, ints=True)
+    everyone = np.arange(emb.num_users)
+    np.testing.assert_array_equal(emb.score_users(everyone), want)
+    for u in everyone:
+        np.testing.assert_array_equal(emb.score_items(u, np.arange(emb.num_items)), emb.score_users(everyone)[u])
 
 
 def test_join_view_scores():
