@@ -16,11 +16,13 @@
   ``CSR.runs_dense`` picks;
 * ``score_pass`` -- ``EmbeddingSet.score_gaps`` and ``score_pairs_backward``
   over ``--terms`` random terms of ``--users`` x ``--items``, on both paths,
-  with the path ``EmbeddingSet.dense_score_pass`` picks. With ``--blocks 1``
-  the set is the flat scorer gbmf trains, built by ``flat_embeddings`` over a
-  random social graph of 8 friends per user on average: one query block of
-  width ``--dim``. With more blocks it is GBGCN's composite scorer, with that
-  many blocks of width ``--dim`` per slot.
+  with the path ``EmbeddingSet.dense_score_pass`` picks. The set is built
+  over a random social graph of 8 friends per user on average. With
+  ``--blocks 1`` it is the flat scorer gbmf trains, built by
+  ``flat_embeddings``: one query block of width ``--dim``. With more blocks
+  it is GBGCN's scorer, built by ``composite_embeddings`` with that many
+  blocks of width ``--dim`` per view slot: twice that many query blocks, the
+  launch blocks and the friend means.
 
 The first four roles time the sparse kernel alone. Prints the best of
 ``--repeats`` per-call times for each role; tables are float32, as in
@@ -106,19 +108,14 @@ def time_score_pass(args, rng) -> None:
     def blocks(rows):
         return [rng.standard_normal((rows, args.dim)).astype(np.float32) for _ in range(args.blocks)]
 
+    social = SocialGraph.from_edges(P, rng.integers(0, P, size=(4 * P, 2)))
     if args.blocks == 1:
-        social = SocialGraph.from_edges(P, rng.integers(0, P, size=(4 * P, 2)))
         emb = model.flat_embeddings(*blocks(P), *blocks(Q), social, alpha=0.6)
     else:
-        emb = model.EmbeddingSet(
-            user_launch=blocks(P), item_launch=blocks(Q), user_join=blocks(P), item_join=blocks(Q),
-            friend_mean=blocks(P), has_friends=rng.random(P) < 0.9, alpha=0.6,
-        )
+        emb = model.composite_embeddings(blocks(P), blocks(Q), blocks(P), blocks(Q), social, alpha=0.6)
     users, lo, hi = rng.integers(0, P, n), rng.integers(0, Q, n), rng.integers(0, Q, n)
     dgap = rng.random(n)
     adj = model.ScoreAdjoint.zeros(emb)
-    if args.blocks == 1:  # the query rows' adjoint in float64, as trainer.FlatModel.adjoint makes it
-        adj.d_user_launch = [np.zeros(emb.user_launch[0].shape)]
     print(
         f"score_pass: users={P} items={Q} terms={n} blocks={args.blocks} width={args.dim} "
         f"cells/terms={P * Q / n:.2f} ratio={model.SCORE_DENSE_RATIO}"

@@ -17,18 +17,24 @@ term otherwise. Desk-scale graphs and batches take the dense products:
    information between views and between entity types, producing "view-1"
    embeddings of the same width; a branch whose neighborhood is empty
    contributes an exact zero vector, not activation(bias);
-4. final embeddings: view-0 and view-1 blocks, scored as the sum of
-   per-block inner products (identical to concatenating first);
+4. final embeddings: view-0 and view-1 blocks of each view;
 5. prediction for (user m, item n): a (1-alpha)-weighted launch-view inner
    product plus alpha times the mean of friends' join-view inner products.
 
-The flat scorer (gbmf, mf and GBGCN's pretraining) scores raw embeddings,
-where the launch and join item tables are both ``item_emb``. Its score is then
-one inner product ``<q[m], item_emb[n]>`` with the query row ``q = coef *
-user_emb + alpha * social.mean(user_emb)``, ``coef`` being each user's launch
-weight; ``flat_embeddings`` builds ``q`` once per batch, so every flat score,
-gap and adjoint is one product, and ``flat_backward`` chains ``q``'s adjoint
-back to ``user_emb``.
+Every scorer scores by one rule, a sum of per-block inner products
+``sum_b <query_b[m], items_b[n]>`` (in exact arithmetic, one inner product
+over the concatenated blocks). The weights are folded into the query blocks: GBGCN's
+are ``coef * user_launch_b`` and ``alpha * social.mean(user_join_b)``, against
+``item_launch_b`` and ``item_join_b``, ``coef`` being each user's launch
+weight; the mean of friends' products is the product with the friends' mean.
+The flat scorer (gbmf, mf and GBGCN's pretraining) is the one-block case: it
+scores raw embeddings, where the launch and join item tables are both
+``item_emb``, so its query is one row ``q = coef * user_emb + alpha *
+social.mean(user_emb)`` against ``item_emb``. ``composite_embeddings`` and
+``flat_embeddings`` build the query blocks once per batch; every score, gap
+and adjoint is then one product per block, and ``backward`` and
+``flat_backward`` chain the query blocks' adjoints back through ``coef``,
+``alpha`` and the friend mean.
 
 The backward pass mirrors the forward stage by stage over the saved
 intermediates (the graph is static, so no general-purpose autodiff is
@@ -37,7 +43,7 @@ needed); every reduction has a fixed order, keeping runs reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -61,8 +67,10 @@ SCORE_CHUNK = 2048
 # 500 x 200 and 1000 x 500): the flat scorer (one query block of width 16,
 # --blocks 1) runs dense 1.6-1.8x faster at 8 cells per term, breaks even
 # between 12 and 16 (dense 1.0-1.2x slower at 16), and runs 1.4-2x slower
-# dense at 24 and 1.7-2.9x at 32; GBGCN's two blocks of width 48 run dense
-# 1.6-4x faster up to 32 and break even between 32 and 128. The ratio sits at
+# dense at 24 and 1.7-2.9x at 32; GBGCN's four query blocks of width 48 (the
+# launch blocks and the friend means of views 0 and 1) run dense 2.6-12x
+# faster up to 32 and break even between 32 and 128 on 1000 x 500 (on
+# 500 x 200 dense is still 1.5x faster at 128). The ratio sits at
 # the flat scorer's break-even, so neither scorer runs much slower dense;
 # desk batches have about 2 cells per term, gbmf-wide's about 58
 SCORE_DENSE_RATIO = 16
@@ -252,13 +260,13 @@ def propagate_cross_view(
     return Views(**acc), branches
 
 
-def launch_weights(has_friends: np.ndarray, alpha: float, renormalize_alpha: bool, dtype) -> np.ndarray:
-    """Each user's weight on the launch term in ``dtype``: ``1 - alpha``, or 1
-    for a friendless user under ``renormalize_alpha``."""
+def launch_weights(social: SocialGraph, alpha: float, renormalize_alpha: bool, dtype) -> np.ndarray:
+    """Each user's weight on the launch term, a column in ``dtype``: ``1 - alpha``,
+    or 1 for a friendless user under ``renormalize_alpha``."""
     dtype = np.dtype(dtype)
-    coef = np.full(has_friends.shape[0], 1.0 - alpha, dtype=dtype)
+    coef = np.full((social.num_rows, 1), 1.0 - alpha, dtype=dtype)
     if renormalize_alpha:
-        coef[~has_friends] = dtype.type(1.0)
+        coef[social.degrees == 0] = dtype.type(1.0)
     return coef
 
 
@@ -269,59 +277,43 @@ def _block_sum(products):
 
 @dataclass
 class EmbeddingSet:
-    """Final embeddings as per-stage blocks plus the scoring rule.
+    """Final embeddings as per-view blocks, plus the query and item blocks
+    that every score reads.
 
-    Scores sum per-block inner products (equal to one inner product over the
-    concatenation). ``friend_mean`` holds, per user, the mean of their
-    friends' join-view blocks -- zero rows for friendless users, which makes
-    the social term vanish for them. ``renormalize_alpha`` optionally scores
-    friendless users with an unweighted launch term instead of (1-alpha).
-    A set with no friend-mean blocks has ``alpha`` 0, so every launch weight
-    is 1 and it scores by its launch products alone.
+    ``user_launch`` to ``item_join`` are the model's final embeddings, one
+    block per stage. A score is ``sum_b <query_b[u], items_b[i]>``; the
+    role-scored variant's join-view gaps read ``user_join`` and ``item_join``.
+    ``composite_embeddings`` and ``flat_embeddings`` build the query blocks
+    with the launch weight and alpha folded in.
     """
 
     user_launch: list[np.ndarray]
     item_launch: list[np.ndarray]
     user_join: list[np.ndarray]
     item_join: list[np.ndarray]
-    friend_mean: list[np.ndarray]
-    has_friends: np.ndarray
-    alpha: float
-    renormalize_alpha: bool = False
-    _coef: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.friend_mean and self.alpha != 0.0:
-            raise ValueError(f"a set without friend-mean blocks needs alpha 0, got {self.alpha}")
-        dtype = self.user_launch[0].dtype
-        self._coef = launch_weights(self.has_friends, self.alpha, self.renormalize_alpha, dtype)
-        self._alpha_t = dtype.type(self.alpha)
+    query: list[np.ndarray]
+    items: list[np.ndarray]
 
     @property
     def num_users(self) -> int:
-        return self.user_launch[0].shape[0]
+        return self.query[0].shape[0]
 
     @property
     def num_items(self) -> int:
-        return self.item_launch[0].shape[0]
+        return self.items[0].shape[0]
 
     def score_items(self, user: int, items: np.ndarray) -> np.ndarray:
         items = np.asarray(items, dtype=np.int64)
-        launch = _block_sum(bi[items] @ bu[user] for bu, bi in zip(self.user_launch, self.item_launch))
-        if not self.friend_mean:
-            return launch
-        join = _block_sum(bj[items] @ fm[user] for fm, bj in zip(self.friend_mean, self.item_join))
-        return self._coef[user] * launch + self._alpha_t * join
+        return _block_sum(bi[items] @ q[user] for q, bi in zip(self.query, self.items))
 
     def score_users(self, users: np.ndarray) -> np.ndarray:
         """Every item's score for each of ``users``: a ``(len(users), num_items)``
-        matrix, one matmul per block, by the arithmetic of ``score_items``."""
+        matrix, one matmul per block. Its rows equal ``score_items``' up to
+        rounding only: BLAS may sum a matrix-matrix product in another order
+        than a matrix-vector one, or than the same product over another
+        number of rows, so near-tied items can come out in another order."""
         users = np.asarray(users, dtype=np.int64)
-        launch = _block_sum(bu[users] @ bi.T for bu, bi in zip(self.user_launch, self.item_launch))
-        if not self.friend_mean:
-            return launch
-        join = _block_sum(fm[users] @ bj.T for fm, bj in zip(self.friend_mean, self.item_join))
-        return self._coef[users, None] * launch + self._alpha_t * join
+        return _block_sum(q[users] @ bi.T for q, bi in zip(self.query, self.items))
 
     def dense_score_pass(self, terms: int) -> bool:
         """Whether a pass over ``terms`` composite-scored terms goes through one
@@ -336,8 +328,7 @@ class EmbeddingSet:
 
     def score_gaps(self, users: np.ndarray, lo: np.ndarray, hi: np.ndarray, join_view: bool = False) -> np.ndarray:
         """Each term's float64 gap ``score(u, lo) - score(u, hi)``, ``SCORE_CHUNK`` terms at a time:
-        ``coef[u] * sum_b <bu_b[u], bi_b[lo] - bi_b[hi]> + alpha * sum_b <fm_b[u], bj_b[lo] - bj_b[hi]>``
-        (the launch sum alone without friend-mean blocks), or with ``join_view`` the role-scored
+        ``sum_b <query_b[u], items_b[lo] - items_b[hi]>``, or with ``join_view`` the role-scored
         variant's ``sum_b <uj_b[u], bj_b[lo] - bj_b[hi]>``. Each product gathers its rows once
         and runs in the blocks' dtype.
         A composite pass that ``dense_score_pass`` picks is ``S[u, lo] - S[u, hi]``
@@ -346,89 +337,55 @@ class EmbeddingSet:
         if not join_view and self.dense_score_pass(users.shape[0]):
             scores = self.score_users(np.arange(self.num_users))
             return scores[users, lo].astype(np.float64) - scores[users, hi]
-        if join_view:
-            groups = [(self.user_join, self.item_join)]
-        else:
-            groups = [(self.user_launch, self.item_launch)]
-            if self.friend_mean:
-                groups.append((self.friend_mean, self.item_join))
+        pairs = list(zip(self.user_join, self.item_join) if join_view else zip(self.query, self.items))
         gap = np.empty(users.shape[0], dtype=np.float64)
         for c0 in range(0, users.shape[0], SCORE_CHUNK):
             u, l, h = (a[c0 : c0 + SCORE_CHUNK] for a in (users, lo, hi))
-            dots = [
-                _block_sum(np.einsum("nd,nd->n", bu[u], bi[l] - bi[h]) for bu, bi in zip(ubs, ibs))
-                for ubs, ibs in groups
-            ]
-            gap[c0 : c0 + SCORE_CHUNK] = dots[0] if len(dots) == 1 else self._coef[u] * dots[0] + self._alpha_t * dots[1]
+            gap[c0 : c0 + SCORE_CHUNK] = _block_sum(np.einsum("nd,nd->n", bu[u], bi[l] - bi[h]) for bu, bi in pairs)
         return gap
 
 
 @dataclass
 class ScoreAdjoint:
-    """Gradient buffers for each embedding block, mirroring EmbeddingSet."""
+    """Gradient buffers mirroring EmbeddingSet's scored blocks. The query
+    blocks' are float64, since each backward scales them by the launch weight
+    and alpha before they are rounded; the others are in the blocks' dtype."""
 
-    d_user_launch: list[np.ndarray]
-    d_item_launch: list[np.ndarray]
+    d_query: list[np.ndarray]
+    d_items: list[np.ndarray]
     d_user_join: list[np.ndarray]
     d_item_join: list[np.ndarray]
-    d_friend_mean: list[np.ndarray]
 
     @classmethod
     def zeros(cls, emb: EmbeddingSet) -> "ScoreAdjoint":
         z = lambda blocks: [np.zeros_like(b) for b in blocks]
-        return cls(
-            z(emb.user_launch), z(emb.item_launch), z(emb.user_join), z(emb.item_join), z(emb.friend_mean)
-        )
+        return cls([np.zeros(q.shape) for q in emb.query], z(emb.items), z(emb.user_join), z(emb.item_join))
 
 
 def score_pairs_backward(
     emb: EmbeddingSet, users: np.ndarray, hi: np.ndarray, lo: np.ndarray, dgap: np.ndarray, adj: ScoreAdjoint
 ) -> None:
-    """Accumulate d(loss)/d(blocks) for composite-scored gaps ``score(u, lo) - score(u, hi)``:
-    one signed scatter per side, of ``dgap * (table[lo] - table[hi])`` into ``users``
-    and of ``dgap * table[users]`` into ``lo`` minus ``hi``, gathering inside the kernel.
-    A pass that ``emb.dense_score_pass`` picks runs as two products per block instead.
+    """Accumulate d(loss)/d(blocks) for gaps ``score(u, lo) - score(u, hi)``:
+    one signed scatter per side, of ``dgap * (items_b[lo] - items_b[hi])`` into
+    ``users`` and of ``dgap * query_b[users]`` into ``lo`` minus ``hi``,
+    gathering inside the kernel.
+
+    A pass that ``emb.dense_score_pass`` picks runs through the ``P x Q``
+    matrix ``W`` of summed ``dgap`` per (user, item) cell instead, ``lo``
+    cells added and ``hi`` cells subtracted in float64, then cast once to the
+    blocks' dtype: two products per block, ``W @ items_b`` and ``W.T @ query_b``.
     """
     if emb.dense_score_pass(users.shape[0]):
-        _score_pairs_backward_dense(emb, users, hi, lo, dgap, adj)
+        cells = emb.num_users * emb.num_items
+        key = users * emb.num_items
+        w = np.bincount(key + lo, dgap, minlength=cells) - np.bincount(key + hi, dgap, minlength=cells)
+        w = w.reshape(emb.num_users, emb.num_items).astype(emb.items[0].dtype)
+        for d_q, d_i, q, bi in zip(adj.d_query, adj.d_items, emb.query, emb.items):
+            d_q += w @ bi
+            d_i += w.T @ q
         return
-    wl = emb._coef[users].astype(np.float64) * dgap
-    wj = emb.alpha * dgap
-    # friend-mean blocks exist only where the friend term has weight
-    user_side = [(d, bi, wl) for d, bi in zip(adj.d_user_launch, emb.item_launch)]
-    user_side += [(d, bj, wj) for d, bj in zip(adj.d_friend_mean, emb.item_join)]
-    item_side = [(d, bu, wl) for d, bu in zip(adj.d_item_launch, emb.user_launch)]
-    item_side += [(d, fm, wj) for d, fm in zip(adj.d_item_join, emb.friend_mean)]
-    kernels.scatter_add_rows(user_side, users, lo, minus_gather=hi)
-    kernels.scatter_add_rows(item_side, lo, users, minus_idx=hi)
-
-
-def _score_pairs_backward_dense(
-    emb: EmbeddingSet, users: np.ndarray, hi: np.ndarray, lo: np.ndarray, dgap: np.ndarray, adj: ScoreAdjoint
-) -> None:
-    """``score_pairs_backward`` through the ``P x Q`` matrix ``W`` of summed
-    ``dgap`` per (user, item) cell, ``lo`` cells added and ``hi`` cells
-    subtracted in float64. Each block's adjoint is then one product in the
-    blocks' dtype: ``(coef W) @ item`` and ``(coef W).T @ user`` for the launch
-    blocks, ``(alpha W) @ item_join`` and ``(alpha W).T @ friend_mean`` for the
-    friend blocks. A set without friend blocks has every ``coef`` 1, and takes
-    ``W`` as it is.
-    """
-    cells = emb.num_users * emb.num_items
-    key = users * emb.num_items
-    w = np.bincount(key + lo, dgap, minlength=cells) - np.bincount(key + hi, dgap, minlength=cells)
-    w = w.reshape(emb.num_users, emb.num_items)
-    dtype = emb.user_launch[0].dtype
-    wl = (emb._coef[:, None] * w if emb.friend_mean else w).astype(dtype)
-    for d_u, d_i, bu, bi in zip(adj.d_user_launch, adj.d_item_launch, emb.user_launch, emb.item_launch):
-        d_u += wl @ bi
-        d_i += wl.T @ bu
-    if not emb.friend_mean:
-        return
-    wj = (emb.alpha * w).astype(dtype)
-    for d_fm, d_ij, fm, bj in zip(adj.d_friend_mean, adj.d_item_join, emb.friend_mean, emb.item_join):
-        d_fm += wj @ bj
-        d_ij += wj.T @ fm
+    kernels.scatter_add_rows([(d, bi, dgap) for d, bi in zip(adj.d_query, emb.items)], users, lo, minus_gather=hi)
+    kernels.scatter_add_rows([(d, q, dgap) for d, q in zip(adj.d_items, emb.query)], lo, users, minus_idx=hi)
 
 
 def score_pairs_join_view_backward(
@@ -459,17 +416,31 @@ def forward(
     ju, ji = propagate_in_view(bundle.join, params.user_emb, params.item_emb, hp.num_layers)
     view0 = Views(*(np.concatenate(layers, axis=1) for layers in (lu, li, ju, ji)))
     view1, branches = propagate_cross_view(bundle, view0, params, hp)
-    emb = EmbeddingSet(
-        user_launch=[view0.user_launch, view1.user_launch],
-        item_launch=[view0.item_launch, view1.item_launch],
-        user_join=[view0.user_join, view1.user_join],
-        item_join=[view0.item_join, view1.item_join],
-        friend_mean=[social.mean(view0.user_join), social.mean(view1.user_join)],
-        has_friends=social.degrees > 0,
-        alpha=hp.alpha,
-        renormalize_alpha=hp.renormalize_alpha,
+    emb = composite_embeddings(
+        [view0.user_launch, view1.user_launch], [view0.item_launch, view1.item_launch],
+        [view0.user_join, view1.user_join], [view0.item_join, view1.item_join],
+        social, hp.alpha, hp.renormalize_alpha,
     )
     return ForwardState(params, hp, bundle, social, branches, emb)
+
+
+def composite_embeddings(
+    user_launch: list[np.ndarray], item_launch: list[np.ndarray], user_join: list[np.ndarray],
+    item_join: list[np.ndarray], social: SocialGraph, alpha: float, renormalize_alpha: bool = False,
+) -> EmbeddingSet:
+    """GBGCN's scorer over its final view blocks.
+
+    The query blocks are ``coef * user_launch_b`` (``coef`` from
+    ``launch_weights``), then ``alpha * social.mean(user_join_b)``, each
+    rounded to the blocks' dtype, against ``item_launch_b``, then
+    ``item_join_b``. A friendless user's friend mean is zero, so the social
+    term vanishes for them. With ``alpha`` 0 every ``coef`` is 1 and every
+    friend query block zero, so a score is its launch products' sum bit for bit.
+    """
+    dtype = user_launch[0].dtype
+    coef = launch_weights(social, alpha, renormalize_alpha, dtype)
+    query = [coef * bu for bu in user_launch] + [dtype.type(alpha) * social.mean(bu) for bu in user_join]
+    return EmbeddingSet(user_launch, item_launch, user_join, item_join, query, item_launch + item_join)
 
 
 def flat_embeddings(
@@ -478,31 +449,21 @@ def flat_embeddings(
 ) -> EmbeddingSet:
     """Propagation-free scorer over raw embeddings (pretraining and MF baselines).
 
-    Its one launch block is the query row ``q = coef * user_emb + alpha *
-    social.mean(user_emb)`` (``coef`` from ``launch_weights``) and its launch
-    item block is ``item_emb``, with no friend-mean blocks and alpha 0 inside
-    the set: each score is the one product ``<q[u], item_emb[i]>``. The
-    join-view blocks, which only the role-scored variant reads, are the raw
-    tables. ``friend_mean`` is ``social.mean(user_emb)`` when the caller
-    already holds it. With ``alpha`` 0 the friend term has no weight, so no
-    friend mean is built and ``q`` is ``user_emb`` itself.
+    Its one query block is the row ``q = coef * user_emb + alpha *
+    social.mean(user_emb)`` (``coef`` from ``launch_weights``) and its one
+    item block is ``item_emb``: each score is the one product ``<q[u],
+    item_emb[i]>``. The view blocks are the raw tables. ``friend_mean`` is
+    ``social.mean(user_emb)`` when the caller already holds it. With
+    ``alpha`` 0 the friend term has no weight, so no friend mean is built and
+    ``q`` is ``user_emb`` itself.
     """
-    has_friends = social.degrees > 0
     query = user_emb
     if alpha != 0.0:
         if friend_mean is None:
             friend_mean = social.mean(user_emb)
-        coef = launch_weights(has_friends, alpha, renormalize_alpha, user_emb.dtype)
-        query = coef[:, None] * user_emb + user_emb.dtype.type(alpha) * friend_mean
-    return EmbeddingSet(
-        user_launch=[query],
-        item_launch=[item_emb],
-        user_join=[user_emb],
-        item_join=[item_emb],
-        friend_mean=[],
-        has_friends=has_friends,
-        alpha=0.0,
-    )
+        coef = launch_weights(social, alpha, renormalize_alpha, user_emb.dtype)
+        query = coef * user_emb + user_emb.dtype.type(alpha) * friend_mean
+    return EmbeddingSet([user_emb], [item_emb], [user_emb], [item_emb], [query], [item_emb])
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +473,25 @@ def flat_embeddings(
 def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
     """Accumulate parameter gradients from embedding-block adjoints.
 
-    Walks the forward stages in reverse: friend means, the six cross-view
-    branches, then in-view smoothing layer by layer down to the raw tables.
+    Walks the forward stages in reverse: the query blocks, the six
+    cross-view branches, then in-view smoothing layer by layer down to the
+    raw tables. A launch query block's float64 adjoint ``S`` reaches its view
+    block as ``coef * S``, and a friend query block's reaches the friends'
+    join-view rows as ``social.mean_adjoint(alpha * S)``, each rounded once.
     """
-    hp, params, bundle = state.hp, state.params, state.bundle
+    hp, params, bundle, social = state.hp, state.params, state.bundle, state.social
     dtype = params.user_emb.dtype
-    # route friend-mean adjoints back onto the friends' join-view rows
-    for d_fm, d_uj in zip(adj.d_friend_mean, adj.d_user_join):
-        d_uj += state.social.mean_adjoint(d_fm, dtype)
-
-    slots = ("user_launch", "item_launch", "user_join", "item_join")
-    d0 = {slot: getattr(adj, "d_" + slot)[0] for slot in slots}
-    d1 = {slot: getattr(adj, "d_" + slot)[1] for slot in slots}
+    n = len(adj.d_user_join)
+    coef = launch_weights(social, hp.alpha, hp.renormalize_alpha, dtype)
+    alpha = dtype.type(hp.alpha)
+    blocks = {
+        "user_launch": [(coef * s).astype(dtype) for s in adj.d_query[:n]],
+        "item_launch": adj.d_items[:n],
+        "user_join": [d + social.mean_adjoint(alpha * s, dtype) for d, s in zip(adj.d_user_join, adj.d_query[n:])],
+        "item_join": [d + d_i for d, d_i in zip(adj.d_item_join, adj.d_items[n:])],
+    }
+    d0 = {slot: b[0] for slot, b in blocks.items()}
+    d1 = {slot: b[1] for slot, b in blocks.items()}
 
     for spec in BRANCHES:
         bs = state.branches[spec.name]
@@ -551,16 +519,15 @@ def flat_backward(
 ) -> None:
     """Accumulate the raw tables' gradients from a ``flat_embeddings`` set's adjoints.
 
-    The query rows' adjoint ``S`` (best held in float64) reaches ``user_emb``
-    as ``coef * S`` on each user's own row plus ``social.mean_adjoint(alpha *
-    S)`` on their friends' rows, each rounded once; the join-view user block
-    is ``user_emb`` and both item blocks are ``item_emb``.
+    The query rows' float64 adjoint ``S`` reaches ``user_emb`` as ``coef *
+    S`` on each user's own row plus ``social.mean_adjoint(alpha * S)`` on
+    their friends' rows, each rounded once; the join-view user block is
+    ``user_emb`` and both item blocks are ``item_emb``.
     """
     dtype = grads["user_emb"].dtype
-    s = adj.d_user_launch[0]
-    coef = launch_weights(social.degrees > 0, alpha, renormalize_alpha, dtype)
-    d_user = (coef[:, None] * s).astype(dtype)
+    s = adj.d_query[0]
+    d_user = (launch_weights(social, alpha, renormalize_alpha, dtype) * s).astype(dtype)
     if alpha != 0.0:
         d_user += social.mean_adjoint(dtype.type(alpha) * s, dtype)
     grads["user_emb"] += d_user + adj.d_user_join[0]
-    grads["item_emb"] += adj.d_item_launch[0] + adj.d_item_join[0]
+    grads["item_emb"] += adj.d_items[0] + adj.d_item_join[0]

@@ -115,9 +115,6 @@ class GCNModel:
     def embeddings(self, state):
         return state.emb
 
-    def adjoint(self, emb: EmbeddingSet) -> ScoreAdjoint:
-        return ScoreAdjoint.zeros(emb)
-
     def backward(self, state, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
         backward(state, adj, grads)
 
@@ -151,13 +148,6 @@ class FlatModel:
     def embeddings(self, state: FlatState) -> EmbeddingSet:
         return state.emb
 
-    def adjoint(self, emb: EmbeddingSet) -> ScoreAdjoint:
-        """Zero adjoints, the query rows' in float64: ``flat_backward`` scales
-        and spreads them before they are rounded to the tables' dtype."""
-        adj = ScoreAdjoint.zeros(emb)
-        adj.d_user_launch = [np.zeros(q.shape) for q in emb.user_launch]
-        return adj
-
     def backward(self, state: FlatState, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
         flat_backward(adj, self.social, self.hp.alpha, self.hp.renormalize_alpha, grads)
 
@@ -177,7 +167,7 @@ def loss_and_grads(
     tensors = {name: getattr(params, name) for name in adapter.trainable}
     resid = social_residual(params.user_emb, social, hp.social_reg_coeff, adapter.user_friend_mean(state))
     bd = breakdown_from_terms(terms, gap, tensors, resid, hp)
-    adj = adapter.adjoint(emb)
+    adj = ScoreAdjoint.zeros(emb)
     loss_terms_backward(terms, gap, emb, adj, hp.role_scores)
     grads = {name: np.zeros_like(tensors[name]) for name in adapter.trainable}
     adapter.backward(state, adj, grads)

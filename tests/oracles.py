@@ -423,19 +423,8 @@ def _gap_backward_oracle(d_users, d_items, user_tables, item_tables, users, hi, 
 
 
 def score_gap_backward_oracle(emb, users, hi, lo, dgap, adj) -> None:
-    """The composite gap's adjoints, a loop per block and side.
-
-    The launch weight per user is ``1 - alpha`` rounded to the block dtype (1
-    for a friendless user under ``renormalize_alpha``), as the scorer holds it.
-    """
-    dtype = emb.user_launch[0].dtype
-    coef = np.full(emb.user_launch[0].shape[0], 1.0 - emb.alpha, dtype=dtype)
-    if emb.renormalize_alpha:
-        coef[~emb.has_friends] = 1.0
-    wl = coef[users].astype(np.float64) * dgap
-    _gap_backward_oracle(adj.d_user_launch, adj.d_item_launch, emb.user_launch, emb.item_launch, users, hi, lo, wl)
-    wj = emb.alpha * dgap
-    _gap_backward_oracle(adj.d_friend_mean, adj.d_item_join, emb.friend_mean, emb.item_join, users, hi, lo, wj)
+    """The composite gap's adjoints, a loop per (query, items) block and side."""
+    _gap_backward_oracle(adj.d_query, adj.d_items, emb.query, emb.items, users, hi, lo, dgap)
 
 
 def score_gap_join_view_backward_oracle(emb, users, hi, lo, dgap, adj) -> None:

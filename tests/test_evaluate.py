@@ -17,7 +17,8 @@ from gbrec.evaluate import (
     view_similarity,
 )
 from gbrec.loss import BehaviorRecord
-from gbrec.model import EmbeddingSet
+from gbrec.data import SocialGraph
+from gbrec.model import composite_embeddings, flat_embeddings
 from gbrec.rawdata import split_leave_one_out
 
 import helpers
@@ -131,7 +132,8 @@ def test_evaluate_ranking_orders_users_and_ranks_test_items():
 
 @st.composite
 def ranking_worlds(draw):
-    """Embeddings of small integers, so every score is exact in float32 and
+    """Embeddings of small integers and friendships in disjoint pairs, so
+    every friend mean, weighted query row and score is exact in float32 and
     ties are common; ragged negative lists; and held-out logs from empty to
     more users than one block."""
     num_users = draw(st.integers(1, 2 * RANK_BLOCK + 5))
@@ -142,17 +144,18 @@ def ranking_worlds(draw):
     item_launch = [ints(num_items) for _ in range(num_blocks)]
     if draw(st.booleans()):  # an item scoring NaN for everyone
         item_launch[0][rng.integers(num_items)] = np.nan
-    flat = draw(st.booleans())  # mf: no friend-mean blocks
-    emb = EmbeddingSet(
-        user_launch=[ints(num_users) for _ in range(num_blocks)],
-        item_launch=item_launch,
-        user_join=[ints(num_users) for _ in range(num_blocks)],
-        item_join=[ints(num_items) for _ in range(num_blocks)],
-        friend_mean=[] if flat else [ints(num_users) for _ in range(num_blocks)],
-        has_friends=rng.random(num_users) < 0.5,
-        alpha=0.0 if flat else draw(st.sampled_from([0.25, 0.5, 1.0])),
-        renormalize_alpha=draw(st.booleans()),
-    )
+    # each user has at most one friend, whose join row is then the friend mean
+    paired = rng.permutation(num_users)[: 2 * rng.integers(num_users // 2 + 1)]
+    social = SocialGraph.from_edges(num_users, paired.reshape(-1, 2))
+    alpha, renormalize = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])), draw(st.booleans())
+    if draw(st.booleans()):  # the flat scorer (gbmf, mf): one query row per user
+        emb = flat_embeddings(ints(num_users), item_launch[0], social, alpha, renormalize)
+    else:
+        emb = composite_embeddings(
+            [ints(num_users) for _ in range(num_blocks)], item_launch,
+            [ints(num_users) for _ in range(num_blocks)], [ints(num_items) for _ in range(num_blocks)],
+            social, alpha, renormalize,
+        )
     users = np.sort(rng.choice(num_users, size=draw(st.integers(0, num_users)), replace=False))
     items = rng.integers(num_items, size=users.shape[0])
     records = helpers.from_records(

@@ -97,7 +97,7 @@ def test_flat_model_gradients_without_the_friend_term():
     fixture = flat_fixture(alpha=0.0)
     adapter, params = fixture[:2]
     state = adapter.forward(params)
-    assert state.friend_mean is None and state.emb.user_launch[0] is params.user_emb
+    assert state.friend_mean is None and state.emb.query[0] is params.user_emb
     check_against_fd(*fixture)
 
 

@@ -5,6 +5,8 @@ numbers on a graph small enough to do on paper, and a dense
 normalized-adjacency oracle on random instances.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,11 @@ from gbrec.kernels import CSR
 from gbrec.model import (
     BRANCHES,
     SCORE_CHUNK,
-    EmbeddingSet,
     FlatParams,
     ModelParams,
     activate,
     activate_grad,
+    composite_embeddings,
     flat_embeddings,
     forward,
     init_flat_params,
@@ -193,44 +195,40 @@ def make_emb(alpha=0.5, renormalize=False):
         "user_join": [np.array([[2.0], [4.0]]), np.array([[0.0], [37.0]])],
         "item_join": [np.array([[8.0], [16.0]]), np.array([[0.0], [8.5]])],
     }
+    # each user's friend means are the other's join rows: [[4], [2]] and [[37], [0]]
     social = SocialGraph.from_edges(2, np.array([[0, 1]]))
-    friend_mean = [
-        np.array([[4.0], [2.0]]),
-        np.array([[37.0], [0.0]]),
-    ]
-    return EmbeddingSet(
-        **blocks,
-        friend_mean=friend_mean,
-        has_friends=social.degrees > 0,
-        alpha=alpha,
-        renormalize_alpha=renormalize,
-    )
+    return composite_embeddings(**blocks, social=social, alpha=alpha, renormalize_alpha=renormalize)
 
 
-GAP_CASES = [(0.6, False, 2), (0.6, True, 2), (0.0, False, 1), (0.3, True, 1)]
-ADJOINTS = ("d_user_launch", "d_item_launch", "d_user_join", "d_item_join", "d_friend_mean")
+# (alpha, renormalize_alpha, blocks per slot, or 0 for the flat scorer's one query block)
+GAP_CASES = [(0.6, False, 2), (0.6, True, 2), (0.0, False, 1), (0.3, True, 1), (0.6, True, 0)]
+ADJOINTS = ("d_query", "d_items", "d_user_join", "d_item_join")
 
 # the dense path's gradients are held to the loop oracles by norm-relative
 # error per block; float32 rounds W to float32 and sums 25-40 terms per
-# product in float32 (unit roundoff 6e-8; measured up to 1.3e-7)
+# product in float32 (unit roundoff 6e-8; measured up to 1.4e-7)
 GAP_RTOL = {np.float64: 1e-12, np.float32: 1e-6}
 
 
 def gap_case(alpha, renormalize, num_blocks, dtype=np.float32):
-    """Blocks whose rows span six orders of magnitude, and 3000 terms over 40 users x 25 items."""
+    """Blocks whose rows span six orders of magnitude, a social graph that
+    leaves about a quarter of the users friendless, and 3000 terms over 40
+    users x 25 items."""
     rng = np.random.default_rng(11)
     num_users, num_items, n = 40, 25, 3000
     width = 48 if num_blocks == 2 else 16
 
-    def blocks(rows):
+    def blocks(rows, count=num_blocks):
         return [(rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))).astype(dtype)
-                for _ in range(num_blocks)]
+                for _ in range(count)]
 
-    emb = EmbeddingSet(
-        user_launch=blocks(num_users), item_launch=blocks(num_items), user_join=blocks(num_users),
-        item_join=blocks(num_items), friend_mean=blocks(num_users) if alpha else [],
-        has_friends=rng.random(num_users) < 0.7, alpha=alpha, renormalize_alpha=renormalize,
-    )
+    social = SocialGraph.from_edges(num_users, rng.integers(0, 30, size=(30, 2)))
+    if num_blocks:
+        emb = composite_embeddings(
+            blocks(num_users), blocks(num_items), blocks(num_users), blocks(num_items), social, alpha, renormalize
+        )
+    else:
+        emb = flat_embeddings(*blocks(num_users, 1), *blocks(num_items, 1), social, alpha, renormalize)
     users = rng.integers(0, num_users, size=n)
     hi = rng.integers(0, num_items, size=n)
     lo = rng.integers(0, num_items, size=n)
@@ -264,7 +262,7 @@ def test_dense_score_gap_backward_matches_the_loop_oracle(dense_products, alpha,
     oracles.score_gap_backward_oracle(emb, users, hi, lo, dgap, want)
     for name in ADJOINTS:
         for g, w in zip(getattr(got, name), getattr(want, name)):
-            assert g.dtype == dtype
+            assert g.dtype == (np.float64 if name == "d_query" else dtype)  # query adjoints are always float64
             err = oracles.relative_error(g.astype(np.float64), w.astype(np.float64))
             assert err <= GAP_RTOL[dtype], f"{name}: relative error {err:.3g}"
 
@@ -276,11 +274,13 @@ def test_score_hand_example():
 
 
 # launch gap 2*(16-8) + 33*(4.5-6.5) = -50; friend join gap 4*(16-8) + 37*(8.5-0) = 346.5
-HAND_GAPS = [(1 - 0.3) * -50.0 + 0.3 * 346.5, 0.0]
+# at alpha 0.25 the weighted query rows and every product are exact, so the
+# gap is the same in any rounding order
+HAND_GAPS = [(1 - 0.25) * -50.0 + 0.25 * 346.5, 0.0]
 
 
 def test_score_entry_points_agree(sparse_products):
-    emb = make_emb(alpha=0.3)
+    emb = make_emb(alpha=0.25)
     items = np.array([0, 1])
     by_items = emb.score_items(0, items)
     np.testing.assert_array_equal(by_items, emb.all_item_scores(0))
@@ -289,7 +289,7 @@ def test_score_entry_points_agree(sparse_products):
 
 
 def test_dense_score_gaps_agree_with_the_hand_example(dense_products):
-    emb = make_emb(alpha=0.3)
+    emb = make_emb(alpha=0.25)
     gaps = emb.score_gaps(np.array([0, 0]), np.array([1, 1]), np.array([0, 1]))
     assert gaps.dtype == np.float64
     np.testing.assert_allclose(gaps, HAND_GAPS, rtol=1e-12, atol=0.0)
@@ -297,18 +297,21 @@ def test_dense_score_gaps_agree_with_the_hand_example(dense_products):
 
 def test_score_matches_friend_loop_oracle():
     inst = helpers.small_instance(dtype=np.float64)
-    state = forward(inst["bundle"], inst["social"], inst["params"], inst["hp"])
-    blocks = {
-        slot: list(getattr(state.emb, slot))
-        for slot in ("user_launch", "item_launch", "user_join", "item_join")
-    }
     social = inst["social"]
-    for user in range(inst["log"].num_users):
-        for item in (0, 3, 7):
-            want = oracles.composite_score_oracle(
-                blocks, social.friends, inst["hp"].alpha, user, item
-            )
-            assert abs(state.emb.predict(user, item) - want) < 1e-10
+    assert (social.degrees == 0).any()  # friendless users are scored too
+    for renormalize in (False, True):
+        hp = replace(inst["hp"], renormalize_alpha=renormalize)
+        state = forward(inst["bundle"], social, inst["params"], hp)
+        blocks = {
+            slot: list(getattr(state.emb, slot))
+            for slot in ("user_launch", "item_launch", "user_join", "item_join")
+        }
+        for user in range(inst["log"].num_users):
+            for item in (0, 3, 7):
+                want = oracles.composite_score_oracle(
+                    blocks, social.friends, hp.alpha, user, item, renormalize_alpha=renormalize
+                )
+                assert abs(state.emb.predict(user, item) - want) < 1e-10, (renormalize, user, item)
 
 
 def test_alpha_zero_drops_social_term_exactly():
@@ -318,28 +321,17 @@ def test_alpha_zero_drops_social_term_exactly():
     assert emb1.predict(0, 1) == 378.5
 
 
-def test_a_set_without_friend_blocks_scores_with_alpha_zero():
-    # it scores by its launch products alone, which is right only at alpha 0
-    blocks = {slot: [np.ones((2, 1))] for slot in ("user_launch", "item_launch", "user_join", "item_join")}
-    with pytest.raises(ValueError, match="alpha 0"):
-        EmbeddingSet(**blocks, friend_mean=[], has_friends=np.array([True, False]), alpha=0.6)
-    emb = EmbeddingSet(**blocks, friend_mean=[], has_friends=np.array([True, False]), alpha=0.0, renormalize_alpha=True)
-    np.testing.assert_array_equal(emb.score_users(np.arange(2)), np.ones((2, 2)))
-
-
 def test_renormalize_alpha_for_friendless_users():
     blocks = {
-        "user_launch": [np.array([[2.0], [4.0]])],
+        "user_launch": [np.array([[2.0], [4.0], [1.0]])],
         "item_launch": [np.array([[8.0], [16.0]])],
-        "user_join": [np.array([[2.0], [4.0]])],
+        "user_join": [np.array([[2.0], [4.0], [4.0]])],
         "item_join": [np.array([[8.0], [16.0]])],
     }
-    friend_mean = [np.array([[4.0], [0.0]])]  # user 1 has no friends
-    has = np.array([True, False])
-    plain = EmbeddingSet(**blocks, friend_mean=friend_mean, has_friends=has, alpha=0.6)
-    renorm = EmbeddingSet(
-        **blocks, friend_mean=friend_mean, has_friends=has, alpha=0.6, renormalize_alpha=True
-    )
+    # user 0's one friend is user 2, whose join row is [4]; user 1 has no friends
+    social = SocialGraph.from_edges(3, np.array([[0, 2]]))
+    plain = composite_embeddings(**blocks, social=social, alpha=0.6)
+    renorm = composite_embeddings(**blocks, social=social, alpha=0.6, renormalize_alpha=True)
     # with friends: both modes weight the launch term by (1 - alpha)
     assert plain.predict(0, 0) == renorm.predict(0, 0)
     # friendless: renormalized mode scores by the full launch dot instead

@@ -189,7 +189,7 @@ def assert_flat_batch_takes_the_friend_mean_once(monkeypatch, owner, attr: str, 
     orig = getattr(owner, attr)
     monkeypatch.setattr(owner, attr, lambda *a: means.append(1) or orig(*a))
     bd, grads = loss_and_grads(adapter, params, batch, negatives, hp, social)
-    assert len(means) == 1  # the scorer's friend-mean block also feeds the social residual
+    assert len(means) == 1  # the scorer's friend mean also feeds the social residual
 
     # the same numbers as taking the residual's friend mean afresh
     monkeypatch.setattr(adapter, "user_friend_mean", lambda state: None)
