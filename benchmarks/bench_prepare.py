@@ -2,6 +2,8 @@
 
 * ``ingest`` -- the raw files read and their ids remapped;
 * ``split_leave_one_out`` -- the held-out records and the frozen negatives;
+* ``negatives_digest`` -- the fingerprint ``gbrec prepare`` and ``gbrec
+  evaluate`` print, which casts each row of the narrow ids to int64;
 * one stage per file of ``save_split_dir``, each written by its own writer,
   then ``save_split_dir`` as a whole;
 * ``load_split_dir`` (as ``gbrec train`` and ``gbrec evaluate`` read the
@@ -12,8 +14,8 @@ process's ``VmHWM`` (peak resident memory, read from ``/proc/self/status``
 after each stage) covers these stages alone; being a high-water mark, it
 shows a load stage's own peak only where that rises above prepare's. Prints the
 best of ``--repeats`` times for each stage, the ``VmHWM`` after it, and the
-sha256 of every file ``save_split_dir`` writes, so two checkouts can be
-compared for both speed and output. The world shape is given as to
+size and sha256 of every file ``save_split_dir`` writes, so two checkouts can
+be compared for speed, size and output. The world shape is given as to
 ``bench_synth.py`` (world seed 0); the default is the gbmf-wide benchmark
 world, and ``--num-users 500 --num-items 200 --num-records 20000`` is the
 gbgcn-desk shape. Usage::
@@ -34,6 +36,7 @@ import tempfile
 import time
 
 from gbrec.data import DEFAULT_EVAL_NEGATIVES, SPLIT_FILE, load_split_dir, load_train_dir
+from gbrec.evaluate import negatives_digest
 from gbrec.rawdata import (
     _split_arrays,
     _write_npz,
@@ -92,6 +95,7 @@ def main() -> int:
         behaviors, social_path = os.path.join(raw, "behaviors.tsv"), os.path.join(raw, "social.tsv")
         logb, social, stats = stage("ingest", lambda: ingest(behaviors, social_path))
         split = stage("split_leave_one_out", lambda: split_leave_one_out(logb, args.seed, args.negatives))
+        stage("negatives_digest", lambda: negatives_digest(split.eval_negatives))
         os.makedirs(outdir)
         path = lambda name: os.path.join(outdir, name)  # noqa: E731
         stage(SPLIT_FILE, lambda: _write_npz(path(SPLIT_FILE), _split_arrays(split, social)))
@@ -104,10 +108,11 @@ def main() -> int:
         stage("save_split_dir", lambda: save_split_dir(outdir, split, social, stats, args.seed))
         stage("load_split_dir", lambda: load_split_dir(outdir))
         stage("load_train_dir", lambda: load_train_dir(outdir))
-        digests = {}
+        files = {}
         for name in sorted(os.listdir(outdir)):
             with open(path(name), "rb") as fh:
-                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+                body = fh.read()
+            files[name] = len(body), hashlib.sha256(body).hexdigest()
 
     print(
         f"users={logb.num_users} items={logb.num_items} records={len(logb)} "
@@ -116,8 +121,8 @@ def main() -> int:
     )
     for name, best, peak in rows:
         print(f"{name:20s} {best * 1e3:9.2f} ms  VmHWM {peak:6.1f} MB")
-    for name, digest in digests.items():
-        print(f"{name:16s} sha256 {digest}")
+    for name, (size, digest) in files.items():
+        print(f"{name:16s} {size:10d} B  sha256 {digest}")
     return 0
 
 

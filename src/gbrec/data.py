@@ -13,6 +13,12 @@ held-out logs, the social pairs, and the frozen negatives as one
 ``items``) are an export for people and for tools outside gbrec; no loader
 reads them.
 
+The negatives are the split's largest array, up to
+``DEFAULT_EVAL_NEGATIVES`` ids per held-out user. Their ids are drawn,
+stored, read and ranked in ``item_dtype(num_items)``, the narrowest unsigned
+dtype that holds every item id: one byte per id up to 256 items, two up to
+65,536. Every other id array is int64.
+
 Raw text files, their grammar, the split itself and the split directory's
 writer are in ``rawdata``, which only ``gbrec prepare`` and ``gbrec synth``
 import.
@@ -39,6 +45,12 @@ REDRAW_ROUNDS = 32
 
 class IngestError(ValueError):
     pass
+
+
+def item_dtype(num_items: int) -> np.dtype:
+    """The dtype of the frozen negatives' item ids: the narrowest unsigned
+    integer that holds ``num_items - 1`` (uint8 for 0 items)."""
+    return np.min_scalar_type(max(num_items - 1, 0))
 
 
 @dataclass(eq=False)
@@ -135,7 +147,8 @@ class DatasetSplit:
     train: BehaviorLog
     validation: BehaviorLog
     test: BehaviorLog
-    # users x items: row u holds user u's frozen candidates, sorted; empty when u has none
+    # users x items: row u holds user u's frozen candidates, sorted; empty when
+    # u has none. Its indices are item_dtype(num_items), not int64.
     eval_negatives: CSR
     num_users: int
     num_items: int
@@ -236,8 +249,10 @@ def _read_member(zf: zipfile.ZipFile, name: str, dtype: np.dtype, tail: tuple) -
     """Member ``<name>.npy`` of ``zf``, which must hold a C-order array of
     ``dtype`` and shape ``(n, *tail)`` whose bytes fill the member. The header
     is checked before any data is read, so no object array (no pickle) is
-    ever read, and no array larger than the member is made. Reading the
-    member to its end checks its CRC-32."""
+    ever read, and no array larger than the member is made; a header of
+    another dtype or shape, as an older writer's split dir holds, asks for the
+    split dir to be written again. Reading the member to its end checks its
+    CRC-32."""
     try:
         info = zf.getinfo(f"{name}.npy")
     except KeyError:
@@ -248,7 +263,10 @@ def _read_member(zf: zipfile.ZipFile, name: str, dtype: np.dtype, tail: tuple) -
         shape, fortran, stored = np.lib.format.read_array_header_1_0(fh)
         if stored != dtype or fortran or len(shape) != 1 + len(tail) or tuple(shape[1:]) != tail:
             want = ", ".join(["n", *map(str, tail)])
-            raise IngestError(f"{name}: {stored} array of shape {tuple(shape)}, expected {dtype} of shape ({want},)")
+            raise IngestError(
+                f"{name}: {stored} array of shape {tuple(shape)}, expected {dtype} of shape ({want},);"
+                " write this split dir again with gbrec prepare"
+            )
         if fh.tell() + math.prod(shape) * dtype.itemsize != info.file_size:
             raise IngestError(f"{name}: shape {tuple(shape)} does not fill the member's {info.file_size} bytes")
         arr = np.empty(shape, dtype)
@@ -274,13 +292,15 @@ def _read_split(datadir: str, held_out: bool):
     for key in ("num_users", "num_items"):
         if not isinstance(stats, dict) or key not in stats:
             raise IngestError(f"{stats_path}: missing key {key!r}")
-        if type(stats[key]) is not int or stats[key] < 0:
-            raise IngestError(f"{stats_path}: {key!r} must be a non-negative integer, got {stats[key]!r}")
+        # ids are int64; an id space past them would also make item_dtype an object dtype
+        if type(stats[key]) is not int or not 0 <= stats[key] <= np.iinfo(np.int64).max:
+            raise IngestError(f"{stats_path}: {key!r} must be an integer in [0, 2**63), got {stats[key]!r}")
     logs = ("train", *HELD_OUT) if held_out else ("train",)
     specs = {f"{log}_{col}": (dtype, ()) for log in logs for col, dtype in LOG_COLUMNS}
     specs["social_pairs"] = (np.dtype(np.int64), (2,))
     if held_out:
-        specs.update({"negatives_indptr": (np.dtype(np.int64), ()), "negatives_indices": (np.dtype(np.int64), ())})
+        specs["negatives_indptr"] = (np.dtype(np.int64), ())
+        specs["negatives_indices"] = (item_dtype(stats["num_items"]), ())
     path = os.path.join(datadir, SPLIT_FILE)
     if not os.path.exists(path):
         raise IngestError(f"{path}: no such file; write this split dir again with gbrec prepare")
@@ -338,7 +358,8 @@ def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
 def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
     """``load_train_dir`` plus the evaluation side: the held-out logs, each
     one record per user in ascending user order, and the frozen negatives,
-    a non-empty row of sorted distinct items for every held-out user.
+    a non-empty row of sorted distinct items for every held-out user, kept
+    in ``item_dtype(num_items)`` as stored.
 
     Every id is checked against the split's id space, and every offset
     array for rising from 0 to the length of the array it indexes.

@@ -121,14 +121,14 @@ def evaluate_ranking(
 def negatives_digest(negatives: CSR) -> str:
     """Fingerprint of the frozen candidate lists: the sha256 of, per user
     with a non-empty row in ascending order, ``b"<user>:"``, the row's ids as
-    int64 bytes, and ``b";"``. Each row is hashed as a slice of the one
-    ``indices`` array, so no row is copied."""
+    little-endian int64 bytes, and ``b";"``, whatever dtype ``indices`` is
+    held in. Rows are cast one at a time, so the narrow ids of a loaded split
+    are never copied whole."""
     h = hashlib.sha256()
-    ids = memoryview(np.ascontiguousarray(negatives.indices, dtype=np.int64))
-    ptr = negatives.indptr.tolist()
+    ids, ptr = negatives.indices, negatives.indptr.tolist()
     for u in np.flatnonzero(negatives.degrees).tolist():
         h.update(b"%d:" % u)
-        h.update(ids[ptr[u] : ptr[u + 1]])
+        h.update(ids[ptr[u] : ptr[u + 1]].astype("<i8", copy=False))
         h.update(b";")
     return h.hexdigest()
 

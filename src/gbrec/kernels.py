@@ -182,6 +182,10 @@ class CSR:
     """A directed graph from ``num_rows`` row vertices to ``num_cols`` column
     vertices: row ``r``'s neighbours are ``indices[indptr[r]:indptr[r+1]]``,
     sorted and without repeats.
+
+    ``indices`` may be any integer dtype: ``from_edges`` builds int64, and a
+    split's frozen negatives hold ``data.item_dtype(num_items)``, one or two
+    bytes per id.
     """
 
     def __init__(self, num_rows: int, num_cols: int, indptr: np.ndarray, indices: np.ndarray):

@@ -48,6 +48,7 @@ from .data import (
     DatasetSplit,
     IngestError,
     SocialGraph,
+    item_dtype,
     user_interactions,
 )
 from .kernels import CSR
@@ -400,6 +401,9 @@ def split_leave_one_out(
        untouched)`` smallest keys, sorted by id: a uniform draw without
        replacement. Each key is one double of the stream, so the block size
        bounds memory and leaves the split as it is.
+
+    The negatives' ids go straight into one ``item_dtype(num_items)`` array,
+    the dtype ``split.npz`` stores them in; no int64 copy of them is made.
     """
     if num_negatives < 1:
         raise ValueError(f"num_negatives must be >= 1, got {num_negatives}")
@@ -423,7 +427,7 @@ def split_leave_one_out(
     indptr = np.zeros(logb.num_users + 1, dtype=np.int64)
     indptr[users + 1] = np.minimum(num_negatives, num_items - degrees[users])
     np.cumsum(indptr, out=indptr)
-    ids = np.empty(indptr[-1], dtype=np.int64)
+    ids = np.empty(indptr[-1], dtype=item_dtype(num_items))
     kth = min(num_negatives, num_items) - 1
     rows = max(1, SPLIT_BLOCK_CELLS // max(num_items, 1))
     for a in range(0, users.shape[0], rows):

@@ -16,6 +16,7 @@ files.
 import math
 import os
 import time
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -351,10 +352,10 @@ def test_criterion_10_single_thread_determinism(tmp_path):
         path = str(tmp_path / f"ckpt-{i}.bin")
         save_checkpoint(path, result.model_type, result.params, result.hp)
         paths.append(path)
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     assert blobs[0] == blobs[1], "same-seed checkpoints differ"
 
     loaded = load_checkpoint(paths[0])
     round_trip = str(tmp_path / "round-trip.bin")
     save_checkpoint(round_trip, loaded.model_type, loaded.params, loaded.hp)
-    assert open(round_trip, "rb").read() == blobs[0], "round trip not byte-identical"
+    assert Path(round_trip).read_bytes() == blobs[0], "round trip not byte-identical"

@@ -200,6 +200,12 @@ def _drop_num_items(text):
     return json.dumps(payload)
 
 
+def _num_items_past_int64(text):
+    payload = json.loads(text)
+    payload["num_items"] = 2**64
+    return json.dumps(payload)
+
+
 def _set(name, at, value):
     def change(a):
         a[name][at] = value
@@ -236,8 +242,13 @@ def _empty_row_of_first_test_user(a):
         ("split.npz", _replace("train_item", lambda x: x[:-1]), "split.npz: train_item holds"),
         ("split.npz", _replace("negatives_indices", lambda x: x.astype(np.float64)), "split.npz: negatives_indices: float64 array"),
         ("split.npz", _set("negatives_indices", 1, 12), "split.npz: negatives_indices[1]: item id 12 out of range [0, 12)"),
-        ("split.npz", _set("negatives_indices", 1, -1), "split.npz: negatives_indices[1]: item id -1 out of range [0, 12)"),
+        # every split dir written before the negatives were stored narrow
+        (
+            "split.npz", _replace("negatives_indices", lambda x: x.astype(np.int64)),
+            ("split.npz: negatives_indices: int64 array", "expected uint8", "write this split dir again with gbrec prepare"),
+        ),
         ("stats.json", _drop_num_items, "stats.json: missing key 'num_items'"),
+        ("stats.json", _num_items_past_int64, "stats.json: 'num_items' must be an integer in [0, 2**63), got 18446744073709551616"),
         ("split.npz", _replace("negatives_indices", _with_an_id_past_int64), "split.npz: negatives_indices: uint64 array"),
         ("split.npz", _replace("social_pairs", lambda x: np.r_[x, [[1, 30]]]), ("split.npz: social_pairs[", ", 1]: user id 30 out of range [0, 30)")),
         ("split.npz", _set("train_item", 1, 99), "split.npz: train_item[1]: item id 99 out of range [0, 12)"),
@@ -252,8 +263,8 @@ def _empty_row_of_first_test_user(a):
         ("split.npz", None, "split.npz: no such file; write this split dir again with gbrec prepare"),
     ],
     ids=[
-        "train-column-short", "non-integer-item", "item-past-range", "negative-item", "stats-missing-key",
-        "item-past-int64", "social-past-range", "train-item-past-range", "train-participant-past-range",
+        "train-column-short", "non-integer-item", "item-past-range", "legacy-int64-negatives", "stats-missing-key",
+        "stats-items-past-int64", "item-past-int64", "social-past-range", "train-item-past-range", "train-participant-past-range",
         "validation-user-past-range", "validation-user-twice", "test-user-twice", "negatives-id-twice",
         "negatives-missing-held-out-user", "test-users-out-of-order", "negatives-offsets-fall", "no-split-npz",
     ],

@@ -561,7 +561,7 @@ def test_split_equals_the_record_loop(world):
     got = helpers.negative_lists(split.eval_negatives)
     assert sorted(got) == sorted(negatives)
     for u, want in negatives.items():
-        assert got[u].dtype == np.int64
+        assert got[u].dtype == data.item_dtype(num_items)
         np.testing.assert_array_equal(got[u], want)
     assert (split.eval_negatives.num_rows, split.eval_negatives.num_cols) == (num_users, num_items)
     assert (split.num_users, split.num_items) == (num_users, num_items)
@@ -799,3 +799,26 @@ def test_split_dir_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(social2.indptr, social.indptr)
     np.testing.assert_array_equal(social2.indices, social.indices)
     assert stats2["num_behaviors"] == stats.num_behaviors
+
+
+@pytest.mark.parametrize(
+    "num_items, dtype",
+    [(0, np.uint8), (1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_item_dtype_holds_every_item_id(num_items, dtype):
+    assert data.item_dtype(num_items) == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("num_items, dtype", [(12, np.uint8), (300, np.uint16), (70_000, np.uint32)])
+def test_split_dir_keeps_the_negatives_narrow(tmp_path, rng, num_items, dtype):
+    log = helpers.from_records(helpers.make_records(rng, 10, num_items, 60), 10, num_items)
+    split = split_leave_one_out(log, seed=2)
+    assert split.eval_negatives.indices.dtype == dtype
+    social = helpers.make_social(rng, 10, 8)
+    save_split_dir(str(tmp_path), split, social, DatasetStats(10, num_items, 60, 0, 0, social.num_edges), seed=2)
+    with np.load(tmp_path / "split.npz") as npz:
+        assert npz["negatives_indices"].dtype == dtype
+    loaded, _, _ = load_split_dir(str(tmp_path))
+    assert loaded.eval_negatives.indices.dtype == dtype
+    np.testing.assert_array_equal(loaded.eval_negatives.indices, split.eval_negatives.indices)
+    assert loaded.eval_negatives.indices.size == split.eval_negatives.indices.size > 0

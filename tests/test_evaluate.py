@@ -1,5 +1,6 @@
 """Ranking, metric aggregation, candidate-list digests, view diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gbrec.evaluate import (
 )
 from gbrec.loss import BehaviorRecord
 from gbrec.data import SocialGraph
+from gbrec.kernels import CSR
 from gbrec.model import composite_embeddings, flat_embeddings
 from gbrec.rawdata import split_leave_one_out
 
@@ -210,6 +212,17 @@ def test_negatives_digest_of_a_drawn_split_keeps_the_per_user_value():
     lists = helpers.negative_lists(split.eval_negatives)
     assert len(lists) > 20
     assert negatives_digest(split.eval_negatives) == oracles.negatives_digest_oracle(lists)
+
+
+@pytest.mark.parametrize("dtype, num_items", [(np.uint8, 200), (np.uint16, 1200)])
+def test_negatives_digest_hashes_int64_ids_whatever_the_stored_dtype(dtype, num_items):
+    # users 0 and 2 hold rows, user 1's row between them is empty
+    first, last = [3, 17, num_items - 1], [0, num_items - 2]
+    negatives = CSR(3, num_items, np.array([0, 3, 3, 5]), np.array(first + last, dtype=dtype))
+    h = hashlib.sha256()
+    for u, row in ((0, first), (2, last)):
+        h.update(b"%d:" % u + np.array(row).astype("<i8").tobytes() + b";")
+    assert negatives_digest(negatives) == h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -301,7 +302,8 @@ def test_generate_writes_consistent_corpus(tmp_path, rng):
         assert getattr(stats, key) == value, key
     assert helpers.records_of(logb) == helpers.records_of(result.log)
 
-    meta = json.load(open(os.path.join(out, "generation.json")))
+    with open(os.path.join(out, "generation.json")) as fh:
+        meta = json.load(fh)
     assert meta["seed"] == 11
     assert SynthConfig.from_dict(meta["config"]) == SMALL
     assert meta["counters"] == result.counters
@@ -310,10 +312,10 @@ def test_generate_writes_consistent_corpus(tmp_path, rng):
 def test_generate_is_deterministic(tmp_path):
     a = generate(SMALL, seed=12, outdir=str(tmp_path / "a"))
     b = generate(SMALL, seed=12, outdir=str(tmp_path / "b"))
-    assert open(a.behavior_path).read() == open(b.behavior_path).read()
-    assert open(a.social_path).read() == open(b.social_path).read()
+    assert Path(a.behavior_path).read_text() == Path(b.behavior_path).read_text()
+    assert Path(a.social_path).read_text() == Path(b.social_path).read_text()
     c = generate(SMALL, seed=13, outdir=str(tmp_path / "c"))
-    assert open(a.behavior_path).read() != open(c.behavior_path).read()
+    assert Path(a.behavior_path).read_text() != Path(c.behavior_path).read_text()
 
 
 # sha256 of the files generate(SMALL, seed=11) writes; planted.npz also pins

@@ -1,6 +1,7 @@
 """Optimizers, training stages, checkpoints, and training-log hashing."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ def test_write_training_log_is_jsonl(tmp_path):
     path = str(tmp_path / "log.jsonl")
     entries = [{"stage": "pretrain", "epoch": 0, "total": 2.5, "wall_time": 0.1}]
     write_training_log(path, entries)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["total"] == 2.5
 
@@ -294,7 +295,7 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     save_checkpoint(p1, "gbgcn", params, hp)
     save_checkpoint(p2, "gbgcn", params, hp)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -302,33 +303,33 @@ def test_checkpoint_rejects_corruption(tmp_path):
     params = init_params(3, 3, hp, seed=0)
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, "gbgcn", params, hp)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
 
     bad_magic = str(tmp_path / "bad_magic.ckpt")
-    open(bad_magic, "wb").write(b"XXXX" + blob[4:])
+    Path(bad_magic).write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(bad_magic)
 
     truncated = str(tmp_path / "trunc.ckpt")
-    open(truncated, "wb").write(blob[:-5])
+    Path(truncated).write_bytes(blob[:-5])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(truncated)
 
     trailing = str(tmp_path / "trail.ckpt")
-    open(trailing, "wb").write(blob + b"\x00\x00")
+    Path(trailing).write_bytes(blob + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(trailing)
 
     wrong_version = str(tmp_path / "ver.ckpt")
     import struct
 
-    open(wrong_version, "wb").write(blob[:4] + struct.pack("<I", 999) + blob[8:])
+    Path(wrong_version).write_bytes(blob[:4] + struct.pack("<I", 999) + blob[8:])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(wrong_version)
 
     # the flags word follows magic, six header ints and the hyperparameter length
     flagged = str(tmp_path / "flags.ckpt")
-    open(flagged, "wb").write(blob[:32] + struct.pack("<I", 1) + blob[36:])
+    Path(flagged).write_bytes(blob[:32] + struct.pack("<I", 1) + blob[36:])
     with pytest.raises(CheckpointError, match="flags") as err:
         load_checkpoint(flagged)
     assert flagged in str(err.value)
