@@ -42,7 +42,7 @@ import time
 
 import numpy as np
 
-from gbrec import kernels, model
+from gbrec import kernels, scoring
 from gbrec.data import SocialGraph
 
 # the test suite's switch between the sparse and the dense products
@@ -110,19 +110,19 @@ def time_score_pass(args, rng) -> None:
 
     social = SocialGraph.from_edges(P, rng.integers(0, P, size=(4 * P, 2)))
     if args.blocks == 1:
-        emb = model.flat_embeddings(*blocks(P), *blocks(Q), social, alpha=0.6)
+        emb = scoring.flat_embeddings(*blocks(P), *blocks(Q), social, alpha=0.6)
     else:
-        emb = model.composite_embeddings(blocks(P), blocks(Q), blocks(P), blocks(Q), social, alpha=0.6)
+        emb = scoring.composite_embeddings(blocks(P), blocks(Q), blocks(P), blocks(Q), social, alpha=0.6)
     users, lo, hi = rng.integers(0, P, n), rng.integers(0, Q, n), rng.integers(0, Q, n)
     dgap = rng.random(n)
-    adj = model.ScoreAdjoint.zeros(emb)
+    adj = scoring.ScoreAdjoint.zeros(emb)
     print(
         f"score_pass: users={P} items={Q} terms={n} blocks={args.blocks} width={args.dim} "
-        f"cells/terms={P * Q / n:.2f} ratio={model.SCORE_DENSE_RATIO}"
+        f"cells/terms={P * Q / n:.2f} ratio={scoring.SCORE_DENSE_RATIO}"
     )
     fns = {
         "gaps": lambda: emb.score_gaps(users, lo, hi),
-        "backward": lambda: model.score_pairs_backward(emb, users, hi, lo, dgap, adj),
+        "backward": lambda: scoring.score_pairs_backward(emb, users, hi, lo, dgap, adj),
     }
     time_paths("score_pass", fns, "dense" if emb.dense_score_pass(n) else "sparse", args.repeats)
 

@@ -16,7 +16,7 @@ propagation:
   removed. Over raw embeddings the two-role score ``(1-alpha) <user, item> +
   alpha <friend mean, item>`` is one inner product ``<q[user], item>`` with
   the query row ``q = (1-alpha) user_emb + alpha social.mean(user_emb)``,
-  and ``model.flat_embeddings`` scores it that way.
+  and ``scoring.flat_embeddings`` scores it that way.
 
 Both reuse the trainer's optimizers and the evaluator verbatim, so metric
 deltas against the graph model reflect the model change only.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import BehaviorLog, SocialGraph
-from .model import FlatParams, flat_embeddings
+from .scoring import FlatParams, flat_embeddings
 
 def flatten_interactions(log: BehaviorLog) -> BehaviorLog:
     """Convert group records to plain user-item pairs for single-view training.

@@ -4,9 +4,9 @@ Layout, little-endian: the magic ``GBGC``; six uint32s (format version, model
 type code, users P, items Q, embedding width d, layers L, which is 0 for the
 flat models); two uint32s (the length of the hyperparameter JSON, and header
 flags, always 0); the hyperparameters as compact sorted JSON; then every
-tensor of the model type, in ``TENSOR_FIELDS`` or ``FLAT_TENSOR_FIELDS``
-order, as float32. Reading checks every field, and every failure is one
-``CheckpointError`` naming the file.
+tensor of the model type, in ``model.TENSOR_FIELDS`` or
+``scoring.FLAT_TENSOR_FIELDS`` order, as float32. Reading checks every field,
+and every failure is one ``CheckpointError`` naming the file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CheckpointError, Hyperparams
-from .model import FLAT_TENSOR_FIELDS, TENSOR_FIELDS, FlatParams, ModelParams
+from .scoring import FLAT_TENSOR_FIELDS, FlatParams
 
 MODEL_TYPE_CODES = {"gbgcn": 0, "gbmf": 1, "mf": 2}
 CODE_TO_MODEL_TYPE = {v: k for k, v in MODEL_TYPE_CODES.items()}
@@ -26,8 +26,13 @@ CHECKPOINT_MAGIC = b"GBGC"
 CHECKPOINT_VERSION = 1
 
 
-def _tensor_fields(model_type: str) -> tuple[str, ...]:
-    return TENSOR_FIELDS if model_type == "gbgcn" else FLAT_TENSOR_FIELDS
+def _layout(model_type: str) -> tuple[tuple[str, ...], type]:
+    """``model_type``'s tensor fields in file order, and their class; only gbgcn loads ``model``."""
+    if model_type == "gbgcn":
+        from .model import TENSOR_FIELDS, ModelParams
+
+        return TENSOR_FIELDS, ModelParams
+    return FLAT_TENSOR_FIELDS, FlatParams
 
 
 @dataclass
@@ -49,7 +54,7 @@ def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams) -> None
     buf += struct.pack("<IIIIII", CHECKPOINT_VERSION, MODEL_TYPE_CODES[model_type], P, Q, d, L)
     buf += struct.pack("<II", len(hp_json), 0)
     buf += hp_json
-    for name in _tensor_fields(model_type):
+    for name in _layout(model_type)[0]:
         buf += np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
@@ -121,17 +126,14 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     width = (L + 1) * d
     shapes = {"user_emb": (P, d), "item_emb": (Q, d)}
-    for name in TENSOR_FIELDS[2:]:
-        shapes[name] = (width,) if name.startswith("b_") else (width, width)
-
+    fields, params_type = _layout(model_type)
     tensors = {}
-    for name in _tensor_fields(model_type):
-        shape = shapes[name]
+    for name in fields:
+        shape = shapes.get(name, (width,) if name.startswith("b_") else (width, width))
         count = int(np.prod(shape))
         tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * count), dtype="<f4").reshape(shape))
         if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
             raise CheckpointError(f"{path}: {name} holds a non-finite value")
-    params = ModelParams(**tensors) if model_type == "gbgcn" else FlatParams(**tensors)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
-    return Checkpoint(model_type, params, hp)
+    return Checkpoint(model_type, params_type(**tensors), hp)

@@ -3,13 +3,14 @@
 One orchestration layer over the library; no modelling logic lives here.
 Results go to standard output, diagnostics to standard error, and the exit
 code is 0 exactly when the command completed. Every command is deterministic
-given its inputs and the seed, with BLAS at one thread.
+given its inputs and the seed, since BLAS runs at one thread unless set otherwise.
 
 Each command imports the modules it runs when it starts, so a command
 compiles and loads only its own code: ``recommend`` with a flat checkpoint
-never loads the trainer, the loss or the graphs, and ``synth`` never loads
-the model. At the top are only the parser's needs (the two configurations in
-``config``) and ``data``, which every command reads or writes through.
+never loads the trainer, the loss, the graphs or GBGCN's ``model``, and
+``synth`` never loads the scorer. At the top are only the parser's needs
+(the two configurations in ``config``) and ``data``, which every command
+reads or writes through.
 """
 
 from __future__ import annotations
@@ -21,10 +22,15 @@ import os
 import sys
 from dataclasses import fields as dc_fields
 
-import numpy as np
+# before NumPy sizes its BLAS pool: a dense product over hundreds of rows rounds
+# differently at another thread count. A value the caller set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import __version__
-from .config import (
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .config import (  # noqa: E402
     ACTIVATIONS,
     MODEL_TYPES,
     CheckpointError,
@@ -35,7 +41,7 @@ from .config import (
     coerce_value,
     load_typed,
 )
-from .data import DEFAULT_EVAL_NEGATIVES, IngestError, load_split_dir, load_train_dir, user_interactions
+from .data import DEFAULT_EVAL_NEGATIVES, IngestError, load_split_dir, load_train_dir, user_interactions  # noqa: E402
 
 log = logging.getLogger("gbrec.cli")
 
@@ -82,18 +88,19 @@ def _overrides(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _embeddings_from_checkpoint(ckpt, train, social):
-    from .model import flat_embeddings, forward
+def _embeddings_from_checkpoint(args, ckpt, train, social):
+    from .scoring import flat_embeddings
 
     P = ckpt.params.user_emb.shape[0]
     Q = ckpt.params.item_emb.shape[0]
     if P != train.num_users or Q != train.num_items:
         raise CheckpointError(
-            f"checkpoint holds {P} users x {Q} items but the data dir has "
-            f"{train.num_users} x {train.num_items}"
+            f"{args.checkpoint} holds {P} users x {Q} items but the data dir "
+            f"{args.data} has {train.num_users} x {train.num_items}"
         )
     if ckpt.model_type == "gbgcn":
         from .graphs import build_graphs
+        from .model import forward
 
         bundle = build_graphs(train, ckpt.hp.failed_participant_edges)
         return forward(bundle, social, ckpt.params, ckpt.hp).emb
@@ -153,7 +160,7 @@ def cmd_evaluate(args) -> int:
         return 2
     split, social, _stats = load_split_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    emb = _embeddings_from_checkpoint(ckpt, split.train, social)
+    emb = _embeddings_from_checkpoint(args, ckpt, split.train, social)
     ks = args.ks if args.ks is not None else tuple(ckpt.hp.eval_ks)
     if not len(split.test):
         raise IngestError(f"{args.data}: split has no test users")
@@ -180,10 +187,10 @@ def cmd_recommend(args) -> int:
         return 2
     train, social, _stats = load_train_dir(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    emb = _embeddings_from_checkpoint(ckpt, train, social)
+    emb = _embeddings_from_checkpoint(args, ckpt, train, social)
     if not 0 <= args.user < train.num_users:
         raise IndexError(f"user id {args.user} out of range [0, {train.num_users})")
-    scores = emb.all_item_scores(args.user)
+    scores = emb.score_users(np.array([args.user]))[0]  # ranked as evaluate ranks
     # stable ranking: score descending, item id ascending on ties
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
     unseen = order[np.isin(order, user_interactions(train).neighbors(args.user), invert=True)]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Hyperparams
 from .data import BehaviorLog, SocialGraph
-from .model import EmbeddingSet, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
+from .scoring import EmbeddingSet, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
 
 
 def softplus(x):
@@ -197,24 +197,23 @@ def social_value(resid: np.ndarray | None, coeff: float) -> float:
 
 
 def regularizer_grads(
-    tensors: dict[str, np.ndarray],
-    social: SocialGraph,
-    resid: np.ndarray | None,
-    hp: Hyperparams,
-    grads: dict[str, np.ndarray],
+    tensors: dict[str, np.ndarray], resid: np.ndarray | None, hp: Hyperparams, grads: dict[str, np.ndarray]
 ) -> None:
-    """Add d(l2 + social)/d(params) for every trainable tensor present.
-
-    ``resid`` is the batch's ``social_residual``.
-    """
+    """Add d(l2 + social)/d(params) for every trainable tensor present, but for
+    the social penalty's path through the friend mean (``friend_mean_adjoint``).
+    ``resid`` is the batch's ``social_residual``."""
     if hp.l2_coeff != 0.0:
         for name, t in tensors.items():
             if name in grads:
                 grads[name] += (2.0 * hp.l2_coeff) * t
     if resid is not None and "user_emb" in grads:
-        dtype = tensors["user_emb"].dtype
-        grads["user_emb"] += (2.0 * hp.social_reg_coeff * resid).astype(dtype)
-        grads["user_emb"] += social.mean_adjoint((-2.0 * hp.social_reg_coeff) * resid, dtype)
+        grads["user_emb"] += (2.0 * hp.social_reg_coeff * resid).astype(tensors["user_emb"].dtype)
+
+
+def friend_mean_adjoint(resid: np.ndarray | None, coeff: float) -> np.ndarray | None:
+    """The social penalty's float64 adjoint with respect to ``social.mean(user_emb)``:
+    ``-2 * coeff * resid``, or None when the penalty is off."""
+    return None if resid is None else (-2.0 * coeff) * resid
 
 
 def breakdown_from_terms(

@@ -19,7 +19,6 @@ import json
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,23 +34,14 @@ from .loss import (
     LossBreakdown,
     breakdown_from_terms,
     build_terms,
+    friend_mean_adjoint,
     loss_terms_backward,
     regularizer_grads,
     score_terms,
     social_residual,
 )
-from .model import (
-    FLAT_TENSOR_FIELDS,
-    TENSOR_FIELDS,
-    EmbeddingSet,
-    ScoreAdjoint,
-    backward,
-    flat_backward,
-    flat_embeddings,
-    forward,
-    init_flat_params,
-    init_params,
-)
+from .model import TENSOR_FIELDS, backward, forward, init_params
+from .scoring import FLAT_TENSOR_FIELDS, EmbeddingSet, ScoreAdjoint, flat_backward, flat_embeddings, init_flat_params
 
 log = logging.getLogger(__name__)
 
@@ -103,32 +93,24 @@ class Adam:
 
 class GCNModel:
     trainable = TENSOR_FIELDS
+    scores_friend_mean = False  # its friend means are of propagated blocks, so forward ignores friend_mean
 
     def __init__(self, bundle: HeteroGraphBundle, social: SocialGraph, hp: Hyperparams):
         self.bundle = bundle
         self.social = social
         self.hp = hp
 
-    def forward(self, params):
+    def forward(self, params, friend_mean: np.ndarray | None = None):
         return forward(self.bundle, self.social, params, self.hp)
 
-    def embeddings(self, state):
+    def embeddings(self, state) -> EmbeddingSet:
         return state.emb
 
-    def backward(self, state, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
+    def backward(self, state, adj: ScoreAdjoint, d_friend_mean, grads: dict[str, np.ndarray]) -> None:
+        """``d_friend_mean``: the float64 adjoint of ``social.mean(user_emb)``, or None."""
         backward(state, adj, grads)
-
-    def user_friend_mean(self, state) -> None:
-        """The friend means here are of propagated blocks, not of ``user_emb``."""
-        return None
-
-
-class FlatState(NamedTuple):
-    """A flat batch's forward: its scorer, and the friend mean of ``user_emb``
-    that the scorer's query rows hold (None when alpha is 0)."""
-
-    emb: EmbeddingSet
-    friend_mean: np.ndarray | None
+        if d_friend_mean is not None:
+            grads["user_emb"] += self.social.mean_adjoint(d_friend_mean, grads["user_emb"].dtype)
 
 
 class FlatModel:
@@ -137,41 +119,41 @@ class FlatModel:
     def __init__(self, social: SocialGraph, hp: Hyperparams):
         self.social = social
         self.hp = hp
+        self.scores_friend_mean = hp.alpha != 0.0
 
-    def forward(self, params) -> FlatState:
-        fm = self.social.mean(params.user_emb) if self.hp.alpha != 0.0 else None
-        emb = flat_embeddings(
-            params.user_emb, params.item_emb, self.social, self.hp.alpha, self.hp.renormalize_alpha, fm
+    def forward(self, params, friend_mean: np.ndarray | None = None) -> EmbeddingSet:
+        return flat_embeddings(
+            params.user_emb, params.item_emb, self.social, self.hp.alpha, self.hp.renormalize_alpha, friend_mean
         )
-        return FlatState(emb, fm)
 
-    def embeddings(self, state: FlatState) -> EmbeddingSet:
-        return state.emb
+    def embeddings(self, state: EmbeddingSet) -> EmbeddingSet:
+        return state
 
-    def backward(self, state: FlatState, adj: ScoreAdjoint, grads: dict[str, np.ndarray]) -> None:
-        flat_backward(adj, self.social, self.hp.alpha, self.hp.renormalize_alpha, grads)
-
-    def user_friend_mean(self, state: FlatState) -> np.ndarray | None:
-        """``social.mean(user_emb)``, built once for the scorer unless alpha is 0."""
-        return state.friend_mean
+    def backward(self, state: EmbeddingSet, adj: ScoreAdjoint, d_friend_mean, grads: dict[str, np.ndarray]) -> None:
+        flat_backward(adj, self.social, self.hp.alpha, self.hp.renormalize_alpha, d_friend_mean, grads)
 
 
 def loss_and_grads(
     adapter, params, batch: BehaviorLog, negatives: np.ndarray, hp: Hyperparams, social: SocialGraph
 ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """One full batch evaluation: breakdown plus gradients for every trainable tensor."""
-    state = adapter.forward(params)
+    """One full batch evaluation: breakdown plus gradients for every trainable tensor.
+
+    The friend mean of ``user_emb`` is built here, once, for the scorer and the
+    social penalty; the adapter's backward spreads the penalty's adjoint of it.
+    """
+    friend_mean = social.mean(params.user_emb) if adapter.scores_friend_mean or hp.social_reg_coeff else None
+    state = adapter.forward(params, friend_mean)
     emb = adapter.embeddings(state)
     terms = build_terms(batch, negatives, social, hp.beta)
     gap = score_terms(terms, emb, hp.role_scores)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
-    resid = social_residual(params.user_emb, social, hp.social_reg_coeff, adapter.user_friend_mean(state))
+    resid = social_residual(params.user_emb, social, hp.social_reg_coeff, friend_mean)
     bd = breakdown_from_terms(terms, gap, tensors, resid, hp)
     adj = ScoreAdjoint.zeros(emb)
     loss_terms_backward(terms, gap, emb, adj, hp.role_scores)
     grads = {name: np.zeros_like(tensors[name]) for name in adapter.trainable}
-    adapter.backward(state, adj, grads)
-    regularizer_grads(tensors, social, resid, hp, grads)
+    adapter.backward(state, adj, friend_mean_adjoint(resid, hp.social_reg_coeff), grads)
+    regularizer_grads(tensors, resid, hp, grads)
     return bd, grads
 
 

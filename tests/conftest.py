@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gbrec import kernels, model
+from gbrec import kernels, scoring
 
 
 @contextmanager
@@ -12,17 +12,17 @@ def forced_products(path: str):
     ("sparse" or "dense"), whatever the shape rules pick, by setting the
     rules' constants for the duration. This is the one place that knows which
     constants force which path."""
-    saved = kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO
+    saved = kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, scoring.SCORE_DENSE_RATIO
     if path == "dense":
-        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO = 0.0, float("inf"), float("inf")
+        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, scoring.SCORE_DENSE_RATIO = 0.0, float("inf"), float("inf")
     elif path == "sparse":
-        kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO = 0, 0
+        kernels.DENSE_MAX_CELLS, scoring.SCORE_DENSE_RATIO = 0, 0
     else:
         raise ValueError(f"path must be 'sparse' or 'dense', got {path!r}")
     try:
         yield
     finally:
-        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, model.SCORE_DENSE_RATIO = saved
+        kernels.DENSE_MIN_FILL, kernels.DENSE_MAX_CELLS, scoring.SCORE_DENSE_RATIO = saved
 
 
 @pytest.fixture

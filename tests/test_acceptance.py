@@ -32,10 +32,10 @@ from gbrec.loss import BehaviorRecord, loss_failed, loss_success
 from gbrec.model import (
     BRANCHES,
     forward,
-    init_flat_params,
     init_params,
 )
 from gbrec.rawdata import ingest, split_leave_one_out
+from gbrec.scoring import init_flat_params
 from gbrec.synthetic import generate
 from gbrec.trainer import (
     FlatModel,

@@ -6,7 +6,7 @@ import pytest
 from gbrec.baselines import flatten_interactions, gbmf_score, mf_score
 from gbrec.data import SocialGraph
 from gbrec.loss import BehaviorRecord
-from gbrec.model import init_flat_params
+from gbrec.scoring import init_flat_params
 
 import helpers
 

@@ -23,8 +23,9 @@ from gbrec.data import (
     user_interactions,
 )
 from gbrec.kernels import CSR
-from gbrec.model import init_flat_params, init_params
+from gbrec.model import init_params
 from gbrec.rawdata import DatasetStats, save_split_dir
+from gbrec.scoring import init_flat_params
 
 
 SYNTH_ARGS = [
@@ -325,6 +326,33 @@ def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+def test_train_gives_one_hash_whatever_the_blas_threads(tmp_path):
+    # 500 users: the item-side graph means and the dense score pass sum over 500
+    # rows, where OpenBLAS rounds differently at one thread and at two. A default
+    # run must take one thread, as a run with the variables set to 1 does. On a
+    # one-core host both runs take one thread anyway, and the test passes trivially.
+    raw, data = str(tmp_path / "raw"), str(tmp_path / "data")
+    world = ["--num-users", "500", "--num-items", "100", "--num-records", "3000", "--latent-dim", "4"]
+    assert main(["synth", "--outdir", raw, "--seed", "0", *world]) == 0
+    behaviors, social = os.path.join(raw, "behaviors.tsv"), os.path.join(raw, "social.tsv")
+    assert main(["prepare", behaviors, social, "--outdir", data, "--negatives", "8"]) == 0
+    hashes = []
+    for threads in (None, "1"):
+        env = child_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        argv = ["train", "--data", data, "--outdir", str(tmp_path / f"run-{threads}"), "--dim", "16",
+                "--num-layers", "2", "--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "10000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbrec.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(out_value(proc.stdout, "training_log_hash"))
+    assert hashes[0] == hashes[1]
+
+
 # each command runs in a child process, which then writes the gbrec modules it
 # loaded to the file named by its first argument
 LOADED_MODULES = (
@@ -336,16 +364,16 @@ LOADED_MODULES = (
     "sys.exit(code)\n"
 )
 EVERY_COMMAND = {"gbrec", "gbrec.cli", "gbrec.config", "gbrec.data", "gbrec.kernels"}
-TRAINING = {"baselines", "checkpoint", "evaluate", "graphs", "loss", "model", "trainer"}
+TRAINING = {"baselines", "checkpoint", "evaluate", "graphs", "loss", "model", "scoring", "trainer"}
 COMMAND_MODULES = {
     "synth": {"rawdata", "synthetic"},
     "prepare": {"rawdata", "evaluate"},
     "train-gbgcn": TRAINING,
     "train-gbmf": TRAINING,
-    "evaluate-gbgcn": {"checkpoint", "evaluate", "graphs", "model"},
-    "evaluate-gbmf": {"checkpoint", "evaluate", "model"},
-    "recommend-gbgcn": {"checkpoint", "graphs", "model"},
-    "recommend-gbmf": {"checkpoint", "model"},
+    "evaluate-gbgcn": {"checkpoint", "evaluate", "graphs", "model", "scoring"},
+    "evaluate-gbmf": {"checkpoint", "evaluate", "scoring"},
+    "recommend-gbgcn": {"checkpoint", "graphs", "model", "scoring"},
+    "recommend-gbmf": {"checkpoint", "scoring"},
 }
 
 
@@ -426,6 +454,21 @@ def test_checkpoint_hyperparams_disagreeing_with_the_header_fail_with_one_locate
     assert code == 1
     assert out == ""
     assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: {problem}"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+def test_a_checkpoint_of_another_shape_fails_naming_both_paths(pipeline, tmp_path, capsys, command):
+    split, _, _ = load_split_dir(pipeline["datadir"])
+    P, Q = split.num_users + 1, split.num_items
+    checkpoint = str(tmp_path / "other.bin")
+    save_checkpoint(checkpoint, "gbmf", init_flat_params(P, Q, 4, seed=0), Hyperparams(dim=4))
+    argv = [command, "--checkpoint", checkpoint, "--data", pipeline["datadir"]]
+    code, out, err = run(capsys, argv + (["--user", "0"] if command == "recommend" else []))
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"error: {checkpoint} holds {P} users x {Q} items but the data dir {pipeline['datadir']} has {P - 1} x {Q}"
+    ]
 
 
 def test_recommend_rejects_unknown_user(pipeline, capsys):

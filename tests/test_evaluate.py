@@ -20,7 +20,7 @@ from gbrec.evaluate import (
 from gbrec.loss import BehaviorRecord
 from gbrec.data import SocialGraph
 from gbrec.kernels import CSR
-from gbrec.model import composite_embeddings, flat_embeddings
+from gbrec.scoring import composite_embeddings, flat_embeddings
 from gbrec.rawdata import split_leave_one_out
 
 import helpers
@@ -181,7 +181,7 @@ def test_blocked_ranking_equals_the_rank_of_each_user(world):
         scores = emb.score_items(u, np.concatenate([[item], negatives.neighbors(u)]))
         want.append(rank_from_scores(float(scores[0]), scores[1:]))
     np.testing.assert_array_equal(report.ranks, want)
-    by_user = [emb.all_item_scores(u) for u in records.initiator.tolist()]
+    by_user = [emb.score_items(u, np.arange(emb.num_items)) for u in records.initiator.tolist()]
     np.testing.assert_array_equal(emb.score_users(records.initiator), by_user)
 
 

@@ -30,7 +30,8 @@ from gbrec.checkpoint import load_checkpoint, save_checkpoint
 from gbrec.cli import main
 from gbrec.config import CheckpointError, Hyperparams
 from gbrec.data import IngestError, load_split_dir, load_train_dir
-from gbrec.model import init_flat_params, init_params
+from gbrec.model import init_params
+from gbrec.scoring import init_flat_params
 
 SYNTH_ARGS = ["--num-users", "30", "--num-items", "12", "--num-records", "200", "--latent-dim", "4",
               "--mean-friends", "4.0"]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gbrec.loss import total_loss
-from gbrec.model import init_flat_params
+from gbrec.scoring import init_flat_params
 from gbrec.trainer import FlatModel, GCNModel, loss_and_grads
 
 import helpers
@@ -93,11 +93,10 @@ def test_flat_model_gradients_match_finite_differences_on_the_sparse_path(sparse
 
 
 def test_flat_model_gradients_without_the_friend_term():
-    # alpha 0 is what mf trains: the scorer builds no friend mean, and its query rows are user_emb
+    # alpha 0 is what mf trains: the scorer reads no friend mean, and its query rows are user_emb
     fixture = flat_fixture(alpha=0.0)
     adapter, params = fixture[:2]
-    state = adapter.forward(params)
-    assert state.friend_mean is None and state.emb.query[0] is params.user_emb
+    assert not adapter.scores_friend_mean and adapter.forward(params).query[0] is params.user_emb
     check_against_fd(*fixture)
 
 

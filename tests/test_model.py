@@ -18,22 +18,24 @@ from gbrec.graphs import HeteroGraphBundle
 from gbrec.kernels import CSR
 from gbrec.model import (
     BRANCHES,
-    SCORE_CHUNK,
-    FlatParams,
     ModelParams,
     activate,
     activate_grad,
-    composite_embeddings,
-    flat_embeddings,
     forward,
-    init_flat_params,
     init_params,
     propagate_cross_view,
     propagate_in_view,
+    Views,
+)
+from gbrec.scoring import (
+    SCORE_CHUNK,
+    FlatParams,
     ScoreAdjoint,
+    composite_embeddings,
+    flat_embeddings,
+    init_flat_params,
     score_pairs_backward,
     score_pairs_join_view_backward,
-    Views,
 )
 
 import helpers
@@ -283,7 +285,7 @@ def test_score_entry_points_agree(sparse_products):
     emb = make_emb(alpha=0.25)
     items = np.array([0, 1])
     by_items = emb.score_items(0, items)
-    np.testing.assert_array_equal(by_items, emb.all_item_scores(0))
+    np.testing.assert_array_equal(by_items, emb.score_users(np.array([0]))[0])
     np.testing.assert_array_equal(emb.score_gaps(np.array([0, 0]), np.array([1, 1]), items), HAND_GAPS)
     assert emb.predict(0, 1) == by_items[1]
 

@@ -13,8 +13,10 @@ from gbrec.config import CheckpointError, Hyperparams, TrainingError
 from gbrec.data import DatasetSplit, user_interactions
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
-from gbrec.model import init_flat_params, init_params
+from gbrec.loss import total_loss
+from gbrec.model import init_params
 from gbrec.rawdata import split_leave_one_out
+from gbrec.scoring import init_flat_params
 from gbrec.trainer import (
     SGD,
     Adam,
@@ -177,7 +179,8 @@ def test_train_model_mf_disables_multi_view_machinery(monkeypatch):
 
 
 def assert_flat_batch_takes_the_friend_mean_once(monkeypatch, owner, attr: str, dense: bool):
-    """Count the friend means of one flat batch at ``owner.attr``."""
+    """Count the friend means of one flat batch at ``owner.attr``, and the
+    social graph's ``mean_adjoint`` calls."""
     split, social = tiny_problem(seed=5)
     assert social.runs_dense is dense
     hp = Hyperparams(dim=4, alpha=0.6, social_reg_coeff=0.1)
@@ -186,19 +189,19 @@ def assert_flat_batch_takes_the_friend_mean_once(monkeypatch, owner, attr: str, 
     negatives = np.random.default_rng(0).integers(0, split.num_items, size=(len(batch), 1))
     adapter = FlatModel(social, hp)
 
-    means = []
+    means, adjoints = [], []
     orig = getattr(owner, attr)
     monkeypatch.setattr(owner, attr, lambda *a: means.append(1) or orig(*a))
+    orig_adjoint = social.mean_adjoint
+    monkeypatch.setattr(social, "mean_adjoint", lambda *a: adjoints.append(1) or orig_adjoint(*a))
     bd, grads = loss_and_grads(adapter, params, batch, negatives, hp, social)
     assert len(means) == 1  # the scorer's friend mean also feeds the social residual
+    # the scorer's adjoint and the social penalty's reach the friends in one call
+    assert len(adjoints) == 1
 
-    # the same numbers as taking the residual's friend mean afresh
-    monkeypatch.setattr(adapter, "user_friend_mean", lambda state: None)
-    bd2, grads2 = loss_and_grads(adapter, params, batch, negatives, hp, social)
-    assert len(means) == 3
-    assert bd == bd2
-    for name in grads:
-        np.testing.assert_array_equal(grads[name], grads2[name])
+    # the same loss as the reference, which takes the residual's friend mean afresh
+    emb = adapter.embeddings(adapter.forward(params))
+    assert bd == total_loss(batch, negatives, emb, social, params.tensors(), hp)
 
 
 def test_flat_batch_takes_the_friend_mean_once(sparse_products, monkeypatch):
