@@ -72,8 +72,10 @@ def _has_field_type(value, template) -> bool:
 
 
 def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int) -> Hyperparams:
-    """The stored hyperparameters, checked for type, for ``validate()`` and
-    against the header's ``d`` and ``L``; every problem is one CheckpointError."""
+    """The stored hyperparameters, checked for every field's presence and type,
+    for ``validate()`` and against the header's ``d`` and ``L``; every problem is
+    one CheckpointError. A key that is no field, such as a field since removed
+    that older files still hold, is ignored."""
     try:
         values = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
@@ -81,7 +83,9 @@ def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int)
     if not isinstance(values, dict):
         raise CheckpointError(f"{path}: hyperparameters are not a JSON object")
     defaults = vars(Hyperparams())
-    problems = [
+    missing = [name for name in defaults if name not in values]
+    problems = [f"missing {', '.join(missing)}"] if missing else []
+    problems += [
         f"{name} must be {type(defaults[name]).__name__}, got {value!r}"
         for name, value in values.items()
         if name in defaults and not _has_field_type(value, defaults[name])

@@ -186,10 +186,10 @@ def cmd_recommend(args) -> int:
         print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
         return 2
     train, social, _stats = load_train_dir(args.data)
+    if not 0 <= args.user < train.num_users:  # before the checkpoint, whose forward pass may be long
+        raise IndexError(f"--user {args.user} is out of range: the data dir {args.data} has {train.num_users} users")
     ckpt = load_checkpoint(args.checkpoint)
     emb = _embeddings_from_checkpoint(args, ckpt, train, social)
-    if not 0 <= args.user < train.num_users:
-        raise IndexError(f"user id {args.user} out of range [0, {train.num_users})")
     scores = emb.score_users(np.array([args.user]))[0]  # ranked as evaluate ranks
     # stable ranking: score descending, item id ascending on ties
     order = np.lexsort((np.arange(scores.shape[0]), -scores))

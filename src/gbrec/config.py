@@ -169,7 +169,6 @@ class Hyperparams:
     # the ranking loss sums over batch terms, so workable rates scale inversely
     # with batch size; 1e-2 trains stably at batch_size=4096 on desk-scale data
     finetune_lr: float = 1e-2
-    role_scores: bool = False
     renormalize_alpha: bool = False
     failed_participant_edges: bool = True
     eval_ks: tuple[int, ...] = (3, 5, 10, 20)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import Hyperparams
 from .data import BehaviorLog, SocialGraph
-from .scoring import EmbeddingSet, ScoreAdjoint, score_pairs_backward, score_pairs_join_view_backward
+from .scoring import EmbeddingSet, ScoreAdjoint, score_pairs_backward
 
 
 def softplus(x):
@@ -88,8 +88,8 @@ class TermSet:
     """Flat arrays describing every pairwise term of a batch.
 
     ``hi`` is the item that should win the comparison, ``lo`` the one that
-    should lose. ``aux`` marks participant/friend terms (scored through the
-    join view when the role-scored variant is enabled); ``pos`` marks terms
+    should lose. Every term, the initiator's, a participant's or a flipped
+    friend's, is scored by the one rule of ``scoring``. ``pos`` marks terms
     belonging to successful records, for the loss breakdown.
     """
 
@@ -97,7 +97,6 @@ class TermSet:
     hi: np.ndarray
     lo: np.ndarray
     weight: np.ndarray
-    aux: np.ndarray
     pos: np.ndarray
 
     def __len__(self) -> int:
@@ -127,7 +126,7 @@ def build_terms(
     block = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
     t = np.arange(block.shape[0], dtype=np.int64) - starts[block] - 1  # -1: the initiator's term
     rec = block // k
-    aux = t >= 0
+    aux = t >= 0  # a participant's or a friend's term
     pos = success[rec]
     users = batch.initiator[rec]
     joined = aux & pos
@@ -141,19 +140,13 @@ def build_terms(
         hi=np.where(failed, neg, item),  # flipped: the failed item should lose
         lo=np.where(failed, item, neg),
         weight=np.where(failed, float(beta), 1.0),
-        aux=aux,
         pos=pos,
     )
 
 
-def score_terms(terms: TermSet, emb: EmbeddingSet, role_scores: bool) -> np.ndarray:
-    """Each term's float64 gap ``score(u, lo) - score(u, hi)``, honoring the scoring variant."""
-    if not role_scores:
-        return emb.score_gaps(terms.users, terms.lo, terms.hi)
-    gap = np.empty(len(terms), dtype=np.float64)
-    for join_view, sel in ((False, ~terms.aux), (True, terms.aux)):
-        gap[sel] = emb.score_gaps(terms.users[sel], terms.lo[sel], terms.hi[sel], join_view)
-    return gap
+def score_terms(terms: TermSet, emb: EmbeddingSet) -> np.ndarray:
+    """Each term's float64 gap ``score(u, lo) - score(u, hi)``."""
+    return emb.score_gaps(terms.users, terms.lo, terms.hi)
 
 
 @dataclass
@@ -243,18 +236,11 @@ def total_loss(
 ) -> LossBreakdown:
     """Batch objective: ranking terms plus both regularizers."""
     terms = build_terms(batch, negatives, social, hp.beta)
-    gap = score_terms(terms, emb, hp.role_scores)
+    gap = score_terms(terms, emb)
     resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
     return breakdown_from_terms(terms, gap, tensors, resid, hp)
 
 
-def loss_terms_backward(
-    terms: TermSet, gap: np.ndarray, emb: EmbeddingSet, adj: ScoreAdjoint, role_scores: bool
-) -> None:
+def loss_terms_backward(terms: TermSet, gap: np.ndarray, emb: EmbeddingSet, adj: ScoreAdjoint) -> None:
     """Push d(sum of term losses)/d(gap) into the embedding adjoints."""
-    dgap = terms.weight * sigmoid(gap)
-    if not role_scores:
-        score_pairs_backward(emb, terms.users, terms.hi, terms.lo, dgap, adj)
-        return
-    for backward, sel in ((score_pairs_backward, ~terms.aux), (score_pairs_join_view_backward, terms.aux)):
-        backward(emb, terms.users[sel], terms.hi[sel], terms.lo[sel], dgap[sel], adj)
+    score_pairs_backward(emb, terms.users, terms.hi, terms.lo, terms.weight * sigmoid(gap), adj)

@@ -233,14 +233,14 @@ def backward(state: ForwardState, adj: ScoreAdjoint, grads: dict[str, np.ndarray
     """
     hp, params, bundle, social = state.hp, state.params, state.bundle, state.social
     dtype = params.user_emb.dtype
-    n = len(adj.d_user_join)
+    n = len(adj.d_query) // 2
     coef = launch_weights(social, hp.alpha, hp.renormalize_alpha, dtype)
     alpha = dtype.type(hp.alpha)
     blocks = {
         "user_launch": [(coef * s).astype(dtype) for s in adj.d_query[:n]],
         "item_launch": adj.d_items[:n],
-        "user_join": [d + social.mean_adjoint(alpha * s, dtype) for d, s in zip(adj.d_user_join, adj.d_query[n:])],
-        "item_join": [d + d_i for d, d_i in zip(adj.d_item_join, adj.d_items[n:])],
+        "user_join": [social.mean_adjoint(alpha * s, dtype) for s in adj.d_query[n:]],
+        "item_join": adj.d_items[n:],
     }
     d0 = {slot: b[0] for slot, b in blocks.items()}
     d1 = {slot: b[1] for slot, b in blocks.items()}

@@ -97,10 +97,10 @@ class EmbeddingSet:
     that every score reads.
 
     ``user_launch`` to ``item_join`` are the model's final embeddings, one
-    block per stage. A score is ``sum_b <query_b[u], items_b[i]>``; the
-    role-scored variant's join-view gaps read ``user_join`` and ``item_join``.
-    ``composite_embeddings`` and ``flat_embeddings`` build the query blocks
-    with the launch weight and alpha folded in.
+    block per stage, kept for inspection; no score reads them. A score is
+    ``sum_b <query_b[u], items_b[i]>``. ``composite_embeddings`` and
+    ``flat_embeddings`` build the query blocks with the launch weight and
+    alpha folded in.
     """
 
     user_launch: list[np.ndarray]
@@ -139,40 +139,38 @@ class EmbeddingSet:
     def predict(self, user: int, item: int) -> float:
         return float(self.score_items(user, np.asarray([item], dtype=np.int64))[0])
 
-    def score_gaps(self, users: np.ndarray, lo: np.ndarray, hi: np.ndarray, join_view: bool = False) -> np.ndarray:
+    def score_gaps(self, users: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Each term's float64 gap ``score(u, lo) - score(u, hi)``, ``SCORE_CHUNK`` terms at a time:
-        ``sum_b <query_b[u], items_b[lo] - items_b[hi]>``, or with ``join_view`` the role-scored
-        variant's ``sum_b <uj_b[u], bj_b[lo] - bj_b[hi]>``. Each product gathers its rows once
+        ``sum_b <query_b[u], items_b[lo] - items_b[hi]>``. Each product gathers its rows once
         and runs in the blocks' dtype.
-        A composite pass that ``dense_score_pass`` picks is ``S[u, lo] - S[u, hi]``
+        A pass that ``dense_score_pass`` picks is ``S[u, lo] - S[u, hi]``
         over ``S = score_users(every user)``, in the blocks' dtype.
         """
-        if not join_view and self.dense_score_pass(users.shape[0]):
+        if self.dense_score_pass(users.shape[0]):
             scores = self.score_users(np.arange(self.num_users))
             return scores[users, lo].astype(np.float64) - scores[users, hi]
-        pairs = list(zip(self.user_join, self.item_join) if join_view else zip(self.query, self.items))
         gap = np.empty(users.shape[0], dtype=np.float64)
         for c0 in range(0, users.shape[0], SCORE_CHUNK):
             u, l, h = (a[c0 : c0 + SCORE_CHUNK] for a in (users, lo, hi))
-            gap[c0 : c0 + SCORE_CHUNK] = _block_sum(np.einsum("nd,nd->n", bu[u], bi[l] - bi[h]) for bu, bi in pairs)
+            gap[c0 : c0 + SCORE_CHUNK] = _block_sum(
+                np.einsum("nd,nd->n", q[u], bi[l] - bi[h]) for q, bi in zip(self.query, self.items)
+            )
         return gap
 
 
 @dataclass
 class ScoreAdjoint:
-    """Gradient buffers mirroring EmbeddingSet's scored blocks. The query
-    blocks' are float64, since each backward scales them by the launch weight
-    and alpha before they are rounded; the others are in the blocks' dtype."""
+    """Gradient buffers mirroring EmbeddingSet's query and item blocks, the
+    only blocks a score reads. The query blocks' are float64, since each
+    backward scales them by the launch weight and alpha before they are
+    rounded; the item blocks' are in the blocks' dtype."""
 
     d_query: list[np.ndarray]
     d_items: list[np.ndarray]
-    d_user_join: list[np.ndarray]
-    d_item_join: list[np.ndarray]
 
     @classmethod
     def zeros(cls, emb: EmbeddingSet) -> "ScoreAdjoint":
-        z = lambda blocks: [np.zeros_like(b) for b in blocks]
-        return cls([np.zeros(q.shape) for q in emb.query], z(emb.items), z(emb.user_join), z(emb.item_join))
+        return cls([np.zeros(q.shape) for q in emb.query], [np.zeros_like(b) for b in emb.items])
 
 
 def score_pairs_backward(
@@ -199,16 +197,6 @@ def score_pairs_backward(
         return
     kernels.scatter_add_rows([(d, bi, dgap) for d, bi in zip(adj.d_query, emb.items)], users, lo, minus_gather=hi)
     kernels.scatter_add_rows([(d, q, dgap) for d, q in zip(adj.d_items, emb.query)], lo, users, minus_idx=hi)
-
-
-def score_pairs_join_view_backward(
-    emb: EmbeddingSet, users: np.ndarray, hi: np.ndarray, lo: np.ndarray, dgap: np.ndarray, adj: ScoreAdjoint
-) -> None:
-    """``score_pairs_backward`` for the direct join-view gaps of the role-scored variant."""
-    user_side = [(d, bj, dgap) for d, bj in zip(adj.d_user_join, emb.item_join)]
-    item_side = [(d, bu, dgap) for d, bu in zip(adj.d_item_join, emb.user_join)]
-    kernels.scatter_add_rows(user_side, users, lo, minus_gather=hi)
-    kernels.scatter_add_rows(item_side, lo, users, minus_idx=hi)
 
 
 def composite_embeddings(
@@ -272,5 +260,5 @@ def flat_backward(
         d_friend_mean = scored if d_friend_mean is None else scored + d_friend_mean
     if d_friend_mean is not None:
         d_user += social.mean_adjoint(d_friend_mean, dtype)
-    grads["user_emb"] += d_user + adj.d_user_join[0]
-    grads["item_emb"] += adj.d_items[0] + adj.d_item_join[0]
+    grads["user_emb"] += d_user
+    grads["item_emb"] += adj.d_items[0]

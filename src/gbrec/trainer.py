@@ -145,12 +145,12 @@ def loss_and_grads(
     state = adapter.forward(params, friend_mean)
     emb = adapter.embeddings(state)
     terms = build_terms(batch, negatives, social, hp.beta)
-    gap = score_terms(terms, emb, hp.role_scores)
+    gap = score_terms(terms, emb)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
     resid = social_residual(params.user_emb, social, hp.social_reg_coeff, friend_mean)
     bd = breakdown_from_terms(terms, gap, tensors, resid, hp)
     adj = ScoreAdjoint.zeros(emb)
-    loss_terms_backward(terms, gap, emb, adj, hp.role_scores)
+    loss_terms_backward(terms, gap, emb, adj)
     grads = {name: np.zeros_like(tensors[name]) for name in adapter.trainable}
     adapter.backward(state, adj, friend_mean_adjoint(resid, hp.social_reg_coeff), grads)
     regularizer_grads(tensors, resid, hp, grads)

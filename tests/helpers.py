@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from gbrec.config import Hyperparams
@@ -12,6 +14,12 @@ from gbrec.loss import BehaviorRecord
 from gbrec.model import init_params
 
 import oracles
+
+
+def child_env() -> dict:
+    """The environment of a child ``python`` that imports this checkout's gbrec."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def from_records(records, num_users: int | None = None, num_items: int | None = None) -> BehaviorLog:

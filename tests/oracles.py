@@ -151,23 +151,23 @@ def build_terms_oracle(records, negatives, friends_of, beta: float) -> dict[str,
 
     Keys and dtypes are those of ``TermSet``'s fields.
     """
-    terms = {"users": [], "hi": [], "lo": [], "weight": [], "aux": [], "pos": []}
+    terms = {"users": [], "hi": [], "lo": [], "weight": [], "pos": []}
 
-    def add(user, hi, lo, weight, aux, pos):
-        for key, value in zip(terms, (user, hi, lo, weight, aux, pos)):
+    def add(user, hi, lo, weight, pos):
+        for key, value in zip(terms, (user, hi, lo, weight, pos)):
             terms[key].append(value)
 
     for rec, row in zip(records, np.atleast_2d(negatives)):
         for neg in row:
             neg = int(neg)
-            add(rec.initiator, rec.item, neg, 1.0, False, rec.success)
+            add(rec.initiator, rec.item, neg, 1.0, rec.success)
             if rec.success:
                 for p in rec.participants:
-                    add(p, rec.item, neg, 1.0, True, True)
+                    add(p, rec.item, neg, 1.0, True)
             elif beta != 0.0:
                 for f in friends_of(rec.initiator):
-                    add(int(f), neg, rec.item, beta, True, False)
-    dtypes = {"users": np.int64, "hi": np.int64, "lo": np.int64, "weight": np.float64, "aux": bool, "pos": bool}
+                    add(int(f), neg, rec.item, beta, False)
+    dtypes = {"users": np.int64, "hi": np.int64, "lo": np.int64, "weight": np.float64, "pos": bool}
     return {key: np.asarray(values, dtype=dtypes[key]) for key, values in terms.items()}
 
 
@@ -415,20 +415,12 @@ def signed_scatter_oracle(out, idx, table, scale, gather=None, minus_gather=None
     return out + (plus - minus).astype(out.dtype)
 
 
-def _gap_backward_oracle(d_users, d_items, user_tables, item_tables, users, hi, lo, w) -> None:
-    """The adjoints of ``w * sum_b <user_b[u], item_b[lo] - item_b[hi]>``, block by block."""
-    for d_u, d_i, bu, bi in zip(d_users, d_items, user_tables, item_tables):
-        d_u[...] = signed_scatter_oracle(d_u, users, bi, w, gather=lo, minus_gather=hi)
-        d_i[...] = signed_scatter_oracle(d_i, lo, bu, w, gather=users, minus_idx=hi)
-
-
 def score_gap_backward_oracle(emb, users, hi, lo, dgap, adj) -> None:
-    """The composite gap's adjoints, a loop per (query, items) block and side."""
-    _gap_backward_oracle(adj.d_query, adj.d_items, emb.query, emb.items, users, hi, lo, dgap)
-
-
-def score_gap_join_view_backward_oracle(emb, users, hi, lo, dgap, adj) -> None:
-    _gap_backward_oracle(adj.d_user_join, adj.d_item_join, emb.user_join, emb.item_join, users, hi, lo, dgap)
+    """The adjoints of ``dgap * sum_b <query_b[u], items_b[lo] - items_b[hi]>``,
+    a loop per (query, items) block and side."""
+    for d_q, d_i, q, bi in zip(adj.d_query, adj.d_items, emb.query, emb.items):
+        d_q[...] = signed_scatter_oracle(d_q, users, bi, dgap, gather=lo, minus_gather=hi)
+        d_i[...] = signed_scatter_oracle(d_i, lo, q, dgap, gather=users, minus_idx=hi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gbrec.checkpoint import save_checkpoint
+from gbrec.checkpoint import load_checkpoint, save_checkpoint
 from gbrec.cli import main
 from gbrec.config import Hyperparams
 from gbrec.data import (
@@ -26,6 +26,8 @@ from gbrec.kernels import CSR
 from gbrec.model import init_params
 from gbrec.rawdata import DatasetStats, save_split_dir
 from gbrec.scoring import init_flat_params
+
+import helpers
 
 
 SYNTH_ARGS = [
@@ -294,12 +296,6 @@ def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, 
     assert all(part in err for part in parts)
 
 
-def child_env() -> dict:
-    """The environment of a child ``python`` that imports this checkout's gbrec."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     # 20,000 items: far more output than the pipe holds once the reader is gone
     num_items = 20_000
@@ -315,7 +311,7 @@ def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     save_checkpoint(checkpoint, "gbmf", init_flat_params(2, num_items, 4, seed=0), Hyperparams(dim=4))
     argv = ["recommend", "--checkpoint", checkpoint, "--data", str(datadir), "--user", "1", "--k", str(num_items)]
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gbrec.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
+        [sys.executable, "-m", "gbrec.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=helpers.child_env()
     )
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -338,7 +334,7 @@ def test_train_gives_one_hash_whatever_the_blas_threads(tmp_path):
     assert main(["prepare", behaviors, social, "--outdir", data, "--negatives", "8"]) == 0
     hashes = []
     for threads in (None, "1"):
-        env = child_env()
+        env = helpers.child_env()
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env.pop(var, None)
             if threads is not None:
@@ -398,7 +394,7 @@ def loaded_modules(tmp_path_factory):
     for name, argv in steps.items():
         out = str(root / f"{name}.json")
         proc = subprocess.run(
-            [sys.executable, "-c", LOADED_MODULES, out, *argv], capture_output=True, env=child_env(), timeout=300
+            [sys.executable, "-c", LOADED_MODULES, out, *argv], capture_output=True, env=helpers.child_env(), timeout=300
         )
         assert proc.returncode == 0, proc.stderr.decode()
         with open(out, encoding="utf-8") as fh:
@@ -456,6 +452,36 @@ def test_checkpoint_hyperparams_disagreeing_with_the_header_fail_with_one_locate
     assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: {problem}"]
 
 
+def test_a_checkpoint_missing_a_hyperparameter_fails_naming_it(pipeline, tmp_path, capsys):
+    # one flipped bit turns the key "alpha" into "alphc"; filled with its
+    # default, alpha would silently change every score
+    trained = str(tmp_path / "alpha.bin")
+    _with_hyperparams(pipeline["checkpoint"], trained, alpha=0.3)
+    assert main(["evaluate", "--checkpoint", trained, "--data", pipeline["datadir"]]) == 0
+    capsys.readouterr()
+    with open(trained, "rb") as fh:
+        blob = fh.read()
+    at = blob.index(b'"alpha"') + 5
+    bad = str(tmp_path / "alphc.bin")
+    with open(bad, "wb") as fh:
+        fh.write(blob[:at] + bytes([blob[at] ^ 0b10]) + blob[at + 1 :])
+
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: missing alpha"]
+
+
+def test_a_checkpoint_holding_a_removed_hyperparameter_loads_unchanged(pipeline, tmp_path):
+    # every checkpoint written before the role-scored variant was removed stores its field
+    old = str(tmp_path / "old.bin")
+    _with_hyperparams(pipeline["checkpoint"], old, role_scores=True)
+    want, got = load_checkpoint(pipeline["checkpoint"]), load_checkpoint(old)
+    assert (got.model_type, got.hp) == (want.model_type, want.hp)
+    for name, tensor in want.params.tensors().items():
+        np.testing.assert_array_equal(getattr(got.params, name), tensor)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "recommend"])
 def test_a_checkpoint_of_another_shape_fails_naming_both_paths(pipeline, tmp_path, capsys, command):
     split, _, _ = load_split_dir(pipeline["datadir"])
@@ -471,14 +497,18 @@ def test_a_checkpoint_of_another_shape_fails_naming_both_paths(pipeline, tmp_pat
     ]
 
 
-def test_recommend_rejects_unknown_user(pipeline, capsys):
-    code, _, err = run(
-        capsys,
-        ["recommend", "--checkpoint", pipeline["checkpoint"], "--data", pipeline["datadir"],
-         "--user", "99999", "--k", "5"],
-    )
-    assert code == 1
-    assert "out of range" in err
+def test_recommend_rejects_unknown_user(pipeline, tmp_path, capsys):
+    num_users = load_split_dir(pipeline["datadir"])[0].num_users
+    want = [f"error: --user 99999 is out of range: the data dir {pipeline['datadir']} has {num_users} users"]
+    # the user is checked before the checkpoint is read, so a missing checkpoint gives the same one line
+    for checkpoint in (pipeline["checkpoint"], str(tmp_path / "missing.bin")):
+        code, out, err = run(
+            capsys,
+            ["recommend", "--checkpoint", checkpoint, "--data", pipeline["datadir"], "--user", "99999", "--k", "5"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip().splitlines() == want
 
 
 @pytest.mark.parametrize("k", ["0", "-5"])

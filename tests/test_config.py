@@ -131,11 +131,11 @@ def test_load_defaults_when_no_file_or_overrides():
 
 
 def test_load_file_values_override_defaults(tmp_path):
-    path = write(tmp_path, "dim = 16\nalpha = 0.3\nrole_scores = yes\neval_ks = 1,2\n")
+    path = write(tmp_path, "dim = 16\nalpha = 0.3\nrenormalize_alpha = yes\neval_ks = 1,2\n")
     hp = load_typed(Hyperparams, path)
     assert hp.dim == 16
     assert hp.alpha == 0.3
-    assert hp.role_scores is True
+    assert hp.renormalize_alpha is True
     assert hp.eval_ks == (1, 2)
     assert hp.beta == Hyperparams().beta  # untouched field keeps its default
 

@@ -63,10 +63,6 @@ def test_full_model_gradients_match_finite_differences_on_the_sparse_path(sparse
     check_against_fd(*gcn_fixture())
 
 
-def test_gradients_role_scored_variant():
-    check_against_fd(*gcn_fixture(role_scores=True))
-
-
 def test_gradients_renormalized_alpha_variant():
     check_against_fd(*gcn_fixture(renormalize_alpha=True))
 
@@ -109,10 +105,6 @@ def test_flat_model_gradients_renormalized_alpha_variant():
 
 def test_flat_model_gradients_renormalized_alpha_variant_on_the_sparse_path(sparse_products):
     check_against_fd(*flat_fixture(renormalize_alpha=True))
-
-
-def test_flat_model_gradients_role_scored_variant():
-    check_against_fd(*flat_fixture(role_scores=True))
 
 
 def test_gradients_are_deterministic():

@@ -16,7 +16,6 @@ from gbrec.loss import (
     l2_value,
     loss_failed,
     loss_success,
-    score_terms,
     sigmoid,
     social_residual,
     social_value,
@@ -102,7 +101,7 @@ def test_zero_gap_costs_exactly_ln2_per_pair():
 
 def term_layout(records, negatives, social, beta):
     terms = build_terms(helpers.from_records(records), negatives, social, beta)
-    return list(zip(terms.users, terms.hi, terms.lo, terms.weight, terms.aux, terms.pos))
+    return list(zip(terms.users, terms.hi, terms.lo, terms.weight, terms.pos))
 
 
 def test_build_terms_success_record():
@@ -110,9 +109,9 @@ def test_build_terms_success_record():
     social = SocialGraph.from_edges(4, np.empty((0, 2), dtype=np.int64))
     terms = build_terms(helpers.from_records([rec]), np.array([[9]]), social, beta=0.5)
     assert term_layout([rec], np.array([[9]]), social, 0.5) == [
-        (0, 1, 9, 1.0, False, True),
-        (2, 1, 9, 1.0, True, True),
-        (3, 1, 9, 1.0, True, True),
+        (0, 1, 9, 1.0, True),
+        (2, 1, 9, 1.0, True),
+        (3, 1, 9, 1.0, True),
     ]
     assert len(terms) == 3
 
@@ -121,9 +120,9 @@ def test_build_terms_failed_record_flips_and_weights():
     rec = BehaviorRecord(0, 1, (), False)
     social = SocialGraph.from_edges(4, np.array([[0, 2], [0, 3]]))
     layout = term_layout([rec], np.array([[9]]), social, beta=0.25)
-    assert layout[0] == (0, 1, 9, 1.0, False, False)
-    assert (2, 9, 1, 0.25, True, False) in layout
-    assert (3, 9, 1, 0.25, True, False) in layout
+    assert layout[0] == (0, 1, 9, 1.0, False)
+    assert (2, 9, 1, 0.25, False) in layout
+    assert (3, 9, 1, 0.25, False) in layout
     assert len(layout) == 3
 
 
@@ -242,23 +241,6 @@ def test_batch_loss_also_matches_scalar_record_api():
         else:
             want += loss_failed(rec, int(neg), emb.predict, social, hp.beta)
     assert bd.loss_pos + bd.loss_neg == pytest.approx(want, rel=1e-10)
-
-
-def test_role_scored_variant_scores_aux_terms_through_join_view():
-    inst = helpers.small_instance(dtype=np.float64)
-    emb = batch_emb(inst)
-    records, social = inst["records"], inst["social"]
-    negatives = np.random.default_rng(17).integers(0, 8, size=(len(records), 1))
-    terms = build_terms(inst["log"], negatives, social, beta=0.05)
-    gap = score_terms(terms, emb, role_scores=True)
-
-    def join_view_score(u, i):
-        return sum(float(bu[u] @ bj[i]) for bu, bj in zip(emb.user_join, emb.item_join))
-
-    for i in range(len(terms)):
-        u, h, l = int(terms.users[i]), int(terms.hi[i]), int(terms.lo[i])
-        score = join_view_score if terms.aux[i] else emb.predict
-        assert gap[i] == pytest.approx(score(u, l) - score(u, h), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from gbrec.scoring import (
     flat_embeddings,
     init_flat_params,
     score_pairs_backward,
-    score_pairs_join_view_backward,
 )
 
 import helpers
@@ -204,7 +203,7 @@ def make_emb(alpha=0.5, renormalize=False):
 
 # (alpha, renormalize_alpha, blocks per slot, or 0 for the flat scorer's one query block)
 GAP_CASES = [(0.6, False, 2), (0.6, True, 2), (0.0, False, 1), (0.3, True, 1), (0.6, True, 0)]
-ADJOINTS = ("d_query", "d_items", "d_user_join", "d_item_join")
+ADJOINTS = ("d_query", "d_items")
 
 # the dense path's gradients are held to the loop oracles by norm-relative
 # error per block; float32 rounds W to float32 and sums 25-40 terms per
@@ -241,22 +240,17 @@ def gap_case(alpha, renormalize, num_blocks, dtype=np.float32):
 @pytest.mark.parametrize("alpha,renormalize,num_blocks", GAP_CASES)
 def test_score_gap_backward_matches_the_loop_oracle(sparse_products, alpha, renormalize, num_blocks):
     emb, users, hi, lo, dgap = gap_case(alpha, renormalize, num_blocks)
-    for lib, oracle in (
-        (score_pairs_backward, oracles.score_gap_backward_oracle),
-        (score_pairs_join_view_backward, oracles.score_gap_join_view_backward_oracle),
-    ):
-        got, want = ScoreAdjoint.zeros(emb), ScoreAdjoint.zeros(emb)
-        lib(emb, users, hi, lo, dgap, got)
-        oracle(emb, users, hi, lo, dgap, want)
-        for name in ADJOINTS:
-            for g, w in zip(getattr(got, name), getattr(want, name)):
-                np.testing.assert_array_equal(g, w, err_msg=f"{lib.__name__} {name}")
+    got, want = ScoreAdjoint.zeros(emb), ScoreAdjoint.zeros(emb)
+    score_pairs_backward(emb, users, hi, lo, dgap, got)
+    oracles.score_gap_backward_oracle(emb, users, hi, lo, dgap, want)
+    for name in ADJOINTS:
+        for g, w in zip(getattr(got, name), getattr(want, name)):
+            np.testing.assert_array_equal(g, w, err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("alpha,renormalize,num_blocks", GAP_CASES)
 def test_dense_score_gap_backward_matches_the_loop_oracle(dense_products, alpha, renormalize, num_blocks, dtype):
-    # the join-view pass of the role-scored variant has no dense path
     emb, users, hi, lo, dgap = gap_case(alpha, renormalize, num_blocks, dtype)
     assert emb.dense_score_pass(users.shape[0])
     got, want = ScoreAdjoint.zeros(emb), ScoreAdjoint.zeros(emb)
@@ -445,12 +439,6 @@ def test_flat_score_users_rows_are_score_items_bit_for_bit(renormalize):
         np.testing.assert_array_equal(emb.score_items(u, np.arange(emb.num_items)), emb.score_users(everyone)[u])
 
 
-def test_join_view_scores():
-    emb = make_emb()
-    got = emb.score_gaps(np.array([1]), np.array([1]), np.array([0]), join_view=True)
-    assert got[0] == 4.0 * (16.0 - 8.0) + 37.0 * (8.5 - 0.0)
-
-
 # ---------------------------------------------------------------------------
 # parameter initialization and hyperparameters
 
@@ -502,7 +490,7 @@ def test_hyperparams_validation_collects_all_problems():
 
 
 def test_hyperparams_dict_round_trip():
-    hp = Hyperparams(dim=8, eval_ks=(1, 5), role_scores=True)
+    hp = Hyperparams(dim=8, eval_ks=(1, 5), renormalize_alpha=True)
     again = Hyperparams.from_dict(hp.to_dict())
     assert again == hp
     assert isinstance(again.eval_ks, tuple)
