@@ -1,14 +1,14 @@
-"""Propagation-free reference models sharing the training and eval pipeline.
+"""Interaction flattening for the propagation-free baselines.
 
 Two baselines, both plain embedding tables scored without any graph
-propagation:
+propagation by ``scoring.flat_embeddings``:
 
 * ``mf``: classic pairwise-ranked matrix factorization. Group structure is
   erased up front: every record is flattened to plain user-item pairs
   (the initiator's and each participant's), all marked successful, and
   the trainer is run with the social weight, the failure weight, and the
-  two-role mixing all zeroed. Only ``mf_score``'s single inner product
-  remains.
+  two-role mixing all zeroed. Only the single inner product ``<user_emb[u],
+  item_emb[i]>`` remains. ``flatten_interactions`` does the flattening.
 
 * ``gbmf``: the same embedding tables, but keeping the group-buying
   supervision -- original records, the composite two-role scoring rule, and
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import BehaviorLog, SocialGraph
-from .scoring import FlatParams, flat_embeddings
+from .data import BehaviorLog
+
 
 def flatten_interactions(log: BehaviorLog) -> BehaviorLog:
     """Convert group records to plain user-item pairs for single-view training.
@@ -47,29 +47,3 @@ def flatten_interactions(log: BehaviorLog) -> BehaviorLog:
         np.empty(0, dtype=np.int64), log.num_users, log.num_items,
     )
 
-
-def _check_ids(params: FlatParams, user: int, item: int) -> None:
-    P = params.user_emb.shape[0]
-    Q = params.item_emb.shape[0]
-    if not 0 <= user < P:
-        raise IndexError(f"user id {user} out of range [0, {P})")
-    if not 0 <= item < Q:
-        raise IndexError(f"item id {item} out of range [0, {Q})")
-
-
-def mf_score(params: FlatParams, user: int, item: int) -> float:
-    """Single inner product between the raw user and item embeddings."""
-    _check_ids(params, user, item)
-    return float(params.user_emb[user] @ params.item_emb[item])
-
-
-def gbmf_score(params: FlatParams, social: SocialGraph, alpha: float, user: int, item: int) -> float:
-    """Composite two-role score over raw embeddings, no propagation.
-
-    (1-alpha) times the user's own inner product plus alpha times the mean of
-    the user's friends' inner products with the item; the friend term is zero
-    when the user has no friends.
-    """
-    _check_ids(params, user, item)
-    emb = flat_embeddings(params.user_emb, params.item_emb, social, alpha)
-    return emb.predict(user, item)

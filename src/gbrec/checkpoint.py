@@ -12,6 +12,7 @@ and every failure is one ``CheckpointError`` naming the file.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -109,7 +110,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     def take(n: int) -> bytes:
         nonlocal off
-        if off + n > len(blob):
+        if n < 0 or off + n > len(blob):
             raise CheckpointError(f"{path}: truncated checkpoint")
         out = blob[off : off + n]
         off += n
@@ -134,8 +135,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors = {}
     for name in fields:
         shape = shapes.get(name, (width,) if name.startswith("b_") else (width, width))
-        count = int(np.prod(shape))
-        tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * count), dtype="<f4").reshape(shape))
+        # sized in exact integers: an int64 product of the header's sizes can wrap negative
+        tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape))
         if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
             raise CheckpointError(f"{path}: {name} holds a non-finite value")
     if off != len(blob):

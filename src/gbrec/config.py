@@ -273,8 +273,3 @@ class SynthConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f.name for f in dc_fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})

@@ -9,8 +9,7 @@ the model: rank = #strictly-better + #equal among the negatives). Metrics:
 
 Users are ranked in blocks of ``RANK_BLOCK``: one ``(block, num_items)``
 score matrix per block, from which each user's test item and negatives (its
-row of the negatives ``CSR``) are gathered. ``rank_from_scores`` is the same
-rank for one user.
+row of the negatives ``CSR``) are gathered.
 
 Keeping the negative lists frozen in the split makes comparisons between
 models paired; ``negatives_digest`` fingerprints them so a report can prove
@@ -34,13 +33,6 @@ ScoreUsersFn = Callable[[np.ndarray], np.ndarray]
 # Users per score matrix. Counting users, not score cells, bounds the gathered
 # candidates too: 128 lists of up to 999 items with the default split.
 RANK_BLOCK = 128
-
-
-def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
-    """Pessimistic rank of the test item among its negatives (0 = top)."""
-    greater = int(np.sum(negative_scores > test_score))
-    equal = int(np.sum(negative_scores == test_score))
-    return greater + equal
 
 
 @dataclass
@@ -132,31 +124,3 @@ def negatives_digest(negatives: CSR) -> str:
         h.update(b";")
     return h.hexdigest()
 
-
-# ---------------------------------------------------------------------------
-# view-agreement diagnostics
-
-
-@dataclass
-class ViewSimilarity:
-    cosines: np.ndarray
-    histogram: np.ndarray
-    bin_edges: np.ndarray
-    skipped_zero_vectors: int
-
-
-def view_similarity(a: np.ndarray, b: np.ndarray, bins: int = 20) -> ViewSimilarity:
-    """Row-wise cosine similarity between two embedding matrices.
-
-    Rows where either side is the zero vector have no defined angle; they
-    are skipped and counted instead of polluting the histogram.
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a.astype(np.float64), axis=1)
-    nb = np.linalg.norm(b.astype(np.float64), axis=1)
-    ok = (na > 0) & (nb > 0)
-    dots = np.einsum("nd,nd->n", a[ok].astype(np.float64), b[ok].astype(np.float64))
-    cos = np.clip(dots / (na[ok] * nb[ok]), -1.0, 1.0)
-    hist, edges = np.histogram(cos, bins=bins, range=(-1.0, 1.0))
-    return ViewSimilarity(cos, hist, edges, int(np.sum(~ok)))

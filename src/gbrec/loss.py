@@ -19,7 +19,6 @@ penalty pulling each user's raw embedding toward the mean of their friends'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,48 +34,6 @@ def softplus(x):
 
 def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
-
-
-# ---------------------------------------------------------------------------
-# scalar reference implementations (also the per-record public API)
-
-
-@dataclass
-class BehaviorRecord:
-    """One group-buying launch: who started it, for what, who joined, outcome."""
-
-    initiator: int
-    item: int
-    participants: tuple[int, ...]
-    success: bool
-
-
-def loss_failed(
-    record: BehaviorRecord,
-    neg_item: int,
-    score: Callable[[int, int], float],
-    social: SocialGraph,
-    beta: float,
-) -> float:
-    """Loss for a failed launch against one sampled negative item."""
-    gap = score(record.initiator, record.item) - score(record.initiator, neg_item)
-    total = float(softplus(-gap))
-    for f in social.friends(record.initiator):
-        flipped = score(int(f), neg_item) - score(int(f), record.item)
-        total += beta * float(softplus(-flipped))
-    return total
-
-
-def loss_success(
-    record: BehaviorRecord, neg_item: int, score: Callable[[int, int], float]
-) -> float:
-    """Loss for a successful launch against one sampled negative item."""
-    gap = score(record.initiator, record.item) - score(record.initiator, neg_item)
-    total = float(softplus(-gap))
-    for p in record.participants:
-        gap_p = score(p, record.item) - score(p, neg_item)
-        total += float(softplus(-gap_p))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +181,6 @@ def breakdown_from_terms(
         l2_term=l2_value(tensors, hp.l2_coeff),
         social_term=social_value(resid, hp.social_reg_coeff),
     )
-
-
-def total_loss(
-    batch: BehaviorLog,
-    negatives: np.ndarray,
-    emb: EmbeddingSet,
-    social: SocialGraph,
-    tensors: dict[str, np.ndarray],
-    hp: Hyperparams,
-) -> LossBreakdown:
-    """Batch objective: ranking terms plus both regularizers."""
-    terms = build_terms(batch, negatives, social, hp.beta)
-    gap = score_terms(terms, emb)
-    resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
-    return breakdown_from_terms(terms, gap, tensors, resid, hp)
 
 
 def loss_terms_backward(terms: TermSet, gap: np.ndarray, emb: EmbeddingSet, adj: ScoreAdjoint) -> None:

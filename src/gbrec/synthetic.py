@@ -1,4 +1,4 @@
-"""Synthetic group-buying data from a planted latent model, plus exact oracles.
+"""Synthetic group-buying data from a planted latent model.
 
 The planted world gives every user TWO latent role vectors -- one governing
 what they launch, one governing what they join -- so multi-view models have
@@ -33,10 +33,8 @@ Record ``t``'s draws thus start at stream position
 ``sum over s < t of [s >= P] + [s >= Q] + deg(initiator of s)``. Since
 ``rng.random(n)`` yields the doubles of ``n`` scalar calls, ``simulate`` makes
 these draws in bulk and leaves the generator where the scalar draws would.
-
-``PlantedModel.success_probability`` computes the exact Poisson-binomial
-tail over a user's full friend set, and ``oracle_topk`` ranks items by it --
-the ground truth that recovery tests compare against.
+``simulate_oracle`` in ``tests/oracles.py`` makes them one scalar draw at a
+time.
 """
 
 from __future__ import annotations
@@ -68,53 +66,8 @@ class PlantedModel:
     success_threshold: int
 
     @property
-    def num_users(self) -> int:
-        return self.launch_vecs.shape[0]
-
-    @property
     def num_items(self) -> int:
         return self.item_vecs.shape[0]
-
-    def item_probs(self, user: int) -> np.ndarray:
-        """Softmax launch distribution over all items for one initiator."""
-        logits = (self.launch_vecs[user] @ self.item_vecs.T) / self.item_temp
-        logits -= logits.max()
-        w = np.exp(logits)
-        return w / w.sum()
-
-    def join_probs(self, users: np.ndarray, item: int) -> np.ndarray:
-        a = self.join_vecs[users] @ self.item_vecs[item]
-        z = self.join_scale * a + self.join_bias
-        return 1.0 / (1.0 + np.exp(-z))
-
-    def success_probability(self, user: int, item: int) -> float:
-        """Exact P(#joining friends >= threshold) over the user's full friend set."""
-        probs = self.join_probs(self.social.friends(user), item)
-        return poisson_binomial_tail(probs, self.success_threshold)
-
-
-def poisson_binomial_tail(probs: np.ndarray, threshold: int) -> float:
-    """P(sum of independent Bernoulli(p_i) >= threshold), exact dynamic program."""
-    if threshold <= 0:
-        return 1.0
-    if threshold > probs.shape[0]:
-        return 0.0
-    # dp[c] = P(count == c), tracked only for c < threshold
-    dp = np.zeros(threshold, dtype=np.float64)
-    dp[0] = 1.0
-    for p in probs:
-        dp[1:] = dp[1:] * (1.0 - p) + dp[:-1] * p
-        dp[0] *= 1.0 - p
-    return float(min(1.0, max(0.0, 1.0 - dp.sum())))
-
-
-def oracle_topk(planted: PlantedModel, user: int, k: int) -> list[int]:
-    """Items ranked by exact planted success probability (ties: lower id first)."""
-    scores = np.array(
-        [planted.success_probability(user, n) for n in range(planted.num_items)]
-    )
-    order = np.lexsort((np.arange(planted.num_items), -scores))
-    return [int(i) for i in order[:k]]
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +130,12 @@ def simulate(planted: PlantedModel, cfg: SynthConfig, rng: np.random.Generator) 
     weights ``w`` is ``cdf.searchsorted(x, side="right")`` with ``cdf`` the
     cumsum of ``w`` over its last entry, which is what ``Generator.choice(n,
     p=w)`` returns, and friend ``f`` joins when its draw is below
-    ``planted.join_probs([f], item)``. The draws are made in bulk: one pass
-    over the records finds each one's initiator and where its draws start,
-    then items are drawn per initiator (one softmax CDF row each) and joins per
-    record block, with the join probabilities built once per distinct
-    (initiator, item) pair.
+    ``sigmoid(join_scale * <join_vecs[f], item_vecs[item]> + join_bias)``
+    (``join_probs`` in ``tests/oracles.py``). The draws are made in bulk: one
+    pass over the records finds each one's initiator and where its draws
+    start, then items are drawn per initiator (one softmax CDF row each) and
+    joins per record block, with the join probabilities built once per
+    distinct (initiator, item) pair.
     """
     P, Q = cfg.num_users, cfg.num_items
     start = rng.bit_generator.state
@@ -246,7 +200,7 @@ def _draw_items(planted: PlantedModel, initiator: np.ndarray, item_draw: np.ndar
     rows = max(1, ITEM_CELLS // Q)
     for b0 in range(0, len(launchers), rows):
         block = launchers[b0 : b0 + rows]
-        # the steps of PlantedModel.item_probs, one gemv per row
+        # the steps of item_probs in tests/oracles.py, one gemv per row
         cdf = np.empty((len(block), Q))
         for r, u in enumerate(block):
             cdf[r] = planted.launch_vecs[u] @ planted.item_vecs.T
@@ -268,7 +222,8 @@ def _draw_joins(planted: PlantedModel, rng: np.random.Generator, initiator: np.n
 
     Redraws the stream block by block from ``first``, so ``rng`` ends after
     the last record's draws. Join probabilities are computed once per
-    distinct (initiator, item) pair with ``PlantedModel.join_probs``'s gemv."""
+    distinct (initiator, item) pair with the gemv of ``join_probs`` in
+    ``tests/oracles.py``."""
     Q = planted.num_items
     indptr, indices = planted.social.indptr, planted.social.indices
     degrees = np.diff(indptr)
@@ -373,18 +328,3 @@ def save_planted(path: str, planted: PlantedModel) -> None:
         ),
     )
 
-
-def load_planted(path: str) -> PlantedModel:
-    with np.load(path) as z:
-        temp, scale, bias, threshold = z["scalars"]
-        return PlantedModel(
-            launch_vecs=z["launch_vecs"],
-            join_vecs=z["join_vecs"],
-            item_vecs=z["item_vecs"],
-            activity=z["activity"],
-            social=SocialGraph(z["launch_vecs"].shape[0], z["social_indptr"], z["social_indices"]),
-            item_temp=float(temp),
-            join_scale=float(scale),
-            join_bias=float(bias),
-            success_threshold=int(threshold),
-        )

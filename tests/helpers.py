@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,10 +11,22 @@ from gbrec.config import Hyperparams
 from gbrec.data import BehaviorLog, SocialGraph, user_interactions
 from gbrec.graphs import build_graphs
 from gbrec.kernels import CSR
-from gbrec.loss import BehaviorRecord
+from gbrec.loss import LossBreakdown, breakdown_from_terms, build_terms, score_terms, social_residual
 from gbrec.model import init_params
+from gbrec.scoring import EmbeddingSet
+from gbrec.synthetic import PlantedModel
 
 import oracles
+
+
+@dataclass
+class BehaviorRecord:
+    """One group-buying launch: who started it, for what, who joined, outcome."""
+
+    initiator: int
+    item: int
+    participants: tuple[int, ...]
+    success: bool
 
 
 def child_env() -> dict:
@@ -173,3 +186,36 @@ def oracle_blocks(inst) -> dict:
         hp.activation,
         hp.activation_slope,
     )
+
+
+def total_loss(
+    batch: BehaviorLog,
+    negatives: np.ndarray,
+    emb: EmbeddingSet,
+    social: SocialGraph,
+    tensors: dict[str, np.ndarray],
+    hp: Hyperparams,
+) -> LossBreakdown:
+    """Batch objective: ranking terms plus both regularizers, from the loss
+    module's steps as ``trainer.loss_and_grads`` runs them."""
+    terms = build_terms(batch, negatives, social, hp.beta)
+    gap = score_terms(terms, emb)
+    resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
+    return breakdown_from_terms(terms, gap, tensors, resid, hp)
+
+
+def load_planted(path: str) -> PlantedModel:
+    """The planted model ``synthetic.save_planted`` wrote to ``path``."""
+    with np.load(path) as z:
+        temp, scale, bias, threshold = z["scalars"]
+        return PlantedModel(
+            launch_vecs=z["launch_vecs"],
+            join_vecs=z["join_vecs"],
+            item_vecs=z["item_vecs"],
+            activity=z["activity"],
+            social=SocialGraph(z["launch_vecs"].shape[0], z["social_indptr"], z["social_indices"]),
+            item_temp=float(temp),
+            join_scale=float(scale),
+            join_bias=float(bias),
+            success_threshold=int(threshold),
+        )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from itertools import product
 
 import numpy as np
 
@@ -120,6 +119,11 @@ def composite_score_oracle(
     return (1.0 - alpha) * own + alpha * social
 
 
+def mf_score(params, user: int, item: int) -> float:
+    """Single inner product between the raw user and item embeddings."""
+    return float(params.user_emb[user] @ params.item_emb[item])
+
+
 # ---------------------------------------------------------------------------
 # objective oracle
 
@@ -127,6 +131,28 @@ def composite_score_oracle(
 def bpr_reference(gap: float) -> float:
     """-ln sigmoid(gap), written the textbook way (safe for |gap| < ~500)."""
     return -math.log(1.0 / (1.0 + math.exp(-gap)))
+
+
+def loss_failed(record, neg_item: int, score, social, beta: float) -> float:
+    """The paper's loss for a failed launch against one sampled negative item:
+    the initiator's pair, then each friend's pair flipped and weighted by ``beta``."""
+    gap = score(record.initiator, record.item) - score(record.initiator, neg_item)
+    total = float(np.logaddexp(0.0, -gap))
+    for f in social.friends(record.initiator):
+        flipped = score(int(f), neg_item) - score(int(f), record.item)
+        total += beta * float(np.logaddexp(0.0, -flipped))
+    return total
+
+
+def loss_success(record, neg_item: int, score) -> float:
+    """The paper's loss for a successful launch against one sampled negative
+    item: the initiator's pair, then each participant's."""
+    gap = score(record.initiator, record.item) - score(record.initiator, neg_item)
+    total = float(np.logaddexp(0.0, -gap))
+    for p in record.participants:
+        gap_p = score(p, record.item) - score(p, neg_item)
+        total += float(np.logaddexp(0.0, -gap_p))
+    return total
 
 
 def objective_oracle(records, negatives, score, friends_of, beta: float) -> float:
@@ -211,17 +237,31 @@ def ingest_oracle(records, pairs) -> dict:
     }
 
 
+def item_probs(planted, user: int) -> np.ndarray:
+    """Softmax launch distribution over all items for one initiator."""
+    logits = (planted.launch_vecs[user] @ planted.item_vecs.T) / planted.item_temp
+    logits -= logits.max()
+    w = np.exp(logits)
+    return w / w.sum()
+
+
+def join_probs(planted, users: np.ndarray, item: int) -> np.ndarray:
+    """Each of ``users``' chance to join a launch of ``item``."""
+    z = planted.join_scale * (planted.join_vecs[users] @ planted.item_vecs[item]) + planted.join_bias
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def simulate_oracle(planted, num_records: int, rng: np.random.Generator) -> list[tuple]:
     """The generator's launches with one ``Generator.choice`` per drawn
     initiator and item, as ``(initiator, item, participants, success)`` tuples."""
-    P, Q = planted.num_users, planted.num_items
+    P, Q = planted.activity.shape[0], planted.num_items
     out = []
     for t in range(num_records):
         initiator = t if t < P else int(rng.choice(P, p=planted.activity))
-        item = t if t < Q else int(rng.choice(Q, p=planted.item_probs(initiator)))
+        item = t if t < Q else int(rng.choice(Q, p=item_probs(planted, initiator)))
         friends = planted.social.friends(initiator)
         if friends.size:
-            friends = friends[rng.random(friends.size) < planted.join_probs(friends, item)]
+            friends = friends[rng.random(friends.size) < join_probs(planted, friends, item)]
         out.append((initiator, item, tuple(friends.tolist()), friends.size >= planted.success_threshold))
     return out
 
@@ -456,28 +496,19 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # ranking metrics, written from their definitions
 
 
+def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
+    """Pessimistic rank of the test item among its negatives (0 = top)."""
+    greater = int(np.sum(negative_scores > test_score))
+    equal = int(np.sum(negative_scores == test_score))
+    return greater + equal
+
+
 def recall_reference(rank: int, k: int) -> float:
     return 1.0 if rank < k else 0.0
 
 
 def ndcg_reference(rank: int, k: int) -> float:
     return 1.0 / math.log2(rank + 2.0) if rank < k else 0.0
-
-
-# ---------------------------------------------------------------------------
-# probability-of-enough-joiners, by explicit enumeration (the definition)
-
-
-def enum_tail_probability(probs, threshold: int) -> float:
-    probs = list(probs)
-    total = 0.0
-    for bits in product((0, 1), repeat=len(probs)):
-        if sum(bits) >= threshold:
-            pr = 1.0
-            for b, p in zip(bits, probs):
-                pr *= p if b else (1.0 - p)
-            total += pr
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gbrec.baselines import mf_score
 from gbrec.checkpoint import load_checkpoint, save_checkpoint
 from gbrec.config import Hyperparams, SynthConfig
 from gbrec.data import SocialGraph
-from gbrec.evaluate import compute_metrics, evaluate_ranking, rank_from_scores
+from gbrec.evaluate import compute_metrics, evaluate_ranking
 from gbrec.graphs import build_graphs
-from gbrec.loss import BehaviorRecord, loss_failed, loss_success
 from gbrec.model import (
     BRANCHES,
     forward,
@@ -46,6 +44,8 @@ from gbrec.trainer import (
 
 import helpers
 import oracles
+from helpers import BehaviorRecord
+from oracles import loss_failed, loss_success, mf_score, rank_from_scores
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_criterion_01_gradients_match_finite_differences():
     negatives = np.random.default_rng(7).integers(0, 8, size=(len(inst["records"]), 1))
 
     def batch_loss():
-        from gbrec.loss import total_loss
+        from helpers import total_loss
 
         emb = adapter.embeddings(adapter.forward(inst["params"]))
         tensors = {name: getattr(inst["params"], name) for name in adapter.trainable}

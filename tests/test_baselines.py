@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from gbrec.baselines import flatten_interactions, gbmf_score, mf_score
+from gbrec.baselines import flatten_interactions
 from gbrec.data import SocialGraph
-from gbrec.loss import BehaviorRecord
-from gbrec.scoring import init_flat_params
+from gbrec.scoring import flat_embeddings, init_flat_params
 
 import helpers
+from helpers import BehaviorRecord
+from oracles import mf_score
 
 
 LOG = helpers.from_records(
@@ -33,14 +34,19 @@ def test_flatten_both_roles_keeps_multiplicity():
     assert flat.num_users == 3 and flat.num_items == 6
 
 
+def gbmf_score(params, social, alpha, user, item):
+    return flat_embeddings(params.user_emb, params.item_emb, social, alpha).predict(user, item)
+
+
 def test_mf_score_is_raw_inner_product():
+    # mf scores with the flat scorer at alpha 0
     params = init_flat_params(3, 6, 4, seed=0, dtype=np.float64)
-    want = float(params.user_emb[1] @ params.item_emb[5])
-    assert mf_score(params, 1, 5) == want
+    social = SocialGraph.from_edges(3, np.array([[0, 1]]))
+    assert gbmf_score(params, social, 0.0, 1, 5) == float(params.user_emb[1] @ params.item_emb[5])
     with pytest.raises(IndexError):
-        mf_score(params, 3, 0)
+        gbmf_score(params, social, 0.0, 3, 0)
     with pytest.raises(IndexError):
-        mf_score(params, 0, 6)
+        gbmf_score(params, social, 0.0, 0, 6)
 
 
 def test_gbmf_score_matches_explicit_friend_loop():

@@ -452,6 +452,24 @@ def test_checkpoint_hyperparams_disagreeing_with_the_header_fail_with_one_locate
     assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: {problem}"]
 
 
+def test_a_checkpoint_whose_sizes_overflow_int64_fails_with_one_located_error(pipeline, tmp_path, capsys):
+    # P = d = 2**32 - 1: user_emb's P * d cells overflow int64, so a size
+    # computed in int64 wraps negative and the read runs backwards
+    big = 2**32 - 1
+    bad = str(tmp_path / "huge.bin")
+    _with_hyperparams(pipeline["checkpoint"], bad, dim=big)
+    with open(bad, "r+b") as fh:
+        fh.seek(12)  # P, then Q, then d
+        fh.write(struct.pack("<I", big))
+        fh.seek(20)
+        fh.write(struct.pack("<I", big))
+
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {bad}: truncated checkpoint"]
+
+
 def test_a_checkpoint_missing_a_hyperparameter_fails_naming_it(pipeline, tmp_path, capsys):
     # one flipped bit turns the key "alpha" into "alphc"; filled with its
     # default, alpha would silently change every score

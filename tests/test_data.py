@@ -25,10 +25,10 @@ from gbrec.rawdata import (
     write_negatives,
     write_social,
 )
-from gbrec.loss import BehaviorRecord
 
 import helpers
 import oracles
+from helpers import BehaviorRecord
 
 
 def write(tmp_path, name, text):

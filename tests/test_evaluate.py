@@ -1,4 +1,4 @@
-"""Ranking, metric aggregation, candidate-list digests, view diagnostics."""
+"""Ranking, metric aggregation, candidate-list digests."""
 
 import hashlib
 import math
@@ -14,10 +14,7 @@ from gbrec.evaluate import (
     compute_metrics,
     evaluate_ranking,
     negatives_digest,
-    rank_from_scores,
-    view_similarity,
 )
-from gbrec.loss import BehaviorRecord
 from gbrec.data import SocialGraph
 from gbrec.kernels import CSR
 from gbrec.scoring import composite_embeddings, flat_embeddings
@@ -25,10 +22,13 @@ from gbrec.rawdata import split_leave_one_out
 
 import helpers
 import oracles
+from helpers import BehaviorRecord
+from oracles import rank_from_scores
 
 
 # ---------------------------------------------------------------------------
-# rank semantics
+# rank semantics of the one-user reference, which the blocked ranking and
+# criterion 06 are held to
 
 
 def test_rank_counts_strictly_greater():
@@ -178,11 +178,11 @@ def test_blocked_ranking_equals_the_rank_of_each_user(world):
     report = evaluate_ranking(emb.score_users, records, negatives, (1, 3))
     want = []
     for u, item in zip(records.initiator.tolist(), records.item.tolist()):
-        scores = emb.score_items(u, np.concatenate([[item], negatives.neighbors(u)]))
-        want.append(rank_from_scores(float(scores[0]), scores[1:]))
+        scores = np.array([emb.predict(u, i) for i in [item, *negatives.neighbors(u).tolist()]])
+        want.append(rank_from_scores(scores[0], scores[1:]))
     np.testing.assert_array_equal(report.ranks, want)
-    by_user = [emb.score_items(u, np.arange(emb.num_items)) for u in records.initiator.tolist()]
-    np.testing.assert_array_equal(emb.score_users(records.initiator), by_user)
+    by_cell = [[emb.predict(u, i) for i in range(emb.num_items)] for u in records.initiator.tolist()]
+    np.testing.assert_array_equal(emb.score_users(records.initiator), by_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +223,3 @@ def test_negatives_digest_hashes_int64_ids_whatever_the_stored_dtype(dtype, num_
     for u, row in ((0, first), (2, last)):
         h.update(b"%d:" % u + np.array(row).astype("<i8").tobytes() + b";")
     assert negatives_digest(negatives) == h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# cross-view diagnostics
-
-
-def test_view_similarity_basics(rng):
-    a = rng.standard_normal((6, 4))
-    sim = view_similarity(a, a.copy())
-    np.testing.assert_allclose(sim.cosines, 1.0, atol=1e-12)
-    sim = view_similarity(a, -a)
-    np.testing.assert_allclose(sim.cosines, -1.0, atol=1e-12)
-
-
-def test_view_similarity_skips_zero_rows():
-    a = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-    b = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-    sim = view_similarity(a, b)
-    assert sim.skipped_zero_vectors == 1
-    assert sim.cosines.shape == (2,)
-    assert sim.cosines[0] == pytest.approx(0.0, abs=1e-12)
-    assert sim.cosines[1] == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError, match="shape"):
-        view_similarity(a, np.zeros((2, 2)))
-    assert sim.histogram.sum() == 2

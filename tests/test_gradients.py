@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gbrec.loss import total_loss
 from gbrec.scoring import init_flat_params
 from gbrec.trainer import FlatModel, GCNModel, loss_and_grads
 
@@ -25,7 +24,7 @@ def batch_loss(adapter, params, batch, negatives, hp, social) -> float:
     state = adapter.forward(params)
     emb = adapter.embeddings(state)
     tensors = {name: getattr(params, name) for name in adapter.trainable}
-    return total_loss(batch, negatives, emb, social, tensors, hp).total
+    return helpers.total_loss(batch, negatives, emb, social, tensors, hp).total
 
 
 def check_against_fd(adapter, params, batch, negatives, hp, social):

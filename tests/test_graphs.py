@@ -9,10 +9,10 @@ from gbrec.config import SynthConfig
 from gbrec.data import SocialGraph
 from gbrec.graphs import build_graphs
 from gbrec.kernels import CSR
-from gbrec.loss import BehaviorRecord
 from gbrec.synthetic import build_planted, simulate
 
 import helpers
+from helpers import BehaviorRecord
 
 
 RECORDS = [

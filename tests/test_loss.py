@@ -9,23 +9,21 @@ from hypothesis import strategies as st
 
 from gbrec.data import SocialGraph
 from gbrec.loss import (
-    BehaviorRecord,
     LossBreakdown,
     breakdown_from_terms,
     build_terms,
     l2_value,
-    loss_failed,
-    loss_success,
     sigmoid,
     social_residual,
     social_value,
     softplus,
-    total_loss,
 )
 from gbrec.model import forward
 
 import helpers
 import oracles
+from helpers import BehaviorRecord, total_loss
+from oracles import loss_failed, loss_success
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +48,7 @@ def test_sigmoid_matches_logistic():
 
 
 # ---------------------------------------------------------------------------
-# per-record scalar forms
+# per-record scalar forms, the paper's loss as tests/oracles.py writes it
 
 
 def fixed_score(table):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from conftest import forced_products
-from gbrec.baselines import gbmf_score
 from gbrec.config import Hyperparams
 from gbrec.data import SocialGraph
 from gbrec.graphs import HeteroGraphBundle
@@ -29,7 +28,6 @@ from gbrec.model import (
 )
 from gbrec.scoring import (
     SCORE_CHUNK,
-    FlatParams,
     ScoreAdjoint,
     composite_embeddings,
     flat_embeddings,
@@ -278,10 +276,8 @@ HAND_GAPS = [(1 - 0.25) * -50.0 + 0.25 * 346.5, 0.0]
 def test_score_entry_points_agree(sparse_products):
     emb = make_emb(alpha=0.25)
     items = np.array([0, 1])
-    by_items = emb.score_items(0, items)
-    np.testing.assert_array_equal(by_items, emb.score_users(np.array([0]))[0])
+    np.testing.assert_array_equal([emb.predict(0, 0), emb.predict(0, 1)], emb.score_users(np.array([0]))[0])
     np.testing.assert_array_equal(emb.score_gaps(np.array([0, 0]), np.array([1, 1]), items), HAND_GAPS)
-    assert emb.predict(0, 1) == by_items[1]
 
 
 def test_dense_score_gaps_agree_with_the_hand_example(dense_products):
@@ -359,31 +355,24 @@ def flat_scorer_case(alpha, renormalize, ints=False):
     ])
     n = 2 * SCORE_CHUNK + 5
     users, lo, hi = rng.integers(0, num_users, n), rng.integers(0, num_items, n), rng.integers(0, num_items, n)
-    return emb, want, (users, lo, hi), (user_emb, item_emb, social)
+    return emb, want, (users, lo, hi)
 
 
 # the flat scorer rounds its query row q = coef * U + alpha * FM to float32,
 # then sums 16 float32 products per score. Against the float64 loop oracle
 # the norm-relative error measured on these cases is at most 8.8e-8 for
-# score_users, 7.4e-8 for score_items, 5.8e-8 for predict and gbmf_score and
-# 9.0e-8 for the gaps on either path; unit roundoff is 6e-8
+# score_users, 5.8e-8 for predict over every cell and 9.0e-8 for the gaps on
+# either path; unit roundoff is 6e-8
 FLAT_RTOL = 1e-6
 
 
 @pytest.mark.parametrize("alpha,renormalize", [(0.0, False), (0.6, False), (0.6, True)])
 def test_flat_scorer_matches_the_loop_oracle(alpha, renormalize):
-    emb, want, (users, lo, hi), (user_emb, item_emb, social) = flat_scorer_case(alpha, renormalize)
+    emb, want, (users, lo, hi) = flat_scorer_case(alpha, renormalize)
     everyone = np.arange(emb.num_users)
     assert oracles.relative_error(emb.score_users(everyone), want) <= FLAT_RTOL
-    by_items = np.array([emb.score_items(u, np.arange(emb.num_items)) for u in everyone])
-    assert oracles.relative_error(by_items, want) <= FLAT_RTOL
-    cells = [(u, i) for u in (0, 4, 9, 39) for i in (0, 7, 24)]
-    pick = want[tuple(zip(*cells))]
-    assert oracles.relative_error(np.array([emb.predict(u, i) for u, i in cells]), pick) <= FLAT_RTOL
-    if not renormalize:  # gbmf_score has no renormalized variant
-        params = FlatParams(user_emb, item_emb)
-        got = np.array([gbmf_score(params, social, alpha, u, i) for u, i in cells])
-        assert oracles.relative_error(got, pick) <= FLAT_RTOL
+    by_cell = np.array([[emb.predict(u, i) for i in range(emb.num_items)] for u in everyone])
+    assert oracles.relative_error(by_cell, want) <= FLAT_RTOL
     for path in ("sparse", "dense"):
         with forced_products(path):
             gaps = emb.score_gaps(users, lo, hi)
@@ -429,14 +418,14 @@ def test_dense_flat_score_gaps_match_separate_differences(dense_products, rng, a
 
 
 @pytest.mark.parametrize("renormalize", [False, True])
-def test_flat_score_users_rows_are_score_items_bit_for_bit(renormalize):
+def test_flat_score_users_rows_are_predict_bit_for_bit(renormalize):
     # exact scores, so this holds whatever order BLAS sums in: both entry
     # points must do the same arithmetic, the oracle's
-    emb, want, _, _ = flat_scorer_case(0.5, renormalize, ints=True)
+    emb, want, _ = flat_scorer_case(0.5, renormalize, ints=True)
     everyone = np.arange(emb.num_users)
     np.testing.assert_array_equal(emb.score_users(everyone), want)
-    for u in everyone:
-        np.testing.assert_array_equal(emb.score_items(u, np.arange(emb.num_items)), emb.score_users(everyone)[u])
+    by_cell = [[emb.predict(u, i) for i in range(emb.num_items)] for u in everyone]
+    np.testing.assert_array_equal(emb.score_users(everyone), by_cell)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Synthetic world: exact success probabilities, planted structure, generation."""
+"""Synthetic world: config, planted structure, generation."""
 
 import dataclasses
 import hashlib
@@ -19,9 +19,6 @@ from gbrec.synthetic import (
     PlantedModel,
     build_planted,
     generate,
-    load_planted,
-    oracle_topk,
-    poisson_binomial_tail,
     save_planted,
     simulate,
 )
@@ -70,49 +67,12 @@ def test_config_reports_non_finite_beside_other_problems():
 
 def test_config_dict_round_trip():
     cfg = SynthConfig(num_users=33, join_scale=2.5)
-    assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+    assert SynthConfig(**cfg.to_dict()) == cfg
 
 
 def test_generate_rejects_invalid_config(tmp_path):
     with pytest.raises(ValueError, match="invalid synthetic config"):
         generate(SynthConfig(num_users=1), 0, str(tmp_path))
-
-
-# ---------------------------------------------------------------------------
-# exact success probability
-
-
-def test_tail_probability_matches_enumeration(rng):
-    for n in (1, 3, 7, 11):
-        probs = rng.uniform(0.01, 0.99, size=n)
-        for threshold in range(0, n + 2):
-            got = poisson_binomial_tail(probs, threshold)
-            want = oracles.enum_tail_probability(probs, threshold)
-            assert got == pytest.approx(want, abs=1e-12), (n, threshold)
-
-
-def test_tail_probability_edge_cases():
-    probs = np.array([0.5, 0.5])
-    assert poisson_binomial_tail(probs, 0) == 1.0
-    assert poisson_binomial_tail(probs, 3) == 0.0
-    assert poisson_binomial_tail(np.array([1.0, 1.0]), 2) == pytest.approx(1.0)
-    assert poisson_binomial_tail(np.array([0.0, 0.0]), 1) == pytest.approx(0.0)
-    assert poisson_binomial_tail(np.empty(0), 1) == 0.0
-
-
-def test_success_probability_uses_friend_join_probs():
-    planted = build_planted(SMALL, np.random.default_rng(3))
-    users_with_friends = [u for u in range(SMALL.num_users) if planted.social.friends(u).size]
-    u = users_with_friends[0]
-    item = 4
-    probs = planted.join_probs(planted.social.friends(u), item)
-    assert planted.success_probability(u, item) == pytest.approx(
-        oracles.enum_tail_probability(probs, SMALL.success_threshold), abs=1e-12
-    )
-    # a friendless user can never reach a positive threshold
-    friendless = [u for u in range(SMALL.num_users) if not planted.social.friends(u).size]
-    for u in friendless:
-        assert planted.success_probability(u, item) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +107,7 @@ def test_role_correlation_one_and_zero_mix_makes_roles_identical():
 def mean_friend_alignment(planted):
     """Average cosine between a user's launch taste and their circle's join taste."""
     cosines = []
-    for u in range(planted.num_users):
+    for u in range(SMALL.num_users):
         fr = planted.social.friends(u)
         if fr.size == 0:
             continue
@@ -171,30 +131,9 @@ def test_item_temp_near_zero_concentrates_launch_choice():
     cfg = SynthConfig(**{**SMALL.to_dict(), "item_temp": 1e-6})
     planted = build_planted(cfg, np.random.default_rng(4))
     for u in (0, 5, 11):
-        probs = planted.item_probs(u)
+        probs = oracles.item_probs(planted, u)
         best = int(np.argmax(planted.launch_vecs[u] @ planted.item_vecs.T))
         assert probs[best] == pytest.approx(1.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# oracle ranking
-
-
-def test_oracle_topk_matches_brute_force_sort():
-    planted = build_planted(SMALL, np.random.default_rng(5))
-    for u in (0, 3, 9):
-        scores = [planted.success_probability(u, n) for n in range(SMALL.num_items)]
-        want = sorted(range(SMALL.num_items), key=lambda n: (-scores[n], n))
-        assert oracle_topk(planted, u, SMALL.num_items) == want
-        assert oracle_topk(planted, u, 3) == want[:3]
-
-
-def test_oracle_topk_breaks_ties_by_lower_id():
-    planted = build_planted(SMALL, np.random.default_rng(1))
-    # friendless users score zero everywhere: pure tie, ids must come back sorted
-    friendless = [u for u in range(SMALL.num_users) if not planted.social.friends(u).size]
-    assert friendless, "seed regression: expected a friendless user in this draw"
-    assert oracle_topk(planted, friendless[0], 5) == [0, 1, 2, 3, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +244,7 @@ def test_generate_writes_consistent_corpus(tmp_path, rng):
     with open(os.path.join(out, "generation.json")) as fh:
         meta = json.load(fh)
     assert meta["seed"] == 11
-    assert SynthConfig.from_dict(meta["config"]) == SMALL
+    assert meta["config"] == SMALL.to_dict()
     assert meta["counters"] == result.counters
 
 
@@ -337,7 +276,7 @@ def test_planted_round_trip(tmp_path):
     planted = build_planted(SMALL, np.random.default_rng(14))
     path = str(tmp_path / "planted.npz")
     save_planted(path, planted)
-    again = load_planted(path)
+    again = helpers.load_planted(path)
     np.testing.assert_array_equal(again.launch_vecs, planted.launch_vecs)
     np.testing.assert_array_equal(again.join_vecs, planted.join_vecs)
     np.testing.assert_array_equal(again.item_vecs, planted.item_vecs)

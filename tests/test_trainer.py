@@ -13,7 +13,6 @@ from gbrec.config import CheckpointError, Hyperparams, TrainingError
 from gbrec.data import DatasetSplit, user_interactions
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
-from gbrec.loss import total_loss
 from gbrec.model import init_params
 from gbrec.rawdata import split_leave_one_out
 from gbrec.scoring import init_flat_params
@@ -201,7 +200,7 @@ def assert_flat_batch_takes_the_friend_mean_once(monkeypatch, owner, attr: str, 
 
     # the same loss as the reference, which takes the residual's friend mean afresh
     emb = adapter.embeddings(adapter.forward(params))
-    assert bd == total_loss(batch, negatives, emb, social, params.tensors(), hp)
+    assert bd == helpers.total_loss(batch, negatives, emb, social, params.tensors(), hp)
 
 
 def test_flat_batch_takes_the_friend_mean_once(sparse_products, monkeypatch):
