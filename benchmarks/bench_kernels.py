@@ -22,11 +22,17 @@
   ``flat_embeddings``: one query block of width ``--dim``. With more blocks
   it is GBGCN's scorer, built by ``composite_embeddings`` with that many
   blocks of width ``--dim`` per view slot: twice that many query blocks, the
-  launch blocks and the friend means.
+  launch blocks and the friend means;
+* ``rank`` -- ``evaluate.evaluate_ranking``, the ranking of ``gbrec evaluate``
+  and of each fine-tune epoch's validation, over ``--users`` held-out users of
+  ``--items`` items, each with ``min(999, --items - 1)`` distinct frozen
+  negatives (its test item left out) held in ``data.item_dtype(--items)``,
+  scored by a ``flat_embeddings`` set of width ``--dim``. ``--users 3000
+  --items 1200`` is the gbmf-wide shape.
 
-The first four roles time the sparse kernel alone. Prints the best of
-``--repeats`` per-call times for each role; tables are float32, as in
-training. Usage::
+The first four roles time the sparse kernel alone, and ``rank`` times the
+one path there is. Prints the best of ``--repeats`` per-call times for each
+role; tables are float32, as in training. Usage::
 
     python3 benchmarks/bench_kernels.py [--role ROLE ...] [--rows 200000] [--cols 30000]
         [--degree 20 | --entries N] [--dim 32] [--terms 500000]
@@ -43,13 +49,14 @@ import time
 import numpy as np
 
 from gbrec import kernels, scoring
-from gbrec.data import SocialGraph
+from gbrec.data import BehaviorLog, SocialGraph, item_dtype
+from gbrec.evaluate import evaluate_ranking
 
 # the test suite's switch between the sparse and the dense products
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 from conftest import forced_products  # noqa: E402
 
-ROLES = ("segment_sum", "scatter", "gap_user_side", "gap_item_side", "mean", "score_pass")
+ROLES = ("segment_sum", "scatter", "gap_user_side", "gap_item_side", "mean", "score_pass", "rank")
 DENSE_LIMIT = 1 << 24  # cells past which the mean role times no dense matrix (64 MB in float32)
 
 
@@ -127,6 +134,27 @@ def time_score_pass(args, rng) -> None:
     time_paths("score_pass", fns, "dense" if emb.dense_score_pass(n) else "sparse", args.repeats)
 
 
+def time_rank(args, rng) -> None:
+    P, Q = args.users, args.items
+    k = min(999, Q - 1)
+    social = SocialGraph.from_edges(P, rng.integers(0, P, size=(4 * P, 2)))
+    emb = scoring.flat_embeddings(
+        rng.standard_normal((P, args.dim)).astype(np.float32),
+        rng.standard_normal((Q, args.dim)).astype(np.float32), social, alpha=0.6,
+    )
+    test = rng.integers(0, Q, size=P)
+    # each user's k lowest random keys, its test item's key pushed past every other
+    keys = rng.random((P, Q))
+    keys[np.arange(P), test] = 2.0
+    lists = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    negatives = kernels.CSR(P, Q, np.arange(P + 1, dtype=np.int64) * k, lists.ravel().astype(item_dtype(Q)))
+    records = BehaviorLog(np.arange(P), test, np.ones(P, dtype=bool), np.zeros(P + 1, dtype=np.int64),
+                          np.empty(0, dtype=np.int64), P, Q)
+    print(f"rank: users={P} items={Q} negatives={k} dtype={negatives.indices.dtype} width={args.dim}")
+    fn = lambda: evaluate_ranking(emb.score_users, records, negatives, (10,))
+    print(f"{'rank':<17} {best_of(fn, args.repeats) * 1e3:8.2f} ms")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--role", choices=ROLES, action="append", help="a role to time (repeatable; default every role)")
@@ -137,8 +165,8 @@ def main() -> int:
     ap.add_argument("--dim", type=int, default=32)
     ap.add_argument("--terms", type=int, default=500_000, help="rows of each scatter, terms of the score pass")
     ap.add_argument("--targets", type=int, default=4, help="targets of each gap-side call")
-    ap.add_argument("--users", type=int, default=500, help="users of the score pass")
-    ap.add_argument("--items", type=int, default=200, help="items of the score pass")
+    ap.add_argument("--users", type=int, default=500, help="users of the score pass and the ranking")
+    ap.add_argument("--items", type=int, default=200, help="items of the score pass and the ranking")
     ap.add_argument("--blocks", type=int, default=2, help="embedding blocks of the score pass")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
@@ -180,6 +208,8 @@ def main() -> int:
         time_mean(args, rng)
     if "score_pass" in roles:
         time_score_pass(args, rng)
+    if "rank" in roles:
+        time_rank(args, rng)
     return 0
 
 

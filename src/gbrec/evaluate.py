@@ -8,8 +8,10 @@ the model: rank = #strictly-better + #equal among the negatives). Metrics:
 * ndcg@K:  mean of 1/log2(rank+2) for users with rank < K, else 0.
 
 Users are ranked in blocks of ``RANK_BLOCK``: one ``(block, num_items)``
-score matrix per block, from which each user's test item and negatives (its
-row of the negatives ``CSR``) are gathered.
+score matrix per block, compared row by row with each user's test-item score,
+and one boolean mask of the same shape that marks each user's negatives (its
+row of the negatives ``CSR``); a rank is the count of a row's marked items
+that score at least as high as its test item.
 
 Keeping the negative lists frozen in the split makes comparisons between
 models paired; ``negatives_digest`` fingerprints them so a report can prove
@@ -30,8 +32,7 @@ from .kernels import CSR
 # every item's score for each user given: (users,) -> (len(users), num_items)
 ScoreUsersFn = Callable[[np.ndarray], np.ndarray]
 
-# Users per score matrix. Counting users, not score cells, bounds the gathered
-# candidates too: 128 lists of up to 999 items with the default split.
+# Users per score matrix, and per candidate mask of the same shape.
 RANK_BLOCK = 128
 
 
@@ -92,7 +93,12 @@ def evaluate_ranking(
     initiator's row of ``negatives``, in the log's order (ascending user id
     for a split's held-out logs), ``RANK_BLOCK`` users per score matrix. A
     negative counts against the test item when it scores ``>=``: the
-    pessimistic rank, and NaN on either side counts for nothing."""
+    pessimistic rank, and NaN on either side counts for nothing.
+
+    Each block marks its users' negatives in one ``(block, num_items)`` mask,
+    so an id listed twice in a row would count once. The ``CSR`` rows are
+    sorted and without repeats: ``load_split_dir`` rejects a split whose rows
+    are not, and ``split_leave_one_out`` draws distinct items."""
     ptr, ids = negatives.indptr, negatives.indices
     ranks = np.empty(len(records), dtype=np.int64)
     for start in range(0, len(records), RANK_BLOCK):
@@ -100,13 +106,15 @@ def evaluate_ranking(
         users = records.initiator[block]
         rows = np.arange(users.shape[0])
         scores = score_users(users)
-        test = scores[rows, records.item[block]]
-        counts = ptr[users + 1] - ptr[users]
-        row = np.repeat(rows, counts)
-        # candidate j of the block sits at its row's start plus its place in that row
-        cand = ids[np.arange(row.shape[0]) + (ptr[users] - (np.cumsum(counts) - counts))[row]]
-        beaten = scores[row, cand] >= test[row]
-        ranks[block] = np.bincount(row[beaten], minlength=rows.shape[0])
+        beaten = scores >= scores[rows, records.item[block]][:, None]
+        lo, hi = ptr[users], ptr[users + 1]
+        # row r's negatives sit at r * num_items plus their ids in the flat mask
+        listed = np.zeros(scores.size, dtype=bool)
+        listed[
+            np.repeat(rows * scores.shape[1], hi - lo)
+            + np.concatenate([ids[a:b] for a, b in zip(lo.tolist(), hi.tolist())])
+        ] = True
+        ranks[block] = np.count_nonzero(beaten & listed.reshape(scores.shape), axis=1)
     return compute_metrics(ranks, ks)
 
 

@@ -223,10 +223,6 @@ class CSR:
         return np.diff(self.indptr)
 
     @property
-    def num_edges(self) -> int:
-        return self.indices.shape[0]
-
-    @property
     def T(self) -> "CSR":
         """The reverse graph: row ``c`` lists the rows that have ``c`` as a neighbour."""
         if self._transpose is None:

@@ -23,3 +23,4 @@ def test_bench_kernels_times_every_role(blocks):
     lines = proc.stdout.splitlines()
     assert f"blocks={blocks}" in next(line for line in lines if line.startswith("score_pass:"))
     assert any(line.startswith("score_pass.backward") for line in lines)
+    assert any(line.startswith("rank ") for line in lines)

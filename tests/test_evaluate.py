@@ -15,7 +15,7 @@ from gbrec.evaluate import (
     evaluate_ranking,
     negatives_digest,
 )
-from gbrec.data import SocialGraph
+from gbrec.data import SocialGraph, item_dtype
 from gbrec.kernels import CSR
 from gbrec.scoring import composite_embeddings, flat_embeddings
 from gbrec.rawdata import split_leave_one_out
@@ -136,8 +136,9 @@ def test_evaluate_ranking_orders_users_and_ranks_test_items():
 def ranking_worlds(draw):
     """Embeddings of small integers and friendships in disjoint pairs, so
     every friend mean, weighted query row and score is exact in float32 and
-    ties are common; ragged negative lists; and held-out logs from empty to
-    more users than one block."""
+    ties are common; ragged negative lists, held as int64 or as the narrow
+    ids a loaded split holds; and held-out logs from empty to more users than
+    one block."""
     num_users = draw(st.integers(1, 2 * RANK_BLOCK + 5))
     num_items = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -164,7 +165,10 @@ def ranking_worlds(draw):
         [BehaviorRecord(u, i, (), True) for u, i in zip(users.tolist(), items.tolist())], num_users, num_items
     )
     lists = {u: rng.choice(num_items, size=rng.integers(num_items + 1), replace=False) for u in users.tolist()}
-    return emb, records, helpers.negatives_csr(lists, num_users, num_items)
+    negatives = helpers.negatives_csr(lists, num_users, num_items)
+    if draw(st.booleans()):
+        negatives = CSR(num_users, num_items, negatives.indptr, negatives.indices.astype(item_dtype(num_items)))
+    return emb, records, negatives
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,6 +187,42 @@ def test_blocked_ranking_equals_the_rank_of_each_user(world):
     np.testing.assert_array_equal(report.ranks, want)
     by_cell = [[emb.predict(u, i) for i in range(emb.num_items)] for u in records.initiator.tolist()]
     np.testing.assert_array_equal(emb.score_users(records.initiator), by_cell)
+
+
+def test_blocked_ranking_of_uint16_ids_over_full_and_partial_blocks():
+    # 300 users make two full blocks and a partial one; 1,200 items make uint16 ids
+    num_users, num_items = 300, 1200
+    assert 2 * RANK_BLOCK < num_users < 3 * RANK_BLOCK
+    rng = np.random.default_rng(24)
+    social = SocialGraph.from_edges(num_users, rng.integers(0, num_users, size=(4 * num_users, 2)))
+    emb = flat_embeddings(
+        rng.standard_normal((num_users, 8)).astype(np.float32),
+        rng.standard_normal((num_items, 8)).astype(np.float32), social, 0.6,
+    )
+    items = rng.integers(num_items, size=num_users)
+    lists = {
+        u: np.sort(rng.choice(np.delete(np.arange(num_items), i), size=999, replace=False))
+        for u, i in enumerate(items.tolist())
+    }
+    del lists[7]  # an empty row
+    lists[200] = np.sort(np.append(lists[200][1:], items[200]))  # the test item listed: a tie under >=
+    records = helpers.from_records(
+        [BehaviorRecord(u, i, (), True) for u, i in enumerate(items.tolist())], num_users, num_items
+    )
+    wide = helpers.negatives_csr(lists, num_users, num_items)
+    negatives = CSR(num_users, num_items, wide.indptr, wide.indices.astype(item_dtype(num_items)))
+    assert negatives.indices.dtype == np.uint16
+
+    report = evaluate_ranking(emb.score_users, records, negatives, (10,))
+    # the rows score_users gives, block by block as the ranking asks for them
+    scores = np.concatenate(
+        [emb.score_users(records.initiator[s : s + RANK_BLOCK]) for s in range(0, num_users, RANK_BLOCK)]
+    )
+    want = [rank_from_scores(scores[u, items[u]], scores[u, lists.get(u, [])]) for u in range(num_users)]
+    np.testing.assert_array_equal(report.ranks, want)
+    assert report.ranks[7] == 0
+    others = lists[200][lists[200] != items[200]]
+    assert report.ranks[200] == 1 + rank_from_scores(scores[200, items[200]], scores[200, others])
 
 
 # ---------------------------------------------------------------------------
