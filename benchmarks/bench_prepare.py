@@ -35,11 +35,10 @@ import sys
 import tempfile
 import time
 
-from gbrec.data import DEFAULT_EVAL_NEGATIVES, SPLIT_FILE, load_split_dir, load_train_dir
+from gbrec.data import DEFAULT_EVAL_NEGATIVES, SPLIT_FILE, load_split_dir, load_train_dir, write_npz
 from gbrec.evaluate import negatives_digest
 from gbrec.rawdata import (
     _split_arrays,
-    _write_npz,
     ingest,
     save_split_dir,
     split_leave_one_out,
@@ -98,7 +97,7 @@ def main() -> int:
         stage("negatives_digest", lambda: negatives_digest(split.eval_negatives))
         os.makedirs(outdir)
         path = lambda name: os.path.join(outdir, name)  # noqa: E731
-        stage(SPLIT_FILE, lambda: _write_npz(path(SPLIT_FILE), _split_arrays(split, social)))
+        stage(SPLIT_FILE, lambda: write_npz(path(SPLIT_FILE), _split_arrays(split, social)))
         for name in ("train", "validation", "test"):
             stage(f"{name}.tsv", lambda name=name: write_behaviors(path(f"{name}.tsv"), getattr(split, name)))
         stage("social.tsv", lambda: write_social(path("social.tsv"), social))

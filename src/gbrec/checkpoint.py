@@ -1,30 +1,29 @@
-"""Binary checkpoints: one trained model's tensors and hyperparameters.
+"""Checkpoints: one trained model's tensors and hyperparameters.
 
-Layout, little-endian: the magic ``GBGC``; six uint32s (format version, model
-type code, users P, items Q, embedding width d, layers L, which is 0 for the
-flat models); two uint32s (the length of the hyperparameter JSON, and header
-flags, always 0); the hyperparameters as compact sorted JSON; then every
-tensor of the model type, in ``model.TENSOR_FIELDS`` or
-``scoring.FLAT_TENSOR_FIELDS`` order, as float32. Reading checks every field,
-and every failure is one ``CheckpointError`` naming the file.
+A checkpoint is an uncompressed ``.npz``, written and read by the same
+``data.write_npz`` and ``data.read_npz`` as ``split.npz``. Its member
+``meta`` holds, as uint8, the UTF-8 JSON ``{"format", "model_type",
+"hyperparams"}``; one float32 member per tensor follows, in
+``model.TENSOR_FIELDS`` or ``scoring.FLAT_TENSOR_FIELDS`` order. Reading
+checks every member's dtype, shape and CRC-32, the hyperparameters, and that
+every tensor value is finite; every failure is one ``CheckpointError`` naming
+the file.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CheckpointError, Hyperparams
+from .config import MODEL_TYPES, CheckpointError, Hyperparams
+from .data import read_npz, write_npz
 from .scoring import FLAT_TENSOR_FIELDS, FlatParams
 
-MODEL_TYPE_CODES = {"gbgcn": 0, "gbmf": 1, "mf": 2}
-CODE_TO_MODEL_TYPE = {v: k for k, v in MODEL_TYPE_CODES.items()}
-CHECKPOINT_MAGIC = b"GBGC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_FORMAT = "gbrec-checkpoint-npz"
+RETRAIN = "write this checkpoint again with gbrec train"
+F32 = np.dtype("<f4")
 
 
 def _layout(model_type: str) -> tuple[tuple[str, ...], type]:
@@ -44,21 +43,13 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str, model_type: str, params, hp: Hyperparams) -> None:
-    if model_type not in MODEL_TYPE_CODES:
+    if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type {model_type!r}")
-    P, d = params.user_emb.shape
-    Q = params.item_emb.shape[0]
-    L = hp.num_layers if model_type == "gbgcn" else 0
-    hp_json = json.dumps(hp.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<IIIIII", CHECKPOINT_VERSION, MODEL_TYPE_CODES[model_type], P, Q, d, L)
-    buf += struct.pack("<II", len(hp_json), 0)
-    buf += hp_json
+    meta = {"format": CHECKPOINT_FORMAT, "model_type": model_type, "hyperparams": hp.to_dict()}
+    arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True, separators=(",", ":")).encode(), np.uint8)}
     for name in _layout(model_type)[0]:
-        buf += np.ascontiguousarray(getattr(params, name), dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(bytes(buf))
+        arrays[name] = np.ascontiguousarray(getattr(params, name), dtype=F32)
+    write_npz(path, arrays)
 
 
 def _has_field_type(value, template) -> bool:
@@ -72,17 +63,22 @@ def _has_field_type(value, template) -> bool:
     return isinstance(value, type(template))
 
 
-def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int) -> Hyperparams:
-    """The stored hyperparameters, checked for every field's presence and type,
-    for ``validate()`` and against the header's ``d`` and ``L``; every problem is
-    one CheckpointError. A key that is no field, such as a field since removed
+def _checked_meta(raw: np.ndarray) -> tuple[str, Hyperparams]:
+    """The model type and the hyperparameters, checked for every field's
+    presence and type and for ``validate()``; every problem is one
+    CheckpointError. A key that is no field, such as a field since removed
     that older files still hold, is ignored."""
     try:
-        values = json.loads(raw.decode("utf-8"))
+        meta = json.loads(raw.tobytes().decode("utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise CheckpointError(f"{path}: hyperparameters are not JSON ({exc})") from None
+        raise CheckpointError(f"meta is not JSON ({exc})") from None
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"meta does not name the format {CHECKPOINT_FORMAT!r}")
+    model_type, values = meta.get("model_type"), meta.get("hyperparams")
+    if model_type not in MODEL_TYPES:
+        raise CheckpointError(f"unknown model type {model_type!r}")
     if not isinstance(values, dict):
-        raise CheckpointError(f"{path}: hyperparameters are not a JSON object")
+        raise CheckpointError("bad hyperparameters: not a JSON object")
     defaults = vars(Hyperparams())
     missing = [name for name in defaults if name not in values]
     problems = [f"missing {', '.join(missing)}"] if missing else []
@@ -94,51 +90,26 @@ def _checked_hyperparams(path: str, raw: bytes, model_type: str, d: int, L: int)
     if not problems:
         hp = Hyperparams.from_dict(values)
         problems = hp.validate()
-        if hp.dim != d:
-            problems.append(f"dim {hp.dim} does not match the header's d = {d}")
-        if model_type == "gbgcn" and hp.num_layers != L:
-            problems.append(f"num_layers {hp.num_layers} does not match the header's L = {L}")
     if problems:
-        raise CheckpointError(f"{path}: bad hyperparameters: " + "; ".join(problems))
-    return hp
+        raise CheckpointError("bad hyperparameters: " + "; ".join(problems))
+    return model_type, hp
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if n < 0 or off + n > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        out = blob[off : off + n]
-        off += n
-        return out
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    version, code, P, Q, d, L = struct.unpack("<IIIIII", take(24))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    if code not in CODE_TO_MODEL_TYPE:
-        raise CheckpointError(f"{path}: unknown model type code {code}")
-    model_type = CODE_TO_MODEL_TYPE[code]
-    hp_len, flags = struct.unpack("<II", take(8))
-    if flags:
-        raise CheckpointError(f"{path}: unsupported header flags {flags:#x}")
-    hp = _checked_hyperparams(path, take(hp_len), model_type, d, L)
-
-    width = (L + 1) * d
-    shapes = {"user_emb": (P, d), "item_emb": (Q, d)}
-    fields, params_type = _layout(model_type)
-    tensors = {}
-    for name in fields:
-        shape = shapes.get(name, (width,) if name.startswith("b_") else (width, width))
-        # sized in exact integers: an int64 product of the header's sizes can wrap negative
-        tensors[name] = np.ascontiguousarray(np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape))
-        if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
-            raise CheckpointError(f"{path}: {name} holds a non-finite value")
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+    """The checkpoint at ``path``. The embedding tables are ``(n, dim)``;
+    GBGCN's cross-view weights are ``(width, width)`` and its biases
+    ``(width,)``, with ``width = (num_layers + 1) * dim``."""
+    with read_npz(path, CheckpointError, RETRAIN) as read:
+        model_type, hp = _checked_meta(read("meta", np.dtype(np.uint8)))
+        fields, params_type = _layout(model_type)
+        width = (hp.num_layers + 1) * hp.dim
+        tensors = {}
+        for name in fields:
+            tail = (hp.dim,) if name.endswith("_emb") else (width,) if name.startswith("w_") else ()
+            tensors[name] = read(name, F32, tail)
+            n = tensors[name].shape[0]
+            if not name.endswith("_emb") and n != width:
+                raise CheckpointError(f"{name} is {n} long, expected (num_layers + 1) * dim = {width}")
+            if not np.isfinite(tensors[name]).all():  # a NaN score would rank first, silently
+                raise CheckpointError(f"{name} holds a non-finite value")
     return Checkpoint(model_type, params_type(**tensors), hp)

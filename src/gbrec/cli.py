@@ -280,16 +280,12 @@ def main(argv: list[str] | None = None) -> int:
         # quietly, with stdout on devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:  # a missing file, a directory where a file belongs, and the like
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IngestError, CheckpointError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, IndexError) as exc:
+    # a missing file or a directory where a file belongs (OSError), and every
+    # IngestError and CheckpointError (both ValueErrors)
+    except (OSError, ValueError, IndexError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,13 @@ stored, read and ranked in ``item_dtype(num_items)``, the narrowest unsigned
 dtype that holds every item id: one byte per id up to 256 items, two up to
 65,536. Every other id array is int64.
 
+``split.npz`` and checkpoints share one on-disk container, an uncompressed
+``.npz``: ``write_npz`` writes it, and ``read_npz`` reads it member by member,
+checking each member's dtype, shape and CRC-32, with every failure one error
+of the caller's class that names the file. Every array file a gbrec command
+reads goes through them; ``checkpoint`` holds what a checkpoint's members
+are.
+
 Raw text files, their grammar, the split itself and the split directory's
 writer are in ``rawdata``, which only ``gbrec prepare`` and ``gbrec synth``
 import.
@@ -26,12 +33,15 @@ import.
 
 from __future__ import annotations
 
+import functools
+import io
 import json
 import math
 import os
 import tokenize
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,16 +235,9 @@ def sample_negatives(
 
 
 # ---------------------------------------------------------------------------
-# the split directory's reader
+# the .npz container of split.npz and checkpoints
 
-SPLIT_FILE = "split.npz"
-HELD_OUT = ("validation", "test")
-# a BehaviorLog's columns as split.npz stores them, as "<log>_<column>"
-LOG_COLUMNS = (
-    ("initiator", np.dtype(np.int64)), ("item", np.dtype(np.int64)), ("success", np.dtype(bool)),
-    ("part_indptr", np.dtype(np.int64)), ("part_indices", np.dtype(np.int64)),
-)
-# bytes per read or write of a split.npz member's data
+# bytes per read or write of a member's data
 NPZ_CHUNK_BYTES = 1 << 20
 # what damaged bytes raise from the zip reader (a bad CRC-32, directory or
 # local header; a method, flag or length that a flipped bit changed; an
@@ -245,44 +248,90 @@ NPZ_READ_ERRORS = (
 )
 
 
-def _read_member(zf: zipfile.ZipFile, name: str, dtype: np.dtype, tail: tuple) -> np.ndarray:
+def write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """An uncompressed ``.npz`` that ``np.load`` reads: per array, a member
+    ``<name>.npy`` of an ``.npy`` 1.0 header and the array's bytes, written
+    from the array's own memory ``NPZ_CHUNK_BYTES`` at a time, so no array is
+    copied. Members carry a fixed timestamp: equal arrays give equal bytes."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
+            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            info.file_size = header.tell() + arr.nbytes
+            body = memoryview(arr.reshape(-1)).cast("B")
+            with zf.open(info, "w") as fh:
+                fh.write(header.getvalue())
+                for at in range(0, len(body), NPZ_CHUNK_BYTES):
+                    fh.write(body[at : at + NPZ_CHUNK_BYTES])
+
+
+def _read_member(zf: zipfile.ZipFile, error: type, name: str, dtype: np.dtype, tail: tuple = ()) -> np.ndarray:
     """Member ``<name>.npy`` of ``zf``, which must hold a C-order array of
     ``dtype`` and shape ``(n, *tail)`` whose bytes fill the member. The header
     is checked before any data is read, so no object array (no pickle) is
-    ever read, and no array larger than the member is made; a header of
-    another dtype or shape, as an older writer's split dir holds, asks for the
-    split dir to be written again. Reading the member to its end checks its
-    CRC-32."""
+    ever read, and no array larger than the member is made. Reading the
+    member to its end checks its CRC-32. A problem is one ``error``."""
     try:
         info = zf.getinfo(f"{name}.npy")
     except KeyError:
-        raise IngestError(f"{name}: no such array") from None
+        raise error(f"{name}: no such array") from None
     with zf.open(info) as fh:
         if np.lib.format.read_magic(fh) != (1, 0):
-            raise IngestError(f"{name}: not an .npy 1.0 array")
+            raise error(f"{name}: not an .npy 1.0 array")
         shape, fortran, stored = np.lib.format.read_array_header_1_0(fh)
         if stored != dtype or fortran or len(shape) != 1 + len(tail) or tuple(shape[1:]) != tail:
-            want = ", ".join(["n", *map(str, tail)])
-            raise IngestError(
-                f"{name}: {stored} array of shape {tuple(shape)}, expected {dtype} of shape ({want},);"
-                " write this split dir again with gbrec prepare"
-            )
+            want = ", ".join(["n", *map(str, tail)]) if tail else "n,"
+            raise error(f"{name}: {stored} array of shape {tuple(shape)}, expected {dtype} of shape ({want})")
         if fh.tell() + math.prod(shape) * dtype.itemsize != info.file_size:
-            raise IngestError(f"{name}: shape {tuple(shape)} does not fill the member's {info.file_size} bytes")
+            raise error(f"{name}: shape {tuple(shape)} does not fill the member's {info.file_size} bytes")
         arr = np.empty(shape, dtype)
         body = memoryview(arr.reshape(-1)).cast("B")
         for at in range(0, len(body), NPZ_CHUNK_BYTES):
             chunk = body[at : at + NPZ_CHUNK_BYTES]
             if fh.readinto(chunk) != len(chunk):
-                raise IngestError(f"{name}: truncated")
+                raise error(f"{name}: truncated")
     return arr
+
+
+@contextmanager
+def read_npz(path: str, error: type, remedy: str):
+    """The ``.npz`` at ``path``, opened for the block as ``read(name, dtype,
+    tail=())``, which is ``_read_member``. A file that cannot be opened is
+    the ``OSError`` of ``open``; after that, every failure to read, and every
+    ``error`` the block raises, leaves as one ``error`` that names the file
+    and ends in ``remedy``."""
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as zf:
+                yield functools.partial(_read_member, zf, error)
+        except error as exc:
+            raise error(f"{path}: {exc}; {remedy}") from None
+        except NPZ_READ_ERRORS as exc:
+            raise error(f"{path}: unreadable: {type(exc).__name__}: {exc}; {remedy}") from None
+
+
+# ---------------------------------------------------------------------------
+# the split directory's reader
+
+SPLIT_FILE = "split.npz"
+HELD_OUT = ("validation", "test")
+# a BehaviorLog's columns as split.npz stores them, as "<log>_<column>"
+LOG_COLUMNS = (
+    ("initiator", np.dtype(np.int64)), ("item", np.dtype(np.int64)), ("success", np.dtype(bool)),
+    ("part_indptr", np.dtype(np.int64)), ("part_indices", np.dtype(np.int64)),
+)
+REPREPARE = "write this split dir again with gbrec prepare"
 
 
 def _read_split(datadir: str, held_out: bool):
     """``stats.json`` and the arrays of ``split.npz`` that hold the training
     log and the social pairs and, with ``held_out``, the held-out logs and
     the negatives: ``(path, stats, arrays)``. Shapes and dtypes are checked
-    here, and every failure to read is one ``IngestError`` naming the file."""
+    here, and every failure to read is one ``IngestError`` naming the file;
+    a member of another dtype or shape, as an older writer's split dir holds,
+    asks for the split dir to be written again."""
     stats_path = os.path.join(datadir, "stats.json")
     with open(stats_path, encoding="utf-8") as fh:
         try:
@@ -303,14 +352,9 @@ def _read_split(datadir: str, held_out: bool):
         specs["negatives_indices"] = (item_dtype(stats["num_items"]), ())
     path = os.path.join(datadir, SPLIT_FILE)
     if not os.path.exists(path):
-        raise IngestError(f"{path}: no such file; write this split dir again with gbrec prepare")
-    try:
-        with zipfile.ZipFile(path) as zf:
-            arrays = {name: _read_member(zf, name, *spec) for name, spec in specs.items()}
-    except IngestError as exc:
-        raise IngestError(f"{path}: {exc}") from None
-    except NPZ_READ_ERRORS as exc:
-        raise IngestError(f"{path}: unreadable: {type(exc).__name__}: {exc}") from None
+        raise IngestError(f"{path}: no such file; {REPREPARE}")
+    with read_npz(path, IngestError, REPREPARE) as read:
+        arrays = {name: read(name, *spec) for name, spec in specs.items()}
     return path, stats, arrays
 
 

@@ -21,19 +21,17 @@ Ingestion remaps arbitrary non-negative integer ids onto dense 0..P-1 /
 0..Q-1 ranges (sorted by original id, so already-dense files map to
 themselves and a write/re-ingest round trip is a fixed point).
 
-``save_split_dir`` writes ``split.npz`` and ``stats.json``, which
-``data.load_split_dir`` reads, and the split's ``.tsv`` export in the grammar
-above.
+``save_split_dir`` writes ``split.npz`` (through ``data.write_npz``) and
+``stats.json``, which ``data.load_split_dir`` reads, and the split's ``.tsv``
+export in the grammar above.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import os
 import re
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +40,6 @@ from .data import (
     DEFAULT_EVAL_NEGATIVES,
     HELD_OUT,
     LOG_COLUMNS,
-    NPZ_CHUNK_BYTES,
     SPLIT_FILE,
     BehaviorLog,
     DatasetSplit,
@@ -50,6 +47,7 @@ from .data import (
     SocialGraph,
     item_dtype,
     user_interactions,
+    write_npz,
 )
 from .kernels import CSR
 
@@ -456,25 +454,6 @@ def split_leave_one_out(
 # the split directory's writer
 
 
-def _write_npz(path: str, arrays: dict[str, np.ndarray]) -> None:
-    """An uncompressed ``.npz`` that ``np.load`` reads: per array, a member
-    ``<name>.npy`` of an ``.npy`` 1.0 header and the array's bytes, written
-    from the array's own memory ``NPZ_CHUNK_BYTES`` at a time, so no array is
-    copied. Members carry a fixed timestamp: equal arrays give equal bytes."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(arr))
-            info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-            info.file_size = header.tell() + arr.nbytes
-            body = memoryview(arr.reshape(-1)).cast("B")
-            with zf.open(info, "w") as fh:
-                fh.write(header.getvalue())
-                for at in range(0, len(body), NPZ_CHUNK_BYTES):
-                    fh.write(body[at : at + NPZ_CHUNK_BYTES])
-
-
 def _split_arrays(split: DatasetSplit, social: SocialGraph) -> dict[str, np.ndarray]:
     """The members of ``split.npz``: the split's own arrays, not copies."""
     arrays = {
@@ -492,7 +471,7 @@ def save_split_dir(
     """Write ``split.npz`` and ``stats.json``, which the loaders read, and the
     ``.tsv`` export of the same split."""
     os.makedirs(outdir, exist_ok=True)
-    _write_npz(os.path.join(outdir, SPLIT_FILE), _split_arrays(split, social))
+    write_npz(os.path.join(outdir, SPLIT_FILE), _split_arrays(split, social))
     write_behaviors(os.path.join(outdir, "train.tsv"), split.train)
     write_behaviors(os.path.join(outdir, "validation.tsv"), split.validation)
     write_behaviors(os.path.join(outdir, "test.tsv"), split.test)

@@ -57,9 +57,6 @@ class FlatParams:
     user_emb: np.ndarray
     item_emb: np.ndarray
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"user_emb": self.user_emb, "item_emb": self.item_emb}
-
     def copy(self) -> "FlatParams":
         return FlatParams(self.user_emb.copy(), self.item_emb.copy())
 

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline, run in-process via main()."""
 
+import io
 import json
 import os
 import re
@@ -7,13 +8,15 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
 from gbrec.checkpoint import load_checkpoint, save_checkpoint
 from gbrec.cli import main
-from gbrec.config import Hyperparams
+from gbrec.config import CheckpointError, Hyperparams
 from gbrec.data import (
     BehaviorLog,
     DatasetSplit,
@@ -21,11 +24,12 @@ from gbrec.data import (
     SocialGraph,
     load_split_dir,
     user_interactions,
+    write_npz,
 )
 from gbrec.kernels import CSR
 from gbrec.model import init_params
 from gbrec.rawdata import DatasetStats, save_split_dir
-from gbrec.scoring import init_flat_params
+from gbrec.scoring import FLAT_TENSOR_FIELDS, init_flat_params
 
 import helpers
 
@@ -409,16 +413,17 @@ def test_each_command_loads_only_its_own_modules(loaded_modules, command):
     assert loaded_modules[command] == EVERY_COMMAND | {f"gbrec.{m}" for m in COMMAND_MODULES[command]}
 
 
-def _with_hyperparams(src, dst, **changes):
-    """Copy a checkpoint with some stored hyperparameters replaced."""
-    with open(src, "rb") as fh:
-        blob = fh.read()
-    (hp_len,) = struct.unpack_from("<I", blob, 28)
-    hp = json.loads(blob[36 : 36 + hp_len])
-    hp.update(changes)
-    hp_json = json.dumps(hp).encode()
-    with open(dst, "wb") as fh:
-        fh.write(blob[:28] + struct.pack("<I", len(hp_json)) + blob[32:36] + hp_json + blob[36 + hp_len :])
+def _with_hyperparams(src, dst, drop=(), **changes):
+    """Copy a checkpoint, through the shared writer, with some stored
+    hyperparameters replaced and those in ``drop`` removed."""
+    with np.load(src) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    meta["hyperparams"].update(changes)
+    for name in drop:
+        del meta["hyperparams"][name]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    write_npz(dst, arrays)
 
 
 def _gbgcn_checkpoint(pipeline, path):
@@ -428,12 +433,16 @@ def _gbgcn_checkpoint(pipeline, path):
     return path
 
 
+RETRAIN = "; write this checkpoint again with gbrec train"
+
+
 @pytest.mark.parametrize(
     "model, changes, problem",
     [
-        ("gbgcn", {"num_layers": 3}, "num_layers 3 does not match the header's L = 2"),
-        ("gbmf", {"dim": []}, "dim must be int, got []"),
-        ("gbmf", {"beta": float("nan")}, "beta must be finite, got nan"),
+        # the stored weights are (num_layers + 1) * dim = 24 wide
+        ("gbgcn", {"num_layers": 3}, "w_item_to_user_launch: float32 array of shape (24, 24), expected float32 of shape (n, 32)"),
+        ("gbmf", {"dim": []}, "bad hyperparameters: dim must be int, got []"),
+        ("gbmf", {"beta": float("nan")}, "bad hyperparameters: beta must be finite, got nan"),
     ],
     ids=["layers-over-header", "dim-not-an-int", "beta-nan"],
 )
@@ -449,45 +458,53 @@ def test_checkpoint_hyperparams_disagreeing_with_the_header_fail_with_one_locate
     code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
     assert code == 1
     assert out == ""
-    assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: {problem}"]
+    assert err.strip().splitlines() == [f"error: {bad}: {problem}{RETRAIN}"]
 
 
 def test_a_checkpoint_whose_sizes_overflow_int64_fails_with_one_located_error(pipeline, tmp_path, capsys):
-    # P = d = 2**32 - 1: user_emb's P * d cells overflow int64, so a size
-    # computed in int64 wraps negative and the read runs backwards
-    big = 2**32 - 1
+    # user_emb's .npy header claims 2**62 rows, whose 2**62 * dim * 4 bytes
+    # overflow int64; the claim is checked against the member's size before
+    # any array is made
+    dim = load_checkpoint(pipeline["checkpoint"]).hp.dim
     bad = str(tmp_path / "huge.bin")
-    _with_hyperparams(pipeline["checkpoint"], bad, dim=big)
-    with open(bad, "r+b") as fh:
-        fh.seek(12)  # P, then Q, then d
-        fh.write(struct.pack("<I", big))
-        fh.seek(20)
-        fh.write(struct.pack("<I", big))
+    with zipfile.ZipFile(pipeline["checkpoint"]) as src, zipfile.ZipFile(bad, "w") as dst:
+        for info in src.infolist():
+            member = src.read(info)
+            if info.filename == "user_emb.npy":
+                fh = io.BytesIO(member)
+                np.lib.format.read_magic(fh)
+                np.lib.format.read_array_header_1_0(fh)
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(header, {"descr": "<f4", "fortran_order": False, "shape": (2**62, dim)})
+                member = header.getvalue() + member[fh.tell() :]
+                size = len(member)
+            dst.writestr(info, member)
 
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
     assert code == 1
     assert out == ""
-    assert err.strip().splitlines() == [f"error: {bad}: truncated checkpoint"]
+    assert err.strip().splitlines() == [
+        f"error: {bad}: user_emb: shape ({2**62}, {dim}) does not fill the member's {size} bytes{RETRAIN}"
+    ]
 
 
 def test_a_checkpoint_missing_a_hyperparameter_fails_naming_it(pipeline, tmp_path, capsys):
-    # one flipped bit turns the key "alpha" into "alphc"; filled with its
-    # default, alpha would silently change every score
-    trained = str(tmp_path / "alpha.bin")
-    _with_hyperparams(pipeline["checkpoint"], trained, alpha=0.3)
-    assert main(["evaluate", "--checkpoint", trained, "--data", pipeline["datadir"]]) == 0
-    capsys.readouterr()
-    with open(trained, "rb") as fh:
-        blob = fh.read()
-    at = blob.index(b'"alpha"') + 5
-    bad = str(tmp_path / "alphc.bin")
-    with open(bad, "wb") as fh:
-        fh.write(blob[:at] + bytes([blob[at] ^ 0b10]) + blob[at + 1 :])
+    # filled with its default, a missing alpha would silently change every score
+    bad = str(tmp_path / "no-alpha.bin")
+    _with_hyperparams(pipeline["checkpoint"], bad, drop=("alpha",))
 
     code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
     assert code == 1
     assert out == ""
-    assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: missing alpha"]
+    assert err.strip().splitlines() == [f"error: {bad}: bad hyperparameters: missing alpha{RETRAIN}"]
 
 
 def test_a_checkpoint_holding_a_removed_hyperparameter_loads_unchanged(pipeline, tmp_path):
@@ -496,8 +513,22 @@ def test_a_checkpoint_holding_a_removed_hyperparameter_loads_unchanged(pipeline,
     _with_hyperparams(pipeline["checkpoint"], old, role_scores=True)
     want, got = load_checkpoint(pipeline["checkpoint"]), load_checkpoint(old)
     assert (got.model_type, got.hp) == (want.model_type, want.hp)
-    for name, tensor in want.params.tensors().items():
-        np.testing.assert_array_equal(getattr(got.params, name), tensor)
+    for name in FLAT_TENSOR_FIELDS:
+        np.testing.assert_array_equal(getattr(got.params, name), getattr(want.params, name))
+
+
+def test_a_format_1_checkpoint_fails_with_one_line_asking_for_gbrec_train(pipeline, tmp_path, capsys):
+    # the binary layout checkpoints had before they were .npz files: magic,
+    # version 1, model type, P, Q, d, L, the JSON's length and flags, the
+    # hyperparameter JSON, then the float32 tensors
+    old = str(tmp_path / "checkpoint.bin")
+    with open(old, "wb") as fh:
+        fh.write(b"GBGC" + struct.pack("<8I", 1, 1, 30, 12, 4, 0, 2, 0) + b"{}" + bytes(4 * 42 * 4))
+
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", old, "--data", pipeline["datadir"]])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {old}: unreadable: BadZipFile: File is not a zip file{RETRAIN}"]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "recommend"])

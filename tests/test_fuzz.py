@@ -4,10 +4,10 @@ files, and damaged raw files and config files.
 Whatever byte a file is cut at and whichever single bit is flipped, the
 loaders raise only their own error (``CheckpointError``, ``IngestError``) or
 load, and ``gbrec evaluate`` either completes or exits 1 or 2 with one line
-on standard error and nothing on standard output. A flip inside the tensor
-payload can leave a checkpoint that loads: the format carries no digest. A
-``split.npz`` that loads after a flip holds exactly the arrays it held
-before: each member's CRC-32 covers its header and data.
+on standard error and nothing on standard output. Checkpoints and
+``split.npz`` are the same ``.npz`` container: a cut one never loads, and one
+that loads after a flip holds exactly the arrays it held before, since each
+member's CRC-32 covers its header and data.
 
 A ``behaviors.tsv`` or ``social.tsv`` cut at any byte, with any bit flipped
 or with any byte replaced, is prepared, or is one error line naming that
@@ -17,6 +17,7 @@ file, with exit code 1. A config file damaged the same way trains, or is one
 
 import io
 import os
+import re
 import shutil
 import struct
 import zipfile
@@ -43,7 +44,7 @@ FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A split dir, a trained gbmf checkpoint and a gbgcn one, and their bytes."""
+    """A split dir, a trained gbmf checkpoint and a gbgcn one, their bytes and what they load."""
     root = tmp_path_factory.mktemp("fuzz")
     raw, data = str(root / "raw"), str(root / "data")
     assert main(["synth", "--outdir", raw, "--seed", "1", *SYNTH_ARGS]) == 0
@@ -54,10 +55,11 @@ def world(tmp_path_factory):
     hp = Hyperparams(dim=4, num_layers=1)
     gbgcn = str(root / "gbgcn.bin")
     save_checkpoint(gbgcn, "gbgcn", init_params(split.num_users, split.num_items, hp, seed=0), hp)
-    blobs = {}
+    blobs, models = {}, {}
     for name, path in (("gbmf", str(root / "gbmf" / "checkpoint.bin")), ("gbgcn", gbgcn)):
         with open(path, "rb") as fh:
             blobs[name] = fh.read()
+        models[name] = load_checkpoint(path)
     with open(os.path.join(data, "stats.json"), "rb") as fh:
         stats = fh.read()
     with open(os.path.join(data, "split.npz"), "rb") as fh:
@@ -67,13 +69,9 @@ def world(tmp_path_factory):
         with open(path, "rb") as fh:
             raw_files[os.path.basename(path)] = fh.read()
     return {
-        "data": data, "checkpoints": blobs, "stats": stats, "npz": npz, "split": split_arrays(data), "raw": raw_files,
+        "data": data, "checkpoints": blobs, "models": models, "stats": stats, "npz": npz, "split": split_arrays(data),
+        "raw": raw_files,
     }
-
-
-def header_bytes(blob: bytes) -> int:
-    """Bytes before the tensors: 36 of fixed header, then the hyperparameter JSON."""
-    return 36 + int.from_bytes(blob[28:32], "little")
 
 
 def flip(blob: bytes, bit: int) -> bytes:
@@ -94,56 +92,77 @@ def evaluate(capsys, checkpoint: str, data: str) -> int:
     return code
 
 
-# where a cut or a flip lands: a fraction of the fixed 36-byte header, of the
-# header with the hyperparameters, or of the whole file; two thirds of the
-# draws land where the parsing is
-REGIONS = ("fixed", "header", "anywhere")
+# where a cut or a flip lands in a checkpoint or split.npz: the whole file;
+# the zip's central directory and end record; or the start of one member,
+# its local header and .npy header (30 bytes, its name, 128 bytes); two
+# thirds of the draws land where the parsing is
+NPZ_REGIONS = ("anywhere", "directory", "member")
+
+
+@st.composite
+def npz_cuts(draw):
+    """A region, a member and a fraction of that region."""
+    region = draw(st.sampled_from(NPZ_REGIONS))
+    return region, draw(st.integers(0, 17)), draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+def npz_position(blob: bytes, case, unit: int) -> int:
+    """The byte (``unit`` 1) or bit (``unit`` 8) at ``case`` (see ``npz_cuts``)."""
+    region, member, fraction = case
+    if region == "anywhere":
+        lo, hi = 0, len(blob)
+    elif region == "directory":
+        lo, hi = struct.unpack_from("<I", blob, len(blob) - 6)[0], len(blob)
+    else:
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            infos = zf.infolist()
+        lo = infos[member % len(infos)].header_offset
+        hi = min(lo + 200, len(blob))
+    return lo * unit + int(fraction * (hi - lo) * unit)
 
 
 @st.composite
 def checkpoint_cuts(draw):
-    """A model, a region and a fraction of that region."""
-    model = draw(st.sampled_from(["gbmf", "gbgcn"]))
-    return model, draw(st.sampled_from(REGIONS)), draw(st.floats(0.0, 1.0, exclude_max=True))
-
-
-def position(blob: bytes, region: str, fraction: float, unit: int) -> int:
-    """The byte (``unit`` 1) or bit (``unit`` 8) at ``fraction`` of ``region``."""
-    span = {"fixed": 36, "header": header_bytes(blob), "anywhere": len(blob)}[region]
-    return int(fraction * span * unit)
+    """A model, and where in its checkpoint (see ``npz_cuts``)."""
+    return draw(st.sampled_from(["gbmf", "gbgcn"])), draw(npz_cuts())
 
 
 @FUZZ
 @given(case=checkpoint_cuts())
-@example(case=("gbmf", "anywhere", 0.0))
-@example(case=("gbgcn", "anywhere", 0.9999))
+@example(case=("gbmf", ("anywhere", 0, 0.0)))
+@example(case=("gbgcn", ("anywhere", 0, 0.9999)))
 def test_a_truncated_checkpoint_fails_with_one_checkpoint_error(world, tmp_path, capsys, case):
-    model, region, fraction = case
+    model, where = case
     blob = world["checkpoints"][model]
     path = str(tmp_path / "cut.bin")
     with open(path, "wb") as fh:
-        fh.write(blob[: position(blob, region, fraction, 1)])
-    with pytest.raises(CheckpointError, match="truncated|bad magic"):
+        fh.write(blob[: npz_position(blob, where, 1)])
+    with pytest.raises(CheckpointError, match=f"^{re.escape(path)}: .*gbrec train$"):
         load_checkpoint(path)
     assert evaluate(capsys, path, world["data"]) == 1
 
 
 @FUZZ
 @given(case=checkpoint_cuts())
-@example(case=("gbmf", "fixed", 28.5 / 36))  # a bit of the hyperparameters' length
-@example(case=("gbgcn", "fixed", 20.5 / 36))  # a bit of d
+@example(case=("gbmf", ("member", 0, 0.5)))  # the meta member's .npy header
+@example(case=("gbgcn", ("directory", 3, 0.5)))
 def test_a_bit_flipped_checkpoint_loads_or_fails_with_one_checkpoint_error(world, tmp_path, capsys, case):
-    model, region, fraction = case
+    model, where = case
     blob = world["checkpoints"][model]
     path = str(tmp_path / "flipped.bin")
     with open(path, "wb") as fh:
-        fh.write(flip(blob, position(blob, region, fraction, 8)))
+        fh.write(flip(blob, npz_position(blob, where, 8)))
     try:
-        load_checkpoint(path)
+        got = load_checkpoint(path)
     except CheckpointError:
         assert evaluate(capsys, path, world["data"]) == 1
     else:
-        evaluate(capsys, path, world["data"])
+        want = world["models"][model]
+        assert (got.model_type, got.hp) == (want.model_type, want.hp)
+        for name in vars(want.params):
+            got_t, want_t = getattr(got.params, name), getattr(want.params, name)
+            assert got_t.dtype == want_t.dtype and got_t.tobytes() == want_t.tobytes()
+        assert evaluate(capsys, path, world["data"]) == 0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -242,35 +261,6 @@ def loads_as_before(world, data: str) -> bool:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     return True
-
-
-# where a cut or a flip lands: the whole file; the zip's central directory
-# and end record; or the start of one member, its local header and .npy
-# header (30 bytes, its name, 128 bytes); two thirds of the draws land where
-# the parsing is
-NPZ_REGIONS = ("anywhere", "directory", "member")
-
-
-@st.composite
-def npz_cuts(draw):
-    """A region, a member and a fraction of that region."""
-    region = draw(st.sampled_from(NPZ_REGIONS))
-    return region, draw(st.integers(0, 17)), draw(st.floats(0.0, 1.0, exclude_max=True))
-
-
-def npz_position(blob: bytes, case, unit: int) -> int:
-    """The byte (``unit`` 1) or bit (``unit`` 8) at ``case`` (see ``npz_cuts``)."""
-    region, member, fraction = case
-    if region == "anywhere":
-        lo, hi = 0, len(blob)
-    elif region == "directory":
-        lo, hi = struct.unpack_from("<I", blob, len(blob) - 6)[0], len(blob)
-    else:
-        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
-            infos = zf.infolist()
-        lo = infos[member % len(infos)].header_offset
-        hi = min(lo + 200, len(blob))
-    return lo * unit + int(fraction * (hi - lo) * unit)
 
 
 @FUZZ

@@ -5,7 +5,7 @@ numbers on a graph small enough to do on paper, and a dense
 normalized-adjacency oracle on random instances.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from gbrec.model import (
     Views,
 )
 from gbrec.scoring import (
+    FLAT_TENSOR_FIELDS,
     SCORE_CHUNK,
     ScoreAdjoint,
     composite_embeddings,
@@ -456,7 +457,7 @@ def test_init_params_shapes_and_determinism():
 def test_flat_params_shapes():
     p = init_flat_params(7, 5, 3, seed=0)
     assert p.user_emb.shape == (7, 3) and p.item_emb.shape == (5, 3)
-    assert set(p.tensors()) == {"user_emb", "item_emb"}
+    assert tuple(f.name for f in fields(p)) == FLAT_TENSOR_FIELDS == ("user_emb", "item_emb")
 
 
 def test_flat_embeddings_scores_like_raw_dot_plus_friend_term():
