@@ -106,7 +106,7 @@ def coerce_value(raw: str, template) -> object:
     raise ValueError(f"unsupported config type {type(template).__name__}")
 
 
-def load_typed(cls, path: str | None, overrides: dict[str, object] | None = None):
+def load_typed(cls, path: str | None, overrides: dict[str, object]):
     """Build a validated dataclass instance from defaults + file + overrides.
 
     ``cls`` must be a dataclass with defaults for every field and a
@@ -131,7 +131,7 @@ def load_typed(cls, path: str | None, overrides: dict[str, object] | None = None
                 problems.append(f"{path}: key {key!r}: {exc}")
     from_file = set(values)
 
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if value is None:
             continue
         if key not in known:

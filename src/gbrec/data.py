@@ -19,12 +19,14 @@ stored, read and ranked in ``item_dtype(num_items)``, the narrowest unsigned
 dtype that holds every item id: one byte per id up to 256 items, two up to
 65,536. Every other id array is int64.
 
-``split.npz`` and checkpoints share one on-disk container, an uncompressed
-``.npz``: ``write_npz`` writes it, and ``read_npz`` reads it member by member,
-checking each member's dtype, shape and CRC-32, with every failure one error
-of the caller's class that names the file. Every array file a gbrec command
-reads goes through them; ``checkpoint`` holds what a checkpoint's members
-are.
+``split.npz``, checkpoints and the generator's ``planted.npz`` share one
+on-disk container, an uncompressed ``.npz``: ``write_npz`` writes it, and
+``read_npz`` reads it member by member, checking each member's dtype, shape
+and CRC-32, with every failure one error of the caller's class that names
+the file. The reader refuses bytes outside the zip, before its first member
+or after its end record, which the zip format itself would skip. Every array
+file a gbrec command reads goes through them; ``checkpoint`` holds what a
+checkpoint's members are.
 
 Raw text files, their grammar, the split itself and the split directory's
 writer are in ``rawdata``, which only ``gbrec prepare`` and ``gbrec synth``
@@ -164,12 +166,7 @@ class DatasetSplit:
     num_items: int
 
 
-def sample_negatives(
-    logb: BehaviorLog,
-    k: int,
-    rng: np.random.Generator,
-    interactions: CSR | None = None,
-) -> np.ndarray:
+def sample_negatives(logb: BehaviorLog, k: int, rng: np.random.Generator, interactions: CSR) -> np.ndarray:
     """Draw k negative items per record, unobserved by the record's initiator.
 
     A record whose initiator left at least k items untouched gets k distinct
@@ -183,14 +180,13 @@ def sample_negatives(
     ``REDRAW_ROUNDS`` rounds; a row still short then takes ``rng.choice``
     over its exact complement. The process sees items only through equality
     and touchedness, so it stays uniform.
-    ``interactions`` is ``user_interactions(logb)`` when the caller holds it.
+    ``interactions`` is ``user_interactions(logb)``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    touched = interactions if interactions is not None else user_interactions(logb)
     num_items, users = logb.num_items, logb.initiator
     negs = np.empty((len(logb), k), dtype=np.int64)
-    degrees = touched.degrees
+    degrees = interactions.degrees
     short = degrees[users] > num_items - k
 
     # fewer than k untouched items: one shifted draw skips the positive
@@ -202,7 +198,7 @@ def sample_negatives(
         negs[rows] = 0
 
     # touched (user, item) pairs as sorted keys u·Q + i
-    keys = np.repeat(np.arange(touched.num_rows, dtype=np.int64) * num_items, degrees) + touched.indices
+    keys = np.repeat(np.arange(interactions.num_rows, dtype=np.int64) * num_items, degrees) + interactions.indices
     earlier = np.tri(k, k, -1, dtype=bool)
 
     def rejected(rows: np.ndarray, fresh: np.ndarray) -> np.ndarray:
@@ -228,7 +224,7 @@ def sample_negatives(
         bad = rejected(rows, bad)
     for i in rows[bad.any(axis=1)].tolist():
         complement = np.setdiff1d(
-            np.arange(num_items, dtype=np.int64), touched.neighbors(users[i]), assume_unique=True
+            np.arange(num_items, dtype=np.int64), interactions.neighbors(users[i]), assume_unique=True
         )
         negs[i] = rng.choice(complement, size=k, replace=False)
     return negs
@@ -239,6 +235,9 @@ def sample_negatives(
 
 # bytes per read or write of a member's data
 NPZ_CHUNK_BYTES = 1 << 20
+# a zip's end record: its signature, 16 bytes of counts and offsets, and
+# the 2-byte length of a comment, which write_npz leaves empty
+ZIP_END_BYTES = 22
 # what damaged bytes raise from the zip reader (a bad CRC-32, directory or
 # local header; a method, flag or length that a flipped bit changed; an
 # unknown compression method) and from NumPy's .npy header parser
@@ -299,12 +298,20 @@ def _read_member(zf: zipfile.ZipFile, error: type, name: str, dtype: np.dtype, t
 def read_npz(path: str, error: type, remedy: str):
     """The ``.npz`` at ``path``, opened for the block as ``read(name, dtype,
     tail=())``, which is ``_read_member``. A file that cannot be opened is
-    the ``OSError`` of ``open``; after that, every failure to read, and every
-    ``error`` the block raises, leaves as one ``error`` that names the file
-    and ends in ``remedy``."""
+    the ``OSError`` of ``open``; after that, every failure to read, bytes
+    outside the zip, and every ``error`` the block raises, leave as one
+    ``error`` that names the file and ends in ``remedy``."""
     with open(path, "rb") as fh:
         try:
             with zipfile.ZipFile(fh) as zf:
+                # zipfile reads past bytes on either side of the zip, shifting every offset by a prefix
+                first = min((info.header_offset for info in zf.infolist()), default=0)
+                if first:
+                    raise error(f"{first} bytes before the first member")
+                fh.seek(-ZIP_END_BYTES, os.SEEK_END)
+                end = fh.read(ZIP_END_BYTES)
+                if end[:4] != b"PK\x05\x06" or end[-2:] != b"\0\0":
+                    raise error("bytes after the zip end record")
                 yield functools.partial(_read_member, zf, error)
         except error as exc:
             raise error(f"{path}: {exc}; {remedy}") from None

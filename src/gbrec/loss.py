@@ -73,8 +73,8 @@ def build_terms(
     initiator's term, then one per participant of a successful record, or one
     per friend of a failed record's initiator (flipped, weight ``beta``; none
     when ``beta`` is 0). Blocks follow record order, then column order.
+    ``negatives`` is an int64 array of shape ``(len(batch), k)``.
     """
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.int64))
     k = negatives.shape[1]
     success = batch.success
     num_friends = social.degrees[batch.initiator] if beta != 0.0 else 0
@@ -125,18 +125,17 @@ def l2_value(tensors: dict[str, np.ndarray], coeff: float) -> float:
 
 
 def social_residual(
-    user_emb: np.ndarray, social: SocialGraph, coeff: float, friend_mean: np.ndarray | None = None
+    user_emb: np.ndarray, social: SocialGraph, coeff: float, friend_mean: np.ndarray | None
 ) -> np.ndarray | None:
     """Per-user gap to the friend-mean embedding; zero rows for friendless users.
 
     None when the penalty is off (``coeff`` 0). Computed once per batch and
     shared by the penalty's value and gradient. ``friend_mean`` is
-    ``social.mean(user_emb)`` when the caller already holds it.
+    ``social.mean(user_emb)``, which the caller may leave None when
+    ``coeff`` is 0.
     """
     if coeff == 0.0:
         return None
-    if friend_mean is None:
-        friend_mean = social.mean(user_emb)
     r = (user_emb - friend_mean).astype(np.float64)
     r[social.degrees == 0] = 0.0
     return r
@@ -149,14 +148,14 @@ def social_value(resid: np.ndarray | None, coeff: float) -> float:
 def regularizer_grads(
     tensors: dict[str, np.ndarray], resid: np.ndarray | None, hp: Hyperparams, grads: dict[str, np.ndarray]
 ) -> None:
-    """Add d(l2 + social)/d(params) for every trainable tensor present, but for
-    the social penalty's path through the friend mean (``friend_mean_adjoint``).
-    ``resid`` is the batch's ``social_residual``."""
+    """Add d(l2 + social)/d(params) for every trainable tensor, but for the
+    social penalty's path through the friend mean (``friend_mean_adjoint``).
+    ``resid`` is the batch's ``social_residual``; ``grads`` holds every
+    tensor of ``tensors``."""
     if hp.l2_coeff != 0.0:
         for name, t in tensors.items():
-            if name in grads:
-                grads[name] += (2.0 * hp.l2_coeff) * t
-    if resid is not None and "user_emb" in grads:
+            grads[name] += (2.0 * hp.l2_coeff) * t
+    if resid is not None:
         grads["user_emb"] += (2.0 * hp.social_reg_coeff * resid).astype(tensors["user_emb"].dtype)
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SynthConfig
-from .data import BehaviorLog, SocialGraph
+from .data import BehaviorLog, SocialGraph, write_npz
 from .rawdata import write_behaviors, write_social
 
 
@@ -315,16 +315,15 @@ def generate(cfg: SynthConfig, seed: int, outdir: str) -> SynthResult:
 
 
 def save_planted(path: str, planted: PlantedModel) -> None:
-    np.savez(
-        path,
-        launch_vecs=planted.launch_vecs,
-        join_vecs=planted.join_vecs,
-        item_vecs=planted.item_vecs,
-        activity=planted.activity,
-        social_indptr=planted.social.indptr,
-        social_indices=planted.social.indices,
-        scalars=np.array(
+    write_npz(path, {
+        "launch_vecs": planted.launch_vecs,
+        "join_vecs": planted.join_vecs,
+        "item_vecs": planted.item_vecs,
+        "activity": planted.activity,
+        "social_indptr": planted.social.indptr,
+        "social_indices": planted.social.indices,
+        "scalars": np.array(
             [planted.item_temp, planted.join_scale, planted.join_bias, float(planted.success_threshold)]
         ),
-    )
+    })
 

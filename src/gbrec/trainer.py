@@ -5,7 +5,9 @@ scorer with an adaptive-moment optimizer, then rescales every embedding row
 to unit L2 norm. Stage two fine-tunes the full model with plain SGD: each
 epoch shuffles the records, resamples negatives, steps over fixed-size
 batches, and scores validation ndcg@10; the parameters with the best
-validation score are the ones returned.
+validation score are the ones returned. An epoch runs through a model
+adapter, ``GCNModel`` or ``FlatModel``, which supplies the hyperparameters
+and the social graph it uses.
 
 Everything is seeded and single-ordered, so a (seed, data) pair reproduces
 the training log exactly; ``training_log_hash`` fingerprints the run with
@@ -59,20 +61,21 @@ class SGD:
             tensors[name] -= self.lr * grads[name]
 
 
+# Adam's moment decays and denominator floor
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         for name in sorted(tensors):
             g = grads[name]
             if name not in self.m:
@@ -80,11 +83,11 @@ class Adam:
                 self.v[name] = np.zeros_like(g)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +173,13 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
         yield order[start : start + batch_size]
 
 
-def _run_epoch(
-    adapter, params, train_log: BehaviorLog, interactions, hp: Hyperparams, rng, optimizer, social
-) -> LossBreakdown:
+def _run_epoch(adapter, params, train_log: BehaviorLog, interactions: CSR, rng, optimizer) -> LossBreakdown:
+    hp = adapter.hp
     negs = sample_negatives(train_log, hp.neg_ratio, rng, interactions)
     order = rng.permutation(len(train_log))
     sums = np.zeros(4, dtype=np.float64)
     for batch in _batches(len(train_log), hp.batch_size, order):
-        bd, grads = loss_and_grads(adapter, params, train_log.take(batch), negs[batch], hp, social)
+        bd, grads = loss_and_grads(adapter, params, train_log.take(batch), negs[batch], hp, adapter.social)
         _check_finite(bd, grads)
         tensors = {name: getattr(params, name) for name in adapter.trainable}
         optimizer.step(tensors, grads)
@@ -198,7 +200,7 @@ def normalize_embedding_rows(params) -> None:
 
 def pretrain_stage(
     params, train_log: BehaviorLog, interactions: CSR, social: SocialGraph, hp: Hyperparams,
-    seed: int, entries: list | None = None,
+    seed: int, entries: list,
 ) -> None:
     """Adam on the propagation-free scorer, then unit-normalize embedding rows.
 
@@ -209,28 +211,26 @@ def pretrain_stage(
     rng = np.random.default_rng([seed, 0])
     for epoch in range(hp.pretrain_epochs):
         t0 = time.perf_counter()
-        bd = _run_epoch(adapter, params, train_log, interactions, hp, rng, optimizer, social)
-        if entries is not None:
-            entries.append(_entry("pretrain", epoch, bd, None, time.perf_counter() - t0))
+        bd = _run_epoch(adapter, params, train_log, interactions, rng, optimizer)
+        entries.append(_entry("pretrain", epoch, bd, None, time.perf_counter() - t0))
         log.info("pretrain epoch %d total loss %.4f", epoch, bd.total)
     normalize_embedding_rows(params)
 
 
 def finetune_stage(
-    adapter, params, train_log: BehaviorLog, interactions: CSR, split: DatasetSplit, hp: Hyperparams,
-    seed: int, entries: list | None = None,
+    adapter, params, train_log: BehaviorLog, interactions: CSR, split: DatasetSplit, seed: int, entries: list
 ):
     """SGD epochs with per-epoch validation ndcg@10; returns the best params seen.
 
     ``interactions`` is ``user_interactions(train_log)``.
     """
-    optimizer = SGD(hp.finetune_lr)
+    optimizer = SGD(adapter.hp.finetune_lr)
     rng = np.random.default_rng([seed, 1])
     best_params = params.copy()
     best_ndcg = -1.0
-    for epoch in range(hp.epochs):
+    for epoch in range(adapter.hp.epochs):
         t0 = time.perf_counter()
-        bd = _run_epoch(adapter, params, train_log, interactions, hp, rng, optimizer, adapter.social)
+        bd = _run_epoch(adapter, params, train_log, interactions, rng, optimizer)
         val = None
         if len(split.validation):
             emb = adapter.embeddings(adapter.forward(params))
@@ -239,8 +239,7 @@ def finetune_stage(
             if report.ndcg[10] > best_ndcg:
                 best_ndcg = report.ndcg[10]
                 best_params = params.copy()
-        if entries is not None:
-            entries.append(_entry("finetune", epoch, bd, val, time.perf_counter() - t0))
+        entries.append(_entry("finetune", epoch, bd, val, time.perf_counter() - t0))
         log.info(
             "finetune epoch %d total loss %.4f val_ndcg10 %s",
             epoch, bd.total, "n/a" if val is None else f"{val['ndcg10']:.4f}",
@@ -251,7 +250,7 @@ def finetune_stage(
 
 
 def _entry(stage: str, epoch: int, bd: LossBreakdown, val: dict | None, wall: float) -> dict:
-    e = {
+    return {
         "stage": stage,
         "epoch": epoch,
         "loss_pos": float(bd.loss_pos),
@@ -263,7 +262,6 @@ def _entry(stage: str, epoch: int, bd: LossBreakdown, val: dict | None, wall: fl
         "val_recall10": None if val is None else float(val["recall10"]),
         "wall_time": wall,
     }
-    return e
 
 
 def training_log_hash(entries: list[dict]) -> str:
@@ -291,15 +289,7 @@ class TrainResult:
         return training_log_hash(self.entries)
 
 
-def train_model(
-    model_type: str,
-    split: DatasetSplit,
-    social: SocialGraph,
-    hp: Hyperparams,
-    seed: int,
-    dtype=np.float32,
-    bundle: HeteroGraphBundle | None = None,
-) -> TrainResult:
+def train_model(model_type: str, split: DatasetSplit, social: SocialGraph, hp: Hyperparams, seed: int) -> TrainResult:
     """Pretrain + finetune one of {gbgcn, gbmf, mf} on a prepared split."""
     if model_type not in MODEL_TYPES:
         raise ValueError(f"unknown model type {model_type!r}")
@@ -311,9 +301,9 @@ def train_model(
         train_log = flatten_interactions(split.train)
 
     if model_type == "gbgcn":
-        params = init_params(split.num_users, split.num_items, hp_eff, seed, dtype)
+        params = init_params(split.num_users, split.num_items, hp_eff, seed)
     else:
-        params = init_flat_params(split.num_users, split.num_items, hp_eff.dim, seed, dtype)
+        params = init_flat_params(split.num_users, split.num_items, hp_eff.dim, seed)
 
     entries: list[dict] = []
     interactions = user_interactions(train_log)
@@ -321,10 +311,8 @@ def train_model(
 
     if hp_eff.epochs > 0:
         if model_type == "gbgcn":
-            if bundle is None:
-                bundle = build_graphs(split.train, hp_eff.failed_participant_edges)
-            adapter = GCNModel(bundle, social, hp_eff)
+            adapter = GCNModel(build_graphs(split.train, hp_eff.failed_participant_edges), social, hp_eff)
         else:
             adapter = FlatModel(social, hp_eff)
-        params = finetune_stage(adapter, params, train_log, interactions, split, hp_eff, seed, entries)
+        params = finetune_stage(adapter, params, train_log, interactions, split, seed, entries)
     return TrainResult(model_type, params, hp_eff, entries)

@@ -200,7 +200,7 @@ def total_loss(
     module's steps as ``trainer.loss_and_grads`` runs them."""
     terms = build_terms(batch, negatives, social, hp.beta)
     gap = score_terms(terms, emb)
-    resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff)
+    resid = social_residual(tensors["user_emb"], social, hp.social_reg_coeff, social.mean(tensors["user_emb"]))
     return breakdown_from_terms(terms, gap, tensors, resid, hp)
 
 

@@ -300,6 +300,35 @@ def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, 
     assert all(part in err for part in parts)
 
 
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        (lambda blob: bytes(12) + blob, "split.npz: 12 bytes before the first member"),
+        (lambda blob: blob + bytes(21), "split.npz: bytes after the zip end record"),
+    ],
+    ids=["prefix", "trailing"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "recommend"])
+def test_split_npz_with_bytes_outside_the_zip_fails_with_one_located_error(
+    pipeline, tmp_path, capsys, change, where, command
+):
+    datadir = str(tmp_path / "data")
+    shutil.copytree(pipeline["datadir"], datadir)
+    path = os.path.join(datadir, "split.npz")
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(change(blob))
+    with pytest.raises(IngestError, match=re.escape(f"{where}; write this split dir again with gbrec prepare")):
+        load_split_dir(datadir)
+    args = ["--user", "0"] if command == "recommend" else []
+    code, out, err = run(capsys, [command, "--checkpoint", pipeline["checkpoint"], "--data", datadir, *args])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert where in err and err.rstrip().endswith("write this split dir again with gbrec prepare")
+
+
 def test_recommend_into_a_closed_pipe_exits_quietly(tmp_path):
     # 20,000 items: far more output than the pipe holds once the reader is gone
     num_items = 20_000
@@ -351,6 +380,27 @@ def test_train_gives_one_hash_whatever_the_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         hashes.append(out_value(proc.stdout, "training_log_hash"))
     assert hashes[0] == hashes[1]
+
+
+# training_log_hash of each model on the pipeline's world at seed 0, with
+# TRAIN_ARGS; a change that moves one says why
+PINNED_HASHES = {
+    "gbgcn": "530162950a99cf00ff414403a5217a2b950b1e2d2a163c4845d2a326cc0f936b",
+    "gbmf": "a1f9d65e8711f12e423b85f1120a36ef4e89452eedf449f7757e4d7a05ec3788",
+    "mf": "847cf04c846c3678bb477b71618a7afbf0a56d8fe4810e7b7f2ba3cfa60d0132",
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_HASHES))
+def test_train_reproduces_the_pinned_hash(pipeline, tmp_path, model):
+    # a child process, so BLAS runs at the one thread gbrec.cli sets
+    argv = ["train", "--data", pipeline["datadir"], "--outdir", str(tmp_path / "run"), "--model", model,
+            "--seed", "0", *TRAIN_ARGS]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gbrec.cli", *argv], capture_output=True, text=True, env=helpers.child_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out_value(proc.stdout, "training_log_hash") == PINNED_HASHES[model]
 
 
 # each command runs in a child process, which then writes the gbrec modules it

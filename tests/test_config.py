@@ -126,13 +126,13 @@ def test_coerce_rejects_unsupported_template():
 
 
 def test_load_defaults_when_no_file_or_overrides():
-    hp = load_typed(Hyperparams, None)
+    hp = load_typed(Hyperparams, None, {})
     assert hp == Hyperparams()
 
 
 def test_load_file_values_override_defaults(tmp_path):
     path = write(tmp_path, "dim = 16\nalpha = 0.3\nrenormalize_alpha = yes\neval_ks = 1,2\n")
-    hp = load_typed(Hyperparams, path)
+    hp = load_typed(Hyperparams, path, {})
     assert hp.dim == 16
     assert hp.alpha == 0.3
     assert hp.renormalize_alpha is True
@@ -179,7 +179,7 @@ def test_a_range_problem_names_the_file_that_set_the_value(tmp_path):
     ]
     path = write(tmp_path, "num_users = 1\n")
     with pytest.raises(ConfigError) as exc:
-        load_typed(SynthConfig, path)
+        load_typed(SynthConfig, path, {})
     assert exc.value.problems == [f"{path}: num_users must be >= 2, got 1"]
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbrec import data, rawdata
-from gbrec.data import IngestError, SocialGraph, load_split_dir, sample_negatives
+from gbrec.data import IngestError, SocialGraph, load_split_dir, sample_negatives, user_interactions
 from gbrec.rawdata import (
     INT64_MAX,
     DatasetStats,
@@ -656,7 +656,7 @@ def test_sample_negatives_avoid_touched_items(rng):
     records = helpers.make_records(rng, 6, 9, 40)
     log = helpers.from_records(records, 6, 9)
     touched = helpers.touched_sets(log)
-    negs = sample_negatives(log, k=2, rng=np.random.default_rng(2))
+    negs = sample_negatives(log, k=2, rng=np.random.default_rng(2), interactions=user_interactions(log))
     assert negs.shape == (len(records), 2)
     for rec, row in zip(records, negs):
         # draws avoid the user's touched items whenever at least k untouched
@@ -672,14 +672,14 @@ def test_sample_negatives_distinct_within_row():
     # plenty of untouched items: draws within a row must not repeat
     records = [BehaviorRecord(0, 0, (), True)]
     log = helpers.from_records(records, 1, 50)
-    negs = sample_negatives(log, k=10, rng=np.random.default_rng(0))
+    negs = sample_negatives(log, k=10, rng=np.random.default_rng(0), interactions=user_interactions(log))
     assert len(set(negs[0].tolist())) == 10
 
 
 def test_sample_negatives_when_user_touched_everything():
     records = [BehaviorRecord(0, i, (), True) for i in range(3)]
     log = helpers.from_records(records, 1, 3)
-    negs = sample_negatives(log, k=2, rng=np.random.default_rng(0))
+    negs = sample_negatives(log, k=2, rng=np.random.default_rng(0), interactions=user_interactions(log))
     for rec, row in zip(records, negs):
         assert all(n != rec.item for n in row)
 
@@ -714,15 +714,16 @@ def assert_sampler_contract(log, k, negs):
 @given(world=sampler_worlds())
 def test_sample_negatives_keep_the_contract(world):
     log, k, seed = world
-    assert_sampler_contract(log, k, sample_negatives(log, k, np.random.default_rng(seed)))
+    assert_sampler_contract(log, k, sample_negatives(log, k, np.random.default_rng(seed), user_interactions(log)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(world=sampler_worlds())
 def test_sample_negatives_same_seed_same_draws(world):
     log, k, seed = world
-    first = sample_negatives(log, k, np.random.default_rng(seed))
-    np.testing.assert_array_equal(sample_negatives(log, k, np.random.default_rng(seed)), first)
+    first = sample_negatives(log, k, np.random.default_rng(seed), user_interactions(log))
+    again = sample_negatives(log, k, np.random.default_rng(seed), user_interactions(log))
+    np.testing.assert_array_equal(again, first)
 
 
 @pytest.mark.parametrize("rounds", [0, data.REDRAW_ROUNDS])
@@ -735,7 +736,7 @@ def test_sample_negatives_take_the_complement_when_rejection_mostly_fails(monkey
     records = [BehaviorRecord(0, i, (), True) for i in range(200 - k)]
     records += [BehaviorRecord(1, i, (0,), True) for i in range(0, 200 - k, 40)]
     log = helpers.from_records(records, 2, 200)
-    negs = sample_negatives(log, k, np.random.default_rng(k))
+    negs = sample_negatives(log, k, np.random.default_rng(k), user_interactions(log))
     assert_sampler_contract(log, k, negs)
     free = set(range(200 - k, 200))
     assert all(set(row) == free for row in negs[log.initiator == 0].tolist())
@@ -746,12 +747,13 @@ def test_sample_negatives_avoid_the_positive_in_an_exhausted_universe(k):
     # user 0 touched every item; user 1 has fewer than k untouched items when k is 3
     records = [BehaviorRecord(0, i, (), True) for i in range(6)] + [BehaviorRecord(1, i, (), True) for i in range(4)]
     log = helpers.from_records(records * 50, 2, 6)
-    negs = sample_negatives(log, k, np.random.default_rng(11))
+    negs = sample_negatives(log, k, np.random.default_rng(11), user_interactions(log))
     assert_sampler_contract(log, k, negs)
     # the shifted draw reaches every other item
     assert set(negs[(log.initiator == 0) & (log.item == 2)].ravel().tolist()) == {0, 1, 3, 4, 5}
     one_item = helpers.from_records([BehaviorRecord(0, 0, (), True)] * 3, 1, 1)
-    assert_sampler_contract(one_item, k, sample_negatives(one_item, k, np.random.default_rng(11)))
+    negs = sample_negatives(one_item, k, np.random.default_rng(11), user_interactions(one_item))
+    assert_sampler_contract(one_item, k, negs)
 
 
 def test_sample_negatives_are_uniform_over_ordered_free_pairs():
@@ -760,7 +762,7 @@ def test_sample_negatives_are_uniform_over_ordered_free_pairs():
     # The chi-square statistic (11 degrees of freedom) must stay below 31.26,
     # its 0.999 quantile; with this fixed seed a pass is deterministic.
     log = helpers.from_records([BehaviorRecord(0, i % 2, (), True) for i in range(12_000)], 1, 6)
-    negs = sample_negatives(log, 2, np.random.default_rng(5))
+    negs = sample_negatives(log, 2, np.random.default_rng(5), user_interactions(log))
     assert_sampler_contract(log, 2, negs)
     counts = np.bincount((negs[:, 0] - 2) * 4 + (negs[:, 1] - 2), minlength=16)
     cells = counts[[a * 4 + b for a in range(4) for b in range(4) if a != b]]

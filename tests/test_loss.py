@@ -254,7 +254,7 @@ def test_l2_value_matches_oracle(rng):
 def test_social_value_matches_oracle(rng):
     user_emb = rng.standard_normal((8, 4))
     social = helpers.make_social(rng, 8, 10)
-    got = social_value(social_residual(user_emb, social, 0.5), 0.5)
+    got = social_value(social_residual(user_emb, social, 0.5, social.mean(user_emb)), 0.5)
     want = oracles.social_smoothness_oracle(user_emb, social.friends, 0.5)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -262,7 +262,7 @@ def test_social_value_matches_oracle(rng):
 def test_social_value_ignores_friendless_users(rng):
     user_emb = rng.standard_normal((3, 2))
     social = SocialGraph.from_edges(3, np.array([[0, 1]]))
-    got = social_value(social_residual(user_emb, social, 1.0), 1.0)
+    got = social_value(social_residual(user_emb, social, 1.0, social.mean(user_emb)), 1.0)
     diff = user_emb[0] - user_emb[1]
     assert got == pytest.approx(2.0 * float(diff @ diff), rel=1e-12)
 

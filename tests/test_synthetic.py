@@ -258,11 +258,11 @@ def test_generate_is_deterministic(tmp_path):
 
 
 # sha256 of the files generate(SMALL, seed=11) writes; planted.npz also pins
-# the bytes of NumPy's .npy writer
+# the bytes of data.write_npz, gbrec's one .npz writer
 GOLDEN_SMALL_11 = {
     "behaviors.tsv": "981d6a533425e998104e3a099f09d1a38c5be4fd34c5117f1f58884691ff7a7d",
     "social.tsv": "a9af739fd4ecd504dff5e28f260c970fa5e4e4a088c2e1da82fa5cf66eaa8510",
-    "planted.npz": "57cd1baa1098271f486639ca58913595aeacb8040d91356707d92bc1a2c9c29d",
+    "planted.npz": "003a6f27b3015a01168b7c1956ccd429d3b031984860dbc3eb0f466a76894410",
 }
 
 
@@ -282,6 +282,7 @@ def test_planted_round_trip(tmp_path):
     np.testing.assert_array_equal(again.item_vecs, planted.item_vecs)
     np.testing.assert_array_equal(again.activity, planted.activity)
     np.testing.assert_array_equal(again.social.indptr, planted.social.indptr)
+    np.testing.assert_array_equal(again.social.indices, planted.social.indices)
     assert again.item_temp == planted.item_temp
     assert again.success_threshold == planted.success_threshold
     assert isinstance(again.success_threshold, int)

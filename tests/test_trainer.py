@@ -13,7 +13,7 @@ from gbrec.config import CheckpointError, Hyperparams, TrainingError
 from gbrec.data import DatasetSplit, user_interactions, write_npz
 from gbrec.evaluate import evaluate_ranking
 from gbrec.graphs import build_graphs
-from gbrec.model import TENSOR_FIELDS, init_params
+from gbrec.model import init_params
 from gbrec.rawdata import split_leave_one_out
 from gbrec.scoring import FLAT_TENSOR_FIELDS, init_flat_params
 from gbrec.trainer import (
@@ -99,7 +99,7 @@ def test_pretrain_stage_is_deterministic_and_normalizes():
     runs = []
     for _ in range(2):
         params = init_flat_params(12, 10, 4, seed=1)
-        pretrain_stage(params, split.train, user_interactions(split.train), social, hp, seed=5)
+        pretrain_stage(params, split.train, user_interactions(split.train), social, hp, seed=5, entries=[])
         runs.append(params)
     np.testing.assert_array_equal(runs[0].user_emb, runs[1].user_emb)
     np.testing.assert_array_equal(runs[0].item_emb, runs[1].item_emb)
@@ -107,7 +107,7 @@ def test_pretrain_stage_is_deterministic_and_normalizes():
     np.testing.assert_allclose(norms[norms > 0], 1.0, atol=1e-6)
 
     other = init_flat_params(12, 10, 4, seed=1)
-    pretrain_stage(other, split.train, user_interactions(split.train), social, hp, seed=6)
+    pretrain_stage(other, split.train, user_interactions(split.train), social, hp, seed=6, entries=[])
     assert np.any(other.user_emb != runs[0].user_emb)
 
 
@@ -119,7 +119,7 @@ def test_finetune_returns_best_validation_params():
     params = init_params(12, 10, hp, seed=3)
     entries = []
     best = finetune_stage(
-        adapter, params, split.train, user_interactions(split.train), split, hp, seed=4, entries=entries
+        adapter, params, split.train, user_interactions(split.train), split, seed=4, entries=entries
     )
     assert len(entries) == 4
     assert all(e["stage"] == "finetune" for e in entries)
@@ -138,7 +138,7 @@ def test_finetune_without_validation_returns_final_params():
     params = init_params(12, 10, hp, seed=3)
     entries = []
     best = finetune_stage(
-        adapter, params, bare.train, user_interactions(bare.train), bare, hp, seed=4, entries=entries
+        adapter, params, bare.train, user_interactions(bare.train), bare, seed=4, entries=entries
     )
     assert entries[0]["val_ndcg10"] is None
     np.testing.assert_array_equal(best.user_emb, params.user_emb)
@@ -152,7 +152,7 @@ def test_training_diverges_loudly_at_absurd_learning_rate():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingError):
-            train_model("mf", split, social, hp, seed=0, dtype=np.float64)
+            train_model("mf", split, social, hp, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +319,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(CheckpointError, match="not a zip file"):
         load_checkpoint(truncated)
 
-    # the zip reader finds its end record before trailing bytes: the same model loads
+    # bytes the zip reader would skip: after the end record, or before the first member
     trailing = str(tmp_path / "trail.ckpt")
     Path(trailing).write_bytes(blob + b"\x00\x00")
-    got = load_checkpoint(trailing)
-    for name in TENSOR_FIELDS:
-        np.testing.assert_array_equal(getattr(got.params, name), getattr(params, name))
+    with pytest.raises(CheckpointError, match="bytes after the zip end record; write this checkpoint again"):
+        load_checkpoint(trailing)
+    prefixed = str(tmp_path / "prefix.ckpt")
+    Path(prefixed).write_bytes(bytes(12) + blob)
+    with pytest.raises(CheckpointError, match="12 bytes before the first member; write this checkpoint again"):
+        load_checkpoint(prefixed)
 
     other_format = str(tmp_path / "format.ckpt")
     with np.load(path) as npz:
