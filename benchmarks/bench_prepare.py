@@ -2,10 +2,10 @@
 
 * ``ingest`` -- the raw files read and their ids remapped;
 * ``split_leave_one_out`` -- the held-out records and the frozen negatives;
-* ``negatives_digest`` -- the fingerprint ``gbrec prepare`` and ``gbrec
-  evaluate`` print, which casts each row of the narrow ids to int64;
+* ``negatives_digest`` -- the fingerprint ``gbrec prepare`` prints and
+  stores in ``split.npz``, which casts each row of the narrow ids to int64;
 * one stage per file of ``save_split_dir``, each written by its own writer,
-  then ``save_split_dir`` as a whole;
+  then ``save_split_dir`` as a whole, which also computes the digest;
 * ``load_split_dir`` (as ``gbrec train`` and ``gbrec evaluate`` read the
   split dir) and ``load_train_dir`` (as ``gbrec recommend`` does).
 
@@ -36,10 +36,10 @@ import tempfile
 import time
 
 from gbrec.data import DEFAULT_EVAL_NEGATIVES, SPLIT_FILE, load_split_dir, load_train_dir, write_npz
-from gbrec.evaluate import negatives_digest
 from gbrec.rawdata import (
     _split_arrays,
     ingest,
+    negatives_digest,
     save_split_dir,
     split_leave_one_out,
     write_behaviors,
@@ -94,10 +94,10 @@ def main() -> int:
         behaviors, social_path = os.path.join(raw, "behaviors.tsv"), os.path.join(raw, "social.tsv")
         logb, social, stats = stage("ingest", lambda: ingest(behaviors, social_path))
         split = stage("split_leave_one_out", lambda: split_leave_one_out(logb, args.seed, args.negatives))
-        stage("negatives_digest", lambda: negatives_digest(split.eval_negatives))
+        digest = stage("negatives_digest", lambda: negatives_digest(split.eval_negatives))
         os.makedirs(outdir)
         path = lambda name: os.path.join(outdir, name)  # noqa: E731
-        stage(SPLIT_FILE, lambda: write_npz(path(SPLIT_FILE), _split_arrays(split, social)))
+        stage(SPLIT_FILE, lambda: write_npz(path(SPLIT_FILE), _split_arrays(split, social, digest)))
         for name in ("train", "validation", "test"):
             stage(f"{name}.tsv", lambda name=name: write_behaviors(path(f"{name}.tsv"), getattr(split, name)))
         stage("social.tsv", lambda: write_social(path("social.tsv"), social))

@@ -4,10 +4,10 @@ A checkpoint is an uncompressed ``.npz``, written and read by the same
 ``data.write_npz`` and ``data.read_npz`` as ``split.npz``. Its member
 ``meta`` holds, as uint8, the UTF-8 JSON ``{"format", "model_type",
 "hyperparams"}``; one float32 member per tensor follows, in
-``model.TENSOR_FIELDS`` or ``scoring.FLAT_TENSOR_FIELDS`` order. Reading
-checks every member's dtype, shape and CRC-32, the hyperparameters, and that
-every tensor value is finite; every failure is one ``CheckpointError`` naming
-the file.
+``model.TENSOR_FIELDS`` or ``scoring.FLAT_TENSOR_FIELDS`` order, and no other
+member. Reading checks the member list, every member's dtype, shape and
+CRC-32, the hyperparameters, and that every tensor value is finite; every
+failure is one ``CheckpointError`` naming the file.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ def _has_field_type(value, template) -> bool:
     """JSON ``value`` fits the type of a ``Hyperparams`` default (ints pass as floats)."""
     if isinstance(template, bool) or isinstance(value, bool):
         return isinstance(template, bool) and isinstance(value, bool)
-    if isinstance(template, tuple):
-        return isinstance(value, list) and all(isinstance(k, int) and not isinstance(k, bool) for k in value)
     if isinstance(template, float):
         return isinstance(value, (int, float))
     return isinstance(value, type(template))
@@ -99,9 +97,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     """The checkpoint at ``path``. The embedding tables are ``(n, dim)``;
     GBGCN's cross-view weights are ``(width, width)`` and its biases
     ``(width,)``, with ``width = (num_layers + 1) * dim``."""
-    with read_npz(path, CheckpointError, RETRAIN) as read:
+    with read_npz(path, CheckpointError, RETRAIN) as (read, only):
         model_type, hp = _checked_meta(read("meta", np.dtype(np.uint8)))
         fields, params_type = _layout(model_type)
+        only(("meta", *fields))
         width = (hp.num_layers + 1) * hp.dim
         tensors = {}
         for name in fields:

@@ -76,9 +76,6 @@ def _add_dataclass_flags(p: argparse.ArgumentParser, cls, choices: dict | None =
             kwargs["type"] = int
         elif isinstance(template, float):
             kwargs["type"] = float
-        elif isinstance(template, tuple):
-            kwargs["type"] = _int_tuple_arg
-            kwargs["metavar"] = "K1,K2,..."
         else:
             kwargs["type"] = str
         p.add_argument(_flag(f.name), **kwargs)
@@ -114,7 +111,6 @@ def _embeddings_from_checkpoint(args, ckpt, train, social):
 
 
 def cmd_prepare(args) -> int:
-    from .evaluate import negatives_digest
     from .rawdata import ingest, save_split_dir, split_leave_one_out
 
     if args.negatives < 1:
@@ -122,13 +118,13 @@ def cmd_prepare(args) -> int:
         return 2
     logb, social, stats = ingest(args.behaviors, args.social)
     split = split_leave_one_out(logb, args.seed, args.negatives)
-    save_split_dir(args.outdir, split, social, stats, args.seed)
+    digest = save_split_dir(args.outdir, split, social, stats, args.seed)
     log.info("wrote split artifacts to %s", args.outdir)
     print(stats.text())
     print(f"train_records={len(split.train)}")
     print(f"validation_users={len(split.validation)}")
     print(f"test_users={len(split.test)}")
-    print(f"negatives_digest={negatives_digest(split.eval_negatives)}")
+    print(f"negatives_digest={digest}")
     return 0
 
 
@@ -137,7 +133,7 @@ def cmd_train(args) -> int:
     from .trainer import train_model, write_training_log
 
     hp = load_typed(Hyperparams, args.config, _overrides(args, HP_KEYS))
-    split, social, _stats = load_split_dir(args.data)
+    split, social, _digest = load_split_dir(args.data)
     result = train_model(args.model, split, social, hp, args.seed)
     os.makedirs(args.outdir, exist_ok=True)
     ckpt_path = os.path.join(args.outdir, "checkpoint.bin")
@@ -153,19 +149,17 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .checkpoint import load_checkpoint
-    from .evaluate import evaluate_ranking, negatives_digest
+    from .evaluate import evaluate_ranking
 
-    if args.ks is not None and min(args.ks) < 1:
+    if min(args.ks) < 1:
         print(f"error: --ks must be >= 1, got {min(args.ks)}", file=sys.stderr)
         return 2
-    split, social, _stats = load_split_dir(args.data)
+    split, social, digest = load_split_dir(args.data)
+    if not len(split.test):  # before the checkpoint, whose forward pass may be long
+        raise IngestError(f"{args.data}: split has no test users")
     ckpt = load_checkpoint(args.checkpoint)
     emb = _embeddings_from_checkpoint(args, ckpt, split.train, social)
-    ks = args.ks if args.ks is not None else tuple(ckpt.hp.eval_ks)
-    if not len(split.test):
-        raise IngestError(f"{args.data}: split has no test users")
-    report = evaluate_ranking(emb.score_users, split.test, split.eval_negatives, ks)
-    digest = negatives_digest(split.eval_negatives)
+    report = evaluate_ranking(emb.score_users, split.test, split.eval_negatives, args.ks)
     print(report.text())
     print(f"negatives_digest={digest}")
     if args.out:
@@ -185,7 +179,7 @@ def cmd_recommend(args) -> int:
     if args.k < 1:
         print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
         return 2
-    train, social, _stats = load_train_dir(args.data)
+    train, social = load_train_dir(args.data)
     if not 0 <= args.user < train.num_users:  # before the checkpoint, whose forward pass may be long
         raise IndexError(f"--user {args.user} is out of range: the data dir {args.data} has {train.num_users} users")
     ckpt = load_checkpoint(args.checkpoint)
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="leave-one-out metrics for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--ks", type=_int_tuple_arg, default=None, metavar="K1,K2,...")
+    p.add_argument("--ks", type=_int_tuple_arg, default=(3, 5, 10, 20), metavar="K1,K2,...")
     p.add_argument("--out", default=None, help="also write a JSON report here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -7,8 +7,7 @@ build its flags from their fields without importing that code.
 
 Grammar: one ``key = value`` pair per line; blank lines and ``#`` comments
 ignored. Types are taken from the target dataclass's defaults (bool, int,
-float, str, or comma-separated integer tuple), so config files stay diffable
-plain text. Command-line flags override file values. All problems -- unknown
+float or str), so config files stay diffable plain text. Command-line flags override file values. All problems -- unknown
 keys, bad types, out-of-range values -- are collected and reported together
 rather than one at a time.
 """
@@ -137,7 +136,7 @@ def load_typed(cls, path: str | None, overrides: dict[str, object]):
         if key not in known:
             problems.append(f"override: unknown key {key!r}")
             continue
-        values[key] = tuple(value) if isinstance(known[key], tuple) and not isinstance(value, tuple) else value
+        values[key] = value
         from_file.discard(key)
 
     instance = cls(**{**{k: v for k, v in known.items()}, **values})
@@ -171,7 +170,6 @@ class Hyperparams:
     finetune_lr: float = 1e-2
     renormalize_alpha: bool = False
     failed_participant_edges: bool = True
-    eval_ks: tuple[int, ...] = (3, 5, 10, 20)
 
     def validate(self) -> list[str]:
         """Collect every config problem instead of stopping at the first."""
@@ -207,22 +205,15 @@ class Hyperparams:
             problems.append(f"pretrain_lr must be > 0, got {self.pretrain_lr}")
         if self.finetune_lr <= 0:
             problems.append(f"finetune_lr must be > 0, got {self.finetune_lr}")
-        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
-            problems.append(f"eval_ks must be positive integers, got {self.eval_ks}")
         return problems
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        out["eval_ks"] = list(self.eval_ks)
-        return out
+        return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
         known = {f.name for f in dc_fields(cls)}
-        kwargs = {k: v for k, v in d.items() if k in known}
-        if "eval_ks" in kwargs:
-            kwargs["eval_ks"] = tuple(int(k) for k in kwargs["eval_ks"])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 @dataclass

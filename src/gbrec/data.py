@@ -6,12 +6,11 @@ their frozen evaluation negatives. ``user_interactions`` and
 ``sample_negatives`` serve training.
 
 A split directory, written by ``rawdata.save_split_dir``, is read by gbrec
-from two files alone: ``split.npz`` (the columns of the training and
-held-out logs, the social pairs, and the frozen negatives as one
-``indptr``/``indices`` pair) and ``stats.json``. Its ``.tsv`` files
-(``train``, ``validation``, ``test``, ``social``, ``negatives``, ``users``,
-``items``) are an export for people and for tools outside gbrec; no loader
-reads them.
+from ``split.npz`` alone, whose members ``SPLIT_MEMBERS`` lists: the id
+space, the training and held-out logs' columns, the social pairs, the frozen
+negatives as one ``indptr``/``indices`` pair, and their sha256 as ``gbrec
+prepare`` computed it. Its ``stats.json`` and ``.tsv`` files are a report
+and an export for people and for tools outside gbrec; no loader reads them.
 
 The negatives are the split's largest array, up to
 ``DEFAULT_EVAL_NEGATIVES`` ids per held-out user. Their ids are drawn,
@@ -24,9 +23,10 @@ on-disk container, an uncompressed ``.npz``: ``write_npz`` writes it, and
 ``read_npz`` reads it member by member, checking each member's dtype, shape
 and CRC-32, with every failure one error of the caller's class that names
 the file. The reader refuses bytes outside the zip, before its first member
-or after its end record, which the zip format itself would skip. Every array
-file a gbrec command reads goes through them; ``checkpoint`` holds what a
-checkpoint's members are.
+or after its end record, which the zip format itself would skip, and a
+member that the caller's format does not list. Every array file a gbrec
+command reads goes through them; ``checkpoint`` holds what a checkpoint's
+members are.
 
 Raw text files, their grammar, the split itself and the split directory's
 writer are in ``rawdata``, which only ``gbrec prepare`` and ``gbrec synth``
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import math
 import os
 import tokenize
@@ -296,11 +295,13 @@ def _read_member(zf: zipfile.ZipFile, error: type, name: str, dtype: np.dtype, t
 
 @contextmanager
 def read_npz(path: str, error: type, remedy: str):
-    """The ``.npz`` at ``path``, opened for the block as ``read(name, dtype,
-    tail=())``, which is ``_read_member``. A file that cannot be opened is
-    the ``OSError`` of ``open``; after that, every failure to read, bytes
-    outside the zip, and every ``error`` the block raises, leave as one
-    ``error`` that names the file and ends in ``remedy``."""
+    """The ``.npz`` at ``path``, opened for the block as ``(read, only)``:
+    ``read(name, dtype, tail=())`` is ``_read_member``, and ``only(names)``,
+    given the format's full member list, refuses a member it does not name.
+    A file that cannot be opened is the ``OSError`` of ``open``; after that,
+    every failure to read, bytes outside the zip, and every ``error`` the
+    block raises, leave as one ``error`` that names the file and ends in
+    ``remedy``."""
     with open(path, "rb") as fh:
         try:
             with zipfile.ZipFile(fh) as zf:
@@ -312,7 +313,13 @@ def read_npz(path: str, error: type, remedy: str):
                 end = fh.read(ZIP_END_BYTES)
                 if end[:4] != b"PK\x05\x06" or end[-2:] != b"\0\0":
                     raise error("bytes after the zip end record")
-                yield functools.partial(_read_member, zf, error)
+
+                def only(names) -> None:
+                    extra = {info.filename for info in zf.infolist()} - {f"{name}.npy" for name in names}
+                    if extra:
+                        raise error(f"{min(extra)}: a member this format does not list")
+
+                yield functools.partial(_read_member, zf, error), only
         except error as exc:
             raise error(f"{path}: {exc}; {remedy}") from None
         except NPZ_READ_ERRORS as exc:
@@ -324,45 +331,49 @@ def read_npz(path: str, error: type, remedy: str):
 
 SPLIT_FILE = "split.npz"
 HELD_OUT = ("validation", "test")
+I64 = np.dtype(np.int64)
 # a BehaviorLog's columns as split.npz stores them, as "<log>_<column>"
 LOG_COLUMNS = (
-    ("initiator", np.dtype(np.int64)), ("item", np.dtype(np.int64)), ("success", np.dtype(bool)),
-    ("part_indptr", np.dtype(np.int64)), ("part_indices", np.dtype(np.int64)),
+    ("initiator", I64), ("item", I64), ("success", np.dtype(bool)), ("part_indptr", I64), ("part_indices", I64),
+)
+# every member of split.npz, in file order: its name, dtype and shape's tail.
+# The negatives' dtype, None here, is item_dtype of the id space.
+SPLIT_MEMBERS = (
+    ("id_space", I64, ()),  # num_users, num_items
+    *((f"{log}_{col}", dtype, ()) for log in ("train", *HELD_OUT) for col, dtype in LOG_COLUMNS),
+    ("social_pairs", I64, (2,)),
+    ("negatives_indptr", I64, ()),
+    ("negatives_indices", None, ()),
+    ("negatives_sha256", np.dtype(np.uint8), ()),  # the 32 digest bytes
 )
 REPREPARE = "write this split dir again with gbrec prepare"
 
 
 def _read_split(datadir: str, held_out: bool):
-    """``stats.json`` and the arrays of ``split.npz`` that hold the training
-    log and the social pairs and, with ``held_out``, the held-out logs and
-    the negatives: ``(path, stats, arrays)``. Shapes and dtypes are checked
-    here, and every failure to read is one ``IngestError`` naming the file;
-    a member of another dtype or shape, as an older writer's split dir holds,
-    asks for the split dir to be written again."""
-    stats_path = os.path.join(datadir, "stats.json")
-    with open(stats_path, encoding="utf-8") as fh:
-        try:
-            stats = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise IngestError(f"{stats_path}: not valid JSON: {exc}") from None
-    for key in ("num_users", "num_items"):
-        if not isinstance(stats, dict) or key not in stats:
-            raise IngestError(f"{stats_path}: missing key {key!r}")
-        # ids are int64; an id space past them would also make item_dtype an object dtype
-        if type(stats[key]) is not int or not 0 <= stats[key] <= np.iinfo(np.int64).max:
-            raise IngestError(f"{stats_path}: {key!r} must be an integer in [0, 2**63), got {stats[key]!r}")
-    logs = ("train", *HELD_OUT) if held_out else ("train",)
-    specs = {f"{log}_{col}": (dtype, ()) for log in logs for col, dtype in LOG_COLUMNS}
-    specs["social_pairs"] = (np.dtype(np.int64), (2,))
-    if held_out:
-        specs["negatives_indptr"] = (np.dtype(np.int64), ())
-        specs["negatives_indices"] = (item_dtype(stats["num_items"]), ())
+    """``(path, num_users, num_items, arrays)``: the id space, and the
+    members of ``split.npz`` that hold the training log and the social pairs
+    and, with ``held_out``, all the others. The member list, shapes and
+    dtypes are checked here, each failure one ``IngestError`` naming the
+    file that asks for the split dir to be written again."""
     path = os.path.join(datadir, SPLIT_FILE)
     if not os.path.exists(path):
         raise IngestError(f"{path}: no such file; {REPREPARE}")
-    with read_npz(path, IngestError, REPREPARE) as read:
-        arrays = {name: read(name, *spec) for name, spec in specs.items()}
-    return path, stats, arrays
+    with read_npz(path, IngestError, REPREPARE) as (read, only):
+        only(name for name, _, _ in SPLIT_MEMBERS)
+        id_space = read("id_space", I64)
+        if id_space.shape[0] != 2:
+            raise IngestError(f"id_space holds {id_space.shape[0]} values, expected 2 (num_users, num_items)")
+        if (id_space < 0).any():
+            raise IngestError(f"id_space: {id_space.tolist()} holds a negative size")
+        num_users, num_items = id_space.tolist()
+        arrays = {
+            name: read(name, item_dtype(num_items) if dtype is None else dtype, tail)
+            for name, dtype, tail in SPLIT_MEMBERS[1:]
+            if held_out or name.startswith(("train_", "social_"))
+        }
+        if held_out and arrays["negatives_sha256"].shape[0] != 32:
+            raise IngestError(f"negatives_sha256 holds {arrays['negatives_sha256'].shape[0]} bytes, expected 32")
+    return path, num_users, num_items, arrays
 
 
 def _check_ids(where: str, name: str, what: str, ids: np.ndarray, bound: int) -> None:
@@ -398,25 +409,24 @@ def _checked_social(where: str, arrays: dict, num_users: int) -> SocialGraph:
     return SocialGraph.from_edges(num_users, pairs)
 
 
-def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph, dict]:
+def load_train_dir(datadir: str) -> tuple[BehaviorLog, SocialGraph]:
     """The training side of a split directory: the training log and the
-    social graph from ``split.npz``, and ``stats.json``."""
-    where, stats, arrays = _read_split(datadir, held_out=False)
-    num_users, num_items = stats["num_users"], stats["num_items"]
-    return _checked_log(where, arrays, "train", num_users, num_items), _checked_social(where, arrays, num_users), stats
+    social graph from ``split.npz``."""
+    where, num_users, num_items, arrays = _read_split(datadir, held_out=False)
+    return _checked_log(where, arrays, "train", num_users, num_items), _checked_social(where, arrays, num_users)
 
 
-def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
+def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, str]:
     """``load_train_dir`` plus the evaluation side: the held-out logs, each
-    one record per user in ascending user order, and the frozen negatives,
-    a non-empty row of sorted distinct items for every held-out user, kept
-    in ``item_dtype(num_items)`` as stored.
+    one record per user in ascending user order, the frozen negatives, a
+    non-empty row of sorted distinct items for every held-out user, kept in
+    ``item_dtype(num_items)`` as stored, and the negatives' sha256 as
+    ``gbrec prepare`` computed it, in hex.
 
     Every id is checked against the split's id space, and every offset
     array for rising from 0 to the length of the array it indexes.
     """
-    where, stats, arrays = _read_split(datadir, held_out=True)
-    num_users, num_items = stats["num_users"], stats["num_items"]
+    where, num_users, num_items, arrays = _read_split(datadir, held_out=True)
     logs = {log: _checked_log(where, arrays, log, num_users, num_items) for log in ("train", *HELD_OUT)}
     ptr, ids = arrays["negatives_indptr"], arrays["negatives_indices"]
     _check_indptr(where, "negatives_indptr", ptr, num_users, ids.shape[0])
@@ -441,4 +451,4 @@ def load_split_dir(datadir: str) -> tuple[DatasetSplit, SocialGraph, dict]:
             raise IngestError(f"{where}: negatives_indptr: no negatives for user {bare[0]}, held out in {log}")
     negatives = CSR(num_users, num_items, ptr, ids)
     split = DatasetSplit(logs["train"], logs["validation"], logs["test"], negatives, num_users, num_items)
-    return split, _checked_social(where, arrays, num_users), stats
+    return split, _checked_social(where, arrays, num_users), arrays["negatives_sha256"].tobytes().hex()

@@ -14,13 +14,13 @@ row of the negatives ``CSR``); a rank is the count of a row's marked items
 that score at least as high as its test item.
 
 Keeping the negative lists frozen in the split makes comparisons between
-models paired; ``negatives_digest`` fingerprints them so a report can prove
-two evaluations saw the same candidates.
+models paired. This module only ranks: their fingerprint, which ``gbrec
+evaluate`` prints, is ``rawdata.negatives_digest``, computed once by ``gbrec
+prepare`` and stored in ``split.npz``.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,19 +116,4 @@ def evaluate_ranking(
         ] = True
         ranks[block] = np.count_nonzero(beaten & listed.reshape(scores.shape), axis=1)
     return compute_metrics(ranks, ks)
-
-
-def negatives_digest(negatives: CSR) -> str:
-    """Fingerprint of the frozen candidate lists: the sha256 of, per user
-    with a non-empty row in ascending order, ``b"<user>:"``, the row's ids as
-    little-endian int64 bytes, and ``b";"``, whatever dtype ``indices`` is
-    held in. Rows are cast one at a time, so the narrow ids of a loaded split
-    are never copied whole."""
-    h = hashlib.sha256()
-    ids, ptr = negatives.indices, negatives.indptr.tolist()
-    for u in np.flatnonzero(negatives.degrees).tolist():
-        h.update(b"%d:" % u)
-        h.update(ids[ptr[u] : ptr[u + 1]].astype("<i8", copy=False))
-        h.update(b";")
-    return h.hexdigest()
 

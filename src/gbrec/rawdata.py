@@ -21,18 +21,21 @@ Ingestion remaps arbitrary non-negative integer ids onto dense 0..P-1 /
 0..Q-1 ranges (sorted by original id, so already-dense files map to
 themselves and a write/re-ingest round trip is a fixed point).
 
-``save_split_dir`` writes ``split.npz`` (through ``data.write_npz``) and
-``stats.json``, which ``data.load_split_dir`` reads, and the split's ``.tsv``
-export in the grammar above.
+``save_split_dir`` writes ``split.npz`` (through ``data.write_npz``), which
+``data.load_split_dir`` reads, with the ``negatives_digest`` of the frozen
+negatives among its members; and ``stats.json``, a report of the corpus
+counts, and the split's ``.tsv`` export in the grammar above, which gbrec
+writes and never reads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .data import (
     HELD_OUT,
     LOG_COLUMNS,
     SPLIT_FILE,
+    SPLIT_MEMBERS,
     BehaviorLog,
     DatasetSplit,
     IngestError,
@@ -92,18 +96,8 @@ class DatasetStats:
     item_ids: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "num_users": self.num_users,
-            "num_items": self.num_items,
-            "num_behaviors": self.num_behaviors,
-            "num_success": self.num_success,
-            "num_failed": self.num_failed,
-            "num_social_edges": self.num_social_edges,
-            "dropped_records": self.dropped_records,
-            "deduped_participants": self.deduped_participants,
-            "dropped_social_edges": self.dropped_social_edges,
-            "dropped_social_self_loops": self.dropped_social_self_loops,
-        }
+        """The counts, in field order: every field but the id maps."""
+        return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name not in ("user_ids", "item_ids")}
 
     def text(self) -> str:
         return "\n".join(f"{k}={v}" for k, v in self.to_dict().items())
@@ -454,24 +448,40 @@ def split_leave_one_out(
 # the split directory's writer
 
 
-def _split_arrays(split: DatasetSplit, social: SocialGraph) -> dict[str, np.ndarray]:
-    """The members of ``split.npz``: the split's own arrays, not copies."""
+def negatives_digest(negatives: CSR) -> str:
+    """Fingerprint of the frozen candidate lists: the sha256 of, per user
+    with a non-empty row in ascending order, ``b"<user>:"``, the row's ids as
+    little-endian int64 bytes, and ``b";"``, whatever dtype ``indices`` is
+    held in. Rows are cast one at a time, so no int64 copy is made."""
+    h = hashlib.sha256()
+    ids, ptr = negatives.indices, negatives.indptr.tolist()
+    for u in np.flatnonzero(negatives.degrees).tolist():
+        h.update(b"%d:" % u)
+        h.update(ids[ptr[u] : ptr[u + 1]].astype("<i8", copy=False))
+        h.update(b";")
+    return h.hexdigest()
+
+
+def _split_arrays(split: DatasetSplit, social: SocialGraph, digest: str) -> dict[str, np.ndarray]:
+    """The members of ``split.npz`` in ``SPLIT_MEMBERS`` order, the split's own arrays, not copies."""
     arrays = {
         f"{log}_{col}": getattr(getattr(split, log), col) for log in ("train", *HELD_OUT) for col, _ in LOG_COLUMNS
     }
+    arrays["id_space"] = np.array([split.num_users, split.num_items], dtype=np.int64)
     arrays["social_pairs"] = social.undirected_pairs()
     arrays["negatives_indptr"] = split.eval_negatives.indptr
     arrays["negatives_indices"] = split.eval_negatives.indices
-    return arrays
+    arrays["negatives_sha256"] = np.frombuffer(bytes.fromhex(digest), np.uint8)
+    return {name: arrays[name] for name, _, _ in SPLIT_MEMBERS}
 
 
-def save_split_dir(
-    outdir: str, split: DatasetSplit, social: SocialGraph, stats: DatasetStats, seed: int
-) -> None:
-    """Write ``split.npz`` and ``stats.json``, which the loaders read, and the
-    ``.tsv`` export of the same split."""
+def save_split_dir(outdir: str, split: DatasetSplit, social: SocialGraph, stats: DatasetStats, seed: int) -> str:
+    """Write ``split.npz``, which the loaders read, and the report
+    ``stats.json`` and ``.tsv`` export of the same split; the negatives'
+    digest, which ``split.npz`` stores."""
     os.makedirs(outdir, exist_ok=True)
-    write_npz(os.path.join(outdir, SPLIT_FILE), _split_arrays(split, social))
+    digest = negatives_digest(split.eval_negatives)
+    write_npz(os.path.join(outdir, SPLIT_FILE), _split_arrays(split, social, digest))
     write_behaviors(os.path.join(outdir, "train.tsv"), split.train)
     write_behaviors(os.path.join(outdir, "validation.tsv"), split.validation)
     write_behaviors(os.path.join(outdir, "test.tsv"), split.test)
@@ -492,3 +502,4 @@ def save_split_dir(
     for name, ids in (("users.tsv", stats.user_ids), ("items.tsv", stats.item_ids)):
         if ids is not None:
             write_id_map(os.path.join(outdir, name), ids)
+    return digest

@@ -142,7 +142,7 @@ def test_evaluate_prints_metrics_and_writes_json(pipeline, tmp_path, capsys):
     )
     assert code == 0
     assert "recall@1=" in out and "ndcg@5=" in out
-    assert "recall@10=" not in out  # --ks overrides the checkpoint's defaults
+    assert "recall@10=" not in out  # --ks replaces the default cutoffs
     with open(report_path, encoding="utf-8") as fh:
         payload = json.load(fh)
     assert payload["model_type"] == "gbmf"
@@ -174,17 +174,44 @@ def test_recommend_reads_only_the_training_files(pipeline, tmp_path, capsys):
     argv = ["recommend", "--checkpoint", pipeline["checkpoint"], "--user", "0", "--k", "5"]
     code, full, _ = run(capsys, [*argv, "--data", pipeline["datadir"]])
     assert code == 0
-    # no .tsv file and no held-out array or negatives: the training side alone
+    # no .tsv or stats.json file, and every held-out array and the negatives
+    # zeroed: the training side alone
     datadir = str(tmp_path / "data")
     os.makedirs(datadir)
-    shutil.copy(os.path.join(pipeline["datadir"], "stats.json"), datadir)
     _rewrite_npz(
         os.path.join(pipeline["datadir"], "split.npz"), os.path.join(datadir, "split.npz"),
-        lambda a: [a.pop(k) for k in list(a) if not k.startswith(("train_", "social_"))],
+        lambda a: a.update({k: np.zeros_like(v) for k, v in a.items() if k.startswith(("validation_", "test_", "negatives_"))}),
     )
+    with pytest.raises(IngestError):
+        load_split_dir(datadir)
     code, out, err = run(capsys, [*argv, "--data", datadir])
     assert code == 0, err
     assert out == full
+
+
+def test_a_missing_or_garbled_stats_file_changes_no_output(pipeline, tmp_path, capsys):
+    # stats.json is a report: train, evaluate and recommend never open it
+    outputs = []
+    for stats in ("as written", None, b"\xff{not json"):
+        datadir = str(tmp_path / "data")
+        shutil.rmtree(datadir, ignore_errors=True)
+        shutil.copytree(pipeline["datadir"], datadir)
+        path = os.path.join(datadir, "stats.json")
+        if stats is None:
+            os.remove(path)
+        elif isinstance(stats, bytes):
+            with open(path, "wb") as fh:
+                fh.write(stats)
+        model = str(tmp_path / "model")
+        checkpoint = os.path.join(model, "checkpoint.bin")
+        steps = [
+            ["train", "--data", datadir, "--outdir", model, "--model", "gbmf", "--seed", "0", *TRAIN_ARGS],
+            ["evaluate", "--checkpoint", checkpoint, "--data", datadir],
+            ["recommend", "--checkpoint", checkpoint, "--data", datadir, "--user", "0"],
+        ]
+        outputs.append([run(capsys, argv)[:2] for argv in steps])
+    assert all(code == 0 for code, _ in outputs[0])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def _rewrite_npz(src, dst, change):
@@ -199,18 +226,6 @@ def _second_line(text, replacement):
     lines = text.splitlines(keepends=True)
     lines[1] = replacement + "\n"
     return "".join(lines)
-
-
-def _drop_num_items(text):
-    payload = json.loads(text)
-    del payload["num_items"]
-    return json.dumps(payload)
-
-
-def _num_items_past_int64(text):
-    payload = json.loads(text)
-    payload["num_items"] = 2**64
-    return json.dumps(payload)
 
 
 def _set(name, at, value):
@@ -244,51 +259,51 @@ def _empty_row_of_first_test_user(a):
 
 
 @pytest.mark.parametrize(
-    "name, corrupt, where",
+    "corrupt, where",
     [
-        ("split.npz", _replace("train_item", lambda x: x[:-1]), "split.npz: train_item holds"),
-        ("split.npz", _replace("negatives_indices", lambda x: x.astype(np.float64)), "split.npz: negatives_indices: float64 array"),
-        ("split.npz", _set("negatives_indices", 1, 12), "split.npz: negatives_indices[1]: item id 12 out of range [0, 12)"),
+        (_replace("train_item", lambda x: x[:-1]), "split.npz: train_item holds"),
+        (_replace("negatives_indices", lambda x: x.astype(np.float64)), "split.npz: negatives_indices: float64 array"),
+        (_set("negatives_indices", 1, 12), "split.npz: negatives_indices[1]: item id 12 out of range [0, 12)"),
         # every split dir written before the negatives were stored narrow
         (
-            "split.npz", _replace("negatives_indices", lambda x: x.astype(np.int64)),
+            _replace("negatives_indices", lambda x: x.astype(np.int64)),
             ("split.npz: negatives_indices: int64 array", "expected uint8", "write this split dir again with gbrec prepare"),
         ),
-        ("stats.json", _drop_num_items, "stats.json: missing key 'num_items'"),
-        ("stats.json", _num_items_past_int64, "stats.json: 'num_items' must be an integer in [0, 2**63), got 18446744073709551616"),
-        ("split.npz", _replace("negatives_indices", _with_an_id_past_int64), "split.npz: negatives_indices: uint64 array"),
-        ("split.npz", _replace("social_pairs", lambda x: np.r_[x, [[1, 30]]]), ("split.npz: social_pairs[", ", 1]: user id 30 out of range [0, 30)")),
-        ("split.npz", _set("train_item", 1, 99), "split.npz: train_item[1]: item id 99 out of range [0, 12)"),
-        ("split.npz", _set("train_part_indices", 1, 30), "split.npz: train_part_indices[1]: user id 30 out of range [0, 30)"),
-        ("split.npz", _set("validation_initiator", 1, 30), "split.npz: validation_initiator[1]: user id 30 out of range [0, 30)"),
-        ("split.npz", _repeat_first("validation_initiator"), ("split.npz: validation_initiator[1]: user", "listed twice")),
-        ("split.npz", _repeat_first("test_initiator"), ("split.npz: test_initiator[1]: user", "listed twice")),
-        ("split.npz", _repeat_first("negatives_indices"), ("split.npz: negatives_indices[1]: user", "negatives are not sorted and distinct")),
-        ("split.npz", _empty_row_of_first_test_user, "split.npz: negatives_indptr: no negatives for user"),
-        ("split.npz", _replace("test_initiator", lambda x: np.r_[x[1], x[0], x[2:]]), ("split.npz: test_initiator[1]: user", "out of ascending order")),
-        ("split.npz", _replace("negatives_indptr", lambda x: np.r_[x[:3], x[2] - 1, x[4:]]), "split.npz: negatives_indptr does not rise"),
-        ("split.npz", None, "split.npz: no such file; write this split dir again with gbrec prepare"),
+        (_replace("negatives_indices", _with_an_id_past_int64), "split.npz: negatives_indices: uint64 array"),
+        (_replace("social_pairs", lambda x: np.r_[x, [[1, 30]]]), ("split.npz: social_pairs[", ", 1]: user id 30 out of range [0, 30)")),
+        (_set("train_item", 1, 99), "split.npz: train_item[1]: item id 99 out of range [0, 12)"),
+        (_set("train_part_indices", 1, 30), "split.npz: train_part_indices[1]: user id 30 out of range [0, 30)"),
+        (_set("validation_initiator", 1, 30), "split.npz: validation_initiator[1]: user id 30 out of range [0, 30)"),
+        (_repeat_first("validation_initiator"), ("split.npz: validation_initiator[1]: user", "listed twice")),
+        (_repeat_first("test_initiator"), ("split.npz: test_initiator[1]: user", "listed twice")),
+        (_repeat_first("negatives_indices"), ("split.npz: negatives_indices[1]: user", "negatives are not sorted and distinct")),
+        (_empty_row_of_first_test_user, "split.npz: negatives_indptr: no negatives for user"),
+        (_replace("test_initiator", lambda x: np.r_[x[1], x[0], x[2:]]), ("split.npz: test_initiator[1]: user", "out of ascending order")),
+        (_replace("negatives_indptr", lambda x: np.r_[x[:3], x[2] - 1, x[4:]]), "split.npz: negatives_indptr does not rise"),
+        (None, "split.npz: no such file; write this split dir again with gbrec prepare"),
+        # every split dir written before split.npz held its id space
+        (lambda a: a.pop("id_space"), "split.npz: id_space: no such array; write this split dir again with gbrec prepare"),
+        (_replace("id_space", lambda x: np.r_[x, 5]), "split.npz: id_space holds 3 values, expected 2 (num_users, num_items); write"),
+        (_set("id_space", 1, -1), "split.npz: id_space: [30, -1] holds a negative size; write"),
+        (_replace("negatives_sha256", lambda x: x[:31]), "split.npz: negatives_sha256 holds 31 bytes, expected 32; write"),
+        (lambda a: a.update(junk=np.zeros(3)), "split.npz: junk.npy: a member this format does not list; write this split dir again with gbrec prepare"),
     ],
     ids=[
-        "train-column-short", "non-integer-item", "item-past-range", "legacy-int64-negatives", "stats-missing-key",
-        "stats-items-past-int64", "item-past-int64", "social-past-range", "train-item-past-range", "train-participant-past-range",
+        "train-column-short", "non-integer-item", "item-past-range", "legacy-int64-negatives",
+        "item-past-int64", "social-past-range", "train-item-past-range", "train-participant-past-range",
         "validation-user-past-range", "validation-user-twice", "test-user-twice", "negatives-id-twice",
         "negatives-missing-held-out-user", "test-users-out-of-order", "negatives-offsets-fall", "no-split-npz",
+        "no-id-space", "id-space-of-three", "id-space-negative", "digest-short", "junk-member",
     ],
 )
-def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, name, corrupt, where):
+def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, corrupt, where):
     datadir = str(tmp_path / "data")
     shutil.copytree(pipeline["datadir"], datadir)
-    path = os.path.join(datadir, name)
+    path = os.path.join(datadir, "split.npz")
     if corrupt is None:
         os.remove(path)
-    elif name == "split.npz":
-        _rewrite_npz(path, path, corrupt)
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(corrupt(text))
+        _rewrite_npz(path, path, corrupt)
 
     parts = where if isinstance(where, tuple) else (where,)  # each must appear, in order
     with pytest.raises(IngestError, match=".*".join(map(re.escape, parts))):
@@ -417,7 +432,7 @@ EVERY_COMMAND = {"gbrec", "gbrec.cli", "gbrec.config", "gbrec.data", "gbrec.kern
 TRAINING = {"baselines", "checkpoint", "evaluate", "graphs", "loss", "model", "scoring", "trainer"}
 COMMAND_MODULES = {
     "synth": {"rawdata", "synthetic"},
-    "prepare": {"rawdata", "evaluate"},
+    "prepare": {"rawdata"},
     "train-gbgcn": TRAINING,
     "train-gbmf": TRAINING,
     "evaluate-gbgcn": {"checkpoint", "evaluate", "graphs", "model", "scoring"},
@@ -565,6 +580,67 @@ def test_a_checkpoint_holding_a_removed_hyperparameter_loads_unchanged(pipeline,
     assert (got.model_type, got.hp) == (want.model_type, want.hp)
     for name in FLAT_TENSOR_FIELDS:
         np.testing.assert_array_equal(getattr(got.params, name), getattr(want.params, name))
+
+
+def test_a_checkpoint_holding_eval_ks_evaluates_at_the_default_cutoffs(pipeline, tmp_path, capsys):
+    # every checkpoint written while the cutoffs were a hyperparameter stores them
+    old = str(tmp_path / "old.bin")
+    _with_hyperparams(pipeline["checkpoint"], old, eval_ks=[1, 2])
+    outs = [run(capsys, ["evaluate", "--checkpoint", path, "--data", pipeline["datadir"]]) for path in (old, pipeline["checkpoint"])]
+    assert outs[0] == outs[1]
+    code, out, _ = outs[0]
+    assert code == 0
+    assert [line.split("=")[0] for line in out.splitlines()[1:]] == [
+        "recall@3", "recall@5", "recall@10", "recall@20", "negatives_digest"
+    ]
+
+
+def test_eval_ks_is_no_option_of_train(pipeline, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("eval_ks = 1,2\n")
+    base = ["train", "--data", pipeline["datadir"], "--outdir", str(tmp_path / "model"), "--model", "gbmf"]
+    code, out, err = run(capsys, [*base, "--config", str(config)])
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid configuration:\n  {config}: unknown key 'eval_ks'\n"
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--eval-ks", "1,2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eval-ks" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("member", ["junk", "w_item_to_user_launch"])
+def test_a_checkpoint_with_a_member_its_format_does_not_list_fails_with_one_located_error(
+    pipeline, tmp_path, capsys, member
+):
+    # a gbmf checkpoint lists meta, user_emb and item_emb: no other file's
+    # array, and no tensor of GBGCN
+    with np.load(pipeline["checkpoint"]) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays[member] = np.zeros((4, 4), np.float32)
+    bad = str(tmp_path / "extra.bin")
+    write_npz(bad, arrays)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", bad, "--data", pipeline["datadir"]])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {bad}: {member}.npy: a member this format does not list{RETRAIN}"]
+
+
+def test_evaluate_refuses_a_split_without_test_users_before_the_checkpoint(tmp_path, capsys):
+    # three users who launched once each: nobody has a record to hold out
+    behaviors, social = tmp_path / "behaviors.tsv", tmp_path / "social.tsv"
+    behaviors.write_text("0\t0\t-\t1\n1\t1\t0\t1\n2\t0\t-\t0\n")
+    social.write_text("0\t1\n")
+    datadir = str(tmp_path / "data")
+    code, out, _ = run(capsys, ["prepare", str(behaviors), str(social), "--outdir", datadir])
+    assert code == 0
+    assert out_value(out, "test_users") == "0"
+    code, out, err = run(capsys, ["evaluate", "--checkpoint", str(tmp_path / "missing.bin"), "--data", datadir])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [f"error: {datadir}: split has no test users"]
 
 
 def test_a_format_1_checkpoint_fails_with_one_line_asking_for_gbrec_train(pipeline, tmp_path, capsys):

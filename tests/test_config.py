@@ -131,12 +131,12 @@ def test_load_defaults_when_no_file_or_overrides():
 
 
 def test_load_file_values_override_defaults(tmp_path):
-    path = write(tmp_path, "dim = 16\nalpha = 0.3\nrenormalize_alpha = yes\neval_ks = 1,2\n")
+    path = write(tmp_path, "dim = 16\nalpha = 0.3\nrenormalize_alpha = yes\nactivation = tanh\n")
     hp = load_typed(Hyperparams, path, {})
     assert hp.dim == 16
     assert hp.alpha == 0.3
     assert hp.renormalize_alpha is True
-    assert hp.eval_ks == (1, 2)
+    assert hp.activation == "tanh"
     assert hp.beta == Hyperparams().beta  # untouched field keeps its default
 
 
@@ -147,9 +147,12 @@ def test_load_overrides_beat_file(tmp_path):
     assert hp.alpha == Hyperparams().alpha  # None override is skipped
 
 
-def test_load_coerces_list_override_to_tuple():
-    hp = load_typed(Hyperparams, None, {"eval_ks": [2, 4]})
-    assert hp.eval_ks == (2, 4)
+def test_load_refuses_eval_ks_as_an_unknown_key(tmp_path):
+    # the evaluation cutoffs are gbrec evaluate's --ks, not a hyperparameter
+    path = write(tmp_path, "dim = 16\neval_ks = 1,2\n")
+    with pytest.raises(ConfigError) as exc:
+        load_typed(Hyperparams, path, {})
+    assert exc.value.problems == [f"{path}: unknown key 'eval_ks'"]
 
 
 def test_load_collects_unknown_keys_bad_types_and_range_problems(tmp_path):

@@ -1,6 +1,7 @@
 """Parsing, id remapping, splitting, and negative sampling."""
 
 import dataclasses
+import json
 import logging
 import os
 import tempfile
@@ -16,6 +17,7 @@ from gbrec.rawdata import (
     INT64_MAX,
     DatasetStats,
     ingest,
+    negatives_digest,
     parse_behavior_file,
     parse_social_file,
     save_split_dir,
@@ -789,8 +791,8 @@ def test_split_dir_round_trip(tmp_path, rng):
     )
 
     outdir = str(tmp_path / "split")
-    save_split_dir(outdir, split, social, stats, seed=4)
-    loaded, social2, stats2 = load_split_dir(outdir)
+    digest = save_split_dir(outdir, split, social, stats, seed=4)
+    loaded, social2, stored = load_split_dir(outdir)
 
     assert loaded.num_users == split.num_users and loaded.num_items == split.num_items
     assert helpers.records_of(loaded.train) == helpers.records_of(split.train)
@@ -800,7 +802,22 @@ def test_split_dir_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(loaded.eval_negatives.indices, split.eval_negatives.indices)
     np.testing.assert_array_equal(social2.indptr, social.indptr)
     np.testing.assert_array_equal(social2.indices, social.indices)
-    assert stats2["num_behaviors"] == stats.num_behaviors
+    assert stored == digest == negatives_digest(split.eval_negatives)
+    # stats.json is a report of the corpus counts, which no loader reads
+    with open(os.path.join(outdir, "stats.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["num_behaviors"] == stats.num_behaviors
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=split_worlds())
+def test_the_stored_digest_is_the_digest_of_the_loaded_negatives(world):
+    records, num_users, num_items, seed, num_negatives = world
+    split = split_leave_one_out(helpers.from_records(records, num_users, num_items), seed, num_negatives)
+    with tempfile.TemporaryDirectory() as outdir:
+        stats = DatasetStats(num_users, num_items, len(records), 0, 0, 0)
+        save_split_dir(outdir, split, SocialGraph.from_edges(num_users, np.empty((0, 2))), stats, seed)
+        loaded, _, stored = load_split_dir(outdir)
+    assert stored == negatives_digest(loaded.eval_negatives) == negatives_digest(split.eval_negatives)
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,11 @@ from gbrec.evaluate import (
     MetricReport,
     compute_metrics,
     evaluate_ranking,
-    negatives_digest,
 )
 from gbrec.data import SocialGraph, item_dtype
 from gbrec.kernels import CSR
 from gbrec.scoring import composite_embeddings, flat_embeddings
-from gbrec.rawdata import split_leave_one_out
+from gbrec.rawdata import negatives_digest, split_leave_one_out
 
 import helpers
 import oracles

@@ -1,5 +1,5 @@
-"""Truncated and bit-flipped checkpoints, ``stats.json`` and ``split.npz``
-files, and damaged raw files and config files.
+"""Truncated and bit-flipped checkpoints and ``split.npz`` files, and
+damaged raw files and config files.
 
 Whatever byte a file is cut at and whichever single bit is flipped, the
 loaders raise only their own error (``CheckpointError``, ``IngestError``) or
@@ -60,8 +60,6 @@ def world(tmp_path_factory):
         with open(path, "rb") as fh:
             blobs[name] = fh.read()
         models[name] = load_checkpoint(path)
-    with open(os.path.join(data, "stats.json"), "rb") as fh:
-        stats = fh.read()
     with open(os.path.join(data, "split.npz"), "rb") as fh:
         npz = fh.read()
     raw_files = {}
@@ -69,7 +67,7 @@ def world(tmp_path_factory):
         with open(path, "rb") as fh:
             raw_files[os.path.basename(path)] = fh.read()
     return {
-        "data": data, "checkpoints": blobs, "models": models, "stats": stats, "npz": npz, "split": split_arrays(data),
+        "data": data, "checkpoints": blobs, "models": models, "npz": npz, "split": split_arrays(data),
         "raw": raw_files,
     }
 
@@ -93,9 +91,9 @@ def evaluate(capsys, checkpoint: str, data: str) -> int:
 
 
 # where a cut or a flip lands in a checkpoint or split.npz: the whole file;
-# the zip's central directory and end record; or the start of one member,
-# its local header and .npy header (30 bytes, its name, 128 bytes); two
-# thirds of the draws land where the parsing is
+# the zip's central directory and end record; or the start of one member
+# (any of split.npz's 20), its local header and .npy header (30 bytes, its
+# name, 128 bytes); two thirds of the draws land where the parsing is
 NPZ_REGIONS = ("anywhere", "directory", "member")
 
 
@@ -103,7 +101,7 @@ NPZ_REGIONS = ("anywhere", "directory", "member")
 def npz_cuts(draw):
     """A region, a member and a fraction of that region."""
     region = draw(st.sampled_from(NPZ_REGIONS))
-    return region, draw(st.integers(0, 17)), draw(st.floats(0.0, 1.0, exclude_max=True))
+    return region, draw(st.integers(0, 19)), draw(st.floats(0.0, 1.0, exclude_max=True))
 
 
 def npz_position(blob: bytes, case, unit: int) -> int:
@@ -185,44 +183,6 @@ def gbmf_checkpoint(world, tmp_path) -> str:
     return path
 
 
-def with_stats(world, tmp_path, stats: bytes) -> str:
-    data = str(tmp_path / "data")
-    if not os.path.isdir(data):
-        shutil.copytree(world["data"], data)
-    with open(os.path.join(data, "stats.json"), "wb") as fh:
-        fh.write(stats)
-    return data
-
-
-def load_or_ingest_error(data: str) -> bool:
-    """Whether the split dir loads; any failure must be one IngestError."""
-    try:
-        load_split_dir(data)
-    except IngestError:
-        return False
-    return True
-
-
-@FUZZ
-@given(cut=st.floats(0.0, 1.0, exclude_max=True))
-@example(cut=0.0)
-def test_a_truncated_stats_file_loads_or_fails_with_one_ingest_error(world, tmp_path, capsys, cut):
-    stats = world["stats"]
-    data = with_stats(world, tmp_path, stats[: int(cut * len(stats))])
-    loaded = load_or_ingest_error(data)
-    assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), data) == (0 if loaded else 1)
-
-
-@FUZZ
-@given(bit=st.floats(0.0, 1.0, exclude_max=True))
-def test_a_bit_flipped_stats_file_loads_or_fails_with_one_ingest_error(world, tmp_path, capsys, bit):
-    stats = world["stats"]
-    data = with_stats(world, tmp_path, flip(stats, int(bit * 8 * len(stats))))
-    loaded = load_or_ingest_error(data)
-    code = evaluate(capsys, gbmf_checkpoint(world, tmp_path), data)
-    assert code == 1 or loaded
-
-
 # ---------------------------------------------------------------------------
 # split.npz
 
@@ -232,11 +192,13 @@ def log_arrays(logb) -> list[np.ndarray]:
 
 
 def split_arrays(data: str) -> list[np.ndarray]:
-    """Every array ``load_split_dir`` and ``load_train_dir`` return, in a fixed order."""
-    split, social, _ = load_split_dir(data)
-    train, train_social, _ = load_train_dir(data)
+    """Every array ``load_split_dir`` and ``load_train_dir`` return, and the
+    stored digest's bytes, in a fixed order."""
+    split, social, digest = load_split_dir(data)
+    train, train_social = load_train_dir(data)
     out = [*log_arrays(split.train), *log_arrays(split.validation), *log_arrays(split.test)]
     out += [split.eval_negatives.indptr, split.eval_negatives.indices, social.indptr, social.indices]
+    out += [np.frombuffer(bytes.fromhex(digest), np.uint8), np.array([split.num_users, split.num_items])]
     return out + [*log_arrays(train), train_social.indptr, train_social.indices]
 
 
