@@ -283,6 +283,10 @@ def _empty_row_of_first_test_user(a):
         (None, "split.npz: no such file; write this split dir again with gbrec prepare"),
         # every split dir written before split.npz held its id space
         (lambda a: a.pop("id_space"), "split.npz: id_space: no such array; write this split dir again with gbrec prepare"),
+        # the dataset's stats (num_users, num_items) are split.npz's id space:
+        # one without num_items, and num_items past int64 in a wider array
+        (_replace("id_space", lambda x: x[:1]), "split.npz: id_space holds 1 values, expected 2 (num_users, num_items); write"),
+        (_replace("id_space", _with_an_id_past_int64), "split.npz: id_space: uint64 array"),
         (_replace("id_space", lambda x: np.r_[x, 5]), "split.npz: id_space holds 3 values, expected 2 (num_users, num_items); write"),
         (_set("id_space", 1, -1), "split.npz: id_space: [30, -1] holds a negative size; write"),
         (_replace("negatives_sha256", lambda x: x[:31]), "split.npz: negatives_sha256 holds 31 bytes, expected 32; write"),
@@ -293,7 +297,7 @@ def _empty_row_of_first_test_user(a):
         "item-past-int64", "social-past-range", "train-item-past-range", "train-participant-past-range",
         "validation-user-past-range", "validation-user-twice", "test-user-twice", "negatives-id-twice",
         "negatives-missing-held-out-user", "test-users-out-of-order", "negatives-offsets-fall", "no-split-npz",
-        "no-id-space", "id-space-of-three", "id-space-negative", "digest-short", "junk-member",
+        "no-id-space", "stats-missing-key", "stats-items-past-int64", "id-space-of-three", "id-space-negative", "digest-short", "junk-member",
     ],
 )
 def test_bad_split_dir_fails_with_one_located_error(pipeline, tmp_path, capsys, corrupt, where):

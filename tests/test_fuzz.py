@@ -1,5 +1,5 @@
-"""Truncated and bit-flipped checkpoints and ``split.npz`` files, and
-damaged raw files and config files.
+"""Truncated and bit-flipped checkpoints, ``split.npz`` and ``stats.json``
+files, and damaged raw files and config files.
 
 Whatever byte a file is cut at and whichever single bit is flipped, the
 loaders raise only their own error (``CheckpointError``, ``IngestError``) or
@@ -7,7 +7,8 @@ load, and ``gbrec evaluate`` either completes or exits 1 or 2 with one line
 on standard error and nothing on standard output. Checkpoints and
 ``split.npz`` are the same ``.npz`` container: a cut one never loads, and one
 that loads after a flip holds exactly the arrays it held before, since each
-member's CRC-32 covers its header and data.
+member's CRC-32 covers its header and data. ``stats.json`` is a report that
+no loader reads: however it is damaged, the split dir loads as before.
 
 A ``behaviors.tsv`` or ``social.tsv`` cut at any byte, with any bit flipped
 or with any byte replaced, is prepared, or is one error line naming that
@@ -62,12 +63,14 @@ def world(tmp_path_factory):
         models[name] = load_checkpoint(path)
     with open(os.path.join(data, "split.npz"), "rb") as fh:
         npz = fh.read()
+    with open(os.path.join(data, "stats.json"), "rb") as fh:
+        stats = fh.read()
     raw_files = {}
     for path in (behaviors, social):
         with open(path, "rb") as fh:
             raw_files[os.path.basename(path)] = fh.read()
     return {
-        "data": data, "checkpoints": blobs, "models": models, "npz": npz, "split": split_arrays(data),
+        "data": data, "checkpoints": blobs, "models": models, "npz": npz, "stats": stats, "split": split_arrays(data),
         "raw": raw_files,
     }
 
@@ -243,6 +246,38 @@ def test_a_bit_flipped_split_npz_loads_as_before_or_fails_with_one_ingest_error(
     path = with_npz(world, tmp_path, flip(blob, npz_position(blob, case, 8)))
     loaded = loads_as_before(world, path)
     assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), path) == (0 if loaded else 1)
+
+
+# ---------------------------------------------------------------------------
+# stats.json
+
+
+def with_stats(world, tmp_path, stats: bytes) -> str:
+    data = str(tmp_path / "data")
+    if not os.path.isdir(data):
+        shutil.copytree(world["data"], data)
+    with open(os.path.join(data, "stats.json"), "wb") as fh:
+        fh.write(stats)
+    return data
+
+
+@FUZZ
+@given(cut=st.floats(0.0, 1.0, exclude_max=True))
+@example(cut=0.0)
+def test_a_truncated_stats_file_loads_or_fails_with_one_ingest_error(world, tmp_path, capsys, cut):
+    stats = world["stats"]
+    data = with_stats(world, tmp_path, stats[: int(cut * len(stats))])
+    assert loads_as_before(world, data)
+    assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), data) == 0
+
+
+@FUZZ
+@given(bit=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_bit_flipped_stats_file_loads_or_fails_with_one_ingest_error(world, tmp_path, capsys, bit):
+    stats = world["stats"]
+    data = with_stats(world, tmp_path, flip(stats, int(bit * 8 * len(stats))))
+    assert loads_as_before(world, data)
+    assert evaluate(capsys, gbmf_checkpoint(world, tmp_path), data) == 0
 
 
 # ---------------------------------------------------------------------------
